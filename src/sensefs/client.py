@@ -1,47 +1,129 @@
-"""Client-side library: file operations over attached servers.
+"""Client side of the protocol: one connection core and the file client.
 
-Callers see open/read/write/ls/stat on paths; the messaging underneath
-(attach, walk, open, read, write, clunk and tag bookkeeping) is fully
-concealed.  Works against two kinds of server reference:
+Every exchange a node starts goes through a Conn, the client end of one
+connection: it allocates tags and fids, hands each R-message to the
+request waiting on its tag, and remembers the fid attached per user name.
+The protocol sequences are generator steps (attach, walk, read_all) that
+yield (build, timeout) per T-message, where build(tag) makes the message,
+and receive its R-message, or None if it never came.  Two callers drive
+them:
+
+    FileClient         one blocking call at a time, running the simulation
+                       clock until each reply arrives
+    muxfs.Multiplexer  as continuations, so a cluster head keeps any number
+                       of device exchanges outstanding
+
+FileClient gives open/read/write/ls/stat on paths against two kinds of
+server reference:
 
     ("net", endpoint_id)  -- a simulated server reached over the wire
     ("local", Server)     -- an in-process fscore server (namespace views)
-
-Synchronous calls drive the simulation clock forward until the reply
-arrives; submit() issues a request without waiting, for callers that
-want several outstanding at once.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from . import wire
+from .fscore import FsError
 from .wire import (
     IOUNIT, OREAD, OWRITE,
-    Tattach, Twalk, Topen, Tread, Twrite, Tclunk, Tstat,
-    Rattach, Rwalk, Ropen, Rread, Rwrite, Rclunk, Rstat, Rerror,
+    Tattach, Twalk, Topen, Tread, Twrite, Tclunk, Tstat, Rread, Rerror,
 )
 
 CLIENT_TIMEOUT = 20000   # ticks a synchronous call will wait for its reply
 
 
-class ClientError(Exception):
-    def __init__(self, ename):
-        super().__init__(ename)
-        self.ename = ename
+class ClientError(FsError):
+    """A request refused by its server, or never answered."""
+
+
+class Conn:
+    """The client end of one connection: tags in flight, fids, attached roots."""
+
+    def __init__(self, tags=None):
+        self.tags = tags or itertools.count(1)   # may be shared between conns
+        self.fids = itertools.count()             # attach takes the first
+        self.roots = {}                           # uname -> attached fid
+        self.pending = {}                         # tag -> (callback, timer Event or None)
+
+    def new_tag(self):
+        tag = next(self.tags) % wire.NOTAG
+        while tag in self.pending:
+            tag = next(self.tags) % wire.NOTAG
+        return tag
+
+    def answer(self, tag, msg):
+        """Hand msg (None: it never came) to the request waiting on tag;
+        a late reply to a request given up on is dropped."""
+        entry = self.pending.pop(tag, None)
+        if entry is not None:
+            cb, timer = entry
+            if timer is not None:
+                timer.cancel()
+            cb(msg)
+
+
+def _check(r):
+    if isinstance(r, Rerror):
+        raise ClientError(r.ename)
+
+
+def attach(conn, uname, timeout):
+    """Step: the fid attached as uname, attaching a fresh fid on first use;
+    None if the reply never came."""
+    fid = conn.roots.get(uname)
+    if fid is None:
+        fid = next(conn.fids)
+        r = yield (lambda t: Tattach(t, fid, uname, ""), timeout)
+        if r is None:
+            return None
+        _check(r)
+        conn.roots[uname] = fid
+    return fid
+
+
+def walk(conn, uname, path, timeout):
+    """Step: a new fid walked from uname's root to path; None if a reply
+    never came.  Raises ClientError if refused or path does not exist."""
+    root = yield from attach(conn, uname, timeout)
+    if root is None:
+        return None
+    names = tuple(p for p in path.split("/") if p)
+    fid = next(conn.fids)
+    r = yield (lambda t: Twalk(t, root, fid, names), timeout)
+    if r is None:
+        return None
+    _check(r)
+    if len(r.qids) != len(names):
+        raise ClientError("no such file")
+    return fid
+
+
+def read_all(fid, timeout):
+    """Step: the bytes of an open fid from offset 0 to end of file; None if
+    a read failed or its reply never came."""
+    out = bytearray()
+    while True:
+        r = yield (lambda t, o=len(out): Tread(t, fid, o, IOUNIT), timeout)
+        if not isinstance(r, Rread):
+            return None
+        if not r.data:
+            return bytes(out)
+        out += r.data
 
 
 class FileClient:
-    """One client identity: an endpoint on the network plus a fid space
-    per attached server."""
+    """One client identity: an endpoint on the network plus a Conn per
+    server it talks to."""
 
     def __init__(self, net, eid, uname="admin", timeout=CLIENT_TIMEOUT):
         self.net = net
         self.eid = eid
         self.uname = uname
         self.timeout = timeout
-        self._pending = {}          # tag -> callback
-        self._next_tag = 0
-        self._sessions = {}         # server key -> dict(root_fid, next_fid)
+        self._tags = itertools.count(1)   # one tag sequence across servers
+        self._conns = {}                  # server ref -> Conn
         net.register(eid, self._on_frame)
 
     # -- transport ---------------------------------------------------------
@@ -51,18 +133,22 @@ class FileClient:
             msg = wire.decode_message(frame)
         except wire.WireError:
             return
-        cb = self._pending.pop((src, msg.tag), None)
-        if cb is not None:
-            cb(msg)
+        conn = self._conns.get(("net", src))
+        if conn is not None:
+            conn.answer(msg.tag, msg)
 
-    def _new_tag(self):
-        self._next_tag = (self._next_tag + 1) % wire.NOTAG
-        return self._next_tag
+    def _conn(self, ref):
+        conn = self._conns.get(ref)
+        if conn is None:
+            conn = self._conns[ref] = Conn(self._tags)
+        return conn
 
     def submit(self, ref, build, cb):
-        """Issue one T-message without waiting; cb(R-message) later."""
+        """Issue one T-message without waiting; cb(R-message) later.
+        Returns the tag."""
         kind, target = ref
-        tag = self._new_tag()
+        conn = self._conn(ref)
+        tag = conn.new_tag()
         msg = build(tag)
         if kind == "local":
             replies = []
@@ -71,54 +157,35 @@ class FileClient:
                 raise ClientError("local server deferred unexpectedly")
             cb(replies[0])
         else:
-            self._pending[(target, tag)] = cb
+            conn.pending[tag] = (cb, None)
             self.net.send(self.eid, target, wire.encode_message(msg))
+        return tag
 
     def call(self, ref, build):
         """Send one T-message and run the clock until its reply arrives."""
-        kind, target = ref
-        if kind == "local":
-            box = []
-            self.submit(ref, build, box.append)
-            msg = box[0]
-        else:
-            box = []
-            self.submit(ref, build, box.append)
-            deadline = self.net.now + self.timeout
-            while not box:
-                nxt = self.net.peek_time()
-                if nxt is None or nxt > deadline:
-                    raise ClientError("timeout")
-                self.net.step()
-            msg = box[0]
-        if isinstance(msg, Rerror):
-            raise ClientError(msg.ename)
-        return msg
+        box = []
+        tag = self.submit(ref, build, box.append)
+        deadline = self.net.now + self.timeout
+        while not box:
+            nxt = self.net.peek_time()
+            if nxt is None or nxt > deadline:
+                del self._conns[ref].pending[tag]
+                raise ClientError("timeout")
+            self.net.step()
+        _check(box[0])
+        return box[0]
 
-    # -- session / fid plumbing --------------------------------------------
-
-    def _key(self, ref):
-        kind, target = ref
-        return (kind, target if kind == "net" else id(target))
-
-    def _session(self, ref):
-        key = self._key(ref)
-        sess = self._sessions.get(key)
-        if sess is None:
-            self.call(ref, lambda t: Tattach(t, 0, self.uname, ""))
-            sess = {"next_fid": 1}
-            self._sessions[key] = sess
-        return sess
+    def _run(self, ref, step):
+        """Drive a step to its end, one call per T-message."""
+        try:
+            build, _ = next(step)
+            while True:
+                build, _ = step.send(self.call(ref, build))
+        except StopIteration as done:
+            return done.value
 
     def _walk(self, ref, relpath):
-        sess = self._session(ref)
-        fid = sess["next_fid"]
-        sess["next_fid"] += 1
-        names = tuple(p for p in relpath.split("/") if p)
-        r = self.call(ref, lambda t: Twalk(t, 0, fid, names))
-        if len(r.qids) != len(names):
-            raise ClientError("no such file")
-        return fid, r.qids
+        return self._run(ref, walk(self._conn(ref), self.uname, relpath, self.timeout))
 
     def _clunk(self, ref, fid):
         try:
@@ -130,7 +197,7 @@ class FileClient:
 
     def open_path(self, ref, relpath, mode=OREAD):
         """Walk and open; returns a handle for read_at/submit_read/close."""
-        fid, _ = self._walk(ref, relpath)
+        fid = self._walk(ref, relpath)
         try:
             r = self.call(ref, lambda t: Topen(t, fid, mode))
         except ClientError:
@@ -155,43 +222,25 @@ class FileClient:
     def read(self, ref, relpath) -> bytes:
         handle = self.open_path(ref, relpath, OREAD)
         try:
-            out = bytearray()
-            while True:
-                data = self.read_at(handle, len(out))
-                if not data:
-                    break
-                out.extend(data)
-            return bytes(out)
+            return self._run(ref, read_all(handle["fid"], self.timeout))
         finally:
             self.close(handle)
 
     def write(self, ref, relpath, data: bytes) -> int:
         handle = self.open_path(ref, relpath, OWRITE)
         try:
-            r = self.call(handle["ref"],
-                          lambda t: Twrite(t, handle["fid"], 0, data))
+            r = self.call(ref, lambda t: Twrite(t, handle["fid"], 0, data))
             return r.count
         finally:
             self.close(handle)
 
     def ls(self, ref, relpath) -> list:
         """Stat records of a directory's children, in server order."""
-        handle = self.open_path(ref, relpath, OREAD)
-        try:
-            out = bytearray()
-            while True:
-                data = self.read_at(handle, len(out))
-                if not data:
-                    break
-                out.extend(data)
-            return wire.decode_stats(bytes(out))
-        finally:
-            self.close(handle)
+        return wire.decode_stats(self.read(ref, relpath))
 
     def stat(self, ref, relpath) -> wire.Stat:
-        fid, _ = self._walk(ref, relpath)
+        fid = self._walk(ref, relpath)
         try:
-            r = self.call(ref, lambda t: Tstat(t, fid))
-            return r.stat
+            return self.call(ref, lambda t: Tstat(t, fid)).stat
         finally:
             self._clunk(ref, fid)

@@ -116,6 +116,27 @@ class SensorState:
         return "\n".join(lines) + "\n"
 
 
+def parse_info(text: str) -> dict:
+    """Invert SensorState.info_text: the first word of a line is the key and
+    the rest of the line its value; "tag KEY VALUE" lines fill "tags" and
+    "position X Y" becomes a float pair."""
+    meta = {"tags": {}}
+    for line in text.split("\n"):
+        key, _, value = line.partition(" ")
+        if key == "tag":
+            tag, _, value = value.partition(" ")
+            meta["tags"][tag] = value
+        elif key == "position":
+            try:
+                x, y = map(float, value.split())
+            except ValueError:
+                continue
+            meta["position"] = (x, y)
+        elif key:
+            meta[key] = value
+    return meta
+
+
 def handle_control(state: SensorState, now: int, command: str):
     """Apply one control-file command line."""
     cmd = command.strip()

@@ -70,8 +70,6 @@ class Node:
         self.read_handler = read
         self.write_handler = write
         self.length_fn = length
-        # set by muxfs on mirrored device nodes: (device_id, relpath)
-        self.remote = None
 
     @property
     def is_dir(self) -> bool:
@@ -142,8 +140,7 @@ DEFAULT_USERS = UserDb({"admin": {"admin"}, "guest": {"users"}, "mux": {"mux"}})
 
 
 class _Fid:
-    __slots__ = ("node", "uname", "open_mode", "dir_offset", "dir_index",
-                 "remote_fid", "cache_data")
+    __slots__ = ("node", "uname", "open_mode", "dir_offset", "dir_index")
 
     def __init__(self, node, uname):
         self.node = node
@@ -151,8 +148,6 @@ class _Fid:
         self.open_mode = None      # None while closed, else OREAD/OWRITE/ORDWR
         self.dir_offset = 0        # next valid directory read offset
         self.dir_index = 0
-        self.remote_fid = None     # device-side fid, used by muxfs
-        self.cache_data = None     # pinned cache snapshot, used by muxfs
 
 
 class Session:
@@ -216,58 +211,29 @@ class Server:
         """Handle one T-message; reply(r_message) is invoked exactly once,
         immediately or later (deferred handlers)."""
         tag = msg.tag
+        name, wrap = _HANDLERS.get(type(msg), (None, None))
         try:
-            result = self._handle(conn_key, msg)
+            if name == "t_attach":
+                result = self.t_attach(conn_key, msg)
+            else:
+                session = self.sessions.get(conn_key)
+                if session is None:
+                    raise FsError("no session")
+                if name is None:
+                    raise FsError("unknown message")
+                result = getattr(self, name)(session, msg)
         except FsError as e:
             reply(Rerror(tag, e.ename))
             return
         if isinstance(result, Defer):
-            def done(outcome, _tag=tag, _msg=msg):
+            def done(outcome):
                 if isinstance(outcome, FsError):
-                    reply(Rerror(_tag, outcome.ename))
+                    reply(Rerror(tag, outcome.ename))
                 else:
-                    reply(self._wrap(_msg, outcome))
+                    reply(wrap(tag, outcome))
             result.start(done)
         else:
-            reply(self._wrap(msg, result))
-
-    def _wrap(self, msg, result):
-        tag = msg.tag
-        if isinstance(msg, Tattach):
-            return Rattach(tag, result)
-        if isinstance(msg, Twalk):
-            return Rwalk(tag, tuple(result))
-        if isinstance(msg, Topen):
-            return Ropen(tag, result, IOUNIT)
-        if isinstance(msg, Tread):
-            return Rread(tag, result)
-        if isinstance(msg, Twrite):
-            return Rwrite(tag, result)
-        if isinstance(msg, Tclunk):
-            return Rclunk(tag)
-        if isinstance(msg, Tstat):
-            return Rstat(tag, result)
-        raise FsError("not a T-message")
-
-    def _handle(self, conn_key, msg):
-        if isinstance(msg, Tattach):
-            return self.t_attach(conn_key, msg)
-        session = self.sessions.get(conn_key)
-        if session is None:
-            raise FsError("no session")
-        if isinstance(msg, Twalk):
-            return self.t_walk(session, msg)
-        if isinstance(msg, Topen):
-            return self.t_open(session, msg)
-        if isinstance(msg, Tread):
-            return self.t_read(session, msg)
-        if isinstance(msg, Twrite):
-            return self.t_write(session, msg)
-        if isinstance(msg, Tclunk):
-            return self.t_clunk(session, msg)
-        if isinstance(msg, Tstat):
-            return self.t_stat(session, msg)
-        raise FsError("unknown message")
+            reply(wrap(tag, result))
 
     # -- per-message handlers (overridable by subclasses) -------------
 
@@ -368,3 +334,17 @@ class Server:
 
     def t_stat(self, session, msg: Tstat):
         return session.get(msg.fid).node.stat()
+
+
+# T-message type -> (handler method name, R-message builder).  Handlers
+# are looked up by name so subclasses can override them; only t_attach
+# is served without a session.
+_HANDLERS = {
+    Tattach: ("t_attach", Rattach),
+    Twalk: ("t_walk", lambda tag, qids: Rwalk(tag, tuple(qids))),
+    Topen: ("t_open", lambda tag, qid: Ropen(tag, qid, IOUNIT)),
+    Tread: ("t_read", Rread),
+    Twrite: ("t_write", Rwrite),
+    Tclunk: ("t_clunk", lambda tag, _: Rclunk(tag)),
+    Tstat: ("t_stat", Rstat),
+}

@@ -6,20 +6,23 @@ sorts sensors into groups/ at enumeration time, and relays client
 requests to devices by fid while keeping any number of them outstanding.
 A small value cache answers for sleeping sensors within a ttl.
 
-Device I/O never blocks the dispatch loop: every exchange is a suspended
-continuation keyed by the device-side tag.
+Towards its devices the head is a client built on the core in client.py:
+one Conn per member (a DeviceLink) and the same attach/walk/read_all
+steps a FileClient runs.  Here they run as continuations: _spawn/_resume
+issue each yielded T-message and resume the generator from its reply or
+per-request timeout, so device I/O never blocks the dispatch loop.  The
+relay state of mirrored nodes and client fids lives in the head's own
+tables (remote, relayed, snapshots), not in fscore.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import wire
-from .wire import (
-    IOUNIT, NOTAG, OREAD,
-    Tattach, Twalk, Topen, Tread, Twrite, Tclunk,
-    Rattach, Rwalk, Ropen, Rread, Rwrite, Rclunk, Rerror,
-)
+from .client import Conn, ClientError, attach, read_all, walk
+from .devicefs import parse_info
+from .wire import IOUNIT, OREAD, Topen, Tread, Twrite, Tclunk, Ropen, Rread, Rwrite, Rerror
 from .fscore import Defer, FsError, Node, Server, make_dir, make_file
 
 MAX_PENDING = 32
@@ -60,28 +63,15 @@ BUILTIN_AGGREGATIONS = {
 }
 
 
-class DeviceLink:
-    """Mux-side state for one discovered (or probed) device."""
+class DeviceLink(Conn):
+    """A head's connection to one member device, plus its discovery state."""
 
     def __init__(self, device_id):
+        super().__init__()
         self.device_id = device_id
         self.discovered = False
-        self.last_seen = -1
-        self.pending = {}          # tag -> (callback, timeout Event or None)
-        self.attach_fids = {}      # uname -> device fid
         self.open_fids = {}        # path -> device fid opened OREAD as "mux"
         self.meta = {}             # kind, tags, position parsed from info
-        self.child_stats = []      # wire.Stat of the device root children
-        self._next_tag = 0
-        self._next_fid = 0
-
-    def new_tag(self):
-        self._next_tag = (self._next_tag + 1) % NOTAG
-        return self._next_tag
-
-    def new_fid(self):
-        self._next_fid += 1
-        return self._next_fid
 
 
 class Multiplexer(Server):
@@ -101,6 +91,9 @@ class Multiplexer(Server):
         self._sensor_nodes = {}    # device_id -> mirrored sensors/<id> dir
         self._group_nodes = {}
         self._poll = {}            # device_id -> (period, generation)
+        self.remote = {}           # mirrored device node -> (device_id, relpath)
+        self.relayed = {}          # client fid entry -> device fid it reads through
+        self.snapshots = {}        # client fid entry -> cached payload it keeps serving
 
         root = make_dir(cluster_name, 0o555)
         self.sensors_dir = root.add(make_dir(
@@ -118,9 +111,10 @@ class Multiplexer(Server):
             self.add_aggregate(spec)
         for spec in groups:
             self.add_group(spec)
-        if self.cfg.aggregate_timeout <= 0:
+        self.aggregate_timeout = self.cfg.aggregate_timeout
+        if self.aggregate_timeout <= 0:
             lats = [net.link_for(eid, m).latency for m in self.member_ids] or [2]
-            self.cfg.aggregate_timeout = max(5, int(5 * sum(lats) / len(lats)))
+            self.aggregate_timeout = max(5, int(5 * sum(lats) / len(lats)))
         net.register(eid, self._on_frame)
 
     # ------------------------------------------------------------------
@@ -135,60 +129,37 @@ class Multiplexer(Server):
             return
         if wire.is_t_message(msg):
             self.dispatch(src, msg, lambda r: self.net.send(self.eid, src, wire.encode_message(r)))
-        else:
-            self._on_device_reply(src, msg)
+        elif src in self.links:
+            self.links[src].answer(msg.tag, msg)
 
-    def _on_device_reply(self, src, msg):
-        link = self.links.get(src)
-        if link is None:
-            return
-        link.last_seen = self.net.now
-        entry = link.pending.pop(msg.tag, None)
-        if entry is None:
-            return                      # late reply for an abandoned tag
-        cb, timeout_ev = entry
-        if timeout_ev is not None:
-            timeout_ev.cancel()
-        cb(msg)
-
-    def _call(self, device_id, build, cb, timeout=None):
+    def _call(self, link, build, cb, timeout):
         """Send one T-message to a device; cb(R-message) or cb(None) on timeout."""
-        link = self.links[device_id]
         if len(link.pending) >= MAX_PENDING:
             raise FsError("busy")
         tag = link.new_tag()
-        while tag in link.pending:
-            tag = link.new_tag()
-        timeout_ev = None
-        if timeout is not None:
-            def on_timeout():
-                entry = link.pending.pop(tag, None)
-                if entry is not None:
-                    entry[0](None)
-            timeout_ev = self.net.schedule(timeout, on_timeout)
-        link.pending[tag] = (cb, timeout_ev)
-        self.net.send(self.eid, device_id, wire.encode_message(build(tag)))
+        link.pending[tag] = (cb, self.net.schedule(timeout, lambda: link.answer(tag, None)))
+        self.net.send(self.eid, link.device_id, wire.encode_message(build(tag)))
 
-    def _spawn(self, gen):
-        """Drive a generator that yields (device_id, build, timeout) tuples."""
-        self._resume(gen, None)
+    def _spawn(self, link, gen):
+        """Drive a generator of exchanges with one device: it yields
+        (build, timeout) and receives the R-message or None."""
+        self._resume(link, gen, None)
 
-    def _resume(self, gen, value, exc=None):
+    def _resume(self, link, gen, value, exc=None):
         try:
             if exc is not None:
-                req = gen.throw(exc)
+                build, timeout = gen.throw(exc)
             else:
-                req = gen.send(value)
+                build, timeout = gen.send(value)
         except StopIteration:
             return
         except FsError as e:
             self.net.log.add(self.net.now, "mux-error", self.eid, "", e.ename)
             return
-        device_id, build, timeout = req
         try:
-            self._call(device_id, build, lambda r: self._resume(gen, r), timeout)
+            self._call(link, build, lambda r: self._resume(link, gen, r), timeout)
         except FsError as e:
-            self._resume(gen, None, exc=e)
+            self._resume(link, gen, None, exc=e)
 
     # ------------------------------------------------------------------
     # discovery
@@ -201,128 +172,99 @@ class Multiplexer(Server):
 
     def _reprobe(self):
         self.discover()
-        for m in self.member_ids:
-            if self.links[m].discovered:
-                self._spawn(self._refresh_info(self.links[m]))
+        for link in self.links.values():
+            if link.discovered:
+                self._spawn(link, self._refresh_info(link))
         self.net.schedule(self.cfg.reprobe_ticks, self._reprobe)
 
     def discover(self):
-        for m in self.member_ids:
-            if not self.links[m].discovered:
-                self._spawn(self._discover_device(self.links[m]))
+        for link in self.links.values():
+            if not link.discovered:
+                self._spawn(link, self._discover_device(link))
 
     def _discover_device(self, link):
         dev = link.device_id
-        fid = link.new_fid()
-        r = yield (dev, lambda t: Tattach(t, fid, "mux", ""), self.cfg.discover_timeout)
-        if not isinstance(r, Rattach):
+        link.roots.pop("mux", None)         # the attach is the probe: always send it
+        try:
+            root = yield from attach(link, "mux", self.cfg.discover_timeout)
+        except ClientError:
+            root = None
+        if root is None:
             self.net.log.add(self.net.now, "mux-probe-miss", self.eid, dev, "")
             return
-        link.attach_fids["mux"] = fid
         info = yield from self._read_path(link, "info")
         if info is None:
             self.net.log.add(self.net.now, "mux-excluded", self.eid, dev, "info unreadable")
             return
-        link.meta = _parse_info(info.decode(errors="replace"))
+        link.meta = parse_info(info.decode(errors="replace"))
         stats = yield from self._read_root_listing(link)
         if stats is None:
             self.net.log.add(self.net.now, "mux-excluded", self.eid, dev, "listing unreadable")
             return
-        link.child_stats = stats
         link.discovered = True
-        link.last_seen = self.net.now
         self._sensor_nodes[dev] = self._mirror_device(dev, stats)
         self.net.log.add(self.net.now, "mux-discovered", self.eid, dev,
                          "kind=%s" % link.meta.get("kind", "?"))
 
-    def _read_path(self, link, path, offset=0, count=IOUNIT):
-        """Walk+open+read+clunk a device file with the mux's own identity.
-        Yields device calls; returns payload bytes or None on failure."""
+    def _read_path(self, link, path):
+        """Read a device file with the mux's own identity, keeping the fid
+        open.  Yields device calls; returns payload bytes or None on failure."""
         fid = link.open_fids.get(path)
         if fid is None:
-            fid = yield from self._open_remote(link, "mux", path, OREAD)
+            fid = yield from self._open_remote(link, "mux", path, OREAD,
+                                               self.cfg.discover_timeout)
             if fid is None:
                 return None
             link.open_fids[path] = fid
-        dev = link.device_id
-        r = yield (dev, lambda t: Tread(t, fid, offset, count), self.cfg.aggregate_timeout)
+        r = yield (lambda t: Tread(t, fid, 0, IOUNIT), self.aggregate_timeout)
         if isinstance(r, Rread):
-            if offset == 0:
-                self.cache[(dev, path)] = (r.data, self.net.now)
+            self.cache[(link.device_id, path)] = (r.data, self.net.now)
             return r.data
         return None
 
-    def _open_remote(self, link, uname, path, mode, timeout=None):
-        """Attach (once per uname), walk and open; returns device fid or None."""
-        dev = link.device_id
-        timeout = timeout if timeout is not None else self.cfg.discover_timeout
-        afid = link.attach_fids.get(uname)
-        if afid is None:
-            afid = link.new_fid()
-            r = yield (dev, lambda t: Tattach(t, afid, uname, ""), timeout)
-            if not isinstance(r, Rattach):
-                if isinstance(r, Rerror):
-                    raise FsError(r.ename)
-                return None
-            link.attach_fids[uname] = afid
-        names = tuple(p for p in path.split("/") if p)
-        fid = link.new_fid()
-        r = yield (dev, lambda t: Twalk(t, afid, fid, names), timeout)
-        if not isinstance(r, Rwalk) or len(r.qids) != len(names):
-            if isinstance(r, Rerror):
-                raise FsError(r.ename)
-            if isinstance(r, Rwalk):
-                raise FsError("no such file")
+    def _open_remote(self, link, uname, path, mode, timeout):
+        """Walk (attaching once per uname) and open; returns the device fid,
+        or None if the device never answered."""
+        fid = yield from walk(link, uname, path, timeout)
+        if fid is None:
             return None
-        r = yield (dev, lambda t: Topen(t, fid, mode), timeout)
+        r = yield (lambda t: Topen(t, fid, mode), timeout)
         if not isinstance(r, Ropen):
-            self._clunk_remote(dev, fid)
+            self._clunk_remote(link, fid)
             if isinstance(r, Rerror):
                 raise FsError(r.ename)
             return None
         return fid
 
-    def _clunk_remote(self, dev, fid):
+    def _clunk_remote(self, link, fid):
         try:
-            self._call(dev, lambda t: Tclunk(t, fid), lambda r: None,
-                       timeout=self.cfg.discover_timeout)
+            self._call(link, lambda t: Tclunk(t, fid), lambda r: None,
+                       self.cfg.discover_timeout)
         except FsError:
             pass
 
     def _read_root_listing(self, link):
-        dev = link.device_id
-        fid = yield from self._open_remote(link, "mux", "", OREAD)
+        fid = yield from self._open_remote(link, "mux", "", OREAD,
+                                           self.cfg.discover_timeout)
         if fid is None:
             return None
-        data = bytearray()
-        offset = 0
-        while True:
-            r = yield (dev, lambda t, o=offset: Tread(t, fid, o, IOUNIT),
-                       self.cfg.aggregate_timeout)
-            if not isinstance(r, Rread):
-                self._clunk_remote(dev, fid)
-                return None
-            if not r.data:
-                break
-            data.extend(r.data)
-            offset += len(r.data)
-        self._clunk_remote(dev, fid)
+        data = yield from read_all(fid, self.aggregate_timeout)
+        self._clunk_remote(link, fid)
         try:
-            return wire.decode_stats(bytes(data))
+            return None if data is None else wire.decode_stats(data)
         except wire.WireError:
             return None
 
     def _refresh_info(self, link):
         info = yield from self._read_path(link, "info")
         if info is not None:
-            link.meta = _parse_info(info.decode(errors="replace"))
+            link.meta = parse_info(info.decode(errors="replace"))
 
     def _mirror_device(self, dev, stats) -> Node:
         sdir = make_dir(dev, 0o555)
         for st in stats:
-            child = Node(st.name, st.mode & 0o777, owner=st.owner, group=st.group)
-            child.remote = (dev, st.name)
-            sdir.add(child)
+            child = sdir.add(Node(st.name, st.mode & 0o777, owner=st.owner, group=st.group))
+            self.remote[child] = (dev, st.name)
         return sdir
 
     # ------------------------------------------------------------------
@@ -331,31 +273,29 @@ class Multiplexer(Server):
 
     def t_open(self, session, msg):
         ent = session.get(msg.fid)
-        node = ent.node
-        if node.remote is None:
+        remote = self.remote.get(ent.node)
+        if remote is None:
             return super().t_open(session, msg)
         if ent.open_mode is not None:
             raise FsError("fid already open")
-        if not self.links[node.remote[0]].discovered:
+        if not self.links[remote[0]].discovered:
             raise FsError("device unreachable")
         # permission checked here against the mirrored device stat, so an
         # open succeeds even while the device radio is off; the device-side
         # fid is established lazily on first read/write
-        self.check_open_perm(node, ent.uname, msg.mode)
+        self.check_open_perm(ent.node, ent.uname, msg.mode)
         ent.open_mode = msg.mode
-        return node.qid
+        return ent.node.qid
 
-    def _ensure_remote_fid(self, ent):
+    def _ensure_remote_fid(self, link, ent, path):
         """Generator: device-side walk+open for a relayed fid; returns the
         device fid or None if the device never answered."""
-        if ent.remote_fid is not None:
-            return ent.remote_fid
-        dev, path = ent.node.remote
-        dfid = yield from self._open_remote(self.links[dev], ent.uname, path,
-                                            ent.open_mode,
-                                            timeout=self.cfg.fallback_ticks)
-        if dfid is not None:
-            ent.remote_fid = dfid
+        dfid = self.relayed.get(ent)
+        if dfid is None:
+            dfid = yield from self._open_remote(link, ent.uname, path, ent.open_mode,
+                                                self.cfg.fallback_ticks)
+            if dfid is not None:
+                self.relayed[ent] = dfid
         return dfid
 
     def _relay_log(self, session, msg, path, cached):
@@ -365,22 +305,23 @@ class Multiplexer(Server):
 
     def t_read(self, session, msg):
         ent = session.get(msg.fid)
-        node = ent.node
-        if node.remote is None or ent.open_mode is None:
+        remote = self.remote.get(ent.node)
+        if remote is None or ent.open_mode is None:
             return super().t_read(session, msg)
-        dev, path = node.remote
+        dev, path = remote
         count = min(msg.count, IOUNIT)
         # once a fid has been served from cache it keeps serving that same
         # snapshot, so a sequential whole-file read stays consistent and the
         # end-of-file probe does not wait out the unreachable timeout again
-        snapshot = getattr(ent, "cache_data", None)
-        if ent.remote_fid is None and snapshot is not None:
+        snapshot = self.snapshots.get(ent)
+        if snapshot is not None and ent not in self.relayed:
             self._relay_log(session, msg, "%s/%s" % (dev, path), 1)
             return snapshot[msg.offset:msg.offset + count]
         self.net.log.add(self.net.now, "mux-route", session.conn_key, self.eid,
                          "fwd tag=%d fid=%d path=%s/%s" % (msg.tag, msg.fid, dev, path))
 
         asked = self.net.now
+        link = self.links[dev]
 
         def chain(done):
             def serve_cached():
@@ -388,18 +329,17 @@ class Multiplexer(Server):
                 # the unreachable-device timeout has elapsed
                 cached = self._cache_get(dev, path, asof=asked)
                 if cached is not None:
-                    ent.cache_data = cached
+                    self.snapshots[ent] = cached
                     self._relay_log(session, msg, "%s/%s" % (dev, path), 1)
                     done(cached[msg.offset:msg.offset + count])
                 else:
                     done(FsError("device unreachable"))
 
-            dfid = yield from self._ensure_remote_fid(ent)
+            dfid = yield from self._ensure_remote_fid(link, ent, path)
             if dfid is None:
                 serve_cached()
                 return
-            r = yield (dev, lambda t: Tread(t, dfid, msg.offset, count),
-                       self.cfg.fallback_ticks)
+            r = yield (lambda t: Tread(t, dfid, msg.offset, count), self.cfg.fallback_ticks)
             if isinstance(r, Rread):
                 if msg.offset == 0:
                     self.cache[(dev, path)] = (r.data, self.net.now)
@@ -410,24 +350,24 @@ class Multiplexer(Server):
             else:
                 serve_cached()
 
-        return self._defer_chain(chain)
+        return self._defer_chain(link, chain)
 
     def t_write(self, session, msg):
         ent = session.get(msg.fid)
-        node = ent.node
-        if node.remote is None or ent.open_mode is None:
+        remote = self.remote.get(ent.node)
+        if remote is None or ent.open_mode is None:
             return super().t_write(session, msg)
-        dev, path = node.remote
+        dev, path = remote
         self.net.log.add(self.net.now, "mux-route", session.conn_key, self.eid,
                          "fwd tag=%d fid=%d path=%s/%s" % (msg.tag, msg.fid, dev, path))
+        link = self.links[dev]
 
         def chain(done):
-            dfid = yield from self._ensure_remote_fid(ent)
+            dfid = yield from self._ensure_remote_fid(link, ent, path)
             if dfid is None:
                 done(FsError("device unreachable"))
                 return
-            r = yield (dev, lambda t: Twrite(t, dfid, msg.offset, msg.data),
-                       self.cfg.fallback_ticks)
+            r = yield (lambda t: Twrite(t, dfid, msg.offset, msg.data), self.cfg.fallback_ticks)
             if isinstance(r, Rwrite):
                 done(r.count)
             elif isinstance(r, Rerror):
@@ -435,9 +375,9 @@ class Multiplexer(Server):
             else:
                 done(FsError("device unreachable"))
 
-        return self._defer_chain(chain)
+        return self._defer_chain(link, chain)
 
-    def _defer_chain(self, chain):
+    def _defer_chain(self, link, chain):
         """Wrap a generator handler into a Defer; FsError raised inside the
         chain is routed to the reply callback."""
         def start(cb):
@@ -451,13 +391,15 @@ class Multiplexer(Server):
                     yield from chain(done)
                 except FsError as e:
                     done(e)
-            self._spawn(guarded())
+            self._spawn(link, guarded())
         return Defer(start)
 
     def t_clunk(self, session, msg):
         ent = session.fids.get(msg.fid)
-        if ent is not None and ent.node.remote is not None and ent.remote_fid is not None:
-            self._clunk_remote(ent.node.remote[0], ent.remote_fid)
+        self.snapshots.pop(ent, None)
+        dfid = self.relayed.pop(ent, None)
+        if dfid is not None:
+            self._clunk_remote(self.links[self.remote[ent.node][0]], dfid)
         return super().t_clunk(session, msg)
 
     def _cache_get(self, dev, path, asof=None):
@@ -541,7 +483,7 @@ class Multiplexer(Server):
                     finish()
 
             for member in members:
-                self._spawn(one(member))
+                self._spawn(self.links[member], one(member))
 
         return Defer(start)
 
@@ -564,9 +506,7 @@ class Multiplexer(Server):
         if current is None or current[1] != generation or current[0] <= 0:
             return
         period = current[0]
-        def poll():
-            yield from self._read_path(self.links[dev], "reading")
-        self._spawn(poll())
+        self._spawn(self.links[dev], self._read_path(self.links[dev], "reading"))
         self.net.schedule(period, lambda: self._poll_tick(dev, generation))
 
     # ------------------------------------------------------------------
@@ -594,21 +534,6 @@ class Multiplexer(Server):
         else:
             raise FsError("bad ctl command")
         return len(data)
-
-
-def _parse_info(text: str) -> dict:
-    meta = {"tags": {}}
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "tag" and len(parts) == 3:
-            meta["tags"][parts[1]] = parts[2]
-        elif parts[0] == "position" and len(parts) == 3:
-            meta["position"] = (float(parts[0 + 1]), float(parts[2]))
-        elif len(parts) >= 2:
-            meta[parts[0]] = parts[1]
-    return meta
 
 
 def _parse_floats(data: bytes):

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .client import ClientError, FileClient
+from .devicefs import parse_info
 from .fscore import Server, UserDb, make_dir, make_file
 from .wire import DMDIR
 
@@ -116,24 +117,14 @@ def scan_sensors(client, table, root="/network") -> list:
             continue
         for sid in ids:
             spath = "%s/%s" % (base, sid)
-            info = SensorInfo(sid, cluster, spath)
+            meta = {"tags": {}}
             try:
                 ref, rel = table.resolve(spath + "/info")
-                text = client.read(ref, rel).decode(errors="replace")
+                meta = parse_info(client.read(ref, rel).decode(errors="replace"))
             except ClientError:
-                infos.append(info)
-                continue
-            for line in text.splitlines():
-                parts = line.split()
-                if not parts:
-                    continue
-                if parts[0] == "kind" and len(parts) == 2:
-                    info.kind = parts[1]
-                elif parts[0] == "position" and len(parts) == 3:
-                    info.position = (float(parts[1]), float(parts[2]))
-                elif parts[0] == "tag" and len(parts) == 3:
-                    info.tags[parts[1]] = parts[2]
-            infos.append(info)
+                pass
+            infos.append(SensorInfo(sid, cluster, spath, meta.get("kind", "unknown"),
+                                    meta["tags"], meta.get("position")))
     return infos
 
 

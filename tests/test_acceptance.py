@@ -5,6 +5,7 @@ captured output of failing tests) and then asserts, so a red test always
 corresponds to a FAIL line and vice versa.
 """
 
+import hashlib
 import io
 import os
 import random
@@ -266,7 +267,7 @@ def test_acceptance_05_outstanding_requests():
     client = make_client(net)
     h1 = client.open_path(mux_ref(mux), "sensors/s1/reading")
     h3 = client.open_path(mux_ref(mux), "sensors/s3/reading")
-    ctl_fid, _ = client._walk(mux_ref(mux), "ctl")
+    ctl_fid = client._walk(mux_ref(mux), "ctl")
     finish = {}
     client.submit_read(h1, 0, 64, lambda r: finish.setdefault("s1", net.now))
     client.submit_read(h3, 0, 64, lambda r: finish.setdefault("s3", net.now))
@@ -498,6 +499,17 @@ def run_bundled(scenario, script_name, seed):
     return code, rep, out.getvalue(), sim.net.log.text()
 
 
+# sha256 of each bundled script's event log (the --log file) at seed 42
+GOLDEN_LOGS = {
+    "example1_monitoring.script":
+        "d87417c3689908c12f3d0577d8d1706e64bd70b507fcc584292c8dd1f5903cc3",
+    "example2_datacentric.script":
+        "60d76bb16088d440c92d456908875eb3b1e52cf41812095e01317b748388c217",
+    "example3_emergency.script":
+        "5d2b08403cf02e095c366320347831c53ffd66e29aeaca2bfd8f4f83dbeca93b",
+}
+
+
 def test_acceptance_12_determinism():
     pairs = [(ZOO, "example1_monitoring.script"),
              (ZOO, "example2_datacentric.script"),
@@ -506,8 +518,10 @@ def test_acceptance_12_determinism():
     for scenario, script in pairs:
         a = run_bundled(scenario, script, seed=42)
         b = run_bundled(scenario, script, seed=42)
-        ok &= a == b and a[0] == 0
+        digest = hashlib.sha256(a[3].encode()).hexdigest()
+        ok &= a == b and a[0] == 0 and digest == GOLDEN_LOGS[script]
         assert a == b, script
         assert a[0] == 0, script
+        assert digest == GOLDEN_LOGS[script], script
     report(12, "determinism", ok,
-           "3 bundled scripts: transcripts and event logs byte-identical")
+           "3 bundled scripts: transcripts and event logs byte-identical, logs golden")

@@ -1,11 +1,11 @@
 """Leaf-device server tests: tree layout, control, calibration, debug files."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sensefs.devicefs import (
     FILE_ORDER, MEM_SIZE, NUM_REGISTERS, SensorState,
-    handle_control, make_device_server,
+    handle_control, make_device_server, parse_info,
 )
 from sensefs.fscore import FsError, UserDb
 from sensefs.simnet import DutyCycle
@@ -170,6 +170,20 @@ def test_info_contents():
                     "kind temperature\n"
                     "position 10.000000 20.000000\n"
                     "tag animal snake\n")
+
+
+_LINE = st.characters(blacklist_characters="\n", blacklist_categories=("Cs",))
+_WORD = st.characters(blacklist_characters=" \n", blacklist_categories=("Cs",))
+_COORD = st.floats(-1e6, 1e6).map(lambda v: float("%.6f" % v))
+
+
+@given(st.text(_LINE), st.text(_LINE), st.tuples(_COORD, _COORD),
+       st.dictionaries(st.text(_WORD), st.text(_LINE)))
+@example("s1", "big cat", (1.5, -2.0), {"animal": "snow leopard"})
+def test_parse_info_inverts_info_text(sid, kind, position, tags):
+    state = SensorState(sid, kind=kind, position=position, tags=tags)
+    assert parse_info(state.info_text()) == {
+        "id": sid, "kind": kind, "position": position, "tags": tags}
 
 
 def test_remaining_energy_render():

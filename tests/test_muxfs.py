@@ -4,7 +4,7 @@ import pytest
 
 from sensefs.client import ClientError, FileClient
 from sensefs.muxfs import AggregateSpec, GroupSpec, MuxConfig, Multiplexer
-from sensefs.simnet import DutyCycle, LinkModel
+from sensefs.simnet import DutyCycle, LinkModel, Network
 
 from conftest import USERS, build_cluster, temp_sensor, make_client
 
@@ -49,6 +49,17 @@ def test_discovery_excludes_silent_device_then_reprobe_recovers():
     assert names == ["s1", "s2"]
 
 
+def test_shared_config_keeps_each_heads_derived_timeout():
+    net = Network(0)
+    net.set_link("h1", "s1", LinkModel(latency=1))
+    net.set_link("h2", "s2", LinkModel(latency=10))
+    cfg = MuxConfig()
+    h1 = Multiplexer(net, "h1", "c1", ["s1"], USERS, cfg)
+    h2 = Multiplexer(net, "h2", "c2", ["s2"], USERS, cfg)
+    assert (h1.aggregate_timeout, h2.aggregate_timeout) == (5, 50)
+    assert cfg.aggregate_timeout == 0
+
+
 def test_empty_cluster_is_valid():
     net, mux, _ = build_cluster([], aggregates=[AggregateSpec("avgT", "avg")])
     client = make_client(net)
@@ -80,6 +91,19 @@ def test_relay_device_error_passes_through():
     client = make_client(net)
     with pytest.raises(ClientError, match="bad control command"):
         client.write(mux_ref(mux), "sensors/s1/control", b"explode")
+
+
+def test_lost_rattach_retry_takes_fresh_fid():
+    net, mux, _ = build_cluster([temp_sensor(1, 20.9)], latency=1,
+                                mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
+    client = make_client(net)
+    net.set_link(mux.eid, client.eid, LinkModel(latency=1, loss=1.0))
+    with pytest.raises(ClientError, match="timeout"):
+        client.read(mux_ref(mux), "sensors/s1/reading")
+    assert client._conns[mux_ref(mux)].pending == {}   # the timed-out tag is gone
+    net.set_link(mux.eid, client.eid, LinkModel(latency=1))
+    # fid 0 stays bound on the head; the retried attach must not reuse it
+    assert client.read(mux_ref(mux), "sensors/s1/reading") == b"20.900000\n"
 
 
 def test_mem_bound_error_via_mux():
@@ -139,7 +163,7 @@ def test_device_side_fids_distinct():
     client.read_at(h1, 0)
     client.read_at(h2, 0)
     session = mux.sessions[client.eid]
-    dfids = [session.fids[h["fid"]].remote_fid for h in (h1, h2)]
+    dfids = [mux.relayed.get(session.fids[h["fid"]]) for h in (h1, h2)]
     assert None not in dfids and dfids[0] != dfids[1]
 
 
