@@ -5,6 +5,13 @@ on this module.  A server owns a tree of Nodes, tracks per-connection
 sessions (fid tables), and turns each incoming T-message into exactly one
 R-message with the same tag.  Handlers that cannot answer synchronously
 return a Defer and complete later; the dispatch loop never blocks.
+
+Synthetic contents are generated once per open: the read at offset 0 of
+a fid keeps what it generated (a directory's children, or a file's
+bytes when the reply came short of the count, i.e. was the whole file),
+and later offsets are served from that, so reading to end of file runs
+a handler once.  Every read at offset 0 generates afresh, and a write
+through the fid drops what it kept.
 """
 
 from __future__ import annotations
@@ -140,7 +147,7 @@ DEFAULT_USERS = UserDb({"admin": {"admin"}, "guest": {"users"}, "mux": {"mux"}})
 
 
 class _Fid:
-    __slots__ = ("node", "uname", "open_mode", "dir_offset", "dir_index")
+    __slots__ = ("node", "uname", "open_mode", "dir_offset", "dir_index", "data")
 
     def __init__(self, node, uname):
         self.node = node
@@ -148,6 +155,7 @@ class _Fid:
         self.open_mode = None      # None while closed, else OREAD/OWRITE/ORDWR
         self.dir_offset = 0        # next valid directory read offset
         self.dir_index = 0
+        self.data = None           # what the read at offset 0 generated
 
 
 class Session:
@@ -293,15 +301,31 @@ class Server:
             return self._read_dir(ent, msg.offset, count)
         if node.read_handler is None:
             raise FsError("not readable")
-        return node.read_handler(msg.offset, count)
+        if msg.offset:
+            if ent.data is None:
+                return node.read_handler(msg.offset, count)
+            return ent.data[msg.offset:msg.offset + count]
+        ent.data = None
+        result = node.read_handler(0, count)
+
+        def keep(data):
+            # a reply short of the count is the whole file
+            if isinstance(data, bytes) and len(data) < count:
+                ent.data = data
+            return data
+
+        if isinstance(result, Defer):
+            return Defer(lambda done, start=result.start: start(lambda out: done(keep(out))))
+        return keep(result)
 
     def _read_dir(self, ent, offset, count):
         if offset == 0:
             ent.dir_offset = 0
             ent.dir_index = 0
+            ent.data = ent.node.list_children()
         elif offset != ent.dir_offset:
             raise FsError("bad directory offset")
-        children = ent.node.list_children()
+        children = ent.data
         out = bytearray()
         idx = ent.dir_index
         while idx < len(children):
@@ -321,6 +345,7 @@ class Server:
         node = ent.node
         if node.is_dir or node.write_handler is None:
             raise FsError("not writable")
+        ent.data = None
         result = node.write_handler(msg.offset, msg.data)
         if not isinstance(result, Defer):
             node.bump_version()

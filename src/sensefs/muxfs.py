@@ -12,7 +12,7 @@ steps a FileClient runs.  Here they run as continuations: _spawn/_resume
 issue each yielded T-message and resume the generator from its reply or
 per-request timeout, so device I/O never blocks the dispatch loop.  The
 relay state of mirrored nodes and client fids lives in the head's own
-tables (remote, relayed, snapshots), not in fscore.
+tables (remote, relayed), not in fscore.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class Multiplexer(Server):
         self._poll = {}            # device_id -> (period, generation)
         self.remote = {}           # mirrored device node -> (device_id, relpath)
         self.relayed = {}          # client fid entry -> device fid it reads through
-        self.snapshots = {}        # client fid entry -> cached payload it keeps serving
 
         root = make_dir(cluster_name, 0o555)
         self.sensors_dir = root.add(make_dir(
@@ -311,12 +310,11 @@ class Multiplexer(Server):
         dev, path = remote
         count = min(msg.count, IOUNIT)
         # once a fid has been served from cache it keeps serving that same
-        # snapshot, so a sequential whole-file read stays consistent and the
-        # end-of-file probe does not wait out the unreachable timeout again
-        snapshot = self.snapshots.get(ent)
-        if snapshot is not None and ent not in self.relayed:
+        # snapshot (ent.data), so a sequential whole-file read stays consistent
+        # and the end-of-file probe does not wait out the unreachable timeout
+        if ent.data is not None and ent not in self.relayed:
             self._relay_log(session, msg, "%s/%s" % (dev, path), 1)
-            return snapshot[msg.offset:msg.offset + count]
+            return ent.data[msg.offset:msg.offset + count]
         self.net.log.add(self.net.now, "mux-route", session.conn_key, self.eid,
                          "fwd tag=%d fid=%d path=%s/%s" % (msg.tag, msg.fid, dev, path))
 
@@ -329,7 +327,7 @@ class Multiplexer(Server):
                 # the unreachable-device timeout has elapsed
                 cached = self._cache_get(dev, path, asof=asked)
                 if cached is not None:
-                    self.snapshots[ent] = cached
+                    ent.data = cached
                     self._relay_log(session, msg, "%s/%s" % (dev, path), 1)
                     done(cached[msg.offset:msg.offset + count])
                 else:
@@ -396,7 +394,6 @@ class Multiplexer(Server):
 
     def t_clunk(self, session, msg):
         ent = session.fids.get(msg.fid)
-        self.snapshots.pop(ent, None)
         dfid = self.relayed.pop(ent, None)
         if dfid is not None:
             self._clunk_remote(self.links[self.remote[ent.node][0]], dfid)
@@ -422,11 +419,15 @@ class Multiplexer(Server):
         self.registry[name] = fn
 
     def add_aggregate(self, spec: AggregateSpec):
+        if self.aggr_dir.lookup(spec.name) is not None:
+            raise FsError("file already exists")
         node = make_file(spec.name, 0o444)
         node.read_handler = lambda off, cnt, s=spec: self._aggregate_handler(s, off, cnt)
         self.aggr_dir.add(node)
 
     def add_group(self, spec: GroupSpec):
+        if spec.name in self._group_nodes:
+            raise FsError("file already exists")
         gdir = make_dir(
             spec.name, 0o555,
             children_fn=lambda s=spec: [
@@ -515,23 +516,19 @@ class Multiplexer(Server):
 
     def _write_ctl(self, offset, data):
         try:
-            parts = data.decode().split()
-        except UnicodeDecodeError:
-            raise FsError("bad ctl command")
-        if not parts:
-            raise FsError("bad ctl command")
-        cmd = parts[0]
-        if cmd == "rate" and len(parts) >= 2:
-            period = int(parts[1])
-            devices = parts[2:] or [m for m in self.member_ids if self.links[m].discovered]
-            self.set_report_rate(devices, period)
-        elif cmd == "aggregate" and len(parts) >= 3:
-            self.add_aggregate(AggregateSpec(parts[1], parts[2],
-                                             parts[3] if len(parts) > 3 else ""))
-        elif cmd == "group" and len(parts) == 3 and "=" in parts[2]:
-            key, value = parts[2].split("=", 1)
-            self.add_group(GroupSpec(parts[1], key, value))
-        else:
+            cmd, *args = data.decode().split()
+            if cmd == "rate" and args:
+                period = int(args[0])
+                devices = args[1:] or [m for m in self.member_ids if self.links[m].discovered]
+                self.set_report_rate(devices, period)
+            elif cmd == "aggregate" and len(args) >= 2:
+                self.add_aggregate(AggregateSpec(*args[:3]))
+            elif cmd == "group" and len(args) == 2 and "=" in args[1]:
+                key, value = args[1].split("=", 1)
+                self.add_group(GroupSpec(args[0], key, value))
+            else:
+                raise ValueError(cmd)
+        except ValueError:      # undecodable, empty, unknown, or a bad number or name
             raise FsError("bad ctl command")
         return len(data)
 

@@ -2,7 +2,7 @@
 query planning, and emergency-response mounts.
 
 Views are materialized as in-process servers whose directories are
-recomputed at every enumeration by reading the mounted structural trees,
+recomputed at every offset-0 read by reading the mounted structural trees,
 so they never invent sensors and always reflect current device state.
 """
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sensefs import wire
 from sensefs.fscore import (
-    FsError, Node, Server, UserDb, make_dir, make_file,
+    Defer, FsError, Node, Server, UserDb, make_dir, make_file,
 )
 from sensefs.wire import (
     OREAD, OWRITE, ORDWR, QDIR, DMDIR,
@@ -216,6 +216,107 @@ def test_directory_read_offset_contract():
         offset += len(r.data)
     assert b"".join(recs) == full
     conn.err(lambda t: Tread(t, fid, 5, 70), "bad directory offset")
+
+
+def counted_server(read):
+    """A one-file server whose reads go through read; returns (server, calls)."""
+    calls = []
+
+    def handler(off, cnt):
+        calls.append(off)
+        return read(off, cnt)
+
+    root = make_dir("root")
+    root.add(make_file("f", 0o666, read=handler, write=lambda off, data: len(data)))
+    return Server(root, USERS), calls
+
+
+def test_read_to_eof_generates_once_per_open():
+    text = iter([b"one\n", b"two!\n", b"three\n"])
+    server, calls = counted_server(lambda off, cnt: next(text)[off:off + cnt])
+    conn = Conn(server)
+    conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
+    fid = walk_open(conn, ["f"])
+    assert conn.ok(lambda t: Tread(t, fid, 0, 100), Rread).data == b"one\n"
+    assert conn.ok(lambda t: Tread(t, fid, 2, 100), Rread).data == b"e\n"
+    assert conn.ok(lambda t: Tread(t, fid, 4, 100), Rread).data == b""
+    assert calls == [0]
+    # offset 0 always generates afresh
+    assert conn.ok(lambda t: Tread(t, fid, 0, 100), Rread).data == b"two!\n"
+    assert conn.ok(lambda t: Tread(t, fid, 5, 100), Rread).data == b""
+    assert calls == [0, 0]
+
+
+def test_full_length_read_keeps_nothing():
+    blob = bytes(range(16))
+    server, calls = counted_server(lambda off, cnt: blob[off:off + cnt])
+    conn = Conn(server)
+    conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
+    fid = walk_open(conn, ["f"])
+    assert conn.ok(lambda t: Tread(t, fid, 0, 8), Rread).data == blob[:8]
+    assert conn.ok(lambda t: Tread(t, fid, 8, 8), Rread).data == blob[8:]
+    assert calls == [0, 8]
+
+
+def test_deferred_read_is_kept_unless_it_fails():
+    outcomes = [FsError("later"), b"stale\n", b"late\n"]
+
+    def read(off, cnt):
+        out = outcomes.pop(0)
+        return Defer(lambda done: done(
+            out if isinstance(out, FsError) else out[off:off + cnt]))
+
+    server, calls = counted_server(read)
+    conn = Conn(server)
+    conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
+    fid = walk_open(conn, ["f"])
+    conn.err(lambda t: Tread(t, fid, 0, 100), "later")
+    assert conn.ok(lambda t: Tread(t, fid, 5, 100), Rread).data == b"\n"
+    assert calls == [0, 5]              # the failed read kept nothing
+    assert conn.ok(lambda t: Tread(t, fid, 0, 100), Rread).data == b"late\n"
+    assert conn.ok(lambda t: Tread(t, fid, 1, 100), Rread).data == b"ate\n"
+    assert calls == [0, 5, 0]
+
+
+def test_write_drops_what_the_fid_kept():
+    store = {"text": b"hello\n"}
+
+    def write(off, data):
+        store["text"] = data
+        return len(data)
+
+    root = make_dir("root")
+    root.add(make_file("f", 0o666, write=write,
+                       read=lambda off, cnt: store["text"][off:off + cnt]))
+    conn = Conn(Server(root, USERS))
+    conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
+    fid = walk_open(conn, ["f"], ORDWR)
+    assert conn.ok(lambda t: Tread(t, fid, 0, 100), Rread).data == b"hello\n"
+    conn.ok(lambda t: Twrite(t, fid, 0, b"goodbye world\n"), Rwrite)
+    assert conn.ok(lambda t: Tread(t, fid, 6, 100), Rread).data == b"e world\n"
+
+
+def test_directory_listed_once_per_open():
+    calls = []
+
+    def children():
+        calls.append(1)
+        return [make_file("f%d" % len(calls), 0o444) for _ in range(3)]
+
+    root = make_dir("root")
+    root.add(make_dir("d", children_fn=children))
+    conn = Conn(Server(root, USERS))
+    conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
+    fid = walk_open(conn, ["d"])
+    offset, recs = 0, []
+    while True:
+        r = conn.ok(lambda t, o=offset: Tread(t, fid, o, 70), Rread)
+        if not r.data:
+            break
+        recs.append(r.data)
+        offset += len(r.data)
+    assert len(calls) == 1
+    assert [s.name for s in wire.decode_stats(b"".join(recs))] == ["f1"] * 3
 
 
 def test_open_directory_for_write():

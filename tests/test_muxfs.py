@@ -1,5 +1,7 @@
 """Cluster-head tests: discovery, relaying, aggregation, groups, cache."""
 
+import re
+
 import pytest
 
 from sensefs.client import ClientError, FileClient
@@ -273,6 +275,31 @@ def test_registered_median_against_oracle():
         assert line.decode() == "%.6f" % median(list(values.values()))[0]
 
 
+def test_aggregate_read_costs_one_device_read_per_member():
+    net, mux, states = build_cluster(
+        [temp_sensor(i, 20.0 + i) for i in range(1, 6)],
+        mux_cfg=MuxConfig(reprobe_ticks=10 ** 6),
+        aggregates=[AggregateSpec("avgT", "avg")])
+    client = make_client(net)
+    client.read(mux_ref(mux), "aggrData/avgT")     # opens each member's reading
+    before = sum(s.received_frames for s in states.values())
+    client.read(mux_ref(mux), "aggrData/avgT")
+    assert sum(s.received_frames for s in states.values()) - before == len(states)
+
+
+def test_aggregate_read_to_eof_is_one_snapshot():
+    # a ramp crosses 10.0 while a read is in flight; the end-of-file read
+    # must come from the same fan-out, not splice a second one onto it
+    pattern = re.compile(rb"-?\d+\.\d{6}\n# n=1/1\n")
+    for start in range(40, 140):
+        net, mux, _ = build_cluster(
+            [temp_sensor(1, 0.0, raw_source=lambda t: 9.0 + 0.01 * t)],
+            warmup=0, aggregates=[AggregateSpec("avgT", "avg")])
+        net.run_until(start)
+        data = make_client(net).read(mux_ref(mux), "aggrData/avgT")
+        assert pattern.fullmatch(data), (start, data)
+
+
 def test_unregistered_aggregation_errors():
     net, mux, _ = build_cluster([temp_sensor(1, 1.0)],
                                 aggregates=[AggregateSpec("x", "nonesuch")])
@@ -364,6 +391,34 @@ def test_aggregate_added_via_ctl():
     client = make_client(net)
     client.write(mux_ref(mux), "ctl", b"aggregate avgT avg")
     assert client.read(mux_ref(mux), "aggrData/avgT").splitlines()[0] == b"4.500000"
+
+
+def test_ctl_bad_rate_is_rerror():
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0)])
+    client = make_client(net)
+    with pytest.raises(ClientError, match="bad ctl command"):
+        client.write(mux_ref(mux), "ctl", b"rate abc")
+    assert mux._poll == {}
+
+
+def test_ctl_duplicate_aggregate_is_rerror():
+    net, mux, _ = build_cluster([temp_sensor(1, 4.5)])
+    client = make_client(net)
+    client.write(mux_ref(mux), "ctl", b"aggregate avgT avg")
+    with pytest.raises(ClientError, match="exists"):
+        client.write(mux_ref(mux), "ctl", b"aggregate avgT max temperature")
+    assert [s.name for s in client.ls(mux_ref(mux), "aggrData")] == ["avgT"]
+    assert client.read(mux_ref(mux), "aggrData/avgT").splitlines()[0] == b"4.500000"
+
+
+def test_ctl_duplicate_group_is_rerror():
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0, tags={"animal": "cat"})])
+    client = make_client(net)
+    client.write(mux_ref(mux), "ctl", b"group g animal=cat")
+    with pytest.raises(ClientError, match="exists"):
+        client.write(mux_ref(mux), "ctl", b"group g animal=dog")
+    assert [s.name for s in client.ls(mux_ref(mux), "groups")] == ["g"]
+    assert [s.name for s in client.ls(mux_ref(mux), "groups/g")] == ["s1"]
 
 
 # -- report rate ---------------------------------------------------------------

@@ -219,6 +219,24 @@ def test_resource_view_rebands_as_energy_drains():
     assert [s.name for s in client.ls(vref, "energy/low")] == ["s1"]
 
 
+def test_resource_band_listing_reads_each_info_once(monkeypatch):
+    net, mux, states, client, table = wired([
+        temp_sensor(i, 1.0, energy_j=50.0) for i in range(1, 4)])
+    view = build_resource_view(client, table, 10.0, 100.0)
+    reads = []
+    real_read = client.read
+
+    def counting_read(ref, path, *args, **kw):
+        reads.append(path)
+        return real_read(ref, path, *args, **kw)
+
+    monkeypatch.setattr(client, "read", counting_read)
+    assert [s.name for s in client.ls(("local", view), "energy/medium")] == \
+        ["s1", "s2", "s3"]
+    assert sorted(p for p in reads if p.endswith("/info")) == \
+        ["sensors/s%d/info" % i for i in range(1, 4)]
+
+
 # -- planning ------------------------------------------------------------------
 
 def plan_fixture():
