@@ -132,12 +132,7 @@ class UserDb:
     """uname -> set of group names; everyone belongs to an own-name group."""
 
     def __init__(self, members=None):
-        self._groups = {}
-        for uname, groups in (members or {}).items():
-            self.add(uname, *groups)
-
-    def add(self, uname, *groups):
-        self._groups.setdefault(uname, {uname}).update(groups)
+        self._groups = {uname: {uname, *groups} for uname, groups in (members or {}).items()}
 
     def groups_of(self, uname):
         return self._groups.get(uname, {uname})

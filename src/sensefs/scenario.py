@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .client import FileClient
 from .devicefs import SensorState, make_device_server
-from .fscore import Server, UserDb
+from .fscore import DEFAULT_USERS, Server
 from .muxfs import AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from .simnet import DutyCycle, EnergyModel, LinkModel, Network
 from .views import GeoMap, Region, make_responder
@@ -42,9 +42,6 @@ from . import wire
 
 class ScenarioError(Exception):
     pass
-
-
-DEFAULT_USERS_SPEC = {"admin": {"admin"}, "guest": {"users"}, "mux": {"mux"}}
 
 
 def make_source(spec: str, kind="temperature"):
@@ -153,12 +150,17 @@ def parse_scenario(text: str) -> ScenarioConfig:
             elif section == "aggregate":
                 if len(args) != 2:
                     err(lineno, "[aggregate] needs cluster and name")
-                cfg.aggregates.setdefault(args[0], []).append(
-                    AggregateSpec(args[1], "avg"))
+                specs = cfg.aggregates.setdefault(args[0], [])
+                if any(spec.name == args[1] for spec in specs):
+                    err(lineno, "duplicate aggregate %r in cluster %r" % (args[1], args[0]))
+                specs.append(AggregateSpec(args[1], "avg"))
             elif section == "group":
                 if len(args) != 2:
                     err(lineno, "[group] needs cluster and name")
-                cfg.groups.setdefault(args[0], []).append(GroupSpec(args[1], "", ""))
+                specs = cfg.groups.setdefault(args[0], [])
+                if any(spec.name == args[1] for spec in specs):
+                    err(lineno, "duplicate group %r in cluster %r" % (args[1], args[0]))
+                specs.append(GroupSpec(args[1], "", ""))
             elif section == "region":
                 if len(args) != 1:
                     err(lineno, "[region] needs a name")
@@ -336,7 +338,7 @@ class Simulation:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.users = UserDb(DEFAULT_USERS_SPEC)
+        self.users = DEFAULT_USERS
         self.net = Network(cfg.seed, energy=cfg.energy, default_link=cfg.default_link)
         self.states = {}
         self.muxes = {}

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import heapq
 import random
-import struct
 from dataclasses import dataclass
 
-from .wire import TYPE_NAMES
+from .wire import frame_summary
 
 
 @dataclass
@@ -89,13 +88,6 @@ class EventLog:
     def write(self, path):
         with open(path, "w") as fh:
             fh.write(self.text())
-
-
-def _frame_summary(frame: bytes) -> str:
-    if len(frame) >= 7:
-        code, tag = struct.unpack("<BH", frame[4:7])
-        return "%s tag=%d" % (TYPE_NAMES.get(code, "?%d" % code), tag)
-    return "short"
 
 
 class Network:
@@ -179,7 +171,7 @@ class Network:
         """Schedule delivery of one frame, or drop it silently."""
         if dst not in self.handlers:
             raise ValueError("unknown endpoint %r" % dst)
-        summary = _frame_summary(frame)
+        summary = frame_summary(frame)
         state = self.states.get(src)
         if state is not None and not state.charge(self.now, self.energy.tx_cost_j, "tx"):
             self.log.add(self.now, "txfail", src, dst, summary)

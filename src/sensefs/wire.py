@@ -3,21 +3,40 @@
 Message format (all integers little-endian):
 
     frame   := size[4] type[1] tag[2] body
-    string  := len[2] utf8-bytes[len]
-    qid     := kind[1] version[4] path[8]
-    stat    := statlen[2] name[string] qid[13] mode[4] length[8]
-               owner[string] group[string] mtime[8]
 
 The size field counts the whole frame, itself included.  Exchanges are
 strictly paired: a client sends a T-message with a 16-bit tag and the
 server answers with exactly one R-message carrying the same tag (Rerror
 on failure).
+
+MESSAGES is the only place a message layout is stated: one row per
+message with its name, type code and body fields in wire order.  From it
+this module derives, at import, the message classes (frozen dataclasses,
+`tag` first, each field annotated with its kind), the TATTACH..RERROR
+constants, TYPE_NAMES, T_TYPES, and one encoder and one decoder per
+message.  A stat record is laid out the same way by STAT_FIELDS.  Field
+kinds:
+
+    B H I Q   unsigned int of 1, 2, 4 or 8 bytes; a run of adjacent ones
+              is packed and unpacked by one precompiled struct.Struct
+    mode      open mode, one byte in OREAD..ORDWR
+    str       len[2] utf8-bytes[len]
+    qid       kind[1] version[4] path[8]
+    data      count[4] bytes[count]
+    stat      statlen[2] then the STAT_FIELDS; statlen counts what follows
+    str*      count[2] then count strings, at most MAX_WALK
+    qid*      count[2] then count qids, at most MAX_WALK
+
+Every read is bounds-checked: a malformed frame or stat record raises
+WireError and nothing else.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, make_dataclass
+from itertools import groupby
+from operator import attrgetter
 
 NOTAG = 0xFFFF
 MAX_FRAME = 8192
@@ -25,22 +44,6 @@ MAX_WALK = 16
 # Largest Rread/Twrite payload: frame minus size[4] type[1] tag[2] count[4]
 # and the Twrite fid[4]+offset[8].
 IOUNIT = MAX_FRAME - 23
-
-TATTACH = 100
-RATTACH = 101
-TWALK = 102
-RWALK = 103
-TOPEN = 104
-ROPEN = 105
-TREAD = 106
-RREAD = 107
-TWRITE = 108
-RWRITE = 109
-TCLUNK = 110
-RCLUNK = 111
-TSTAT = 112
-RSTAT = 113
-RERROR = 127
 
 OREAD = 0
 OWRITE = 1
@@ -50,6 +53,36 @@ QDIR = 0x80
 QFILE = 0x00
 
 DMDIR = 0x80000000
+
+# name, type code, body fields in wire order as (name, kind[, default])
+MESSAGES = (
+    ("Tattach", 100, (("fid", "I"), ("uname", "str"), ("aname", "str", ""))),
+    ("Rattach", 101, (("qid", "qid"),)),
+    ("Twalk", 102, (("fid", "I"), ("newfid", "I"), ("names", "str*", ()))),
+    ("Rwalk", 103, (("qids", "qid*", ()),)),
+    ("Topen", 104, (("fid", "I"), ("mode", "mode"))),
+    ("Ropen", 105, (("qid", "qid"), ("iounit", "I", IOUNIT))),
+    ("Tread", 106, (("fid", "I"), ("offset", "Q"), ("count", "I"))),
+    ("Rread", 107, (("data", "data"),)),
+    ("Twrite", 108, (("fid", "I"), ("offset", "Q"), ("data", "data"))),
+    ("Rwrite", 109, (("count", "I"),)),
+    ("Tclunk", 110, (("fid", "I"),)),
+    ("Rclunk", 111, ()),
+    ("Tstat", 112, (("fid", "I"),)),
+    ("Rstat", 113, (("stat", "stat"),)),
+    ("Rerror", 127, (("ename", "str"),)),
+)
+
+STAT_FIELDS = (
+    ("name", "str"), ("qid", "qid"), ("mode", "I"), ("length", "Q", 0),
+    ("owner", "str", ""), ("group", "str", ""), ("mtime", "Q", 0),
+)
+
+_FIXED = ("B", "H", "I", "Q")
+_HEADER = struct.Struct("<IBH")
+_H = struct.Struct("<H")
+_I = struct.Struct("<I")
+_QID = struct.Struct("<BIQ")
 
 
 class WireError(Exception):
@@ -67,336 +100,239 @@ class Qid:
         return bool(self.kind & QDIR)
 
 
-@dataclass(frozen=True)
-class Stat:
-    name: str
-    qid: Qid
-    mode: int
-    length: int = 0
-    owner: str = ""
-    group: str = ""
-    mtime: int = 0
+def _record(name, fields):
+    """A frozen dataclass whose fields are annotated with their kinds."""
+    return make_dataclass(name, fields, frozen=True, namespace={"__module__": __name__})
 
 
-@dataclass(frozen=True)
-class Tattach:
-    tag: int
-    fid: int
-    uname: str
-    aname: str = ""
+Stat = _record("Stat", STAT_FIELDS)
 
 
-@dataclass(frozen=True)
-class Rattach:
-    tag: int
-    qid: Qid
+# -- bounds-checked pack/take helpers ---------------------------------------
+# pack(value) -> bytes; take(buf, pos, out) appends the value at pos to out
+# and returns the offset after it.
+
+def _check(buf, pos, n):
+    """End of n bytes at pos, which must lie within buf."""
+    if pos + n > len(buf):
+        raise WireError("truncated at offset %d" % pos)
+    return pos + n
 
 
-@dataclass(frozen=True)
-class Twalk:
-    tag: int
-    fid: int
-    newfid: int
-    names: tuple = ()
+def _take_counted(buf, pos, out, count=_I):
+    """Take the bytes after a count prefix, count[4] unless `count` says otherwise."""
+    start = _check(buf, pos, count.size)
+    end = _check(buf, start, count.unpack_from(buf, pos)[0])
+    out.append(buf[start:end])
+    return end
 
 
-@dataclass(frozen=True)
-class Rwalk:
-    tag: int
-    qids: tuple = ()
+def _pack_str(s):
+    raw = s.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise WireError("string too long (%d bytes)" % len(raw))
+    return _H.pack(len(raw)) + raw
 
 
-@dataclass(frozen=True)
-class Topen:
-    tag: int
-    fid: int
-    mode: int
+def _take_str(buf, pos, out):
+    end = _take_counted(buf, pos, out, _H)
+    try:
+        out[-1] = out[-1].decode("utf-8")
+    except UnicodeDecodeError:
+        raise WireError("bad utf-8 string at offset %d" % (pos + 2)) from None
+    return end
 
 
-@dataclass(frozen=True)
-class Ropen:
-    tag: int
-    qid: Qid
-    iounit: int = IOUNIT
+def _pack_qid(q):
+    return _QID.pack(q.kind, q.version, q.path)
 
 
-@dataclass(frozen=True)
-class Tread:
-    tag: int
-    fid: int
-    offset: int
-    count: int
+def _take_qid(buf, pos, out):
+    end = _check(buf, pos, _QID.size)
+    out.append(Qid(*_QID.unpack_from(buf, pos)))
+    return end
 
 
-@dataclass(frozen=True)
-class Rread:
-    tag: int
-    data: bytes
+def _pack_mode(mode):
+    if not 0 <= mode <= ORDWR:
+        raise WireError("bad open mode %r" % (mode,))
+    return bytes((mode,))
 
 
-@dataclass(frozen=True)
-class Twrite:
-    tag: int
-    fid: int
-    offset: int
-    data: bytes
+def _take_mode(buf, pos, out):
+    end = _check(buf, pos, 1)
+    if buf[pos] > ORDWR:
+        raise WireError("bad open mode %d" % buf[pos])
+    out.append(buf[pos])
+    return end
 
 
-@dataclass(frozen=True)
-class Rwrite:
-    tag: int
-    count: int
+def _list(noun, pack_item, take_item):
+    """pack and take for count[2] items, at most MAX_WALK of them."""
+    def pack(items):
+        if len(items) > MAX_WALK:
+            raise WireError("walk of %d %s exceeds %d" % (len(items), noun, MAX_WALK))
+        return _H.pack(len(items)) + b"".join(map(pack_item, items))
+
+    def take(buf, pos, out):
+        end = _check(buf, pos, 2)
+        n = _H.unpack_from(buf, pos)[0]
+        if n > MAX_WALK:
+            raise WireError("walk of %d %s exceeds %d" % (n, noun, MAX_WALK))
+        items = []
+        for _ in range(n):
+            end = take_item(buf, end, items)
+        out.append(tuple(items))
+        return end
+    return pack, take
 
 
-@dataclass(frozen=True)
-class Tclunk:
-    tag: int
-    fid: int
+def pack_stat(st: Stat) -> bytes:
+    body = _pack_stat_body(st)
+    return _H.pack(len(body)) + body
 
 
-@dataclass(frozen=True)
-class Rclunk:
-    tag: int
+def _take_stat(buf, pos, out):
+    start = _check(buf, pos, 2)
+    end = start + _H.unpack_from(buf, pos)[0]
+    if end > len(buf):
+        raise WireError("truncated stat at offset %d" % start)
+    values = []
+    stop = _take_stat_body(buf, start, values)
+    if stop != end:
+        raise WireError("stat length mismatch at offset %d" % stop)
+    out.append(Stat(*values))
+    return end
 
 
-@dataclass(frozen=True)
-class Tstat:
-    tag: int
-    fid: int
+def decode_stats(data: bytes) -> list:
+    """Decode a directory-read payload: consecutive stat records."""
+    out, pos = [], 0
+    while pos < len(data):
+        pos = _take_stat(data, pos, out)
+    return out
 
 
-@dataclass(frozen=True)
-class Rstat:
-    tag: int
-    stat: Stat
-
-
-@dataclass(frozen=True)
-class Rerror:
-    tag: int
-    ename: str
-
-
-T_TYPES = (Tattach, Twalk, Topen, Tread, Twrite, Tclunk, Tstat)
-R_TYPES = (Rattach, Rwalk, Ropen, Rread, Rwrite, Rclunk, Rstat, Rerror)
-
-TYPE_CODES = {
-    Tattach: TATTACH, Rattach: RATTACH,
-    Twalk: TWALK, Rwalk: RWALK,
-    Topen: TOPEN, Ropen: ROPEN,
-    Tread: TREAD, Rread: RREAD,
-    Twrite: TWRITE, Rwrite: RWRITE,
-    Tclunk: TCLUNK, Rclunk: RCLUNK,
-    Tstat: TSTAT, Rstat: RSTAT,
-    Rerror: RERROR,
+_KINDS = {
+    "mode": (_pack_mode, _take_mode),
+    "str": (_pack_str, _take_str),
+    "qid": (_pack_qid, _take_qid),
+    "data": (lambda data: _I.pack(len(data)) + data, _take_counted),
+    "stat": (pack_stat, _take_stat),
+    "str*": _list("names", _pack_str, _take_str),
+    "qid*": _list("qids", _pack_qid, _take_qid),
 }
 
-TYPE_NAMES = {code: cls.__name__ for cls, code in TYPE_CODES.items()}
+
+def _codec(fields):
+    """pack(obj) -> bytes and take(buf, pos, out) -> end for a field list."""
+    packs, takes = [], []
+    for fixed, run in groupby(fields, key=lambda f: f[1] in _FIXED):
+        if fixed:
+            _add_fixed(packs, takes, list(run))
+            continue
+        for name, kind, *_ in run:
+            pack, take = _KINDS[kind]
+            packs.append(lambda obj, get=attrgetter(name), pack=pack: pack(get(obj)))
+            takes.append(take)
+
+    if len(takes) == 1:
+        return packs[0], takes[0]
+
+    def pack(obj):
+        return b"".join([p(obj) for p in packs])
+
+    def take(buf, pos, out):
+        for step in takes:
+            pos = step(buf, pos, out)
+        return pos
+    return pack, take
+
+
+def _add_fixed(packs, takes, run):
+    """One precompiled Struct for a run of adjacent fixed ints."""
+    st = struct.Struct("<" + "".join(kind for _, kind, *_ in run))
+    get = attrgetter(*[name for name, *_ in run])
+    if len(run) == 1:
+        packs.append(lambda obj: st.pack(get(obj)))
+    else:
+        packs.append(lambda obj: st.pack(*get(obj)))
+
+    def take(buf, pos, out):
+        end = _check(buf, pos, st.size)
+        out.extend(st.unpack_from(buf, pos))
+        return end
+    takes.append(take)
+
+
+_pack_stat_body, _take_stat_body = _codec(STAT_FIELDS)
+
+# -- the messages, derived from MESSAGES -----------------------------------
+
+TYPE_NAMES = {}
+_ENCODERS = {}      # class -> (type code, is T-message, pack body)
+_DECODERS = {}      # type code -> (class, is T-message, take body)
+
+for _name, _code, _fields in MESSAGES:
+    _cls = globals()[_name] = _record(_name, (("tag", "H"),) + _fields)
+    globals()[_name.upper()] = _code
+    TYPE_NAMES[_code] = _name
+    _pack, _take = _codec(_fields)
+    _ENCODERS[_cls] = (_code, _name[0] == "T", _pack)
+    _DECODERS[_code] = (_cls, _name[0] == "T", _take)
+del _name, _code, _fields, _cls, _pack, _take
+
+T_TYPES = tuple(cls for cls, (_, is_t, _) in _ENCODERS.items() if is_t)
 
 
 def is_t_message(msg) -> bool:
     return isinstance(msg, T_TYPES)
 
 
-def _pack_string(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise WireError("string too long (%d bytes)" % len(raw))
-    return struct.pack("<H", len(raw)) + raw
-
-
-def _pack_qid(q: Qid) -> bytes:
-    return struct.pack("<BIQ", q.kind, q.version, q.path)
-
-
-def pack_stat(st: Stat) -> bytes:
-    body = (
-        _pack_string(st.name)
-        + _pack_qid(st.qid)
-        + struct.pack("<IQ", st.mode, st.length)
-        + _pack_string(st.owner)
-        + _pack_string(st.group)
-        + struct.pack("<Q", st.mtime)
-    )
-    return struct.pack("<H", len(body)) + body
-
-
 def encode_message(msg) -> bytes:
     """Encode one message into a complete frame."""
-    cls = type(msg)
-    code = TYPE_CODES.get(cls)
-    if code is None:
-        raise WireError("not a protocol message: %r" % (msg,))
-    if not 0 <= msg.tag <= 0xFFFF:
-        raise WireError("tag out of range: %r" % (msg.tag,))
-    if is_t_message(msg) and msg.tag == NOTAG:
+    try:
+        code, is_t, pack = _ENCODERS[type(msg)]
+    except KeyError:
+        raise WireError("not a protocol message: %r" % (msg,)) from None
+    tag = msg.tag
+    if not 0 <= tag <= 0xFFFF:
+        raise WireError("tag out of range: %r" % (tag,))
+    if is_t and tag == NOTAG:
         raise WireError("NOTAG on a T-message")
-
-    if cls is Tattach:
-        body = struct.pack("<I", msg.fid) + _pack_string(msg.uname) + _pack_string(msg.aname)
-    elif cls is Rattach:
-        body = _pack_qid(msg.qid)
-    elif cls is Twalk:
-        if len(msg.names) > MAX_WALK:
-            raise WireError("walk of %d names exceeds %d" % (len(msg.names), MAX_WALK))
-        body = struct.pack("<IIH", msg.fid, msg.newfid, len(msg.names))
-        for name in msg.names:
-            body += _pack_string(name)
-    elif cls is Rwalk:
-        if len(msg.qids) > MAX_WALK:
-            raise WireError("too many qids in Rwalk")
-        body = struct.pack("<H", len(msg.qids)) + b"".join(_pack_qid(q) for q in msg.qids)
-    elif cls is Topen:
-        if not 0 <= msg.mode <= ORDWR:
-            raise WireError("bad open mode %r" % (msg.mode,))
-        body = struct.pack("<IB", msg.fid, msg.mode)
-    elif cls is Ropen:
-        body = _pack_qid(msg.qid) + struct.pack("<I", msg.iounit)
-    elif cls is Tread:
-        body = struct.pack("<IQI", msg.fid, msg.offset, msg.count)
-    elif cls is Rread:
-        body = struct.pack("<I", len(msg.data)) + msg.data
-    elif cls is Twrite:
-        body = struct.pack("<IQI", msg.fid, msg.offset, len(msg.data)) + msg.data
-    elif cls is Rwrite:
-        body = struct.pack("<I", msg.count)
-    elif cls in (Tclunk, Tstat):
-        body = struct.pack("<I", msg.fid)
-    elif cls is Rclunk:
-        body = b""
-    elif cls is Rstat:
-        body = pack_stat(msg.stat)
-    else:  # Rerror
-        body = _pack_string(msg.ename)
-
-    frame = struct.pack("<IBH", 7 + len(body), code, msg.tag) + body
-    if len(frame) > MAX_FRAME:
-        raise WireError("frame of %d bytes exceeds %d" % (len(frame), MAX_FRAME))
-    return frame
-
-
-class _Cursor:
-    """Bounds-checked reader over one frame body."""
-
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise WireError("truncated at offset %d" % self.pos)
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self) -> str:
-        n = self.u16()
-        start = self.pos
-        raw = self.take(n)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise WireError("bad utf-8 string at offset %d" % start)
-
-    def qid(self) -> Qid:
-        return Qid(self.u8(), self.u32(), self.u64())
-
-
-def unpack_stat(cur: _Cursor) -> Stat:
-    statlen = cur.u16()
-    end = cur.pos + statlen
-    if end > len(cur.data):
-        raise WireError("truncated stat at offset %d" % cur.pos)
-    name = cur.string()
-    qid = cur.qid()
-    mode = cur.u32()
-    length = cur.u64()
-    owner = cur.string()
-    group = cur.string()
-    mtime = cur.u64()
-    if cur.pos != end:
-        raise WireError("stat length mismatch at offset %d" % cur.pos)
-    return Stat(name, qid, mode, length, owner, group, mtime)
-
-
-def decode_stats(data: bytes) -> list:
-    """Decode a directory-read payload: consecutive stat records."""
-    cur = _Cursor(data)
-    out = []
-    while cur.pos < len(data):
-        out.append(unpack_stat(cur))
-    return out
+    body = pack(msg)
+    size = _HEADER.size + len(body)
+    if size > MAX_FRAME:
+        raise WireError("frame of %d bytes exceeds %d" % (size, MAX_FRAME))
+    return _HEADER.pack(size, code, tag) + body
 
 
 def decode_message(frame: bytes):
     """Decode exactly one frame back into its message."""
-    if len(frame) < 7:
+    if len(frame) < _HEADER.size:
         raise WireError("frame shorter than 7 bytes")
-    size, code, tag = struct.unpack("<IBH", frame[:7])
+    size, code, tag = _HEADER.unpack_from(frame)
     if size != len(frame):
         raise WireError("truncated: size field %d, got %d bytes" % (size, len(frame)))
-    cur = _Cursor(frame, 7)
-
-    if code == TATTACH:
-        msg = Tattach(tag, cur.u32(), cur.string(), cur.string())
-    elif code == RATTACH:
-        msg = Rattach(tag, cur.qid())
-    elif code == TWALK:
-        fid, newfid, nwname = cur.u32(), cur.u32(), cur.u16()
-        if nwname > MAX_WALK:
-            raise WireError("walk of %d names exceeds %d" % (nwname, MAX_WALK))
-        msg = Twalk(tag, fid, newfid, tuple(cur.string() for _ in range(nwname)))
-    elif code == RWALK:
-        nwqid = cur.u16()
-        if nwqid > MAX_WALK:
-            raise WireError("too many qids in Rwalk")
-        msg = Rwalk(tag, tuple(cur.qid() for _ in range(nwqid)))
-    elif code == TOPEN:
-        fid, mode = cur.u32(), cur.u8()
-        if mode > ORDWR:
-            raise WireError("bad open mode %d" % mode)
-        msg = Topen(tag, fid, mode)
-    elif code == ROPEN:
-        msg = Ropen(tag, cur.qid(), cur.u32())
-    elif code == TREAD:
-        msg = Tread(tag, cur.u32(), cur.u64(), cur.u32())
-    elif code == RREAD:
-        msg = Rread(tag, cur.take(cur.u32()))
-    elif code == TWRITE:
-        fid, offset, count = cur.u32(), cur.u64(), cur.u32()
-        msg = Twrite(tag, fid, offset, cur.take(count))
-    elif code == RWRITE:
-        msg = Rwrite(tag, cur.u32())
-    elif code == TCLUNK:
-        msg = Tclunk(tag, cur.u32())
-    elif code == RCLUNK:
-        msg = Rclunk(tag)
-    elif code == TSTAT:
-        msg = Tstat(tag, cur.u32())
-    elif code == RSTAT:
-        msg = Rstat(tag, unpack_stat(cur))
-    elif code == RERROR:
-        msg = Rerror(tag, cur.string())
-    else:
-        raise WireError("unknown type %d at offset 4" % code)
-
-    if cur.pos != len(frame):
-        raise WireError("size mismatch: %d trailing bytes" % (len(frame) - cur.pos))
-    if is_t_message(msg) and tag == NOTAG:
+    try:
+        cls, is_t, take = _DECODERS[code]
+    except KeyError:
+        raise WireError("unknown type %d at offset 4" % code) from None
+    values = []
+    end = take(frame, _HEADER.size, values)
+    if end != size:
+        raise WireError("size mismatch: %d trailing bytes" % (size - end))
+    if is_t and tag == NOTAG:
         raise WireError("NOTAG on a T-message")
-    return msg
+    return cls(tag, *values)
+
+
+def frame_summary(frame: bytes) -> str:
+    """`Name tag=N` from a frame's header alone, for the event log."""
+    if len(frame) < _HEADER.size:
+        return "short"
+    _, code, tag = _HEADER.unpack_from(frame)
+    return "%s tag=%d" % (TYPE_NAMES.get(code) or "?%d" % code, tag)
 
 
 class FrameReader:
@@ -414,7 +350,7 @@ class FrameReader:
         while True:
             if len(self._buf) < 4:
                 break
-            size = struct.unpack("<I", bytes(self._buf[:4]))[0]
+            size = _I.unpack_from(self._buf)[0]
             if size < 7:
                 raise WireError("frame size %d below minimum 7" % size)
             if size > MAX_FRAME:

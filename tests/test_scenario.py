@@ -48,6 +48,12 @@ def test_duplicate_ids_rejected():
         parse_scenario("[sensor a]\n[sensor a]\n")
     with pytest.raises(ScenarioError, match="duplicate cluster"):
         parse_scenario("[cluster a]\n[cluster a]\n")
+    with pytest.raises(ScenarioError, match="line 4: duplicate aggregate"):
+        parse_scenario("[cluster c]\n[aggregate c avg]\n[aggregate c max]\n[aggregate c avg]\n")
+    with pytest.raises(ScenarioError, match="line 4: duplicate group"):
+        parse_scenario("[cluster c]\n[group c g]\n[aggregate c g]\n[group c g]\n")
+    # names are per cluster
+    parse_scenario("[cluster c]\n[cluster d]\n[aggregate c avg]\n[aggregate d avg]\n")
 
 
 def test_dangling_cluster_reference():

@@ -38,6 +38,61 @@ def test_size_field_counts_whole_frame():
         assert struct.unpack("<I", frame[:4])[0] == len(frame)
 
 
+# One hand-encoded frame per message type, written out from the format in
+# the wire docstring.  A layout change made the same way in the encoder and
+# the decoder still round-trips, so only fixed bytes can catch it.
+GOLDEN_FRAMES = [
+    (Tattach(tag=1, fid=2, uname="admin", aname="mux"),
+     "17000000 64 0100 02000000 0500 61646D696E 0300 6D7578"),
+    (Rattach(tag=1, qid=Qid(wire.QDIR, 3, 0x0102030405060708)),
+     "14000000 65 0100 80 03000000 0807060504030201"),
+    (Twalk(tag=2, fid=0, newfid=1, names=("sensors", "näme")),
+     "21000000 66 0200 00000000 01000000 0200"
+     " 0700 73656E736F7273 0500 6EC3A46D65"),
+    (Rwalk(tag=2, qids=(Qid(wire.QDIR, 0, 5), Qid(wire.QFILE, 1, 6))),
+     "23000000 67 0200 0200"
+     " 80 00000000 0500000000000000 00 01000000 0600000000000000"),
+    (Topen(tag=3, fid=1, mode=wire.ORDWR),
+     "0C000000 68 0300 01000000 02"),
+    (Ropen(tag=3, qid=Qid(wire.QFILE, 0, 6), iounit=wire.IOUNIT),
+     "18000000 69 0300 00 00000000 0600000000000000 E91F0000"),
+    (Tread(tag=4, fid=1, offset=1 << 32, count=8169),
+     "17000000 6A 0400 01000000 0000000001000000 E91F0000"),
+    (Rread(tag=4, data=b"21.5\n"),
+     "10000000 6B 0400 05000000 32312E350A"),
+    (Twrite(tag=5, fid=1, offset=7, data=b"reset"),
+     "1C000000 6C 0500 01000000 0700000000000000 05000000 7265736574"),
+    (Rwrite(tag=5, count=5),
+     "0B000000 6D 0500 05000000"),
+    (Tclunk(tag=6, fid=1),
+     "0B000000 6E 0600 01000000"),
+    (Rclunk(tag=6),
+     "07000000 6F 0600"),
+    (Tstat(tag=7, fid=1),
+     "0B000000 70 0700 01000000"),
+    (Rstat(tag=7, stat=Stat("t1", Qid(wire.QFILE, 2, 6), 0o644, 5,
+                            "admin", "users", 42)),
+     "3C000000 71 0700 3300 0200 7431 00 02000000 0600000000000000"
+     " A4010000 0500000000000000 0500 61646D696E 0500 7573657273"
+     " 2A00000000000000"),
+    (Rerror(tag=NOTAG, ename="fid in use"),
+     "13000000 7F FFFF 0A00 66696420696E20757365"),
+]
+
+
+def test_golden_frames_cover_every_type():
+    codes = [bytes.fromhex(hexframe)[4] for _, hexframe in GOLDEN_FRAMES]
+    assert sorted(codes) == sorted(wire.TYPE_NAMES)
+
+
+@pytest.mark.parametrize("msg,hexframe", GOLDEN_FRAMES,
+                         ids=[type(m).__name__ for m, _ in GOLDEN_FRAMES])
+def test_golden_frame(msg, hexframe):
+    frame = bytes.fromhex(hexframe)
+    assert encode_message(msg) == frame
+    assert decode_message(frame) == msg
+
+
 # -- generators for every message variant ------------------------------
 
 tags = st.integers(0, 0xFFFE)       # NOTAG excluded: invalid on T-messages
@@ -80,6 +135,50 @@ def test_round_trip(msg):
         return
     assert decode_message(frame) == msg
     assert encode_message(msg) == frame   # encoding is deterministic
+
+
+def _mangle(blob, data):
+    """Truncate, flip one byte of, or pad a valid encoding."""
+    blob = bytearray(blob)
+    how = data.draw(st.sampled_from(("truncate", "flip", "pad")))
+    if how == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    elif how == "flip":
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    else:
+        blob += data.draw(st.binary(min_size=1, max_size=40))
+    return blob
+
+
+@settings(max_examples=1000)
+@given(messages, st.data())
+def test_malformed_frames_raise_only_wire_error(msg, data):
+    # every endpoint catches WireError alone, so nothing else may escape
+    try:
+        frame = _mangle(encode_message(msg), data)
+    except WireError:
+        return
+    size = data.draw(st.sampled_from(("keep", "true", "any")))
+    if size != "keep" and len(frame) >= 4:
+        frame[:4] = struct.pack("<I", len(frame) if size == "true"
+                                else data.draw(st.integers(0, 0xFFFFFFFF)))
+    try:
+        decode_message(bytes(frame))
+    except WireError:
+        pass
+
+
+@settings(max_examples=300)
+@given(st.lists(stats, min_size=1, max_size=4), st.data())
+def test_malformed_stat_records_raise_only_wire_error(sts, data):
+    try:
+        blob = _mangle(b"".join(pack_stat(s) for s in sts), data)
+    except WireError:
+        return
+    try:
+        decode_stats(bytes(blob))
+    except WireError:
+        pass
 
 
 @settings(max_examples=100)
