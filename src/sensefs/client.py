@@ -1,12 +1,14 @@
 """Client side of the protocol: one connection core and the file client.
 
 Every exchange a node starts goes through a Conn, the client end of one
-connection: it allocates tags and fids, hands each R-message to the
-request waiting on its tag, and remembers the fid attached per user name.
-The protocol sequences are generator steps (attach, walk, read_all) that
-yield (build, timeout) per T-message, where build(tag) makes the message,
-and receive its R-message, or None if it never came.  Two callers drive
-them:
+connection: it knows both ends (network, own endpoint, peer), allocates
+tags and fids, hands each R-message to the request waiting on its tag,
+and remembers the fid attached per user name.  Conn.issue is the one way
+a T-message leaves a node, and receive() the one way a frame enters one.
+
+The protocol sequences are generator steps (attach, walk, read_all): each
+yields (build, timeout) per T-message, build(tag) making the message, and
+gets back its R-message, or None if it never came.  Two callers drive them:
 
     FileClient         one blocking call at a time, running the simulation
                        clock until each reply arrives
@@ -38,10 +40,30 @@ class ClientError(FsError):
     """A request refused by its server, or never answered."""
 
 
-class Conn:
-    """The client end of one connection: tags in flight, fids, attached roots."""
+def receive(net, eid, src, frame, server=None, conn=None):
+    """Handle one frame that reached endpoint eid from src: a T-message goes
+    to server.dispatch, whose reply goes back to src; an R-message goes to
+    conn; anything else is dropped."""
+    try:
+        msg = wire.decode_message(frame)
+    except wire.WireError:
+        net.log.add(net.now, "badframe", src, eid, "")
+        return
+    if isinstance(msg, wire.T_TYPES):
+        if server is not None:
+            server.dispatch(src, msg, lambda r: net.send(eid, src, wire.encode_message(r)))
+    elif conn is not None:
+        conn.answer(msg.tag, msg)
 
-    def __init__(self, tags=None):
+
+class Conn:
+    """The client end of one connection from endpoint eid to peer: tags in
+    flight, fids, attached roots."""
+
+    def __init__(self, net, eid, peer, tags=None):
+        self.net = net
+        self.eid = eid
+        self.peer = peer
         self.tags = tags or itertools.count(1)   # may be shared between conns
         self.fids = itertools.count()             # attach takes the first
         self.roots = {}                           # uname -> attached fid
@@ -51,6 +73,18 @@ class Conn:
         tag = next(self.tags) % wire.NOTAG
         while tag in self.pending:
             tag = next(self.tags) % wire.NOTAG
+        return tag
+
+    def issue(self, build, cb, timeout=None):
+        """Send build(tag) to the peer; cb(R-message) later, or cb(None) if
+        timeout ticks pass first.  Returns the tag."""
+        tag = self.new_tag()
+        frame = wire.encode_message(build(tag))
+        timer = None
+        if timeout is not None:
+            timer = self.net.schedule(timeout, lambda: self.answer(tag, None))
+        self.pending[tag] = (cb, timer)
+        self.net.send(self.eid, self.peer, frame)
         return tag
 
     def answer(self, tag, msg):
@@ -129,18 +163,12 @@ class FileClient:
     # -- transport ---------------------------------------------------------
 
     def _on_frame(self, src, frame):
-        try:
-            msg = wire.decode_message(frame)
-        except wire.WireError:
-            return
-        conn = self._conns.get(("net", src))
-        if conn is not None:
-            conn.answer(msg.tag, msg)
+        receive(self.net, self.eid, src, frame, conn=self._conns.get(("net", src)))
 
     def _conn(self, ref):
         conn = self._conns.get(ref)
         if conn is None:
-            conn = self._conns[ref] = Conn(self._tags)
+            conn = self._conns[ref] = Conn(self.net, self.eid, ref[1], self._tags)
         return conn
 
     def submit(self, ref, build, cb):
@@ -148,17 +176,14 @@ class FileClient:
         Returns the tag."""
         kind, target = ref
         conn = self._conn(ref)
+        if kind == "net":
+            return conn.issue(build, cb)
         tag = conn.new_tag()
-        msg = build(tag)
-        if kind == "local":
-            replies = []
-            target.dispatch(self.eid, msg, replies.append)
-            if not replies:
-                raise ClientError("local server deferred unexpectedly")
-            cb(replies[0])
-        else:
-            conn.pending[tag] = (cb, None)
-            self.net.send(self.eid, target, wire.encode_message(msg))
+        replies = []
+        target.dispatch(self.eid, build(tag), replies.append)
+        if not replies:
+            raise ClientError("local server deferred unexpectedly")
+        cb(replies[0])
         return tag
 
     def call(self, ref, build):

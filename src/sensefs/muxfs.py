@@ -10,9 +10,11 @@ Towards its devices the head is a client built on the core in client.py:
 one Conn per member (a DeviceLink) and the same attach/walk/read_all
 steps a FileClient runs.  Here they run as continuations: _spawn/_resume
 issue each yielded T-message and resume the generator from its reply or
-per-request timeout, so device I/O never blocks the dispatch loop.  The
-relay state of mirrored nodes and client fids lives in the head's own
-tables (remote, relayed), not in fscore.
+per-request timeout, so device I/O never blocks the dispatch loop.  A
+head step returns its outcome or raises FsError, and _spawn hands either
+to whoever waits on it, such as a relayed read's reply.  The relay state
+of mirrored nodes and client fids lives in the head's own tables
+(remote, relayed), not in fscore.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import wire
-from .client import Conn, ClientError, attach, read_all, walk
+from .client import Conn, ClientError, attach, read_all, receive, walk
 from .devicefs import parse_info
 from .wire import IOUNIT, OREAD, Topen, Tread, Twrite, Tclunk, Ropen, Rread, Rwrite, Rerror
 from .fscore import Defer, FsError, Node, Server, make_dir, make_file
@@ -66,9 +68,8 @@ BUILTIN_AGGREGATIONS = {
 class DeviceLink(Conn):
     """A head's connection to one member device, plus its discovery state."""
 
-    def __init__(self, device_id):
-        super().__init__()
-        self.device_id = device_id
+    def __init__(self, net, eid, device_id):
+        super().__init__(net, eid, device_id)
         self.discovered = False
         self.open_fids = {}        # path -> device fid opened OREAD as "mux"
         self.meta = {}             # kind, tags, position parsed from info
@@ -84,7 +85,7 @@ class Multiplexer(Server):
         self.cluster_name = cluster_name
         self.member_ids = list(member_ids)
         self.cfg = config or MuxConfig()
-        self.links = {m: DeviceLink(m) for m in self.member_ids}
+        self.links = {m: DeviceLink(net, eid, m) for m in self.member_ids}
         self.registry = dict(BUILTIN_AGGREGATIONS)
         self.cache = {}            # (device_id, path) -> (bytes, stamp)
         self.group_specs = []
@@ -121,44 +122,41 @@ class Multiplexer(Server):
     # ------------------------------------------------------------------
 
     def _on_frame(self, src, frame):
-        try:
-            msg = wire.decode_message(frame)
-        except wire.WireError:
-            self.net.log.add(self.net.now, "badframe", src, self.eid, "")
-            return
-        if wire.is_t_message(msg):
-            self.dispatch(src, msg, lambda r: self.net.send(self.eid, src, wire.encode_message(r)))
-        elif src in self.links:
-            self.links[src].answer(msg.tag, msg)
+        receive(self.net, self.eid, src, frame, server=self, conn=self.links.get(src))
 
     def _call(self, link, build, cb, timeout):
         """Send one T-message to a device; cb(R-message) or cb(None) on timeout."""
         if len(link.pending) >= MAX_PENDING:
             raise FsError("busy")
-        tag = link.new_tag()
-        link.pending[tag] = (cb, self.net.schedule(timeout, lambda: link.answer(tag, None)))
-        self.net.send(self.eid, link.device_id, wire.encode_message(build(tag)))
+        link.issue(build, cb, timeout)
 
-    def _spawn(self, link, gen):
+    def _spawn(self, link, gen, done=None):
         """Drive a generator of exchanges with one device: it yields
-        (build, timeout) and receives the R-message or None."""
-        self._resume(link, gen, None)
+        (build, timeout) and receives the R-message or None.  done gets
+        its return value or the FsError it raised; with no done, a
+        failure is logged as mux-error."""
+        self._resume(link, gen, done or self._log_failure, None)
 
-    def _resume(self, link, gen, value, exc=None):
+    def _log_failure(self, outcome):
+        if isinstance(outcome, FsError):
+            self.net.log.add(self.net.now, "mux-error", self.eid, "", outcome.ename)
+
+    def _resume(self, link, gen, done, value, exc=None):
         try:
             if exc is not None:
                 build, timeout = gen.throw(exc)
             else:
                 build, timeout = gen.send(value)
-        except StopIteration:
+        except StopIteration as stop:
+            done(stop.value)
             return
         except FsError as e:
-            self.net.log.add(self.net.now, "mux-error", self.eid, "", e.ename)
+            done(e)
             return
         try:
-            self._call(link, build, lambda r: self._resume(link, gen, r), timeout)
+            self._call(link, build, lambda r: self._resume(link, gen, done, r), timeout)
         except FsError as e:
-            self._resume(link, gen, None, exc=e)
+            self._resume(link, gen, done, None, exc=e)
 
     # ------------------------------------------------------------------
     # discovery
@@ -182,7 +180,7 @@ class Multiplexer(Server):
                 self._spawn(link, self._discover_device(link))
 
     def _discover_device(self, link):
-        dev = link.device_id
+        dev = link.peer
         link.roots.pop("mux", None)         # the attach is the probe: always send it
         try:
             root = yield from attach(link, "mux", self.cfg.discover_timeout)
@@ -217,7 +215,7 @@ class Multiplexer(Server):
             link.open_fids[path] = fid
         r = yield (lambda t: Tread(t, fid, 0, IOUNIT), self.aggregate_timeout)
         if isinstance(r, Rread):
-            self.cache[(link.device_id, path)] = (r.data, self.net.now)
+            self.cache[(link.peer, path)] = (r.data, self.net.now)
             return r.data
         return None
 
@@ -286,16 +284,22 @@ class Multiplexer(Server):
         ent.open_mode = msg.mode
         return ent.node.qid
 
-    def _ensure_remote_fid(self, link, ent, path):
-        """Generator: device-side walk+open for a relayed fid; returns the
-        device fid or None if the device never answered."""
+    def _relay(self, link, ent, path, build):
+        """Step: build(tag, device fid) sent on the device fid behind a
+        relayed client fid, walked and opened on first use; returns the
+        R-message, or None if the device never answered.  An Rerror is
+        raised as FsError."""
         dfid = self.relayed.get(ent)
         if dfid is None:
             dfid = yield from self._open_remote(link, ent.uname, path, ent.open_mode,
                                                 self.cfg.fallback_ticks)
-            if dfid is not None:
-                self.relayed[ent] = dfid
-        return dfid
+            if dfid is None:
+                return None
+            self.relayed[ent] = dfid
+        r = yield (lambda t: build(t, dfid), self.cfg.fallback_ticks)
+        if isinstance(r, Rerror):
+            raise FsError(r.ename)
+        return r
 
     def _relay_log(self, session, msg, path, cached):
         self.net.log.add(self.net.now, "mux-relay", self.eid, session.conn_key,
@@ -321,34 +325,24 @@ class Multiplexer(Server):
         asked = self.net.now
         link = self.links[dev]
 
-        def chain(done):
-            def serve_cached():
-                # freshness is judged when the request arrived, not after
-                # the unreachable-device timeout has elapsed
-                cached = self._cache_get(dev, path, asof=asked)
-                if cached is not None:
-                    ent.data = cached
-                    self._relay_log(session, msg, "%s/%s" % (dev, path), 1)
-                    done(cached[msg.offset:msg.offset + count])
-                else:
-                    done(FsError("device unreachable"))
-
-            dfid = yield from self._ensure_remote_fid(link, ent, path)
-            if dfid is None:
-                serve_cached()
-                return
-            r = yield (lambda t: Tread(t, dfid, msg.offset, count), self.cfg.fallback_ticks)
+        def chain():
+            r = yield from self._relay(link, ent, path,
+                                       lambda t, dfid: Tread(t, dfid, msg.offset, count))
             if isinstance(r, Rread):
                 if msg.offset == 0:
                     self.cache[(dev, path)] = (r.data, self.net.now)
                 self._relay_log(session, msg, "%s/%s" % (dev, path), 0)
-                done(r.data)
-            elif isinstance(r, Rerror):
-                done(FsError(r.ename))
-            else:
-                serve_cached()
+                return r.data
+            # no answer: serve the cache, its freshness judged when the
+            # request arrived, not after the unreachable-device timeout
+            cached = self._cache_get(dev, path, asof=asked)
+            if cached is None:
+                raise FsError("device unreachable")
+            ent.data = cached
+            self._relay_log(session, msg, "%s/%s" % (dev, path), 1)
+            return cached[msg.offset:msg.offset + count]
 
-        return self._defer_chain(link, chain)
+        return Defer(lambda cb: self._spawn(link, chain(), cb))
 
     def t_write(self, session, msg):
         ent = session.get(msg.fid)
@@ -360,37 +354,14 @@ class Multiplexer(Server):
                          "fwd tag=%d fid=%d path=%s/%s" % (msg.tag, msg.fid, dev, path))
         link = self.links[dev]
 
-        def chain(done):
-            dfid = yield from self._ensure_remote_fid(link, ent, path)
-            if dfid is None:
-                done(FsError("device unreachable"))
-                return
-            r = yield (lambda t: Twrite(t, dfid, msg.offset, msg.data), self.cfg.fallback_ticks)
-            if isinstance(r, Rwrite):
-                done(r.count)
-            elif isinstance(r, Rerror):
-                done(FsError(r.ename))
-            else:
-                done(FsError("device unreachable"))
+        def chain():
+            r = yield from self._relay(link, ent, path,
+                                       lambda t, dfid: Twrite(t, dfid, msg.offset, msg.data))
+            if not isinstance(r, Rwrite):
+                raise FsError("device unreachable")
+            return r.count
 
-        return self._defer_chain(link, chain)
-
-    def _defer_chain(self, link, chain):
-        """Wrap a generator handler into a Defer; FsError raised inside the
-        chain is routed to the reply callback."""
-        def start(cb):
-            finished = []
-            def done(outcome):
-                if not finished:
-                    finished.append(True)
-                    cb(outcome)
-            def guarded():
-                try:
-                    yield from chain(done)
-                except FsError as e:
-                    done(e)
-            self._spawn(link, guarded())
-        return Defer(start)
+        return Defer(lambda cb: self._spawn(link, chain(), cb))
 
     def t_clunk(self, session, msg):
         ent = session.fids.get(msg.fid)
@@ -467,15 +438,10 @@ class Multiplexer(Server):
                 text += "# n=%d/%d\n" % (len(used), len(members))
                 cb(text.encode()[offset:offset + count])
 
-            def one(member):
-                try:
-                    data = yield from self._read_path(self.links[member], spec.source_path)
-                except FsError:
-                    data = None
-                if data is None:
-                    cached = self._cache_get(member, spec.source_path)
-                    data = cached
-                    if cached is not None:
+            def got(member, data):
+                if not isinstance(data, bytes):     # None or an FsError
+                    data = self._cache_get(member, spec.source_path)
+                    if data is not None:
                         self.net.log.add(self.net.now, "mux-aggregate", self.eid, member,
                                          "path=%s cached=1" % spec.source_path)
                 results[member] = _parse_floats(data) if data is not None else None
@@ -484,7 +450,9 @@ class Multiplexer(Server):
                     finish()
 
             for member in members:
-                self._spawn(self.links[member], one(member))
+                link = self.links[member]
+                self._spawn(link, self._read_path(link, spec.source_path),
+                            lambda data, m=member: got(m, data))
 
         return Defer(start)
 

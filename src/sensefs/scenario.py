@@ -31,13 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .client import FileClient
+from .client import FileClient, receive
 from .devicefs import SensorState, make_device_server
 from .fscore import DEFAULT_USERS, Server
 from .muxfs import AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from .simnet import DutyCycle, EnergyModel, LinkModel, Network
 from .views import GeoMap, Region, make_responder
-from . import wire
 
 
 class ScenarioError(Exception):
@@ -324,13 +323,7 @@ class ServerEndpoint:
         net.register(eid, self._on_frame, state=state)
 
     def _on_frame(self, src, frame):
-        try:
-            msg = wire.decode_message(frame)
-        except wire.WireError:
-            self.net.log.add(self.net.now, "badframe", src, self.eid, "")
-            return
-        self.server.dispatch(
-            src, msg, lambda r: self.net.send(self.eid, src, wire.encode_message(r)))
+        receive(self.net, self.eid, src, frame, server=self.server)
 
 
 class Simulation:

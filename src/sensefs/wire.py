@@ -285,10 +285,6 @@ del _name, _code, _fields, _cls, _pack, _take
 T_TYPES = tuple(cls for cls, (_, is_t, _) in _ENCODERS.items() if is_t)
 
 
-def is_t_message(msg) -> bool:
-    return isinstance(msg, T_TYPES)
-
-
 def encode_message(msg) -> bytes:
     """Encode one message into a complete frame."""
     try:
@@ -300,7 +296,10 @@ def encode_message(msg) -> bytes:
         raise WireError("tag out of range: %r" % (tag,))
     if is_t and tag == NOTAG:
         raise WireError("NOTAG on a T-message")
-    body = pack(msg)
+    try:
+        body = pack(msg)
+    except struct.error as e:     # an int or a length outside its field's range
+        raise WireError("%s: %s" % (type(msg).__name__, e)) from None
     size = _HEADER.size + len(body)
     if size > MAX_FRAME:
         raise WireError("frame of %d bytes exceeds %d" % (size, MAX_FRAME))

@@ -1,0 +1,75 @@
+"""Frame receive and issue: the one way a frame enters a node and the one
+way a T-message leaves it, on devices, heads and file clients alike."""
+
+from sensefs.muxfs import MuxConfig
+from sensefs.simnet import LinkModel
+from sensefs.wire import Rclunk, Rread, Tread, encode_message
+
+from conftest import build_cluster, make_client, temp_sensor
+
+
+def probe(net, name="probe"):
+    """An endpoint that records every frame it is sent."""
+    got = []
+    net.register(name, lambda src, frame: got.append((src, frame)))
+    return got
+
+
+def events(net, event):
+    return [line.split("\t")[2:4] for line in net.log.lines
+            if line.split("\t")[1] == event]
+
+
+def test_undecodable_frame_is_logged_and_dropped_at_every_node():
+    net, mux, _ = build_cluster([temp_sensor(1, 20.9)])
+    client = make_client(net)
+    got = probe(net)
+    for dst in ("s1", mux.eid, client.eid):
+        net.send("probe", dst, b"junk")
+    net.run_until(net.now + 10)
+    assert events(net, "badframe") == [["probe", "s1"], ["probe", mux.eid],
+                                       ["probe", client.eid]]
+    assert got == []
+    # every node keeps working
+    assert client.read(("net", mux.eid), "sensors/s1/reading") == b"20.900000\n"
+
+
+def test_t_message_at_a_client_is_dropped():
+    net, mux, _ = build_cluster([temp_sensor(1, 20.9)], latency=1,
+                                mux_cfg=MuxConfig(fallback_ticks=5000,
+                                                  reprobe_ticks=10 ** 6))
+    net.set_link(mux.eid, "s1", LinkModel(latency=200), both_ways=True)
+    client = make_client(net)
+    ref = ("net", mux.eid)
+    h = client.open_path(ref, "sensors/s1/reading")
+    replies = []
+    tag = client.submit(ref, lambda t: Tread(t, h["fid"], 0, 64), replies.append)
+    # a T-message carrying the pending tag, as if from the head
+    net.send(mux.eid, client.eid, encode_message(Tread(tag, h["fid"], 0, 64)))
+    net.run_until(net.now + 10)
+    assert replies == []
+    assert tag in client._conns[ref].pending
+    net.run_until(net.now + 2000)    # attach, walk, open, read: 400 ticks each
+    assert replies == [Rread(tag, b"20.900000\n")]
+
+
+def test_r_message_at_a_server_is_dropped():
+    net, mux, _ = build_cluster([temp_sensor(1, 20.9)])
+    got = probe(net)
+    for dst in ("s1", mux.eid):
+        net.send("probe", dst, encode_message(Rclunk(5)))
+    net.run_until(net.now + 10)
+    assert got == []
+    assert events(net, "badframe") == []
+
+
+def test_issue_sends_to_the_peer_and_times_out_once():
+    net, mux, _ = build_cluster([temp_sensor(1, 20.9)], latency=1)
+    link = mux.links["s1"]
+    net.set_link(mux.eid, "s1", LinkModel(latency=1, loss=1.0))
+    answers = []
+    tag = link.issue(lambda t: Tread(t, 99, 0, 8), answers.append, timeout=7)
+    assert events(net, "drop")[-1] == [mux.eid, "s1"]
+    assert tag in link.pending
+    net.run_until(net.now + 20)
+    assert answers == [None] and link.pending == {}

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from sensefs.client import ClientError, FileClient
-from sensefs.muxfs import AggregateSpec, GroupSpec, MuxConfig, Multiplexer
+from sensefs.muxfs import MAX_PENDING, AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from sensefs.simnet import DutyCycle, LinkModel, Network
 
 from conftest import USERS, build_cluster, temp_sensor, make_client
@@ -95,6 +95,16 @@ def test_relay_device_error_passes_through():
         client.write(mux_ref(mux), "sensors/s1/control", b"explode")
 
 
+def test_relay_read_device_error_passes_through():
+    # control is 0644 on the device but has no read handler: the head
+    # relays the read and hands back the device's Rerror
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0)])
+    client = make_client(net)
+    with pytest.raises(ClientError, match="not readable"):
+        client.read(mux_ref(mux), "sensors/s1/control")
+    assert "\tsend\ts1\tc.head\tRerror" in net.log.text()
+
+
 def test_lost_rattach_retry_takes_fresh_fid():
     net, mux, _ = build_cluster([temp_sensor(1, 20.9)], latency=1,
                                 mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
@@ -182,6 +192,21 @@ def test_pending_table_bound():
     from sensefs.wire import Rerror
     busy = [r for r in replies if isinstance(r, Rerror) and r.ename == "busy"]
     assert busy, "overflowing the pending table must surface as busy"
+
+
+def test_failed_step_with_nobody_waiting_logs_mux_error():
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1,
+                                mux_cfg=MuxConfig(fallback_ticks=5000))
+    net.set_link(mux.eid, "s1", LinkModel(latency=1000), both_ways=True)
+    client = make_client(net)
+    h = client.open_path(mux_ref(mux), "sensors/s1/reading")
+    for _ in range(40):
+        client.submit_read(h, 0, 16, lambda r: None)
+    net.run_until(net.now + 5)
+    assert len(mux.links["s1"].pending) == MAX_PENDING
+    mux.set_report_rate(["s1"], 5)       # the poll step finds the table full
+    net.run_until(net.now + 10)
+    assert "\tmux-error\tc.head\t\tbusy" in net.log.text()
 
 
 # -- cache -----------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import pytest
 
+from sensefs.fscore import Server
 from sensefs.scenario import (
-    ScenarioError, load_scenario, make_source, parse_scenario,
+    ScenarioError, load_scenario, load_scenario_file, make_source, parse_scenario,
 )
 
 from conftest import ZOO, FACTORY
@@ -117,6 +118,21 @@ def test_simulation_wiring():
     names = [s.name for s in client.ls(("net", "c1.head"), "sensors")]
     assert names == ["s1", "s2"]
     assert client.read(("net", "c1.head"), "sensors/s1/reading") == b"20.500000\n"
+
+
+def test_only_device_and_responder_handlers_front_a_server():
+    # bench/run.py:file_servers counts heads through sim.muxes and every
+    # other server through its handler's __self__.server; a head or a
+    # client fronted the same way would be counted twice or crash
+    sim = load_scenario_file(FACTORY)
+    sim.start()
+    client = sim.new_client()
+    fronted = {eid for eid, h in sim.net.handlers.items()
+               if hasattr(getattr(h, "__self__", None), "server")}
+    assert fronted == set(sim.states) | set(sim.responders)
+    heads = {mux.eid for mux in sim.muxes.values()}
+    assert heads and not heads & fronted and client.eid not in fronted
+    assert all(isinstance(sim.net.handlers[eid].__self__.server, Server) for eid in fronted)
 
 
 def test_bundled_scenarios_parse():

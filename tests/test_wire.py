@@ -288,6 +288,25 @@ def test_frame_size_cap():
         encode_message(Rread(0, b"x" * MAX_FRAME))
 
 
+@pytest.mark.parametrize("msg", [
+    Tread(1, 0, -1, 10),                     # offset below its Q range
+    Tread(1, 2 ** 32, 0, 10),                # fid above its I range
+    Rwrite(1, 2 ** 32),                      # count above its I range
+    Rattach(1, Qid(0x100, 0, 0)),            # qid kind above its B range
+    Rstat(1, Stat("a" * 40000, Qid(), 0, owner="b" * 40000)),   # stat record > 65535 bytes
+], ids=["offset", "fid", "count", "qid", "stat"])
+def test_field_out_of_range_is_wire_error(msg):
+    with pytest.raises(WireError, match=type(msg).__name__):
+        encode_message(msg)
+
+
+def test_string_too_long_is_wire_error():
+    with pytest.raises(WireError, match="too long"):
+        encode_message(Rerror(1, "x" * 65536))
+    with pytest.raises(WireError, match="too long"):
+        encode_message(Twalk(1, 0, 1, ("x" * 65536,)))
+
+
 @settings(max_examples=100)
 @given(st.lists(stats, max_size=6))
 def test_stat_records_round_trip(sts):
