@@ -137,6 +137,18 @@ def parse_info(text: str) -> dict:
     return meta
 
 
+def parse_infos(text: str) -> list:
+    """Split info texts written one after another (a head's ctl) at each
+    "id" line, and parse_info each."""
+    chunks = []
+    for line in text.split("\n"):
+        if line.partition(" ")[0] == "id":
+            chunks.append([])
+        if chunks:
+            chunks[-1].append(line)
+    return [parse_info("\n".join(lines)) for lines in chunks]
+
+
 def handle_control(state: SensorState, now: int, command: str):
     """Apply one control-file command line."""
     cmd = command.strip()

@@ -4,7 +4,10 @@ Discovers its member devices over the wire, mirrors their static trees
 under sensors/, serves aggrData/ files by fanning reads out to members,
 sorts sensors into groups/ at enumeration time, and relays client
 requests to devices by fid while keeping any number of them outstanding.
-A small value cache answers for sleeping sensors within a ttl.
+A small value cache answers for sleeping sensors within a ttl.  Writes
+to ctl are commands (rate, aggregate, group); a read of ctl returns the
+member index, each discovered member's info text as last read at
+discovery or re-probe, so views learn every member without a device frame.
 
 Towards its devices the head is a client built on the core in client.py:
 one Conn per member (a DeviceLink) and the same attach/walk/read_all
@@ -72,7 +75,13 @@ class DeviceLink(Conn):
         super().__init__(net, eid, device_id)
         self.discovered = False
         self.open_fids = {}        # path -> device fid opened OREAD as "mux"
+        self.info = ""             # the device's info text, as last read
         self.meta = {}             # kind, tags, position parsed from info
+        self.refreshing = False    # an info refresh is in flight
+
+    def set_info(self, data: bytes):
+        self.info = data.decode(errors="replace")
+        self.meta = parse_info(self.info)
 
 
 class Multiplexer(Server):
@@ -104,7 +113,7 @@ class Multiplexer(Server):
         self.groups_dir = root.add(make_dir(
             "groups", 0o555,
             children_fn=lambda: [self._group_nodes[g.name] for g in self.group_specs]))
-        root.add(make_file("ctl", 0o644, write=self._write_ctl))
+        root.add(make_file("ctl", 0o644, read=self._read_ctl, write=self._write_ctl))
         super().__init__(root, users, name=eid, max_sessions=16)
 
         for spec in aggregates:
@@ -170,7 +179,7 @@ class Multiplexer(Server):
     def _reprobe(self):
         self.discover()
         for link in self.links.values():
-            if link.discovered:
+            if link.discovered and not link.refreshing:
                 self._spawn(link, self._refresh_info(link))
         self.net.schedule(self.cfg.reprobe_ticks, self._reprobe)
 
@@ -193,7 +202,7 @@ class Multiplexer(Server):
         if info is None:
             self.net.log.add(self.net.now, "mux-excluded", self.eid, dev, "info unreadable")
             return
-        link.meta = parse_info(info.decode(errors="replace"))
+        link.set_info(info)
         stats = yield from self._read_root_listing(link)
         if stats is None:
             self.net.log.add(self.net.now, "mux-excluded", self.eid, dev, "listing unreadable")
@@ -253,9 +262,13 @@ class Multiplexer(Server):
             return None
 
     def _refresh_info(self, link):
-        info = yield from self._read_path(link, "info")
+        link.refreshing = True
+        try:
+            info = yield from self._read_path(link, "info")
+        finally:
+            link.refreshing = False
         if info is not None:
-            link.meta = parse_info(info.decode(errors="replace"))
+            link.set_info(info)
 
     def _mirror_device(self, dev, stats) -> Node:
         sdir = make_dir(dev, 0o555)
@@ -481,6 +494,12 @@ class Multiplexer(Server):
     # ------------------------------------------------------------------
     # ctl file
     # ------------------------------------------------------------------
+
+    def _read_ctl(self, offset, count):
+        """The member index: each discovered member's info text, in member order."""
+        text = "".join(self.links[m].info for m in self.member_ids
+                       if self.links[m].discovered)
+        return text.encode()[offset:offset + count]
 
     def _write_ctl(self, offset, data):
         try:

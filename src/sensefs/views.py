@@ -3,7 +3,10 @@ query planning, and emergency-response mounts.
 
 Views are materialized as in-process servers whose directories are
 recomputed at every offset-0 read by reading the mounted structural trees,
-so they never invent sensors and always reflect current device state.
+so they never invent sensors.  Which sensors exist and their kind,
+position and tags come from each cluster head's member index (its ctl),
+as fresh as the head's re-probe period; energy and readings are read
+from the devices at listing time.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .client import ClientError, FileClient
-from .devicefs import parse_info
+from .devicefs import parse_infos
 from .fscore import Server, UserDb, make_dir, make_file
 from .wire import DMDIR
 
@@ -107,23 +110,19 @@ class SensorInfo:
 
 
 def scan_sensors(client, table, root="/network") -> list:
-    """Walk the structural tree and read each sensor's info file."""
+    """Read each cluster head's member index, its ctl file: one read per
+    cluster under root, none per sensor.  An entry without a ctl that
+    reads back (a device mounted directly under root) is skipped."""
     infos = []
     for cluster in dir_names(client, table, root):
-        base = "%s/%s/sensors" % (root, cluster)
         try:
-            ids = dir_names(client, table, base)
+            ref, rel = table.resolve("%s/%s/ctl" % (root, cluster))
+            index = parse_infos(client.read(ref, rel).decode(errors="replace"))
         except ClientError:
             continue
-        for sid in ids:
-            spath = "%s/%s" % (base, sid)
-            meta = {"tags": {}}
-            try:
-                ref, rel = table.resolve(spath + "/info")
-                meta = parse_info(client.read(ref, rel).decode(errors="replace"))
-            except ClientError:
-                pass
-            infos.append(SensorInfo(sid, cluster, spath, meta.get("kind", "unknown"),
+        for meta in index:
+            spath = "%s/%s/sensors/%s" % (root, cluster, meta["id"])
+            infos.append(SensorInfo(meta["id"], cluster, spath, meta.get("kind", "unknown"),
                                     meta["tags"], meta.get("position")))
     return infos
 

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from sensefs.client import ClientError, FileClient
+from sensefs.devicefs import parse_infos
 from sensefs.muxfs import MAX_PENDING, AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from sensefs.simnet import DutyCycle, LinkModel, Network
 
@@ -49,6 +50,39 @@ def test_discovery_excludes_silent_device_then_reprobe_recovers():
     net.run_until(400)        # next re-probe finds it
     names = [s.name for s in client.ls(mux_ref(mux), "sensors")]
     assert names == ["s1", "s2"]
+
+
+def test_reprobe_keeps_one_info_refresh_in_flight():
+    # a refresh round trip (400 ticks) spans four reprobe periods; a member
+    # whose refresh is still pending is skipped, so at most one waits
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1,
+                                mux_cfg=MuxConfig(reprobe_ticks=100,
+                                                  aggregate_timeout=1000))
+    net.set_link(mux.eid, "s1", LinkModel(latency=200), both_ways=True)
+    link = mux.links["s1"]
+    in_flight = []
+
+    def sample():
+        in_flight.append(len(link.pending))
+        net.schedule(1, sample)
+
+    t0 = net.now
+    net.schedule(0, sample)
+    net.run_until(t0 + 1000)
+    assert max(in_flight) == 1
+    assert count_polls(net.log.text(), "s1", t0, net.now) == 3
+
+
+def test_failed_info_refresh_clears_its_mark():
+    # every refresh times out (5 ticks against a 400-tick round trip), and
+    # each reprobe period still sends the next one
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1,
+                                mux_cfg=MuxConfig(reprobe_ticks=100))
+    net.set_link(mux.eid, "s1", LinkModel(latency=200), both_ways=True)
+    t0 = net.now
+    net.run_until(t0 + 1000)
+    assert count_polls(net.log.text(), "s1", t0, net.now) == 10
+    assert not mux.links["s1"].refreshing
 
 
 def test_shared_config_keeps_each_heads_derived_timeout():
@@ -444,6 +478,46 @@ def test_ctl_duplicate_group_is_rerror():
         client.write(mux_ref(mux), "ctl", b"group g animal=dog")
     assert [s.name for s in client.ls(mux_ref(mux), "groups")] == ["g"]
     assert [s.name for s in client.ls(mux_ref(mux), "groups/g")] == ["s1"]
+
+
+# -- ctl reads back the member index --------------------------------------------
+
+def test_ctl_reads_back_member_index():
+    net, mux, states = build_cluster([
+        temp_sensor(1, 1.0, tags={"animal": "snow leopard"}, position=(1.5, 2.0)),
+        dict(id="s2", kind="big cat", position=(3.0, -4.0)),
+    ])
+    client = make_client(net)
+    text = client.read(mux_ref(mux), "ctl").decode()
+    assert text == states["s1"].info_text() + states["s2"].info_text()
+    assert parse_infos(text) == [mux.links["s1"].meta, mux.links["s2"].meta]
+    assert parse_infos(text)[1] == {"id": "s2", "kind": "big cat",
+                                    "position": (3.0, -4.0), "tags": {}}
+
+
+def test_undiscovered_member_is_absent_from_index():
+    net, mux, _ = build_cluster(
+        [temp_sensor(1, 1.0), temp_sensor(2, 2.0), temp_sensor(3, 3.0)], warmup=0)
+    net.set_link(mux.eid, "s2", LinkModel(latency=2, loss=1.0), both_ways=True)
+    net.run_until(60)
+    client = make_client(net)
+    ids = [meta["id"] for meta in parse_infos(client.read(mux_ref(mux), "ctl").decode())]
+    assert ids == ["s1", "s3"]
+
+
+def test_readable_ctl_keeps_its_stat_and_commands():
+    net, mux, _ = build_cluster([temp_sensor(1, 4.5, tags={"animal": "lion"})],
+                                mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
+    client = make_client(net)
+    st = client.stat(mux_ref(mux), "ctl")
+    assert (st.mode & 0o777, st.length) == (0o644, 0)
+    client.write(mux_ref(mux), "ctl", b"rate 10 s1")
+    client.write(mux_ref(mux), "ctl", b"aggregate avgT avg")
+    client.write(mux_ref(mux), "ctl", b"group lions animal=lion")
+    assert mux._poll["s1"][0] == 10
+    assert client.read(mux_ref(mux), "aggrData/avgT").splitlines()[0] == b"4.500000"
+    assert [s.name for s in client.ls(mux_ref(mux), "groups/lions")] == ["s1"]
+    assert [m["id"] for m in parse_infos(client.read(mux_ref(mux), "ctl").decode())] == ["s1"]
 
 
 # -- report rate ---------------------------------------------------------------

@@ -1,17 +1,27 @@
 """Namespace and view tests: mounts, cells, bands, planning, emergencies."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensefs.client import ClientError
+from sensefs.devicefs import parse_info, parse_infos
+from sensefs.muxfs import MuxConfig
+from sensefs.scenario import load_scenario
 from sensefs.simnet import LinkModel
 from sensefs.views import (
-    EMERGENCY_ROOT, GeoMap, NamespaceTable, PlanError, Region,
+    EMERGENCY_ROOT, GeoMap, NamespaceTable, PlanError, Region, SensorInfo,
     build_location_view, build_logical_view, build_resource_view,
     cell_label, dir_names, emergency_mount, energy_band, execute_plan,
     make_responder, norm_path, plan_query, raise_alert, scan_sensors,
 )
 
-from conftest import build_cluster, make_client, temp_sensor
+from conftest import ZOO, build_cluster, make_client, temp_sensor
+
+
+def device_frames(net, since, devices):
+    """Frames sent to or from any of devices after log line since."""
+    return sum(1 for line in net.log.lines[since:]
+               if line.split("\t")[1] == "send" and devices & set(line.split("\t")[2:4]))
 
 
 # -- mount table -------------------------------------------------------------
@@ -151,6 +161,17 @@ def test_location_view_cells_and_regions():
     assert client.read(ref, rel) == b"20.000000\n"
 
 
+def test_walk_into_a_view_cell_sends_no_device_frame():
+    # the walk still runs the root's children_fn, which reads one ctl per
+    # cluster and no sensor's info; no background info refresh falls in
+    net, mux, states, client, table = wired(mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
+    view = build_location_view(client, table, GeoMap(origin_lon=-54.9, origin_lat=35.1))
+    since = len(net.log.lines)
+    assert [s.name for s in client.ls(("local", view), "54W/35N")] == \
+        ["s1", "s2", "s3", "data"]
+    assert device_frames(net, since, set(states)) == 0
+
+
 def test_location_data_file_joins_readings():
     net, mux, states, client, table = wired()
     geo = GeoMap(origin_lon=-54.9, origin_lat=35.1)
@@ -173,7 +194,6 @@ def test_logical_view_pluralizes_tag_values():
 
 
 def test_logical_view_recomputes_after_retag():
-    from sensefs.muxfs import MuxConfig
     net, mux, states, client, table = wired(mux_cfg=MuxConfig(reprobe_ticks=50))
     view = build_logical_view(client, table, tag_key="animal")
     vref = ("local", view)
@@ -220,6 +240,8 @@ def test_resource_view_rebands_as_energy_drains():
 
 
 def test_resource_band_listing_reads_each_info_once(monkeypatch):
+    """Each sensor's info comes once per band listing, from the one read of
+    its head's member index (ctl), and no info file is read."""
     net, mux, states, client, table = wired([
         temp_sensor(i, 1.0, energy_j=50.0) for i in range(1, 4)])
     view = build_resource_view(client, table, 10.0, 100.0)
@@ -233,13 +255,88 @@ def test_resource_band_listing_reads_each_info_once(monkeypatch):
     monkeypatch.setattr(client, "read", counting_read)
     assert [s.name for s in client.ls(("local", view), "energy/medium")] == \
         ["s1", "s2", "s3"]
-    assert sorted(p for p in reads if p.endswith("/info")) == \
-        ["sensors/s%d/info" % i for i in range(1, 4)]
+    assert [p for p in reads if p.endswith("info")] == []
+    assert reads.count("ctl") == 1
+    assert client.ls(("local", view), "energy/low") == []
+    assert [p for p in reads if p.endswith("info")] == []
+    assert reads.count("ctl") == 2
+
+
+# -- the member index ----------------------------------------------------------
+
+def per_sensor_scan(client, table, root="/network"):
+    """scan_sensors as it was before the member index: list each cluster's
+    sensors/ and read every sensor's info through its head."""
+    infos = []
+    for cluster in dir_names(client, table, root):
+        base = "%s/%s/sensors" % (root, cluster)
+        for sid in dir_names(client, table, base):
+            ref, rel = table.resolve("%s/%s/info" % (base, sid))
+            meta = parse_info(client.read(ref, rel).decode())
+            infos.append(SensorInfo(sid, cluster, "%s/%s" % (base, sid), meta["kind"],
+                                    meta["tags"], meta["position"]))
+    return infos
+
+
+_LINE = st.text(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+                max_size=12)
+_WORD = st.text(st.characters(blacklist_characters=" \n", blacklist_categories=("Cs",)),
+                max_size=6)
+_SPACED = st.lists(_LINE, min_size=2, max_size=3).map(" ".join)
+_COORD = st.floats(-1e6, 1e6).map(lambda v: float("%.6f" % v))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(_SPACED, st.dictionaries(_WORD, _SPACED, max_size=3),
+                          st.tuples(_COORD, _COORD)),
+                min_size=1, max_size=3))
+def test_member_index_matches_each_sensors_info(members):
+    net, mux, states, client, table = wired([
+        dict(id="s%d" % i, kind=kind, tags=tags, position=position)
+        for i, (kind, tags, position) in enumerate(members, 1)])
+    index = parse_infos(client.read(("net", mux.eid), "ctl").decode())
+    assert index == [mux.links[m].meta for m in mux.member_ids]
+    assert scan_sensors(client, table) == per_sensor_scan(client, table)
+
+
+def test_scan_keeps_a_sleeping_member_from_the_index():
+    net, mux, states, client, table = plan_cluster()
+    states["s1"].set_power(net.now, "asleep")
+    since, t0 = len(net.log.lines), net.now
+    infos = {i.id: i for i in scan_sensors(client, table)}
+    assert device_frames(net, since, set(states)) == 0
+    assert net.now - t0 < mux.cfg.fallback_ticks
+    assert (infos["s1"].kind, infos["s1"].position) == ("temperature", (10.0, 20.0))
+    plan = plan_query(client, table, [Region("region-10", 0, 0, 100, 100)],
+                      "region-10", coverage=3)
+    assert plan.selected == ["s3", "s6", "s7"]
+    assert "s1 excluded energy-unknown\n" in plan.render()
+
+
+def test_zoo_scan_frame_cost():
+    # the heads' periodic info refresh is pushed out of the window, so the
+    # frames counted are the scan's own
+    with open(ZOO) as fh:
+        text = fh.read()
+    assert "\nreprobe = 100\n" in text
+    sim = load_scenario(text.replace("\nreprobe = 100\n", "\nreprobe = 1000000\n"))
+    sim.start()
+    client = sim.new_client()
+    table = NamespaceTable()
+    for cluster, head in sim.cfg.clusters.items():
+        table.mount("/network/%s" % cluster, ("net", head))
+    since = len(sim.net.log.lines)
+    infos = scan_sensors(client, table)
+    assert len(infos) == len(sim.states) == 10
+    assert device_frames(sim.net, since, set(sim.states)) == 0
+    # per cluster head: attach, walk, open, read, end-of-file read and clunk
+    # of ctl, each a T- and an R-message
+    assert device_frames(sim.net, since, {client.eid}) == 12 * len(sim.cfg.clusters) == 24
 
 
 # -- planning ------------------------------------------------------------------
 
-def plan_fixture():
+def plan_cluster():
     sensors = [
         temp_sensor(1, 20.9, position=(10.0, 20.0), energy_j=999.0),
         temp_sensor(3, 22.3, position=(20.0, 40.0), energy_j=800.0),
@@ -248,11 +345,13 @@ def plan_fixture():
         temp_sensor(6, 21.7, position=(40.0, 80.0), energy_j=700.0),
         temp_sensor(7, 19.5, position=(50.0, 90.0), energy_j=600.0),
     ]
-    from sensefs.muxfs import MuxConfig
     # a huge reprobe period keeps background info refreshes out of the
     # frame traces these tests count
-    net, mux, states, client, table = wired(
-        sensors, mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
+    return wired(sensors, mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
+
+
+def plan_fixture():
+    net, mux, states, client, table = plan_cluster()
     regions = [Region("region-10", 0, 0, 100, 100)]
     return net, client, table, regions
 
