@@ -3,25 +3,15 @@
 Flat, line-oriented format chosen for diff-friendly golden files:
 
     # comment
-    [section optional-args...]
+    [section names...]
     key = value
 
-Sections:
-
-    [scenario]            seed, ttl, fallback, reprobe, discover_timeout, warmup
-    [geo]                 origin_lon, origin_lat, m_per_deg
-    [energy]              tx, rx, idle
-    [link]                latency, jitter, loss          (network default)
-    [link SRC DST]        per directed pair override (applied both ways
-                          unless oneway = true)
-    [cluster NAME]        head = endpoint id (default NAME.head)
-    [sensor ID]           cluster, kind, position = x y, energy, source,
-                          duty = on off phase, tag KEY = VALUE
-    [aggregate CLUSTER NAME]   fn, kind, path
-    [group CLUSTER NAME]  tag = KEY VALUE
-    [region NAME]         rect = x1 y1 x2 y2   (meters)
-    [responder NAME]
-    [views]               cell, tag, low, high
+SECTIONS is the only place a section is declared: how many names its
+header takes, what the header adds to the ScenarioConfig and when that
+is a duplicate, and each key with the attribute(s) it sets and the
+parser of its value.  A bad header, key or value is reported with its
+line number; checks across sections (a sensor's cluster, unique
+endpoint ids) run once the whole file is read.
 
 Sensor sources: `constant V`, `ramp BASE SLOPE` (value = BASE + SLOPE*t),
 or `table T0:V0 T1:V1 ...` (step function over virtual time).
@@ -29,7 +19,8 @@ or `table T0:V0 T1:V1 ...` (step function over virtual time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
+from typing import NamedTuple
 
 from .client import FileClient, receive
 from .devicefs import SensorState, make_device_server
@@ -56,7 +47,7 @@ def make_source(spec: str, kind="temperature"):
             raise ScenarioError("constant source takes one value")
         return lambda t: values[0]
     if how == "ramp":
-        base, slope = float(parts[1]), float(parts[2])
+        base, slope = (float(v) for v in parts[1:])
         return lambda t: base + slope * t
     if how == "table":
         points = []
@@ -64,6 +55,8 @@ def make_source(spec: str, kind="temperature"):
             t, _, v = entry.partition(":")
             vals = [float(x) for x in v.split(",")]
             points.append((int(t), tuple(vals) if len(vals) > 1 else vals[0]))
+        if not points:
+            raise ScenarioError("table source needs a point")
         points.sort()
         def lookup(t):
             current = points[0][1]
@@ -113,191 +106,161 @@ class ScenarioConfig:
     view_high: float = 100.0
 
 
+def _words(conv, *counts):
+    """Parser of a value made of one of `counts` words, each through conv."""
+    def parse(value):
+        words = value.split()
+        if len(words) not in counts:
+            raise ValueError("expected %s words" % " or ".join(map(str, counts)))
+        return tuple(map(conv, words))
+    return parse
+
+
+def _source(spec):
+    make_source(spec, "position")   # the laxest kind; Simulation checks the sensor's own
+    return spec
+
+
+class _Pair(list):
+    """A [link SRC DST] row of link_overrides, [src, dst, model, oneway]:
+    its `oneway` is the row's flag, every other attribute its model's."""
+
+    def __getattr__(self, attr):
+        return self[3] if attr == "oneway" else getattr(self[2], attr)
+
+    def __setattr__(self, attr, value):
+        if attr == "oneway":
+            self[3] = value
+        else:
+            setattr(self[2], attr, value)
+
+
+def _link(cfg, names):
+    if not names:
+        return cfg.default_link
+    cfg.link_overrides.append(_Pair(names + [replace(cfg.default_link), False]))
+    return cfg.link_overrides[-1]
+
+
+def _add(items, name, item):
+    """Add item to a dict (under name) or to a list of named items; returns
+    it, or None if the name is already there."""
+    if isinstance(items, dict):
+        return None if name in items else items.setdefault(name, item)
+    if name in [getattr(each, "name", each) for each in items]:
+        return None
+    items.append(item)
+    return item
+
+
+class _Section(NamedTuple):
+    arity: tuple    # numbers of names the header may take
+    open: object    # (cfg, names) -> what the keys set, None for a duplicate
+    keys: dict      # key -> (attribute names, value parser); an attribute that
+                    # is a dict takes the key's NAME, else the header's last name
+
+
+SECTIONS = {
+    "scenario": _Section((0,), lambda cfg, names: cfg, {
+        key: (key, int) for key in
+        ("seed", "ttl", "fallback", "reprobe", "discover_timeout", "warmup")}),
+    "geo": _Section((0,), lambda cfg, names: cfg.geo, {
+        key: (key, float) for key in ("origin_lon", "origin_lat", "m_per_deg")}),
+    "energy": _Section((0,), lambda cfg, names: cfg.energy, {
+        "tx": ("tx_cost_j", float), "rx": ("rx_cost_j", float),
+        "idle": ("idle_cost_j_per_tick", float)}),
+    "link": _Section((0, 2), _link, {
+        "latency": ("latency", int), "jitter": ("jitter", int), "loss": ("loss", float),
+        "oneway": ("oneway", lambda value: value.lower() in ("1", "true", "yes"))}),
+    "cluster": _Section(
+        (1,), lambda cfg, names: _add(cfg.clusters, names[0], names[0] + ".head") and cfg,
+        {"head": ("clusters", str)}),
+    "sensor": _Section(
+        (1,), lambda cfg, names: _add(cfg.sensors, names[0], _SensorDef(names[0])),
+        {"cluster": ("cluster", str), "kind": ("kind", str),
+         "position": ("position", _words(float, 2)), "energy": ("energy", float),
+         "source": ("source", _source),
+         "duty": ("duty", lambda value: astuple(DutyCycle(*_words(int, 2, 3)(value)))),
+         "tag NAME": ("tags", str)}),
+    "aggregate": _Section(
+        (2,), lambda cfg, names: _add(cfg.aggregates.setdefault(names[0], []), names[1],
+                                      AggregateSpec(names[1], "avg")),
+        {"fn": ("fn_name", str), "kind": ("kind", str), "path": ("source_path", str)}),
+    "group": _Section(
+        (2,), lambda cfg, names: _add(cfg.groups.setdefault(names[0], []), names[1],
+                                      GroupSpec(names[1], "", "")),
+        {"tag": ("tag_key tag_value", _words(str, 2))}),
+    "region": _Section(
+        (1,), lambda cfg, names: _add(cfg.regions, names[0], Region(names[0], 0, 0, 0, 0)),
+        {"rect": ("x1 y1 x2 y2", _words(float, 4))}),
+    "responder": _Section(
+        (1,), lambda cfg, names: _add(cfg.responders, names[0], names[0]), {}),
+    "views": _Section((0,), lambda cfg, names: cfg, {
+        "cell": ("view_cell", float), "tag": ("view_tag", str),
+        "low": ("view_low", float), "high": ("view_high", float)}),
+}
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
-    section = None
-    args = []
-
-    def err(lineno, why):
-        raise ScenarioError("line %d: %s" % (lineno, why))
-
+    header = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                err(lineno, "unterminated section header")
-            fields = line[1:-1].split()
-            if not fields:
-                err(lineno, "empty section header")
-            section, args = fields[0], fields[1:]
-            if section == "sensor":
-                if len(args) != 1:
-                    err(lineno, "[sensor] needs exactly one id")
-                if args[0] in cfg.sensors:
-                    err(lineno, "duplicate sensor %r" % args[0])
-                cfg.sensors[args[0]] = _SensorDef(args[0])
-            elif section == "cluster":
-                if len(args) != 1:
-                    err(lineno, "[cluster] needs exactly one name")
-                if args[0] in cfg.clusters:
-                    err(lineno, "duplicate cluster %r" % args[0])
-                cfg.clusters[args[0]] = args[0] + ".head"
-            elif section == "link" and len(args) not in (0, 2):
-                err(lineno, "[link] takes zero or two endpoints")
-            elif section == "aggregate":
-                if len(args) != 2:
-                    err(lineno, "[aggregate] needs cluster and name")
-                specs = cfg.aggregates.setdefault(args[0], [])
-                if any(spec.name == args[1] for spec in specs):
-                    err(lineno, "duplicate aggregate %r in cluster %r" % (args[1], args[0]))
-                specs.append(AggregateSpec(args[1], "avg"))
-            elif section == "group":
-                if len(args) != 2:
-                    err(lineno, "[group] needs cluster and name")
-                specs = cfg.groups.setdefault(args[0], [])
-                if any(spec.name == args[1] for spec in specs):
-                    err(lineno, "duplicate group %r in cluster %r" % (args[1], args[0]))
-                specs.append(GroupSpec(args[1], "", ""))
-            elif section == "region":
-                if len(args) != 1:
-                    err(lineno, "[region] needs a name")
-                cfg.regions.append(Region(args[0], 0, 0, 0, 0))
-            elif section == "responder":
-                if len(args) != 1:
-                    err(lineno, "[responder] needs a name")
-                cfg.responders.append(args[0])
-            elif section == "link" and len(args) == 2:
-                cfg.link_overrides.append(
-                    [args[0], args[1],
-                     LinkModel(cfg.default_link.latency, cfg.default_link.jitter,
-                               cfg.default_link.loss), False])
-            continue
-
-        if "=" not in line:
-            err(lineno, "expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
         try:
-            _apply(cfg, section, args, key, value)
-        except ScenarioError:
-            raise
-        except (ValueError, IndexError) as e:
-            err(lineno, "bad value for %r: %s" % (key, e))
-
+            if line.startswith("["):
+                header = _open(cfg, line)
+            elif line:
+                _set(header, line)
+        except ScenarioError as e:
+            raise ScenarioError("line %d: %s" % (lineno, e)) from None
     _validate(cfg)
     return cfg
 
 
-def _apply(cfg: ScenarioConfig, section, args, key, value):
-    if section == "scenario":
-        if key == "seed":
-            cfg.seed = int(value)
-        elif key == "ttl":
-            cfg.ttl = int(value)
-        elif key == "fallback":
-            cfg.fallback = int(value)
-        elif key == "reprobe":
-            cfg.reprobe = int(value)
-        elif key == "discover_timeout":
-            cfg.discover_timeout = int(value)
-        elif key == "warmup":
-            cfg.warmup = int(value)
-        else:
-            raise ScenarioError("unknown [scenario] key %r" % key)
-    elif section == "geo":
-        if key == "origin_lon":
-            cfg.geo.origin_lon = float(value)
-        elif key == "origin_lat":
-            cfg.geo.origin_lat = float(value)
-        elif key == "m_per_deg":
-            cfg.geo.m_per_deg = float(value)
-        else:
-            raise ScenarioError("unknown [geo] key %r" % key)
-    elif section == "energy":
-        if key == "tx":
-            cfg.energy.tx_cost_j = float(value)
-        elif key == "rx":
-            cfg.energy.rx_cost_j = float(value)
-        elif key == "idle":
-            cfg.energy.idle_cost_j_per_tick = float(value)
-        else:
-            raise ScenarioError("unknown [energy] key %r" % key)
-    elif section == "link":
-        model = cfg.default_link if not args else cfg.link_overrides[-1][2]
-        if key == "latency":
-            model.latency = int(value)
-        elif key == "jitter":
-            model.jitter = int(value)
-        elif key == "loss":
-            model.loss = float(value)
-        elif key == "oneway" and args:
-            cfg.link_overrides[-1][3] = value.lower() in ("1", "true", "yes")
-        else:
-            raise ScenarioError("unknown [link] key %r" % key)
-    elif section == "cluster":
-        if key == "head":
-            cfg.clusters[args[0]] = value
-        else:
-            raise ScenarioError("unknown [cluster] key %r" % key)
-    elif section == "sensor":
-        sensor = cfg.sensors[args[0]]
-        if key == "cluster":
-            sensor.cluster = value
-        elif key == "kind":
-            sensor.kind = value
-        elif key == "position":
-            x, y = value.split()
-            sensor.position = (float(x), float(y))
-        elif key == "energy":
-            sensor.energy = float(value)
-        elif key == "source":
-            sensor.source = value
-        elif key == "duty":
-            on, off, phase = (int(v) for v in value.split())
-            sensor.duty = (on, off, phase)
-        elif key.startswith("tag ") or key.startswith("tag\t"):
-            sensor.tags[key.split(None, 1)[1]] = value
-        else:
-            raise ScenarioError("unknown [sensor] key %r" % key)
-    elif section == "aggregate":
-        spec = cfg.aggregates[args[0]][-1]
-        if key == "fn":
-            spec.fn_name = value
-        elif key == "kind":
-            spec.kind = value
-        elif key == "path":
-            spec.source_path = value
-        else:
-            raise ScenarioError("unknown [aggregate] key %r" % key)
-    elif section == "group":
-        spec = cfg.groups[args[0]][-1]
-        if key == "tag":
-            k, v = value.split()
-            spec.tag_key, spec.tag_value = k, v
-        else:
-            raise ScenarioError("unknown [group] key %r" % key)
-    elif section == "region":
-        region = cfg.regions[-1]
-        if key == "rect":
-            region.x1, region.y1, region.x2, region.y2 = (float(v) for v in value.split())
-        else:
-            raise ScenarioError("unknown [region] key %r" % key)
-    elif section == "views":
-        if key == "cell":
-            cfg.view_cell = float(value)
-        elif key == "tag":
-            cfg.view_tag = value
-        elif key == "low":
-            cfg.view_low = float(value)
-        elif key == "high":
-            cfg.view_high = float(value)
-        else:
-            raise ScenarioError("unknown [views] key %r" % key)
-    else:
+def _open(cfg, line):
+    """Apply a section header; returns its words, section and target."""
+    if not line.endswith("]"):
+        raise ScenarioError("unterminated section header")
+    words = line[1:-1].split()
+    if not words:
+        raise ScenarioError("empty section header")
+    section = SECTIONS.get(words[0])
+    if section is None:
+        raise ScenarioError("unknown section [%s]" % words[0])
+    if len(words) - 1 not in section.arity:
+        raise ScenarioError("[%s] takes %s name(s), got %d" % (
+            words[0], " or ".join(map(str, section.arity)), len(words) - 1))
+    target = section.open(cfg, words[1:])
+    if target is None:
+        raise ScenarioError("duplicate %s" % " ".join(words))
+    return words, section, target
+
+
+def _set(header, line):
+    """Apply a `key = value` line to the target of the open section."""
+    key, eq, value = line.partition("=")
+    if not eq:
+        raise ScenarioError("expected key = value")
+    key, value = key.strip(), value.strip()
+    if header is None:
         raise ScenarioError("key %r outside any known section" % key)
+    words, section, target = header
+    word, *name = key.split(None, 1) or [""]
+    attrs, parse = section.keys.get(word + " NAME" if name else word, ("", None))
+    attrs = attrs.split()
+    if not attrs or not all([hasattr(target, attr) for attr in attrs]):
+        raise ScenarioError("unknown [%s] key %r" % (words[0], key))
+    try:
+        values = parse(value)
+        for attr, v in zip(attrs, values if len(attrs) > 1 else (values,)):
+            slot = getattr(target, attr)
+            if isinstance(slot, dict):
+                slot[name[0] if name else words[-1]] = v
+            else:
+                setattr(target, attr, v)
+        getattr(target, "__post_init__", lambda: None)()   # the target's own checks
+    except (ScenarioError, ValueError) as e:
+        raise ScenarioError("bad value for %r: %s" % (key, e)) from None
 
 
 def _validate(cfg: ScenarioConfig):

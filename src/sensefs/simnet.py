@@ -24,6 +24,8 @@ class LinkModel:
     def __post_init__(self):
         if self.latency < 1:
             raise ValueError("latency must be >= 1 tick")
+        if self.jitter < 0:
+            raise ValueError("jitter must be >= 0 ticks")
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError("loss probability out of range")
 
@@ -58,19 +60,15 @@ class DutyCycle:
 
 
 class Event:
-    __slots__ = ("time", "seq", "fn", "cancelled")
+    """A scheduled callback; the heap holds it as (time, seq, event)."""
+    __slots__ = ("fn", "cancelled")
 
-    def __init__(self, time, seq, fn):
-        self.time = time
-        self.seq = seq
+    def __init__(self, fn):
         self.fn = fn
         self.cancelled = False
 
     def cancel(self):
         self.cancelled = True
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class EventLog:
@@ -128,25 +126,25 @@ class Network:
     # -- scheduling -------------------------------------------------------
 
     def schedule(self, delay, fn) -> Event:
-        ev = Event(self.now + delay, self._seq, fn)
+        ev = Event(fn)
+        heapq.heappush(self._heap, (self.now + delay, self._seq, ev))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
         return ev
 
     def step(self) -> bool:
         while self._heap:
-            ev = heapq.heappop(self._heap)
+            time, _, ev = heapq.heappop(self._heap)
             if ev.cancelled:
                 continue
-            self.now = ev.time
+            self.now = time
             ev.fn()
             return True
         return False
 
     def peek_time(self):
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def run_until(self, t):
         if t < self.now:

@@ -1,4 +1,4 @@
-"""Styx-subset wire codec: message types, encoder/decoder, incremental framing.
+"""Styx-subset wire codec: message types and the encoder/decoder.
 
 Message format (all integers little-endian):
 
@@ -333,33 +333,3 @@ def frame_summary(frame: bytes) -> str:
     _, code, tag = _HEADER.unpack_from(frame)
     return "%s tag=%d" % (TYPE_NAMES.get(code) or "?%d" % code, tag)
 
-
-class FrameReader:
-    """Incremental frame splitter; feed() bytes in, complete frames out.
-
-    Single-consumer: one reader per byte stream.
-    """
-
-    def __init__(self):
-        self._buf = bytearray()
-
-    def feed(self, chunk: bytes) -> list:
-        self._buf.extend(chunk)
-        frames = []
-        while True:
-            if len(self._buf) < 4:
-                break
-            size = _I.unpack_from(self._buf)[0]
-            if size < 7:
-                raise WireError("frame size %d below minimum 7" % size)
-            if size > MAX_FRAME:
-                raise WireError("frame size %d exceeds %d" % (size, MAX_FRAME))
-            if len(self._buf) < size:
-                break
-            frames.append(bytes(self._buf[:size]))
-            del self._buf[:size]
-        return frames
-
-    def close(self):
-        if self._buf:
-            raise WireError("stream ended mid-frame (%d buffered bytes)" % len(self._buf))

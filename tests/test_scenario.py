@@ -1,5 +1,7 @@
 """Scenario file tests: parsing, validation, source functions, wiring."""
 
+import re
+
 import pytest
 
 from sensefs.fscore import Server
@@ -57,6 +59,45 @@ def test_duplicate_ids_rejected():
     parse_scenario("[cluster c]\n[cluster d]\n[aggregate c avg]\n[aggregate d avg]\n")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("[bogus]\n", "line 1: unknown section [bogus]"),
+    ("[scenario]\n[bogus]\nkey = 1\n", "line 2: unknown section [bogus]"),
+    ("[scenario extra]\n", "line 1: [scenario] takes 0 name(s), got 1"),
+    ("[views foo]\n", "line 1: [views] takes 0 name(s), got 1"),
+    ("[link a]\n", "line 1: [link] takes 0 or 2 name(s), got 1"),
+    ("[region r]\nrect = 0 0 1 1\n[region r]\n", "line 3: duplicate region r"),
+    ("[responder a]\n[responder a]\n", "line 2: duplicate responder a"),
+], ids=["unknown", "unknown-with-key", "scenario-args", "views-args", "link-args",
+        "duplicate-region", "duplicate-responder"])
+def test_header_error_at_its_line(text, error):
+    with pytest.raises(ScenarioError, match=re.escape(error)):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("[link]\nlatency = 0\n", "line 2: bad value for 'latency'"),
+    ("[link]\nloss = 2\n", "line 2: bad value for 'loss'"),
+    ("[link]\njitter = -2\n", "line 2: bad value for 'jitter'"),
+    ("[link a b]\njitter = 1\nlatency = 0\n", "line 3: bad value for 'latency'"),
+    ("[link a b]\nloss = 2\n", "line 2: bad value for 'loss'"),
+    ("[sensor s]\nduty = 0 0 0\n", "line 2: bad value for 'duty'"),
+    ("[sensor s]\nduty = 1 2 3 4\n", "line 2: bad value for 'duty'"),
+    ("[sensor s]\nsource = ramp 3\n", "line 2: bad value for 'source'"),
+    ("[sensor s]\nsource = wobble 1\n", "line 2: bad value for 'source'"),
+    ("[sensor s]\nsource = table\n", "line 2: bad value for 'source'"),
+], ids=["latency", "loss", "jitter", "pair-latency", "pair-loss", "duty-empty", "duty-words",
+        "ramp-args", "source-kind", "table-empty"])
+def test_bad_value_at_its_line(text, error):
+    with pytest.raises(ScenarioError, match=re.escape(error)):
+        parse_scenario(text)
+
+
+def test_duty_phase_defaults_to_zero():
+    cfg = parse_scenario("[sensor s]\nduty = 10 20\n[sensor t]\nduty = 10 20 5\n")
+    assert cfg.sensors["s"].duty == (10, 20, 0)
+    assert cfg.sensors["t"].duty == (10, 20, 5)
+
+
 def test_dangling_cluster_reference():
     with pytest.raises(ScenarioError, match="unknown cluster"):
         parse_scenario("[sensor s1]\ncluster = ghost\n")
@@ -109,6 +150,16 @@ def test_link_overrides_apply_both_ways():
     assert sim.net.link_for("c1.head", "s1").latency == 9
     assert sim.net.link_for("s1", "c1.head").latency == 9
     assert sim.net.link_for("s1", "s2").latency == cfg.default_link.latency
+
+
+def test_oneway_link_override():
+    cfg = parse_scenario(MINIMAL + "\n[link s1 c1.head]\nlatency = 9\noneway = true\n")
+    from sensefs.scenario import Simulation
+    sim = Simulation(cfg)
+    assert sim.net.link_for("s1", "c1.head").latency == 9
+    assert sim.net.link_for("c1.head", "s1").latency == cfg.default_link.latency
+    with pytest.raises(ScenarioError, match="line 2: unknown \\[link\\] key 'oneway'"):
+        parse_scenario("[link]\noneway = true\n")
 
 
 def test_simulation_wiring():

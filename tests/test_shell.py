@@ -168,3 +168,7 @@ def test_cli_bad_scenario(tmp_path, capsys):
     code = main(["--scenario", str(bad)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # a bad value is a scenario error too, not a traceback out of the build
+    bad.write_text("[sensor s1]\nduty = 0 0 0\n")
+    assert main(["--scenario", str(bad)]) == 1
+    assert "error: line 2: bad value for 'duty'" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sensefs import wire
 from sensefs.wire import (
-    FrameReader, Qid, Stat, WireError,
+    Qid, Stat, WireError,
     Tattach, Rattach, Twalk, Rwalk, Topen, Ropen, Tread, Rread,
     Twrite, Rwrite, Tclunk, Rclunk, Tstat, Rstat, Rerror,
     MAX_FRAME, MAX_WALK, NOTAG,
@@ -179,65 +179,6 @@ def test_malformed_stat_records_raise_only_wire_error(sts, data):
         decode_stats(bytes(blob))
     except WireError:
         pass
-
-
-@settings(max_examples=100)
-@given(st.lists(messages, min_size=0, max_size=8), st.data())
-def test_frame_reader_chunking(msgs, data):
-    frames = []
-    for m in msgs:
-        try:
-            frames.append(encode_message(m))
-        except WireError:
-            return
-    stream = b"".join(frames)
-    reader = FrameReader()
-    out = []
-    pos = 0
-    while pos < len(stream):
-        n = data.draw(st.integers(1, len(stream) - pos))
-        out.extend(reader.feed(stream[pos:pos + n]))
-        pos += n
-    reader.close()
-    assert out == frames
-
-
-def test_frame_reader_byte_at_a_time():
-    stream = TCLUNK_FRAME * 2
-    reader = FrameReader()
-    out = []
-    for i in range(len(stream)):
-        out.extend(reader.feed(stream[i:i + 1]))
-    assert out == [TCLUNK_FRAME, TCLUNK_FRAME]
-
-
-def test_frame_reader_split_at_size_boundary():
-    reader = FrameReader()
-    assert reader.feed(TCLUNK_FRAME[:4]) == []
-    assert reader.feed(TCLUNK_FRAME[4:]) == [TCLUNK_FRAME]
-
-
-def test_frame_reader_empty_stream():
-    reader = FrameReader()
-    assert reader.feed(b"") == []
-    reader.close()
-
-
-def test_frame_reader_undersize():
-    with pytest.raises(WireError, match="below minimum"):
-        FrameReader().feed(struct.pack("<I", 3) + b"xxx")
-
-
-def test_frame_reader_oversize():
-    with pytest.raises(WireError, match="exceeds"):
-        FrameReader().feed(struct.pack("<I", MAX_FRAME + 1))
-
-
-def test_frame_reader_mid_frame_close():
-    reader = FrameReader()
-    reader.feed(TCLUNK_FRAME[:6])
-    with pytest.raises(WireError, match="mid-frame"):
-        reader.close()
 
 
 def test_decode_unknown_type():
