@@ -228,7 +228,7 @@ class FileClient:
         except ClientError:
             self._clunk(ref, fid)
             raise
-        return {"ref": ref, "fid": fid, "iounit": r.iounit}
+        return {"ref": ref, "fid": fid, "iounit": r.iounit, "qid": r.qid}
 
     def read_at(self, handle, offset, count=None):
         count = count if count is not None else min(IOUNIT, handle["iounit"])
@@ -244,9 +244,13 @@ class FileClient:
     def close(self, handle):
         self._clunk(handle["ref"], handle["fid"])
 
-    def read(self, ref, relpath) -> bytes:
+    def read(self, ref, relpath, isdir=False) -> bytes:
+        """The bytes of a file; with isdir, of a directory, else the
+        error 'not a directory'."""
         handle = self.open_path(ref, relpath, OREAD)
         try:
+            if isdir and not handle["qid"].is_dir:
+                raise ClientError("not a directory")
             return self._run(ref, read_all(handle["fid"], self.timeout))
         finally:
             self.close(handle)
@@ -261,7 +265,7 @@ class FileClient:
 
     def ls(self, ref, relpath) -> list:
         """Stat records of a directory's children, in server order."""
-        return wire.decode_stats(self.read(ref, relpath))
+        return wire.decode_stats(self.read(ref, relpath, isdir=True))
 
     def stat(self, ref, relpath) -> wire.Stat:
         fid = self._walk(ref, relpath)

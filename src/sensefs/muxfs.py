@@ -5,9 +5,15 @@ under sensors/, serves aggrData/ files by fanning reads out to members,
 sorts sensors into groups/ at enumeration time, and relays client
 requests to devices by fid while keeping any number of them outstanding.
 A small value cache answers for sleeping sensors within a ttl.  Writes
-to ctl are commands (rate, aggregate, group); a read of ctl returns the
-member index, each discovered member's info text as last read at
-discovery or re-probe, so views learn every member without a device frame.
+to ctl are commands (rate, aggregate with fn avg, min or max, group); a
+read of ctl returns the member index, each discovered member's info text
+as last read at discovery or re-probe, so views learn every member
+without a device frame.
+
+All the head knows of one member lives in that member's DeviceLink: its
+connection, mirrored directory, open fids, value cache, info and pending
+poll.  The head's own tables are keyed by what is not a member: client
+fids (relayed) and mirrored nodes (remote, each naming its link).
 
 Towards its devices the head is a client built on the core in client.py:
 one Conn per member (a DeviceLink) and the same attach/walk/read_all
@@ -15,9 +21,7 @@ steps a FileClient runs.  Here they run as continuations: _spawn/_resume
 issue each yielded T-message and resume the generator from its reply or
 per-request timeout, so device I/O never blocks the dispatch loop.  A
 head step returns its outcome or raises FsError, and _spawn hands either
-to whoever waits on it, such as a relayed read's reply.  The relay state
-of mirrored nodes and client fids lives in the head's own tables
-(remote, relayed), not in fscore.
+to whoever waits on it, such as a relayed read's reply.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ class MuxConfig:
     fallback_ticks: int = 1000    # wait before falling back to cache/unreachable
     reprobe_ticks: int = 100      # period of discovery/metadata refresh
     discover_timeout: int = 20    # per-device probe timeout
-    aggregate_timeout: int = 0    # 0: derive 5x mean member link latency
 
 
 @dataclass
@@ -57,62 +60,57 @@ class GroupSpec:
     tag_value: str
 
 
-def _mean(values):
-    return [sum(values) / len(values)]
-
-
-BUILTIN_AGGREGATIONS = {
-    "avg": _mean,
+AGGREGATIONS = {
+    "avg": lambda vs: [sum(vs) / len(vs)],
     "min": lambda vs: [min(vs)],
     "max": lambda vs: [max(vs)],
 }
 
 
 class DeviceLink(Conn):
-    """A head's connection to one member device, plus its discovery state."""
+    """A head's connection to one member device, plus all it knows of it."""
 
     def __init__(self, net, eid, device_id):
         super().__init__(net, eid, device_id)
-        self.discovered = False
+        self.node = None           # mirrored sensors/<id> dir; None until discovered
         self.open_fids = {}        # path -> device fid opened OREAD as "mux"
+        self.cache = {}            # path -> (bytes, stamp) of its last offset-0 read
         self.info = ""             # the device's info text, as last read
         self.meta = {}             # kind, tags, position parsed from info
         self.refreshing = False    # an info refresh is in flight
+        self.poll = None           # the pending report-rate poll Event
 
     def set_info(self, data: bytes):
         self.info = data.decode(errors="replace")
         self.meta = parse_info(self.info)
 
+    def fresh(self, path, since):
+        """The cached bytes of path if they were read at tick since or
+        later, else None."""
+        entry = self.cache.get(path)
+        if entry is None or entry[1] < since:
+            return None
+        return entry[0]
+
 
 class Multiplexer(Server):
     """Stateful cluster-head server with a device face and a client face."""
 
-    def __init__(self, net, eid, cluster_name, member_ids, users=None,
+    def __init__(self, net, eid, cluster_name, members, users=None,
                  config: MuxConfig = None, aggregates=(), groups=()):
         self.net = net
         self.eid = eid
-        self.cluster_name = cluster_name
-        self.member_ids = list(member_ids)
         self.cfg = config or MuxConfig()
-        self.links = {m: DeviceLink(net, eid, m) for m in self.member_ids}
-        self.registry = dict(BUILTIN_AGGREGATIONS)
-        self.cache = {}            # (device_id, path) -> (bytes, stamp)
-        self.group_specs = []
-        self._sensor_nodes = {}    # device_id -> mirrored sensors/<id> dir
-        self._group_nodes = {}
-        self._poll = {}            # device_id -> (period, generation)
-        self.remote = {}           # mirrored device node -> (device_id, relpath)
+        self.links = {m: DeviceLink(net, eid, m) for m in members}   # in member order
+        self.groups = {}           # group name -> its directory
+        self.remote = {}           # mirrored device node -> (DeviceLink, relpath)
         self.relayed = {}          # client fid entry -> device fid it reads through
 
         root = make_dir(cluster_name, 0o555)
-        self.sensors_dir = root.add(make_dir(
-            "sensors", 0o555,
-            children_fn=lambda: [self._sensor_nodes[m] for m in self.member_ids
-                                 if m in self._sensor_nodes]))
+        root.add(make_dir("sensors", 0o555,
+                          children_fn=lambda: [link.node for link in self._discovered()]))
         self.aggr_dir = root.add(make_dir("aggrData", 0o555))
-        self.groups_dir = root.add(make_dir(
-            "groups", 0o555,
-            children_fn=lambda: [self._group_nodes[g.name] for g in self.group_specs]))
+        root.add(make_dir("groups", 0o555, children_fn=lambda: list(self.groups.values())))
         root.add(make_file("ctl", 0o644, read=self._read_ctl, write=self._write_ctl))
         super().__init__(root, users, name=eid, max_sessions=16)
 
@@ -120,11 +118,14 @@ class Multiplexer(Server):
             self.add_aggregate(spec)
         for spec in groups:
             self.add_group(spec)
-        self.aggregate_timeout = self.cfg.aggregate_timeout
-        if self.aggregate_timeout <= 0:
-            lats = [net.link_for(eid, m).latency for m in self.member_ids] or [2]
-            self.aggregate_timeout = max(5, int(5 * sum(lats) / len(lats)))
+        # a member read's timeout: 5x the mean member link latency
+        lats = [net.link_for(eid, m).latency for m in self.links] or [2]
+        self.aggregate_timeout = max(5, int(5 * sum(lats) / len(lats)))
         net.register(eid, self._on_frame)
+
+    def _discovered(self):
+        """The links of discovered members, in member order."""
+        return [link for link in self.links.values() if link.node is not None]
 
     # ------------------------------------------------------------------
     # transport: T-messages come from clients, R-messages from devices
@@ -178,14 +179,14 @@ class Multiplexer(Server):
 
     def _reprobe(self):
         self.discover()
-        for link in self.links.values():
-            if link.discovered and not link.refreshing:
+        for link in self._discovered():
+            if not link.refreshing:
                 self._spawn(link, self._refresh_info(link))
         self.net.schedule(self.cfg.reprobe_ticks, self._reprobe)
 
     def discover(self):
         for link in self.links.values():
-            if not link.discovered:
+            if link.node is None:
                 self._spawn(link, self._discover_device(link))
 
     def _discover_device(self, link):
@@ -207,8 +208,7 @@ class Multiplexer(Server):
         if stats is None:
             self.net.log.add(self.net.now, "mux-excluded", self.eid, dev, "listing unreadable")
             return
-        link.discovered = True
-        self._sensor_nodes[dev] = self._mirror_device(dev, stats)
+        link.node = self._mirror_device(link, stats)
         self.net.log.add(self.net.now, "mux-discovered", self.eid, dev,
                          "kind=%s" % link.meta.get("kind", "?"))
 
@@ -224,7 +224,7 @@ class Multiplexer(Server):
             link.open_fids[path] = fid
         r = yield (lambda t: Tread(t, fid, 0, IOUNIT), self.aggregate_timeout)
         if isinstance(r, Rread):
-            self.cache[(link.peer, path)] = (r.data, self.net.now)
+            link.cache[path] = (r.data, self.net.now)
             return r.data
         return None
 
@@ -270,11 +270,11 @@ class Multiplexer(Server):
         if info is not None:
             link.set_info(info)
 
-    def _mirror_device(self, dev, stats) -> Node:
-        sdir = make_dir(dev, 0o555)
+    def _mirror_device(self, link, stats) -> Node:
+        sdir = make_dir(link.peer, 0o555)
         for st in stats:
             child = sdir.add(Node(st.name, st.mode & 0o777, owner=st.owner, group=st.group))
-            self.remote[child] = (dev, st.name)
+            self.remote[child] = (link, st.name)
         return sdir
 
     # ------------------------------------------------------------------
@@ -288,8 +288,6 @@ class Multiplexer(Server):
             return super().t_open(session, msg)
         if ent.open_mode is not None:
             raise FsError("fid already open")
-        if not self.links[remote[0]].discovered:
-            raise FsError("device unreachable")
         # permission checked here against the mirrored device stat, so an
         # open succeeds even while the device radio is off; the device-side
         # fid is established lazily on first read/write
@@ -324,7 +322,8 @@ class Multiplexer(Server):
         remote = self.remote.get(ent.node)
         if remote is None or ent.open_mode is None:
             return super().t_read(session, msg)
-        dev, path = remote
+        link, path = remote
+        dev = link.peer
         count = min(msg.count, IOUNIT)
         # once a fid has been served from cache it keeps serving that same
         # snapshot (ent.data), so a sequential whole-file read stays consistent
@@ -336,19 +335,18 @@ class Multiplexer(Server):
                          "fwd tag=%d fid=%d path=%s/%s" % (msg.tag, msg.fid, dev, path))
 
         asked = self.net.now
-        link = self.links[dev]
 
         def chain():
             r = yield from self._relay(link, ent, path,
                                        lambda t, dfid: Tread(t, dfid, msg.offset, count))
             if isinstance(r, Rread):
                 if msg.offset == 0:
-                    self.cache[(dev, path)] = (r.data, self.net.now)
+                    link.cache[path] = (r.data, self.net.now)
                 self._relay_log(session, msg, "%s/%s" % (dev, path), 0)
                 return r.data
             # no answer: serve the cache, its freshness judged when the
             # request arrived, not after the unreachable-device timeout
-            cached = self._cache_get(dev, path, asof=asked)
+            cached = link.fresh(path, asked - self.cfg.ttl)
             if cached is None:
                 raise FsError("device unreachable")
             ent.data = cached
@@ -362,10 +360,9 @@ class Multiplexer(Server):
         remote = self.remote.get(ent.node)
         if remote is None or ent.open_mode is None:
             return super().t_write(session, msg)
-        dev, path = remote
+        link, path = remote
         self.net.log.add(self.net.now, "mux-route", session.conn_key, self.eid,
-                         "fwd tag=%d fid=%d path=%s/%s" % (msg.tag, msg.fid, dev, path))
-        link = self.links[dev]
+                         "fwd tag=%d fid=%d path=%s/%s" % (msg.tag, msg.fid, link.peer, path))
 
         def chain():
             r = yield from self._relay(link, ent, path,
@@ -380,27 +377,12 @@ class Multiplexer(Server):
         ent = session.fids.get(msg.fid)
         dfid = self.relayed.pop(ent, None)
         if dfid is not None:
-            self._clunk_remote(self.links[self.remote[ent.node][0]], dfid)
+            self._clunk_remote(self.remote[ent.node][0], dfid)
         return super().t_clunk(session, msg)
-
-    def _cache_get(self, dev, path, asof=None):
-        entry = self.cache.get((dev, path))
-        if entry is None:
-            return None
-        value, stamp = entry
-        now = self.net.now if asof is None else asof
-        if now - stamp > self.cfg.ttl:
-            return None
-        return value
 
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
-
-    def register_aggregation(self, name, fn):
-        if not name:
-            raise ValueError("empty aggregation name")
-        self.registry[name] = fn
 
     def add_aggregate(self, spec: AggregateSpec):
         if self.aggr_dir.lookup(spec.name) is not None:
@@ -410,27 +392,20 @@ class Multiplexer(Server):
         self.aggr_dir.add(node)
 
     def add_group(self, spec: GroupSpec):
-        if spec.name in self._group_nodes:
+        if spec.name in self.groups:
             raise FsError("file already exists")
-        gdir = make_dir(
+        self.groups[spec.name] = make_dir(
             spec.name, 0o555,
-            children_fn=lambda s=spec: [
-                self._sensor_nodes[m] for m in self.member_ids
-                if m in self._sensor_nodes
-                and self.links[m].meta.get("tags", {}).get(s.tag_key) == s.tag_value])
-        self._group_nodes[spec.name] = gdir
-        self.group_specs.append(spec)
-
-    def _selected_members(self, spec):
-        return [m for m in self.member_ids
-                if self.links[m].discovered
-                and (not spec.kind or self.links[m].meta.get("kind") == spec.kind)]
+            children_fn=lambda: [
+                link.node for link in self._discovered()
+                if link.meta.get("tags", {}).get(spec.tag_key) == spec.tag_value])
 
     def _aggregate_handler(self, spec, offset, count):
-        fn = self.registry.get(spec.fn_name)
+        fn = AGGREGATIONS.get(spec.fn_name)
         if fn is None:
             raise FsError("no such aggregation")
-        members = self._selected_members(spec)
+        members = [link for link in self._discovered()
+                   if not spec.kind or link.meta.get("kind") == spec.kind]
         if not members:
             raise FsError("no members")
 
@@ -451,21 +426,20 @@ class Multiplexer(Server):
                 text += "# n=%d/%d\n" % (len(used), len(members))
                 cb(text.encode()[offset:offset + count])
 
-            def got(member, data):
+            def got(link, data):
                 if not isinstance(data, bytes):     # None or an FsError
-                    data = self._cache_get(member, spec.source_path)
+                    data = link.fresh(spec.source_path, self.net.now - self.cfg.ttl)
                     if data is not None:
-                        self.net.log.add(self.net.now, "mux-aggregate", self.eid, member,
+                        self.net.log.add(self.net.now, "mux-aggregate", self.eid, link.peer,
                                          "path=%s cached=1" % spec.source_path)
-                results[member] = _parse_floats(data) if data is not None else None
+                results[link] = _parse_floats(data) if data is not None else None
                 remaining[0] -= 1
                 if remaining[0] == 0:
                     finish()
 
-            for member in members:
-                link = self.links[member]
+            for link in members:
                 self._spawn(link, self._read_path(link, spec.source_path),
-                            lambda data, m=member: got(m, data))
+                            lambda data, link=link: got(link, data))
 
         return Defer(start)
 
@@ -474,22 +448,22 @@ class Multiplexer(Server):
     # ------------------------------------------------------------------
 
     def set_report_rate(self, device_ids, period: int):
+        """Poll each device's reading every period ticks (0: stop), in
+        place of any rate set before."""
         for dev in device_ids:
             if dev not in self.links:
                 raise FsError("unknown device %s" % dev)
         for dev in device_ids:
-            generation = self._poll.get(dev, (0, 0))[1] + 1
-            self._poll[dev] = (period, generation)
+            link = self.links[dev]
+            if link.poll is not None:
+                link.poll.cancel()
+                link.poll = None
             if period > 0:
-                self.net.schedule(period, lambda d=dev, g=generation: self._poll_tick(d, g))
+                link.poll = self.net.schedule(period, lambda link=link: self._sample(link, period))
 
-    def _poll_tick(self, dev, generation):
-        current = self._poll.get(dev)
-        if current is None or current[1] != generation or current[0] <= 0:
-            return
-        period = current[0]
-        self._spawn(self.links[dev], self._read_path(self.links[dev], "reading"))
-        self.net.schedule(period, lambda: self._poll_tick(dev, generation))
+    def _sample(self, link, period):
+        self._spawn(link, self._read_path(link, "reading"))
+        link.poll = self.net.schedule(period, lambda: self._sample(link, period))
 
     # ------------------------------------------------------------------
     # ctl file
@@ -497,8 +471,7 @@ class Multiplexer(Server):
 
     def _read_ctl(self, offset, count):
         """The member index: each discovered member's info text, in member order."""
-        text = "".join(self.links[m].info for m in self.member_ids
-                       if self.links[m].discovered)
+        text = "".join(link.info for link in self._discovered())
         return text.encode()[offset:offset + count]
 
     def _write_ctl(self, offset, data):
@@ -506,7 +479,7 @@ class Multiplexer(Server):
             cmd, *args = data.decode().split()
             if cmd == "rate" and args:
                 period = int(args[0])
-                devices = args[1:] or [m for m in self.member_ids if self.links[m].discovered]
+                devices = args[1:] or [link.peer for link in self._discovered()]
                 self.set_report_rate(devices, period)
             elif cmd == "aggregate" and len(args) >= 2:
                 self.add_aggregate(AggregateSpec(*args[:3]))

@@ -117,7 +117,7 @@ def _words(conv, *counts):
 
 
 def _source(spec):
-    make_source(spec, "position")   # the laxest kind; Simulation checks the sensor's own
+    make_source(spec, "position")   # the laxest kind; _validate checks the sensor's own
     return spec
 
 
@@ -268,6 +268,11 @@ def _validate(cfg: ScenarioConfig):
         if sensor.cluster and sensor.cluster not in cfg.clusters:
             raise ScenarioError("sensor %s references unknown cluster %r"
                                 % (sensor.id, sensor.cluster))
+        if sensor.source:
+            try:
+                make_source(sensor.source, sensor.kind)
+            except ScenarioError as e:
+                raise ScenarioError("sensor %s: %s" % (sensor.id, e)) from None
     for cluster in list(cfg.aggregates) + list(cfg.groups):
         if cluster not in cfg.clusters:
             raise ScenarioError("unknown cluster %r in aggregate/group" % cluster)

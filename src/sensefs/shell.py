@@ -17,7 +17,7 @@ from .client import ClientError
 from .fscore import FsError
 from .scenario import ScenarioError, load_scenario_file
 from .views import (
-    NamespaceTable, PlanError, dir_names, execute_plan, plan_query, raise_alert,
+    NamespaceTable, PlanError, dir_entries, execute_plan, plan_query, raise_alert,
 )
 from .wire import DMDIR
 
@@ -44,8 +44,6 @@ class Shell:
         self.client = sim.new_client(user)
         self.table = NamespaceTable()
         self.cwd = "/"
-        self.user = user
-        self.history = []
 
     # -- paths ---------------------------------------------------------
 
@@ -69,7 +67,6 @@ class Shell:
         line = line.strip()
         if not line or line.startswith("#"):
             return ""
-        self.history.append(line)
         parts = line.split()
         cmd, args = parts[0], parts[1:]
         handler = getattr(self, "cmd_" + cmd.replace("-", "_"), None)
@@ -99,20 +96,13 @@ class Shell:
         long = "-l" in args
         args = [a for a in args if a != "-l"]
         path = self._abspath(args[0]) if args else self.cwd
+        entries = dir_entries(self.client, self.table, path)
         if not long:
-            return "\n".join(dir_names(self.client, self.table, path))
-        lines = []
-        try:
-            ref, rel = self.table.resolve(path)
-            stats = self.client.ls(ref, rel)
-        except ClientError:
-            stats = []
-        for st in stats:
-            lines.append("%s %s %d %s" % (_mode_text(st.mode), st.owner, st.length, st.name))
-        for name in self.table.mount_children(path):
-            if not any(l.endswith(" " + name) for l in lines):
-                lines.append("dr-xr-xr-x - 0 %s" % name)
-        return "\n".join(lines)
+            return "\n".join(entries)
+        return "\n".join(
+            "dr-xr-xr-x - 0 %s" % name if st is None else
+            "%s %s %d %s" % (_mode_text(st.mode), st.owner, st.length, name)
+            for name, st in entries.items())
 
     def cmd_cd(self, args):
         path = self._abspath(args[0]) if args else "/"
@@ -150,8 +140,8 @@ class Shell:
             raise CommandError("usage: groups <cluster>")
         base = self._abspath("/network/%s/groups" % args[0])
         lines = []
-        for group in dir_names(self.client, self.table, base):
-            members = dir_names(self.client, self.table, base + "/" + group)
+        for group in dir_entries(self.client, self.table, base):
+            members = dir_entries(self.client, self.table, base + "/" + group)
             lines.append("%s: %s" % (group, " ".join(members)))
         return "\n".join(lines)
 

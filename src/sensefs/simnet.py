@@ -89,7 +89,7 @@ class EventLog:
 
 
 class Network:
-    """Event queue plus endpoint registry and per-pair link models."""
+    """Event queue plus endpoint table and per-pair link models."""
 
     def __init__(self, seed: int = 0, energy: EnergyModel = None,
                  default_link: LinkModel = None):

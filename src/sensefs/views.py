@@ -78,21 +78,21 @@ class NamespaceTable:
                 m == path or m.startswith(path + "/") for m, _ in self.mounts)
 
 
-def dir_names(client: FileClient, table: NamespaceTable, path: str) -> list:
-    """Children of path: server listing merged with mount-point names."""
-    names = []
+def dir_entries(client: FileClient, table: NamespaceTable, path: str) -> dict:
+    """Children of path, name -> stat: the server listing, then each mount
+    point not in it, mapped to None."""
+    entries = {}
     try:
         ref, rel = table.resolve(path)
     except ClientError:
         ref = None
     if ref is not None:
-        names.extend(st.name for st in client.ls(ref, rel))
+        entries = {st.name: st for st in client.ls(ref, rel)}
     for name in table.mount_children(path):
-        if name not in names:
-            names.append(name)
-    if not names and ref is None and not table.covers(path):
+        entries.setdefault(name, None)
+    if not entries and ref is None and not table.covers(path):
         raise ClientError("not found")
-    return names
+    return entries
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +114,7 @@ def scan_sensors(client, table, root="/network") -> list:
     cluster under root, none per sensor.  An entry without a ctl that
     reads back (a device mounted directly under root) is skipped."""
     infos = []
-    for cluster in dir_names(client, table, root):
+    for cluster in dir_entries(client, table, root):
         try:
             ref, rel = table.resolve("%s/%s/ctl" % (root, cluster))
             index = parse_infos(client.read(ref, rel).decode(errors="replace"))

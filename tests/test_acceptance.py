@@ -18,14 +18,14 @@ import pytest
 
 from conftest import (DATA_DIR, FACTORY, SCRIPT_DIR, ZOO, build_cluster,
                       make_client, temp_sensor)
-from sensefs import wire
+from sensefs import muxfs, wire
 from sensefs.client import ClientError, FileClient
 from sensefs.muxfs import AggregateSpec, MuxConfig
 from sensefs.scenario import load_scenario_file
 from sensefs.shell import Shell, run_script
 from sensefs.devicefs import SensorState
 from sensefs.simnet import DutyCycle, EnergyModel, LinkModel, Network
-from sensefs.views import NamespaceTable, dir_names, plan_query
+from sensefs.views import NamespaceTable, dir_entries, plan_query
 from sensefs.wire import DMDIR, Qid, Stat
 
 
@@ -53,15 +53,9 @@ def tree_listing(sim, client, table):
 
     def walk(path):
         lines.append(path)
-        try:
-            ref, rel = table.resolve(path)
-            stats = client.ls(ref, rel)
-        except Exception:
-            stats = []
-        names = {s.name: bool(s.mode & DMDIR) for s in stats}
-        for name in dir_names(client, table, path):
+        for name, st in dir_entries(client, table, path).items():
             child = path.rstrip("/") + "/" + name
-            if names.get(name, True):
+            if st is None or st.mode & DMDIR:      # a mount point or a directory
                 walk(child)
             else:
                 lines.append(child)
@@ -193,7 +187,7 @@ def aggregate_value(values, fn_name, fn):
     return render(fn([render(v) for v in values])[0])
 
 
-def test_acceptance_04_aggregation_oracle():
+def test_acceptance_04_aggregation_oracle(monkeypatch):
     worst = 0.0
     # mean over configured sources plus calibration offsets
     raws = {1: 20.9, 2: 22.3, 3: -3.75}
@@ -228,7 +222,7 @@ def test_acceptance_04_aggregation_oracle():
             [temp_sensor(i + 1, v) for i, v in enumerate(values)],
             latency=1, aggregates=[AggregateSpec("agg", fn_name)])
         if fn_name == "median":
-            mux.register_aggregation("median", median)
+            monkeypatch.setitem(muxfs.AGGREGATIONS, "median", median)
         client = make_client(net)
         got = float(client.read(mux_ref(mux), "aggrData/agg").splitlines()[0])
         want = aggregate_value(values, fn_name, oracles[fn_name])
@@ -301,7 +295,7 @@ def sleeping_read(ttl, age):
         mux_cfg=MuxConfig(ttl=ttl, fallback_ticks=5, reprobe_ticks=10 ** 6))
     client = make_client(net)
     assert client.read(mux_ref(mux), "sensors/s1/reading") == b"20.900000\n"
-    stamp = mux.cache[("s1", "reading")][1]
+    stamp = mux.links["s1"].cache["reading"][1]
     states["s1"].set_power(net.now, "asleep")
     net.run_until(stamp + age)
     try:

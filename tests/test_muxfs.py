@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from sensefs import muxfs
 from sensefs.client import ClientError, FileClient
 from sensefs.devicefs import parse_infos
 from sensefs.muxfs import MAX_PENDING, AggregateSpec, GroupSpec, MuxConfig, Multiplexer
@@ -56,8 +57,8 @@ def test_reprobe_keeps_one_info_refresh_in_flight():
     # a refresh round trip (400 ticks) spans four reprobe periods; a member
     # whose refresh is still pending is skipped, so at most one waits
     net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1,
-                                mux_cfg=MuxConfig(reprobe_ticks=100,
-                                                  aggregate_timeout=1000))
+                                mux_cfg=MuxConfig(reprobe_ticks=100))
+    mux.aggregate_timeout = 1000
     net.set_link(mux.eid, "s1", LinkModel(latency=200), both_ways=True)
     link = mux.links["s1"]
     in_flight = []
@@ -93,7 +94,7 @@ def test_shared_config_keeps_each_heads_derived_timeout():
     h1 = Multiplexer(net, "h1", "c1", ["s1"], USERS, cfg)
     h2 = Multiplexer(net, "h2", "c2", ["s2"], USERS, cfg)
     assert (h1.aggregate_timeout, h2.aggregate_timeout) == (5, 50)
-    assert cfg.aggregate_timeout == 0
+    assert cfg == MuxConfig()
 
 
 def test_empty_cluster_is_valid():
@@ -253,7 +254,7 @@ def sleeping_read(ttl, age):
         mux_cfg=MuxConfig(ttl=ttl, fallback_ticks=5, reprobe_ticks=10 ** 6))
     client = make_client(net)
     assert client.read(mux_ref(mux), "sensors/s1/reading") == b"20.900000\n"
-    stamp = mux.cache[("s1", "reading")][1]
+    stamp = mux.links["s1"].cache["reading"][1]
     states["s1"].set_power(net.now, "asleep")
     net.run_until(stamp + age)
     try:
@@ -313,7 +314,7 @@ def test_avg_of_singleton_is_identity():
     assert client.read(mux_ref(mux), "aggrData/a").splitlines()[0] == b"19.250000"
 
 
-def test_registered_median_against_oracle():
+def test_registered_median_against_oracle(monkeypatch):
     import random
     rng = random.Random(5)
     for trial in range(10):
@@ -328,7 +329,7 @@ def test_registered_median_against_oracle():
             mid = len(s) // 2
             return [s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2]
 
-        mux.register_aggregation("median", median)
+        monkeypatch.setitem(muxfs.AGGREGATIONS, "median", median)
         client = make_client(net)
         line = client.read(mux_ref(mux), "aggrData/medT").splitlines()[0]
         assert line.decode() == "%.6f" % median(list(values.values()))[0]
@@ -390,9 +391,11 @@ def test_aggregate_kind_selector():
 def test_aggregate_partial_trailer_on_timeout():
     net, mux, states = build_cluster(
         [temp_sensor(1, 10.0), temp_sensor(2, 20.0), temp_sensor(3, 30.0)],
-        latency=1, mux_cfg=MuxConfig(ttl=0, aggregate_timeout=10),
+        latency=1, mux_cfg=MuxConfig(ttl=0),
         aggregates=[AggregateSpec("avgT", "avg")])
-    mux.cache.clear()
+    mux.aggregate_timeout = 10
+    for link in mux.links.values():
+        link.cache.clear()
     states["s2"].set_power(net.now, "asleep")
     client = make_client(net)
     data = client.read(mux_ref(mux), "aggrData/avgT").decode()
@@ -453,11 +456,15 @@ def test_aggregate_added_via_ctl():
 
 
 def test_ctl_bad_rate_is_rerror():
-    net, mux, _ = build_cluster([temp_sensor(1, 1.0)])
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1,
+                                mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
     client = make_client(net)
     with pytest.raises(ClientError, match="bad ctl command"):
         client.write(mux_ref(mux), "ctl", b"rate abc")
-    assert mux._poll == {}
+    assert mux.links["s1"].poll is None
+    t0 = net.now
+    net.run_until(t0 + 100)
+    assert count_polls(net.log.text(), "s1", t0, t0 + 100) == 0
 
 
 def test_ctl_duplicate_aggregate_is_rerror():
@@ -514,7 +521,9 @@ def test_readable_ctl_keeps_its_stat_and_commands():
     client.write(mux_ref(mux), "ctl", b"rate 10 s1")
     client.write(mux_ref(mux), "ctl", b"aggregate avgT avg")
     client.write(mux_ref(mux), "ctl", b"group lions animal=lion")
-    assert mux._poll["s1"][0] == 10
+    t0 = net.now
+    net.run_until(t0 + 100)
+    assert count_polls(net.log.text(), "s1", t0, t0 + 100) == 10
     assert client.read(mux_ref(mux), "aggrData/avgT").splitlines()[0] == b"4.500000"
     assert [s.name for s in client.ls(mux_ref(mux), "groups/lions")] == ["s1"]
     assert [m["id"] for m in parse_infos(client.read(mux_ref(mux), "ctl").decode())] == ["s1"]
@@ -580,6 +589,40 @@ def test_rate_via_ctl_refreshes_cache():
     client = make_client(net)
     client.write(mux_ref(mux), "ctl", b"rate 10 s1")
     net.run_until(net.now + 50)
-    value, stamp = mux.cache[("s1", "reading")]
+    value, stamp = mux.links["s1"].cache["reading"]
     assert value == b"7.500000\n"
     assert net.now - stamp <= 15
+
+
+def test_repeated_rate_commands_keep_one_poll_chain():
+    # a new rate replaces a member's poll chain, with or without a device
+    # list; rate 0 leaves no poll event behind
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0), temp_sensor(2, 2.0)], latency=1,
+                                mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
+    client = make_client(net)
+
+    def live_events():
+        return sum(not ev.cancelled for _, _, ev in net._heap)
+
+    def poll_events():
+        # with no device read in flight, the live events past the idle
+        # ones are the scheduled polls
+        while any(link.pending for link in mux.links.values()):
+            net.step()
+        return live_events() - idle
+
+    idle = live_events()             # the reprobe timer
+    for command in [b"rate 10 s1"] * 3 + [b"rate 10", b"rate 20 s1"]:
+        client.write(mux_ref(mux), "ctl", command)
+    assert poll_events() == 2
+    net.run_until(net.now + 50)      # past each chain's first read, which opens the fid
+    t0 = net.now
+    net.run_until(t0 + 100)
+    assert count_polls(net.log.text(), "s1", t0, t0 + 100) == 5
+    assert count_polls(net.log.text(), "s2", t0, t0 + 100) == 10
+    client.write(mux_ref(mux), "ctl", b"rate 0")
+    assert poll_events() == 0
+    t1 = net.now
+    net.run_until(t1 + 100)
+    assert count_polls(net.log.text(), "s1", t1, t1 + 100) == 0
+    assert count_polls(net.log.text(), "s2", t1, t1 + 100) == 0

@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from sensefs.scenario import load_scenario_file
-from sensefs.shell import Shell, main, run_script
+from sensefs.scenario import ScenarioError, load_scenario_file, parse_scenario
+from sensefs.shell import Shell, main, repl, run_script
 
 from conftest import FACTORY, SCRIPT_DIR, ZOO
 
@@ -39,6 +39,44 @@ def test_ls_long_shows_metadata(sh):
                for l in lines)
     assert any(l.startswith("-rw-r--r--") and l.endswith("control")
                for l in lines)
+
+
+@pytest.mark.parametrize("path", [
+    "/network/cluster1/ctl",                        # a head file
+    "/network/cluster1/sensors/s1/reading",         # a relayed device file
+    "/location/region-10/data",                     # a view file
+])
+def test_ls_of_a_file_is_not_a_directory(path):
+    shell = zoo_shell()
+    shell.run_line("mount /dev/network /network")
+    shell.run_line("view build location")
+    for form in ("ls", "ls -l"):
+        assert shell.run_line("%s %s" % (form, path)) == (1, "error: not a directory")
+    out = io.StringIO()
+    repl(shell, io.StringIO("ls %s\nls /network\n" % path), out)
+    assert out.getvalue() == ("sensefs> error: not a directory\n"
+                              "sensefs> cluster1\ncluster2\nsensefs> ")
+
+
+@pytest.mark.parametrize("path, status, names", [
+    ("/nowhere", 1, "error: not found"),
+    ("/network/cluster1/nope", 1, "error: no such file"),
+    ("/network/cluster1/sensors/s9", 1, "error: no such file"),
+    ("/", 0, ["network"]),
+    ("/network", 0, ["cluster1", "cluster2"]),
+    ("/network/cluster1", 0, ["sensors", "aggrData", "groups", "ctl"]),
+    ("/network/cluster1/sensors/s1", 0,
+     ["reading", "control", "remaining-energy", "registers", "mem", "info"]),
+])
+def test_ls_and_ls_long_agree(sh, path, status, names):
+    short = sh.run_line("ls " + path)
+    long = sh.run_line("ls -l " + path)
+    if status:
+        assert short == long == (1, names)
+    else:
+        assert short == (0, "\n".join(names))
+        assert long[0] == 0
+        assert [line.split(" ")[-1] for line in long[1].splitlines()] == names
 
 
 def test_cd_pwd_relative_paths(sh):
@@ -172,3 +210,14 @@ def test_cli_bad_scenario(tmp_path, capsys):
     bad.write_text("[sensor s1]\nduty = 0 0 0\n")
     assert main(["--scenario", str(bad)]) == 1
     assert "error: line 2: bad value for 'duty'" in capsys.readouterr().err
+
+
+def test_cli_constant_pair_needs_a_position_sensor(tmp_path, capsys):
+    text = "[cluster c]\n[sensor s]\ncluster = c\nsource = constant 3 4\n"
+    with pytest.raises(ScenarioError, match="^sensor s: constant source takes one value$"):
+        parse_scenario(text)            # refused before any Simulation is built
+    parse_scenario(text + "kind = position\n")
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text)
+    assert main(["--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: sensor s: constant source takes one value\n"

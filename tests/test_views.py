@@ -11,7 +11,7 @@ from sensefs.simnet import LinkModel
 from sensefs.views import (
     EMERGENCY_ROOT, GeoMap, NamespaceTable, PlanError, Region, SensorInfo,
     build_location_view, build_logical_view, build_resource_view,
-    cell_label, dir_names, emergency_mount, energy_band, execute_plan,
+    cell_label, dir_entries, emergency_mount, energy_band, execute_plan,
     make_responder, norm_path, plan_query, raise_alert, scan_sensors,
 )
 
@@ -121,11 +121,12 @@ def wired(sensors=None, **kw):
 
 def test_dir_names_merges_mounts_and_listings():
     net, mux, states, client, table = wired()
-    assert dir_names(client, table, "/network") == ["c"]
-    assert dir_names(client, table, "/network/c") == \
-        ["sensors", "aggrData", "groups", "ctl"]
+    assert dir_entries(client, table, "/network") == {"c": None}
+    entries = dir_entries(client, table, "/network/c")
+    assert list(entries) == ["sensors", "aggrData", "groups", "ctl"]
+    assert entries["sensors"].qid.is_dir and not entries["ctl"].qid.is_dir
     with pytest.raises(ClientError, match="not found"):
-        dir_names(client, table, "/bogus")
+        dir_entries(client, table, "/bogus")
 
 
 def test_scan_sensors_reads_info():
@@ -268,9 +269,9 @@ def per_sensor_scan(client, table, root="/network"):
     """scan_sensors as it was before the member index: list each cluster's
     sensors/ and read every sensor's info through its head."""
     infos = []
-    for cluster in dir_names(client, table, root):
+    for cluster in dir_entries(client, table, root):
         base = "%s/%s/sensors" % (root, cluster)
-        for sid in dir_names(client, table, base):
+        for sid in dir_entries(client, table, base):
             ref, rel = table.resolve("%s/%s/info" % (base, sid))
             meta = parse_info(client.read(ref, rel).decode())
             infos.append(SensorInfo(sid, cluster, "%s/%s" % (base, sid), meta["kind"],
@@ -295,7 +296,7 @@ def test_member_index_matches_each_sensors_info(members):
         dict(id="s%d" % i, kind=kind, tags=tags, position=position)
         for i, (kind, tags, position) in enumerate(members, 1)])
     index = parse_infos(client.read(("net", mux.eid), "ctl").decode())
-    assert index == [mux.links[m].meta for m in mux.member_ids]
+    assert index == [link.meta for link in mux.links.values()]
     assert scan_sensors(client, table) == per_sensor_scan(client, table)
 
 
