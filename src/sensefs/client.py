@@ -1,4 +1,5 @@
-"""Client side of the protocol: one connection core and the file client.
+"""Client side of the protocol: one connection core, one continuation
+driver and the file client.
 
 Every exchange a node starts goes through a Conn, the client end of one
 connection: it knows both ends (network, own endpoint, peer), allocates
@@ -6,14 +7,19 @@ tags and fids, hands each R-message to the request waiting on its tag,
 and remembers the fid attached per user name.  Conn.issue is the one way
 a T-message leaves a node, and receive() the one way a frame enters one.
 
-The protocol sequences are generator steps (attach, walk, read_all): each
-yields (build, timeout) per T-message, build(tag) making the message, and
-gets back its R-message, or None if it never came.  Two callers drive them:
+The protocol sequences are generator steps (attach, walk, read_all,
+read_file): each yields (build, timeout) per T-message, build(tag) making
+the message, and gets back its R-message, or None if it never came.  A
+step may also yield a Flight, an outcome another step is still working
+out (once), and gets that outcome when it lands.  spawn is the one
+driver: it runs a step as continuations, so any number of steps keep
+their requests in flight at once.  Its callers:
 
-    FileClient         one blocking call at a time, running the simulation
-                       clock until each reply arrives
-    muxfs.Multiplexer  as continuations, so a cluster head keeps any number
-                       of device exchanges outstanding
+    muxfs.Multiplexer  every device exchange of a cluster head
+    FileClient         blocking calls (one T-message at a time, the
+                       simulation clock run until each reply arrives) and
+                       batches (read_many: many reads in flight, the clock
+                       run until every one is answered)
 
 FileClient gives open/read/write/ls/stat on paths against two kinds of
 server reference:
@@ -25,15 +31,19 @@ server reference:
 from __future__ import annotations
 
 import itertools
+from collections import deque
+from functools import partial
 
 from . import wire
 from .fscore import FsError
 from .wire import (
     IOUNIT, OREAD, OWRITE,
-    Tattach, Twalk, Topen, Tread, Twrite, Tclunk, Tstat, Rread, Rerror,
+    Tattach, Twalk, Topen, Tread, Twrite, Tclunk, Tstat, Rerror,
 )
 
-CLIENT_TIMEOUT = 20000   # ticks a synchronous call will wait for its reply
+CLIENT_TIMEOUT = 20000   # ticks a request will wait for its reply
+READ_WIDTH = 16          # reads a batch keeps in flight per server, well
+                         # below a server's fid cap (fscore.DEFAULT_MAX_FIDS)
 
 
 class ClientError(FsError):
@@ -103,17 +113,95 @@ def _check(r):
         raise ClientError(r.ename)
 
 
+# ----------------------------------------------------------------------
+# the continuation driver
+# ----------------------------------------------------------------------
+
+class Flight(list):
+    """An outcome a step is still working out: other steps yield it to
+    wait, and it holds their continuations."""
+
+
+def spawn(step, call, done):
+    """Drive a step as continuations.  call(build, cb, timeout) issues each
+    T-message it yields, and cb resumes it with the R-message or None; a
+    Flight it yields resumes it when the flight lands.  An FsError that
+    call raises or a flight lands with is raised inside the step.  done
+    gets the step's return value or the FsError it raised.  An error
+    handed on as a value drops its traceback, whose frames would otherwise
+    hold it in a reference cycle."""
+    _resume(step, call, done, None)
+
+
+def _resume(step, call, done, value):
+    try:
+        if isinstance(value, FsError):
+            ask = step.throw(value.with_traceback(None))
+        else:
+            ask = step.send(value)
+    except StopIteration as stop:
+        done(stop.value)
+        return
+    except FsError as e:
+        done(e.with_traceback(None))
+        return
+    resume = partial(_resume, step, call, done)
+    if isinstance(ask, Flight):
+        ask.append(resume)
+        return
+    build, timeout = ask
+    try:
+        call(build, resume, timeout)
+        return
+    except FsError as e:
+        refused = e
+    resume(refused)              # outside the handler: no exception context to chain
+
+
+def once(table, key, start, *args):
+    """Step: table[key], else the outcome of the step start(*args), worked
+    out once for however many steps ask at a time: while it runs,
+    table[key] is a Flight that later askers wait on.  A None outcome or
+    an error is not kept, and the outcome is not kept if table[key] was
+    removed meanwhile."""
+    have = table.get(key)
+    if isinstance(have, Flight):
+        return (yield have)
+    if have is not None:
+        return have
+    flight = table[key] = Flight()
+    try:
+        outcome = yield from start(*args)
+    except FsError as e:
+        outcome = e
+    if table.get(key) is flight:
+        if outcome is None or isinstance(outcome, FsError):
+            del table[key]
+        else:
+            table[key] = outcome
+    for resume in flight:
+        resume(outcome)
+    if isinstance(outcome, FsError):
+        raise outcome
+    return outcome
+
+
+# ----------------------------------------------------------------------
+# protocol steps
+# ----------------------------------------------------------------------
+
 def attach(conn, uname, timeout):
-    """Step: the fid attached as uname, attaching a fresh fid on first use;
-    None if the reply never came."""
-    fid = conn.roots.get(uname)
-    if fid is None:
-        fid = next(conn.fids)
-        r = yield (lambda t: Tattach(t, fid, uname, ""), timeout)
-        if r is None:
-            return None
-        _check(r)
-        conn.roots[uname] = fid
+    """Step: the fid attached as uname, attaching a fresh fid on first use
+    (once, for all steps that ask meanwhile); None if the reply never came."""
+    return (yield from once(conn.roots, uname, _attach, conn, uname, timeout))
+
+
+def _attach(conn, uname, timeout):
+    fid = next(conn.fids)
+    r = yield (lambda t: Tattach(t, fid, uname, ""), timeout)
+    if r is None:
+        return None
+    _check(r)
     return fid
 
 
@@ -136,15 +224,45 @@ def walk(conn, uname, path, timeout):
 
 def read_all(fid, timeout):
     """Step: the bytes of an open fid from offset 0 to end of file; None if
-    a read failed or its reply never came."""
+    a reply never came.  Raises ClientError if a read is refused."""
     out = bytearray()
     while True:
         r = yield (lambda t, o=len(out): Tread(t, fid, o, IOUNIT), timeout)
-        if not isinstance(r, Rread):
+        if r is None:
             return None
+        _check(r)
         if not r.data:
             return bytes(out)
         out += r.data
+
+
+def read_file(conn, uname, path, timeout, isdir=False):
+    """Step: the bytes of the file at path (with isdir, of a directory, else
+    the error 'not a directory'): walk, open, read to end of file and
+    clunk.  Raises ClientError if refused, or 'timeout' if a reply never
+    came."""
+    fid = yield from walk(conn, uname, path, timeout)
+    if fid is None:
+        raise ClientError("timeout")
+    try:
+        r = yield (lambda t: Topen(t, fid, OREAD), timeout)
+        if r is None:
+            raise ClientError("timeout")
+        _check(r)
+        if isdir and not r.qid.is_dir:
+            raise ClientError("not a directory")
+        data = yield from read_all(fid, timeout)
+        if data is None:
+            raise ClientError("timeout")
+    except ClientError as e:
+        data = e
+    try:
+        yield (lambda t: Tclunk(t, fid), timeout)
+    except ClientError:         # a blocking clunk refused or lost: the read stands
+        pass
+    if isinstance(data, ClientError):
+        raise data
+    return data
 
 
 class FileClient:
@@ -171,13 +289,13 @@ class FileClient:
             conn = self._conns[ref] = Conn(self.net, self.eid, ref[1], self._tags)
         return conn
 
-    def submit(self, ref, build, cb):
-        """Issue one T-message without waiting; cb(R-message) later.
-        Returns the tag."""
+    def submit(self, ref, build, cb, timeout=None):
+        """Issue one T-message without waiting; cb(R-message) later, or
+        cb(None) if timeout ticks pass first.  Returns the tag."""
         kind, target = ref
         conn = self._conn(ref)
         if kind == "net":
-            return conn.issue(build, cb)
+            return conn.issue(build, cb, timeout)
         tag = conn.new_tag()
         replies = []
         target.dispatch(self.eid, build(tag), replies.append)
@@ -201,13 +319,15 @@ class FileClient:
         return box[0]
 
     def _run(self, ref, step):
-        """Drive a step to its end, one call per T-message."""
-        try:
-            build, _ = next(step)
-            while True:
-                build, _ = step.send(self.call(ref, build))
-        except StopIteration as done:
-            return done.value
+        """Drive a step to its end, one blocking call per T-message."""
+        box = []
+        spawn(step, lambda build, cb, _: cb(self.call(ref, build)), box.append)
+        while not box:                  # the step waits on a Flight
+            if not self.net.step():
+                raise ClientError("timeout")
+        if isinstance(box[0], FsError):
+            raise box.pop()
+        return box[0]
 
     def _walk(self, ref, relpath):
         return self._run(ref, walk(self._conn(ref), self.uname, relpath, self.timeout))
@@ -247,13 +367,36 @@ class FileClient:
     def read(self, ref, relpath, isdir=False) -> bytes:
         """The bytes of a file; with isdir, of a directory, else the
         error 'not a directory'."""
-        handle = self.open_path(ref, relpath, OREAD)
-        try:
-            if isdir and not handle["qid"].is_dir:
-                raise ClientError("not a directory")
-            return self._run(ref, read_all(handle["fid"], self.timeout))
-        finally:
-            self.close(handle)
+        return self._run(ref, read_file(self._conn(ref), self.uname, relpath,
+                                        self.timeout, isdir))
+
+    def read_many(self, targets) -> list:
+        """For each (ref, relpath) of targets, in order, the bytes of that
+        file or the ClientError that refused it.  The reads run at once,
+        at most READ_WIDTH per server, and the clock runs until every one
+        is answered, clunks included."""
+        results = [None] * len(targets)
+        queues = {}                   # ref -> deque of (index, relpath) not started
+        for i, (ref, relpath) in enumerate(targets):
+            queues.setdefault(ref, deque()).append((i, relpath))
+        flying = dict.fromkeys(queues, 0)
+        left = len(targets)
+
+        def finish(ref, i, outcome):
+            nonlocal left
+            results[i] = outcome
+            flying[ref] -= 1
+            left -= 1
+
+        while True:
+            for ref, queue in queues.items():
+                while queue and flying[ref] < READ_WIDTH:
+                    i, relpath = queue.popleft()
+                    flying[ref] += 1
+                    spawn(read_file(self._conn(ref), self.uname, relpath, self.timeout),
+                          partial(self.submit, ref), partial(finish, ref, i))
+            if not left or not self.net.step():
+                return results
 
     def write(self, ref, relpath, data: bytes) -> int:
         handle = self.open_path(ref, relpath, OWRITE)

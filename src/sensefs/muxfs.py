@@ -17,19 +17,22 @@ fids (relayed) and mirrored nodes (remote, each naming its link).
 
 Towards its devices the head is a client built on the core in client.py:
 one Conn per member (a DeviceLink) and the same attach/walk/read_all
-steps a FileClient runs.  Here they run as continuations: _spawn/_resume
-issue each yielded T-message and resume the generator from its reply or
+steps a FileClient runs, driven by the same client.spawn: _call issues
+each yielded T-message and the step resumes from its reply or
 per-request timeout, so device I/O never blocks the dispatch loop.  A
-head step returns its outcome or raises FsError, and _spawn hands either
-to whoever waits on it, such as a relayed read's reply.
+head step returns its outcome or raises FsError, and spawn hands either
+to whoever waits on it, such as a relayed read's reply.  A device fid
+the head opens (its own, or one behind a relayed client fid) is opened
+once: requests that need it while the open is in flight wait for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import wire
-from .client import Conn, ClientError, attach, read_all, receive, walk
+from .client import Conn, ClientError, Flight, attach, once, read_all, receive, spawn, walk
 from .devicefs import parse_info
 from .wire import IOUNIT, OREAD, Topen, Tread, Twrite, Tclunk, Ropen, Rread, Rwrite, Rerror
 from .fscore import Defer, FsError, Node, Server, make_dir, make_file
@@ -77,7 +80,7 @@ class DeviceLink(Conn):
         self.cache = {}            # path -> (bytes, stamp) of its last offset-0 read
         self.info = ""             # the device's info text, as last read
         self.meta = {}             # kind, tags, position parsed from info
-        self.refreshing = False    # an info refresh is in flight
+        self.refreshing = False    # a probe or info refresh is in flight
         self.poll = None           # the pending report-rate poll Event
 
     def set_info(self, data: bytes):
@@ -140,33 +143,15 @@ class Multiplexer(Server):
             raise FsError("busy")
         link.issue(build, cb, timeout)
 
-    def _spawn(self, link, gen, done=None):
-        """Drive a generator of exchanges with one device: it yields
-        (build, timeout) and receives the R-message or None.  done gets
-        its return value or the FsError it raised; with no done, a
-        failure is logged as mux-error."""
-        self._resume(link, gen, done or self._log_failure, None)
+    def _spawn(self, link, step, done=None):
+        """Run a step of exchanges with one device; done gets its return
+        value or the FsError it raised; with no done, a failure is logged
+        as mux-error."""
+        spawn(step, partial(self._call, link), done or self._log_failure)
 
     def _log_failure(self, outcome):
         if isinstance(outcome, FsError):
             self.net.log.add(self.net.now, "mux-error", self.eid, "", outcome.ename)
-
-    def _resume(self, link, gen, done, value, exc=None):
-        try:
-            if exc is not None:
-                build, timeout = gen.throw(exc)
-            else:
-                build, timeout = gen.send(value)
-        except StopIteration as stop:
-            done(stop.value)
-            return
-        except FsError as e:
-            done(e)
-            return
-        try:
-            self._call(link, build, lambda r: self._resume(link, gen, done, r), timeout)
-        except FsError as e:
-            self._resume(link, gen, done, None, exc=e)
 
     # ------------------------------------------------------------------
     # discovery
@@ -181,13 +166,23 @@ class Multiplexer(Server):
         self.discover()
         for link in self._discovered():
             if not link.refreshing:
-                self._spawn(link, self._refresh_info(link))
+                self._spawn(link, self._marked(link, self._refresh_info(link)))
         self.net.schedule(self.cfg.reprobe_ticks, self._reprobe)
 
     def discover(self):
         for link in self.links.values():
-            if link.node is None:
-                self._spawn(link, self._discover_device(link))
+            if link.node is None and not link.refreshing:
+                self._spawn(link, self._marked(link, self._discover_device(link)))
+
+    @staticmethod
+    def _marked(link, step):
+        """Step: step, with link.refreshing set while it runs, so a re-probe
+        starts no second probe or info refresh of that member meanwhile."""
+        link.refreshing = True
+        try:
+            return (yield from step)
+        finally:
+            link.refreshing = False
 
     def _discover_device(self, link):
         dev = link.peer
@@ -215,13 +210,10 @@ class Multiplexer(Server):
     def _read_path(self, link, path):
         """Read a device file with the mux's own identity, keeping the fid
         open.  Yields device calls; returns payload bytes or None on failure."""
-        fid = link.open_fids.get(path)
+        fid = yield from once(link.open_fids, path, self._open_remote,
+                              link, "mux", path, OREAD, self.cfg.discover_timeout)
         if fid is None:
-            fid = yield from self._open_remote(link, "mux", path, OREAD,
-                                               self.cfg.discover_timeout)
-            if fid is None:
-                return None
-            link.open_fids[path] = fid
+            return None
         r = yield (lambda t: Tread(t, fid, 0, IOUNIT), self.aggregate_timeout)
         if isinstance(r, Rread):
             link.cache[path] = (r.data, self.net.now)
@@ -254,7 +246,10 @@ class Multiplexer(Server):
                                            self.cfg.discover_timeout)
         if fid is None:
             return None
-        data = yield from read_all(fid, self.aggregate_timeout)
+        try:
+            data = yield from read_all(fid, self.aggregate_timeout)
+        except ClientError:
+            data = None
         self._clunk_remote(link, fid)
         try:
             return None if data is None else wire.decode_stats(data)
@@ -262,11 +257,7 @@ class Multiplexer(Server):
             return None
 
     def _refresh_info(self, link):
-        link.refreshing = True
-        try:
-            info = yield from self._read_path(link, "info")
-        finally:
-            link.refreshing = False
+        info = yield from self._read_path(link, "info")
         if info is not None:
             link.set_info(info)
 
@@ -300,13 +291,10 @@ class Multiplexer(Server):
         relayed client fid, walked and opened on first use; returns the
         R-message, or None if the device never answered.  An Rerror is
         raised as FsError."""
-        dfid = self.relayed.get(ent)
+        dfid = yield from once(self.relayed, ent, self._open_remote,
+                               link, ent.uname, path, ent.open_mode, self.cfg.fallback_ticks)
         if dfid is None:
-            dfid = yield from self._open_remote(link, ent.uname, path, ent.open_mode,
-                                                self.cfg.fallback_ticks)
-            if dfid is None:
-                return None
-            self.relayed[ent] = dfid
+            return None
         r = yield (lambda t: build(t, dfid), self.cfg.fallback_ticks)
         if isinstance(r, Rerror):
             raise FsError(r.ename)
@@ -377,7 +365,11 @@ class Multiplexer(Server):
         ent = session.fids.get(msg.fid)
         dfid = self.relayed.pop(ent, None)
         if dfid is not None:
-            self._clunk_remote(self.remote[ent.node][0], dfid)
+            link = self.remote[ent.node][0]
+            if isinstance(dfid, Flight):    # still opening: clunk what it opens
+                dfid.append(lambda d: isinstance(d, int) and self._clunk_remote(link, d))
+            else:
+                self._clunk_remote(link, dfid)
         return super().t_clunk(session, msg)
 
     # ------------------------------------------------------------------

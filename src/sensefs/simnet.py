@@ -69,6 +69,7 @@ class Event:
 
     def cancel(self):
         self.cancelled = True
+        self.fn = None         # freed now: a request timeout may not pop for long
 
 
 class EventLog:

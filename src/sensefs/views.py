@@ -7,6 +7,12 @@ so they never invent sensors.  Which sensors exist and their kind,
 position and tags come from each cluster head's member index (its ctl),
 as fresh as the head's re-probe period; energy and readings are read
 from the devices at listing time.
+
+Wherever a view reads many files (every cluster's ctl in a scan, the
+sensors' remaining-energy for a band listing or a plan, the members'
+readings for a data file) it reads them in one batch (read_paths), so
+the user waits about as long as for the slowest read, not for their sum.
+Results keep scan order.
 """
 
 from __future__ import annotations
@@ -78,6 +84,19 @@ class NamespaceTable:
                 m == path or m.startswith(path + "/") for m, _ in self.mounts)
 
 
+def read_paths(client: FileClient, table: NamespaceTable, paths) -> list:
+    """For each namespace path, in order, the bytes of that file or the
+    ClientError that refused it (or its resolution), read in one batch."""
+    targets = []
+    for path in paths:
+        try:
+            targets.append(table.resolve(path))
+        except ClientError as e:
+            targets.append(e)
+    got = iter(client.read_many([t for t in targets if not isinstance(t, ClientError)]))
+    return [t if isinstance(t, ClientError) else next(got) for t in targets]
+
+
 def dir_entries(client: FileClient, table: NamespaceTable, path: str) -> dict:
     """Children of path, name -> stat: the server listing, then each mount
     point not in it, mapped to None."""
@@ -111,16 +130,16 @@ class SensorInfo:
 
 def scan_sensors(client, table, root="/network") -> list:
     """Read each cluster head's member index, its ctl file: one read per
-    cluster under root, none per sensor.  An entry without a ctl that
-    reads back (a device mounted directly under root) is skipped."""
+    cluster under root, all in one batch, none per sensor.  An entry
+    without a ctl that reads back (a device mounted directly under root)
+    is skipped."""
+    clusters = list(dir_entries(client, table, root))
+    indexes = read_paths(client, table, ["%s/%s/ctl" % (root, c) for c in clusters])
     infos = []
-    for cluster in dir_entries(client, table, root):
-        try:
-            ref, rel = table.resolve("%s/%s/ctl" % (root, cluster))
-            index = parse_infos(client.read(ref, rel).decode(errors="replace"))
-        except ClientError:
+    for cluster, index in zip(clusters, indexes):
+        if isinstance(index, ClientError):
             continue
-        for meta in index:
+        for meta in parse_infos(index.decode(errors="replace")):
             spath = "%s/%s/sensors/%s" % (root, cluster, meta["id"])
             infos.append(SensorInfo(meta["id"], cluster, spath, meta.get("kind", "unknown"),
                                     meta["tags"], meta.get("position")))
@@ -183,14 +202,8 @@ def _data_file(client, table, members):
     paths = [i.path + "/reading" for i in members]
 
     def read(off, cnt):
-        chunks = []
-        for p in paths:
-            try:
-                ref, rel = table.resolve(p)
-                chunks.append(client.read(ref, rel))
-            except ClientError:
-                pass
-        return b"".join(chunks)[off:off + cnt]
+        chunks = read_paths(client, table, paths)
+        return b"".join(c for c in chunks if isinstance(c, bytes))[off:off + cnt]
 
     return make_file("data", 0o444, read=read)
 
@@ -261,12 +274,19 @@ def build_logical_view(client, table, tag_key="animal", root="/network") -> Serv
     return Server(root_node, _VIEW_USERS, name="data", max_sessions=8)
 
 
-def read_energy(client, table, info: SensorInfo):
-    try:
-        ref, rel = table.resolve(info.path + "/remaining-energy")
-        return float(client.read(ref, rel).decode().strip().split()[0])
-    except (ClientError, ValueError, IndexError):
-        return None
+def read_energies(client, table, infos) -> list:
+    """Each sensor's remaining energy in joules, or None if unreadable, in
+    order: one batch."""
+    out = []
+    for data in read_paths(client, table, [i.path + "/remaining-energy" for i in infos]):
+        energy = None
+        if isinstance(data, bytes):
+            try:
+                energy = float(data.decode().strip().split()[0])
+            except (ValueError, IndexError):
+                pass
+        out.append(energy)
+    return out
 
 
 def energy_band(energy, low_j, high_j) -> str:
@@ -287,11 +307,10 @@ def build_resource_view(client, table, low_j: float, high_j: float,
 
     def band_children(band):
         def children():
-            out = []
-            for info in scan_sensors(client, table, root):
-                if energy_band(read_energy(client, table, info), low_j, high_j) == band:
-                    out.append(_member_entry(info))
-            return out
+            infos = scan_sensors(client, table, root)
+            return [_member_entry(info)
+                    for info, energy in zip(infos, read_energies(client, table, infos))
+                    if energy_band(energy, low_j, high_j) == band]
         return children
 
     energy_dir = make_dir("energy", 0o555)
@@ -339,8 +358,8 @@ def plan_query(client, table, regions, region_name, coverage, aggregation="avg",
     rationale = []
     selected = []
     clusters = {}
-    for info in in_region:
-        band = energy_band(read_energy(client, table, info), low_j, high_j)
+    for info, energy in zip(in_region, read_energies(client, table, in_region)):
+        band = energy_band(energy, low_j, high_j)
         if band == "low":
             rationale.append((info.id, False, "low-energy"))
         elif band == "unknown":

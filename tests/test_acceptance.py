@@ -482,7 +482,7 @@ GOLDEN_LOGS = {
     "example1_monitoring.script":
         "d87417c3689908c12f3d0577d8d1706e64bd70b507fcc584292c8dd1f5903cc3",
     "example2_datacentric.script":
-        "e6c843b516a135ea296e218587540e8b3565227eb17fd3601dc34f618b2a5e93",
+        "4124cc6c6f998eea7c2294a19a0d7694efb46838142ea005982b5cdf00c88897",
     "example3_emergency.script":
         "f71ee66f0e0417f845d7c3c43eb53ff94a3539c035db556957e15ab74fb14375",
 }

@@ -1,11 +1,13 @@
 """Frame receive and issue: the one way a frame enters a node and the one
 way a T-message leaves it, on devices, heads and file clients alike."""
 
+from sensefs.client import ClientError, FileClient
+from sensefs.fscore import Server, make_dir, make_file
 from sensefs.muxfs import MuxConfig
 from sensefs.simnet import LinkModel
 from sensefs.wire import Rclunk, Rread, Tread, encode_message
 
-from conftest import build_cluster, make_client, temp_sensor
+from conftest import USERS, build_cluster, make_client, temp_sensor
 
 
 def probe(net, name="probe"):
@@ -73,3 +75,45 @@ def test_issue_sends_to_the_peer_and_times_out_once():
     assert tag in link.pending
     net.run_until(net.now + 20)
     assert answers == [None] and link.pending == {}
+
+
+# -- batches -------------------------------------------------------------------
+
+def test_batch_on_a_fresh_conn_sends_one_tattach():
+    net, mux, _ = build_cluster([temp_sensor(i, float(i)) for i in range(1, 6)])
+    client = make_client(net)
+    ref = ("net", mux.eid)
+    got = client.read_many([(ref, "sensors/s%d/reading" % i) for i in range(1, 6)])
+    assert got == [b"%f\n" % i for i in range(1, 6)]
+    assert events(net, "send").count([client.eid, mux.eid]) == 5 * 5 + 1
+    assert sum(1 for line in net.log.lines
+               if line.split("\t")[1:4] == ["send", client.eid, mux.eid]
+               and line.split("\t")[4].startswith("Tattach")) == 1
+
+
+def test_batch_keeps_order_and_gives_each_target_its_error():
+    net, mux, _ = build_cluster([temp_sensor(1, 20.9), temp_sensor(2, 22.0)])
+    client = make_client(net)
+    ref = ("net", mux.eid)
+    root = make_dir("r")
+    root.add(make_file("f", read=lambda off, cnt: b"local\n"[off:off + cnt]))
+    local = ("local", Server(root, USERS))
+    got = client.read_many([(ref, "sensors/s2/reading"), (ref, "sensors/s9/reading"),
+                            (local, "f"), (ref, "sensors/s1/reading")])
+    assert got[0] == b"22.000000\n" and got[3] == b"20.900000\n"
+    assert isinstance(got[1], ClientError) and got[1].ename == "no such file"
+    assert got[2] == b"local\n"
+    assert client._conns[ref].pending == {}
+
+
+def test_batch_request_times_out_after_the_client_timeout():
+    net, mux, _ = build_cluster([temp_sensor(1, 20.9)])
+    client = FileClient(net, "client", timeout=50)
+    ref = ("net", mux.eid)
+    assert client.read(ref, "sensors/s1/reading") == b"20.900000\n"
+    net.set_link(client.eid, mux.eid, LinkModel(latency=1, loss=1.0))
+    t0 = net.now
+    got = client.read_many([(ref, "sensors/s1/reading"), (ref, "ctl")])
+    assert [e.ename for e in got] == ["timeout", "timeout"]
+    assert net.now - t0 == 50
+    assert client._conns[ref].pending == {}

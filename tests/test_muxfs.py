@@ -86,6 +86,27 @@ def test_failed_info_refresh_clears_its_mark():
     assert not mux.links["s1"].refreshing
 
 
+def test_probe_in_flight_is_not_restarted():
+    # a probe round trip (400 ticks) spans four reprobe periods; a member
+    # whose probe is still pending is skipped, so the root its walk needs
+    # stays attached and the member is discovered
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=200, warmup=0,
+                                mux_cfg=MuxConfig(reprobe_ticks=100, discover_timeout=1000))
+    attaches = []
+
+    def sample():
+        attaches.append(sum(1 for line in net.log.lines
+                            if "\tsend\tc.head\ts1\tTattach" in line) -
+                        sum(1 for line in net.log.lines
+                            if "\tdeliver\ts1\tc.head\tRattach" in line))
+        net.schedule(1, sample)
+
+    net.schedule(0, sample)
+    net.run_until(6000)
+    assert "\tmux-discovered\tc.head\ts1\t" in net.log.text()
+    assert max(attaches) == 1
+
+
 def test_shared_config_keeps_each_heads_derived_timeout():
     net = Network(0)
     net.set_link("h1", "s1", LinkModel(latency=1))
@@ -214,12 +235,54 @@ def test_device_side_fids_distinct():
     assert None not in dfids and dfids[0] != dfids[1]
 
 
+def device_fids(net, dev):
+    """Fids bound on device dev, over all its sessions."""
+    server = net.handlers[dev].__self__.server
+    return sum(len(sess.fids) for sess in server.sessions.values())
+
+
+def test_concurrent_first_reads_share_one_device_fid():
+    # five reads race on a fresh relayed fid: one attach, walk and open
+    # serve them all, and the clunk leaves only the head's own fids (its
+    # mux root and info fid, and the admin root) bound on the device
+    net, mux, _ = build_cluster([temp_sensor(1, 20.9)], latency=1,
+                                mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
+    net.set_link(mux.eid, "s1", LinkModel(latency=50), both_ways=True)
+    client = make_client(net)
+    h = client.open_path(mux_ref(mux), "sensors/s1/reading")
+    replies = []
+    for _ in range(5):
+        client.submit_read(h, 0, 64, replies.append)
+    net.run_until(net.now + 1000)
+    assert [r.data for r in replies] == [b"20.900000\n"] * 5
+    assert net.log.text().count("\tsend\tc.head\ts1\tTwalk") == 3   # info, listing, reading
+    client.close(h)
+    net.run_until(net.now + 200)
+    assert device_fids(net, "s1") == 3
+    assert mux.relayed == {}
+
+
+def test_clunk_while_opening_clunks_the_device_fid():
+    net, mux, _ = build_cluster([temp_sensor(1, 20.9)], latency=1,
+                                mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
+    net.set_link(mux.eid, "s1", LinkModel(latency=50), both_ways=True)
+    client = make_client(net)
+    h = client.open_path(mux_ref(mux), "sensors/s1/reading")
+    client.submit_read(h, 0, 64, lambda r: None)
+    net.run_until(net.now + 10)            # the device fid is still opening
+    client.close(h)
+    net.run_until(net.now + 1000)
+    assert mux.relayed == {}
+    assert device_fids(net, "s1") == 3
+
+
 def test_pending_table_bound():
     net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1,
                                 mux_cfg=MuxConfig(fallback_ticks=5000))
     net.set_link(mux.eid, "s1", LinkModel(latency=1000), both_ways=True)
     client = make_client(net)
     h = client.open_path(mux_ref(mux), "sensors/s1/reading")
+    client.read_at(h, 0)     # opens the device fid, so each read below is a Tread
     replies = []
     for _ in range(40):
         client.submit_read(h, 0, 16, replies.append)
@@ -235,6 +298,7 @@ def test_failed_step_with_nobody_waiting_logs_mux_error():
     net.set_link(mux.eid, "s1", LinkModel(latency=1000), both_ways=True)
     client = make_client(net)
     h = client.open_path(mux_ref(mux), "sensors/s1/reading")
+    client.read_at(h, 0)     # opens the device fid, so each read below is a Tread
     for _ in range(40):
         client.submit_read(h, 0, 16, lambda r: None)
     net.run_until(net.now + 5)

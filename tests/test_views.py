@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sensefs.client import ClientError
+from sensefs import fscore
+from sensefs.client import READ_WIDTH, ClientError
 from sensefs.devicefs import parse_info, parse_infos
 from sensefs.muxfs import MuxConfig
 from sensefs.scenario import load_scenario
+from sensefs.shell import Shell
 from sensefs.simnet import LinkModel
 from sensefs.views import (
     EMERGENCY_ROOT, GeoMap, NamespaceTable, PlanError, Region, SensorInfo,
@@ -247,13 +249,18 @@ def test_resource_band_listing_reads_each_info_once(monkeypatch):
         temp_sensor(i, 1.0, energy_j=50.0) for i in range(1, 4)])
     view = build_resource_view(client, table, 10.0, 100.0)
     reads = []
-    real_read = client.read
+    real_read, real_read_many = client.read, client.read_many
 
     def counting_read(ref, path, *args, **kw):
         reads.append(path)
         return real_read(ref, path, *args, **kw)
 
+    def counting_read_many(targets):
+        reads.extend(path for _, path in targets)
+        return real_read_many(targets)
+
     monkeypatch.setattr(client, "read", counting_read)
+    monkeypatch.setattr(client, "read_many", counting_read_many)
     assert [s.name for s in client.ls(("local", view), "energy/medium")] == \
         ["s1", "s2", "s3"]
     assert [p for p in reads if p.endswith("info")] == []
@@ -261,6 +268,70 @@ def test_resource_band_listing_reads_each_info_once(monkeypatch):
     assert client.ls(("local", view), "energy/low") == []
     assert [p for p in reads if p.endswith("info")] == []
     assert reads.count("ctl") == 2
+
+
+def test_resource_view_over_a_hundred_members(monkeypatch):
+    # the energy reads of one listing run READ_WIDTH at a time, so the
+    # client's session on the head never holds more than that many fids
+    # beside its root
+    net, mux, states, client, table = wired(
+        [temp_sensor(i, 1.0, energy_j=(5.0, 50.0, 500.0)[i % 3]) for i in range(100)])
+    view = build_resource_view(client, table, 10.0, 100.0)
+    peak = [0]
+    real_bind = fscore.Session.bind
+
+    def bind(session, fid, node, uname):
+        ent = real_bind(session, fid, node, uname)
+        if mux.sessions.get(client.eid) is session:
+            peak[0] = max(peak[0], len(session.fids))
+        return ent
+
+    monkeypatch.setattr(fscore.Session, "bind", bind)
+    for i, band in enumerate(("low", "medium", "high")):
+        assert [s.name for s in client.ls(("local", view), "energy/" + band)] == \
+            ["s%d" % j for j in range(100) if j % 3 == i]
+    assert client.ls(("local", view), "energy/unknown") == []
+    assert peak[0] == READ_WIDTH + 1
+
+
+def test_unreachable_member_alone_is_unknown():
+    net, mux, states, client, table = wired([
+        temp_sensor(i, 1.0, energy_j=50.0) for i in range(1, 5)])
+    states["s2"].power_override = "asleep"
+    view = build_resource_view(client, table, 10.0, 100.0)
+    assert [s.name for s in client.ls(("local", view), "energy/medium")] == \
+        ["s1", "s3", "s4"]
+    assert [s.name for s in client.ls(("local", view), "energy/unknown")] == ["s2"]
+
+
+def sequential_band_listing(client, table):
+    """A band listing as it was before batches: the scan, then one blocking
+    read of each sensor's remaining-energy after the other."""
+    for info in scan_sensors(client, table):
+        ref, rel = table.resolve(info.path + "/remaining-energy")
+        client.read(ref, rel)
+
+
+def test_zoo_band_listing_ticks():
+    # the heads' periodic info refresh is pushed out of the window
+    with open(ZOO) as fh:
+        text = fh.read().replace("\nreprobe = 100\n", "\nreprobe = 1000000\n")
+    ticks = []
+    for listing in ("ls /resource/energy/low", None):
+        sim = load_scenario(text)
+        sim.start()
+        shell = Shell(sim)
+        shell.run_line("mount /dev/network /network")
+        shell.run_line("view build resource")
+        t0 = sim.net.now
+        if listing:
+            assert shell.run_line(listing) == (0, "s4\ns5")
+        else:
+            sequential_band_listing(shell.client, shell.table)
+        ticks.append(sim.net.now - t0)
+    # two heads, 3-tick links: the scan's ctl reads, then ten energy reads
+    # at once, each as slow as one relayed read
+    assert ticks == [96, 636]
 
 
 # -- the member index ----------------------------------------------------------
