@@ -8,20 +8,18 @@ and remembers the fid attached per user name.  Conn.issue is the one way
 a T-message leaves a node, and receive() the one way a frame enters one.
 
 The protocol sequences are generator steps (attach, walk, read_all,
-read_file): each yields (build, timeout) per T-message, build(tag) making
-the message, and gets back its R-message, or None if it never came.  A
-step may also yield a Flight, an outcome another step is still working
-out (once), and gets that outcome when it lands.  spawn is the one
-driver: it runs a step as continuations, so any number of steps keep
-their requests in flight at once.  Its callers:
+read_file, request): each yields (build, timeout) per T-message, build(tag)
+making the message, and gets back its R-message, or None if it never
+came.  A step may also yield a Flight, an outcome another step is still
+working out (once), and gets that outcome when it lands.  spawn is the one
+continuation driver: it runs a step as continuations, so any number of
+steps keep their requests in flight at once.  Its callers:
 
     muxfs.Multiplexer  every device exchange of a cluster head
-    FileClient         blocking calls (one T-message at a time, the
-                       simulation clock run until each reply arrives) and
-                       batches (read_many: many reads in flight, the clock
-                       run until every one is answered)
+    FileClient._run    every file operation: one step (call, read) or many
+                       (read_many), the simulation clock run until all end
 
-FileClient gives open/read/write/ls/stat on paths against two kinds of
+FileClient gives read/write/ls/stat on paths against two kinds of
 server reference:
 
     ("net", endpoint_id)  -- a simulated server reached over the wire
@@ -42,7 +40,7 @@ from .wire import (
 )
 
 CLIENT_TIMEOUT = 20000   # ticks a request will wait for its reply
-READ_WIDTH = 16          # reads a batch keeps in flight per server, well
+READ_WIDTH = 16          # steps a run keeps in flight per server, well
                          # below a server's fid cap (fscore.DEFAULT_MAX_FIDS)
 
 
@@ -236,6 +234,16 @@ def read_all(fid, timeout):
         out += r.data
 
 
+def request(build, timeout):
+    """Step: the R-message to the one T-message build(tag).  Raises
+    ClientError if refused, or 'timeout' if the reply never came."""
+    r = yield (build, timeout)
+    if r is None:
+        raise ClientError("timeout")
+    _check(r)
+    return r
+
+
 def read_file(conn, uname, path, timeout, isdir=False):
     """Step: the bytes of the file at path (with isdir, of a directory, else
     the error 'not a directory'): walk, open, read to end of file and
@@ -245,10 +253,7 @@ def read_file(conn, uname, path, timeout, isdir=False):
     if fid is None:
         raise ClientError("timeout")
     try:
-        r = yield (lambda t: Topen(t, fid, OREAD), timeout)
-        if r is None:
-            raise ClientError("timeout")
-        _check(r)
+        r = yield from request(lambda t: Topen(t, fid, OREAD), timeout)
         if isdir and not r.qid.is_dir:
             raise ClientError("not a directory")
         data = yield from read_all(fid, timeout)
@@ -256,10 +261,7 @@ def read_file(conn, uname, path, timeout, isdir=False):
             raise ClientError("timeout")
     except ClientError as e:
         data = e
-    try:
-        yield (lambda t: Tclunk(t, fid), timeout)
-    except ClientError:         # a blocking clunk refused or lost: the read stands
-        pass
+    yield (lambda t: Tclunk(t, fid), timeout)     # refused or lost, the read stands
     if isinstance(data, ClientError):
         raise data
     return data
@@ -267,15 +269,16 @@ def read_file(conn, uname, path, timeout, isdir=False):
 
 class FileClient:
     """One client identity: an endpoint on the network plus a Conn per
-    server it talks to."""
+    server it talks to.  Every file operation is a run of steps (_run)."""
 
     def __init__(self, net, eid, uname="admin", timeout=CLIENT_TIMEOUT):
         self.net = net
         self.eid = eid
         self.uname = uname
-        self.timeout = timeout
+        self.timeout = timeout            # ticks every request waits for its reply
         self._tags = itertools.count(1)   # one tag sequence across servers
         self._conns = {}                  # server ref -> Conn
+        self._waiting = deque()           # (deadline, conn, tag, pending entry), oldest first
         net.register(eid, self._on_frame)
 
     # -- transport ---------------------------------------------------------
@@ -289,48 +292,80 @@ class FileClient:
             conn = self._conns[ref] = Conn(self.net, self.eid, ref[1], self._tags)
         return conn
 
-    def submit(self, ref, build, cb, timeout=None):
-        """Issue one T-message without waiting; cb(R-message) later, or
-        cb(None) if timeout ticks pass first.  Returns the tag."""
-        kind, target = ref
+    def submit(self, ref, build, cb):
+        """Issue one T-message without waiting; cb(R-message) when its reply
+        arrives, or cb(None) from a run that finds it unanswered past its
+        deadline.  Returns the tag."""
         conn = self._conn(ref)
-        if kind == "net":
-            return conn.issue(build, cb, timeout)
-        tag = conn.new_tag()
-        replies = []
-        target.dispatch(self.eid, build(tag), replies.append)
-        if not replies:
-            raise ClientError("local server deferred unexpectedly")
-        cb(replies[0])
+        if ref[0] == "net":
+            tag = conn.issue(build, cb)
+        else:
+            tag = conn.new_tag()
+            conn.pending[tag] = (cb, None)
+            ref[1].dispatch(self.eid, build(tag), partial(conn.answer, tag))
+        entry = conn.pending.get(tag)
+        if entry is not None:           # a local reply that came at once needs no deadline
+            self._waiting.append((self.net.now + self.timeout, conn, tag, entry))
         return tag
 
-    def call(self, ref, build):
-        """Send one T-message and run the clock until its reply arrives."""
-        box = []
-        tag = self.submit(ref, build, box.append)
-        deadline = self.net.now + self.timeout
-        while not box:
-            nxt = self.net.peek_time()
-            if nxt is None or nxt > deadline:
-                del self._conns[ref].pending[tag]
-                raise ClientError("timeout")
-            self.net.step()
-        _check(box[0])
-        return box[0]
+    def _run(self, steps) -> list:
+        """Drive each (ref, step) of steps to its end, at most READ_WIDTH at
+        a time per server, running the clock until every one has ended;
+        return, in order, each step's value or the FsError it raised.  A
+        request still unanswered when the next event is due after its
+        deadline (timeout ticks after it was sent) gets None, and the clock
+        stays where it is; deadlines come due in send order (_waiting)."""
+        results = [None] * len(steps)
+        queues = {}                   # ref -> deque of (index, step) not started
+        for i, (ref, step) in enumerate(steps):
+            queues.setdefault(ref, deque()).append((i, step))
+        flying = dict.fromkeys(queues, 0)
+        queued = left = len(steps)
 
-    def _run(self, ref, step):
-        """Drive a step to its end, one blocking call per T-message."""
-        box = []
-        spawn(step, lambda build, cb, _: cb(self.call(ref, build)), box.append)
-        while not box:                  # the step waits on a Flight
-            if not self.net.step():
-                raise ClientError("timeout")
-        if isinstance(box[0], FsError):
-            raise box.pop()
-        return box[0]
+        def finish(ref, i, outcome):
+            nonlocal left
+            results[i] = outcome
+            flying[ref] -= 1
+            left -= 1
+
+        net, waiting = self.net, self._waiting
+        while True:
+            if queued:
+                for ref, queue in queues.items():
+                    while queue and flying[ref] < READ_WIDTH:
+                        i, step = queue.popleft()
+                        flying[ref] += 1
+                        queued -= 1
+                        spawn(step, lambda build, cb, _, ref=ref: self.submit(ref, build, cb),
+                              partial(finish, ref, i))
+            if not left:
+                break
+            nxt = net.peek_time()
+            if waiting and (nxt is None or nxt > waiting[0][0]):
+                _, conn, tag, entry = waiting.popleft()
+                if conn.pending.get(tag) is entry:      # not answered, nor its tag reused
+                    conn.answer(tag, None)
+            elif not net.step():
+                raise ClientError("timeout")     # a step waits on no request and no event
+        while waiting:                  # drop the deadlines of answered requests
+            _, conn, tag, entry = waiting[0]
+            if conn.pending.get(tag) is entry:
+                break
+            waiting.popleft()
+        return results
+
+    def _one(self, ref, step):
+        """Run one step: its value, or raise the FsError it raised."""
+        out = self._run([(ref, step)])
+        if isinstance(out[0], FsError):
+            raise out.pop()           # not held by this frame: no reference cycle
+        return out[0]
 
     def _walk(self, ref, relpath):
-        return self._run(ref, walk(self._conn(ref), self.uname, relpath, self.timeout))
+        fid = self._one(ref, walk(self._conn(ref), self.uname, relpath, None))
+        if fid is None:
+            raise ClientError("timeout")
+        return fid
 
     def _clunk(self, ref, fid):
         try:
@@ -340,71 +375,28 @@ class FileClient:
 
     # -- file operations ------------------------------------------------
 
-    def open_path(self, ref, relpath, mode=OREAD):
-        """Walk and open; returns a handle for read_at/submit_read/close."""
-        fid = self._walk(ref, relpath)
-        try:
-            r = self.call(ref, lambda t: Topen(t, fid, mode))
-        except ClientError:
-            self._clunk(ref, fid)
-            raise
-        return {"ref": ref, "fid": fid, "iounit": r.iounit, "qid": r.qid}
-
-    def read_at(self, handle, offset, count=None):
-        count = count if count is not None else min(IOUNIT, handle["iounit"])
-        r = self.call(handle["ref"],
-                      lambda t: Tread(t, handle["fid"], offset, count))
-        return r.data
-
-    def submit_read(self, handle, offset, count, cb):
-        """Fire one Tread without waiting; cb(Rread or Rerror)."""
-        self.submit(handle["ref"],
-                    lambda t: Tread(t, handle["fid"], offset, count), cb)
-
-    def close(self, handle):
-        self._clunk(handle["ref"], handle["fid"])
+    def call(self, ref, build):
+        """Send one T-message and run the clock until its reply arrives."""
+        return self._one(ref, request(build, None))
 
     def read(self, ref, relpath, isdir=False) -> bytes:
         """The bytes of a file; with isdir, of a directory, else the
         error 'not a directory'."""
-        return self._run(ref, read_file(self._conn(ref), self.uname, relpath,
-                                        self.timeout, isdir))
+        return self._one(ref, read_file(self._conn(ref), self.uname, relpath, None, isdir))
 
     def read_many(self, targets) -> list:
         """For each (ref, relpath) of targets, in order, the bytes of that
-        file or the ClientError that refused it.  The reads run at once,
-        at most READ_WIDTH per server, and the clock runs until every one
-        is answered, clunks included."""
-        results = [None] * len(targets)
-        queues = {}                   # ref -> deque of (index, relpath) not started
-        for i, (ref, relpath) in enumerate(targets):
-            queues.setdefault(ref, deque()).append((i, relpath))
-        flying = dict.fromkeys(queues, 0)
-        left = len(targets)
-
-        def finish(ref, i, outcome):
-            nonlocal left
-            results[i] = outcome
-            flying[ref] -= 1
-            left -= 1
-
-        while True:
-            for ref, queue in queues.items():
-                while queue and flying[ref] < READ_WIDTH:
-                    i, relpath = queue.popleft()
-                    flying[ref] += 1
-                    spawn(read_file(self._conn(ref), self.uname, relpath, self.timeout),
-                          partial(self.submit, ref), partial(finish, ref, i))
-            if not left or not self.net.step():
-                return results
+        file or the ClientError that refused it, all read in one run."""
+        return self._run([(ref, read_file(self._conn(ref), self.uname, relpath, None))
+                          for ref, relpath in targets])
 
     def write(self, ref, relpath, data: bytes) -> int:
-        handle = self.open_path(ref, relpath, OWRITE)
+        fid = self._walk(ref, relpath)
         try:
-            r = self.call(ref, lambda t: Twrite(t, handle["fid"], 0, data))
-            return r.count
+            self.call(ref, lambda t: Topen(t, fid, OWRITE))
+            return self.call(ref, lambda t: Twrite(t, fid, 0, data)).count
         finally:
-            self.close(handle)
+            self._clunk(ref, fid)
 
     def ls(self, ref, relpath) -> list:
         """Stat records of a directory's children, in server order."""

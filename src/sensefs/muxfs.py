@@ -23,7 +23,8 @@ per-request timeout, so device I/O never blocks the dispatch loop.  A
 head step returns its outcome or raises FsError, and spawn hands either
 to whoever waits on it, such as a relayed read's reply.  A device fid
 the head opens (its own, or one behind a relayed client fid) is opened
-once: requests that need it while the open is in flight wait for it.
+once: requests that need it while the open is in flight wait for it.  A
+mirrored file opens against its mirrored stat, even while its device sleeps.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class MuxConfig:
     ttl: int = 30                 # max age of a cache-served value, ticks
     fallback_ticks: int = 1000    # wait before falling back to cache/unreachable
     reprobe_ticks: int = 100      # period of discovery/metadata refresh
-    discover_timeout: int = 20    # per-device probe timeout
+    discover_timeout: int = 20    # the head's own requests: probes, opens, member reads
 
 
 @dataclass
@@ -121,9 +122,6 @@ class Multiplexer(Server):
             self.add_aggregate(spec)
         for spec in groups:
             self.add_group(spec)
-        # a member read's timeout: 5x the mean member link latency
-        lats = [net.link_for(eid, m).latency for m in self.links] or [2]
-        self.aggregate_timeout = max(5, int(5 * sum(lats) / len(lats)))
         net.register(eid, self._on_frame)
 
     def _discovered(self):
@@ -214,7 +212,7 @@ class Multiplexer(Server):
                               link, "mux", path, OREAD, self.cfg.discover_timeout)
         if fid is None:
             return None
-        r = yield (lambda t: Tread(t, fid, 0, IOUNIT), self.aggregate_timeout)
+        r = yield (lambda t: Tread(t, fid, 0, IOUNIT), self.cfg.discover_timeout)
         if isinstance(r, Rread):
             link.cache[path] = (r.data, self.net.now)
             return r.data
@@ -247,7 +245,7 @@ class Multiplexer(Server):
         if fid is None:
             return None
         try:
-            data = yield from read_all(fid, self.aggregate_timeout)
+            data = yield from read_all(fid, self.cfg.discover_timeout)
         except ClientError:
             data = None
         self._clunk_remote(link, fid)
@@ -271,20 +269,6 @@ class Multiplexer(Server):
     # ------------------------------------------------------------------
     # client-face relaying
     # ------------------------------------------------------------------
-
-    def t_open(self, session, msg):
-        ent = session.get(msg.fid)
-        remote = self.remote.get(ent.node)
-        if remote is None:
-            return super().t_open(session, msg)
-        if ent.open_mode is not None:
-            raise FsError("fid already open")
-        # permission checked here against the mirrored device stat, so an
-        # open succeeds even while the device radio is off; the device-side
-        # fid is established lazily on first read/write
-        self.check_open_perm(ent.node, ent.uname, msg.mode)
-        ent.open_mode = msg.mode
-        return ent.node.qid
 
     def _relay(self, link, ent, path, build):
         """Step: build(tag, device fid) sent on the device fid behind a

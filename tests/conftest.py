@@ -10,6 +10,7 @@ from sensefs.fscore import UserDb
 from sensefs.muxfs import AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from sensefs.scenario import ServerEndpoint, load_scenario_file
 from sensefs.simnet import EnergyModel, LinkModel, Network
+from sensefs.wire import OREAD, Topen
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 PKG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "sensefs")
@@ -54,6 +55,13 @@ def temp_sensor(i, value, **kw):
 
 def make_client(net, uname="admin", name="client"):
     return FileClient(net, name, uname=uname)
+
+
+def open_fid(client, ref, path, mode=OREAD):
+    """A fid of client, walked to path and opened in mode."""
+    fid = client._walk(ref, path)
+    client.call(ref, lambda t: Topen(t, fid, mode))
+    return fid
 
 
 @pytest.fixture

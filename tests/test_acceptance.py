@@ -17,7 +17,7 @@ import time
 import pytest
 
 from conftest import (DATA_DIR, FACTORY, SCRIPT_DIR, ZOO, build_cluster,
-                      make_client, temp_sensor)
+                      make_client, open_fid, temp_sensor)
 from sensefs import muxfs, wire
 from sensefs.client import ClientError, FileClient
 from sensefs.muxfs import AggregateSpec, MuxConfig
@@ -243,12 +243,14 @@ def test_acceptance_05_outstanding_requests():
                                                   reprobe_ticks=10 ** 6))
     net.set_link(mux.eid, "s1", LinkModel(latency=200), both_ways=True)
     client = make_client(net)
-    h1 = client.open_path(mux_ref(mux), "sensors/s1/reading")
-    h3 = client.open_path(mux_ref(mux), "sensors/s3/reading")
+    f1 = open_fid(client, mux_ref(mux), "sensors/s1/reading")
+    f3 = open_fid(client, mux_ref(mux), "sensors/s3/reading")
     ctl_fid = client._walk(mux_ref(mux), "ctl")
     finish = {}
-    client.submit_read(h1, 0, 64, lambda r: finish.setdefault("s1", net.now))
-    client.submit_read(h3, 0, 64, lambda r: finish.setdefault("s3", net.now))
+    client.submit(mux_ref(mux), lambda t: wire.Tread(t, f1, 0, 64),
+                  lambda r: finish.setdefault("s1", net.now))
+    client.submit(mux_ref(mux), lambda t: wire.Tread(t, f3, 0, 64),
+                  lambda r: finish.setdefault("s3", net.now))
 
     # while the slow read is in flight, a stat of a head-local file
     # must complete immediately

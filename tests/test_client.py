@@ -1,13 +1,15 @@
 """Frame receive and issue: the one way a frame enters a node and the one
 way a T-message leaves it, on devices, heads and file clients alike."""
 
+import pytest
+
 from sensefs.client import ClientError, FileClient
-from sensefs.fscore import Server, make_dir, make_file
+from sensefs.fscore import Defer, Server, make_dir, make_file
 from sensefs.muxfs import MuxConfig
-from sensefs.simnet import LinkModel
+from sensefs.simnet import LinkModel, Network
 from sensefs.wire import Rclunk, Rread, Tread, encode_message
 
-from conftest import USERS, build_cluster, make_client, temp_sensor
+from conftest import USERS, build_cluster, make_client, open_fid, temp_sensor
 
 
 def probe(net, name="probe"):
@@ -43,11 +45,11 @@ def test_t_message_at_a_client_is_dropped():
     net.set_link(mux.eid, "s1", LinkModel(latency=200), both_ways=True)
     client = make_client(net)
     ref = ("net", mux.eid)
-    h = client.open_path(ref, "sensors/s1/reading")
+    fid = open_fid(client, ref, "sensors/s1/reading")
     replies = []
-    tag = client.submit(ref, lambda t: Tread(t, h["fid"], 0, 64), replies.append)
+    tag = client.submit(ref, lambda t: Tread(t, fid, 0, 64), replies.append)
     # a T-message carrying the pending tag, as if from the head
-    net.send(mux.eid, client.eid, encode_message(Tread(tag, h["fid"], 0, 64)))
+    net.send(mux.eid, client.eid, encode_message(Tread(tag, fid, 0, 64)))
     net.run_until(net.now + 10)
     assert replies == []
     assert tag in client._conns[ref].pending
@@ -107,13 +109,58 @@ def test_batch_keeps_order_and_gives_each_target_its_error():
 
 
 def test_batch_request_times_out_after_the_client_timeout():
-    net, mux, _ = build_cluster([temp_sensor(1, 20.9)])
+    # a request still unanswered when the next event is due after its
+    # deadline fails, and the clock stays where it is
+    net, mux, _ = build_cluster([temp_sensor(1, 20.9)],
+                                mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
     client = FileClient(net, "client", timeout=50)
     ref = ("net", mux.eid)
     assert client.read(ref, "sensors/s1/reading") == b"20.900000\n"
+    net.run_until(net.now + 10)              # the head's device clunk lands
     net.set_link(client.eid, mux.eid, LinkModel(latency=1, loss=1.0))
+    targets = [(ref, "sensors/s1/reading"), (ref, "ctl")]
     t0 = net.now
-    got = client.read_many([(ref, "sensors/s1/reading"), (ref, "ctl")])
-    assert [e.ename for e in got] == ["timeout", "timeout"]
-    assert net.now - t0 == 50
+    assert [e.ename for e in client.read_many(targets)] == ["timeout", "timeout"]
+    assert net.now == t0                     # no event due: fails at once
+    ran = []
+    net.schedule(30, lambda: ran.append(net.now))
+    assert [e.ename for e in client.read_many(targets)] == ["timeout", "timeout"]
+    assert ran == [t0 + 30] and net.now == t0 + 30   # an event inside the window runs first
     assert client._conns[ref].pending == {}
+
+
+def test_lost_request_costs_the_same_through_read_and_read_many():
+    net, mux, _ = build_cluster([temp_sensor(1, 20.9)], latency=1,
+                                mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
+    client = make_client(net)
+    ref = ("net", mux.eid)
+    net.set_link(client.eid, mux.eid, LinkModel(latency=1, loss=1.0))
+
+    def read_many(ref, path):
+        raise client.read_many([(ref, path)])[0]
+
+    costs = []
+    for read in (client.read, read_many):
+        net.schedule(7, lambda: None)
+        t0 = net.now
+        with pytest.raises(ClientError, match="timeout"):
+            read(ref, "sensors/s1/reading")
+        costs.append(net.now - t0)
+    assert costs == [7, 7]
+
+
+def test_local_server_deferred_reply_is_waited_for():
+    net = Network(0)
+    client = make_client(net)
+    root = make_dir("r")
+    root.add(make_file("late", read=lambda off, cnt: Defer(
+        lambda done: net.schedule(5, lambda: done(b"late\n"[off:off + cnt])))))
+    root.add(make_file("never", read=lambda off, cnt: Defer(lambda done: None)))
+    local = ("local", Server(root, USERS))
+    assert client.read(local, "late") == b"late\n"
+    assert net.now == 5
+    assert client.read_many([(local, "late")] * 2) == [b"late\n"] * 2
+    assert net.now == 10                     # the two reads waited at once
+    with pytest.raises(ClientError, match="timeout"):
+        client.read(local, "never")
+    assert client._conns[local].pending == {}

@@ -9,12 +9,21 @@ from sensefs.client import ClientError, FileClient
 from sensefs.devicefs import parse_infos
 from sensefs.muxfs import MAX_PENDING, AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from sensefs.simnet import DutyCycle, LinkModel, Network
+from sensefs.wire import IOUNIT, Rerror, Tclunk, Tread
 
-from conftest import USERS, build_cluster, temp_sensor, make_client
+from conftest import USERS, build_cluster, temp_sensor, make_client, open_fid
 
 
 def mux_ref(mux):
     return ("net", mux.eid)
+
+
+def tread(fid, offset=0, count=IOUNIT):
+    return lambda t: Tread(t, fid, offset, count)
+
+
+def tclunk(fid):
+    return lambda t: Tclunk(t, fid)
 
 
 # -- discovery -------------------------------------------------------------
@@ -57,8 +66,7 @@ def test_reprobe_keeps_one_info_refresh_in_flight():
     # a refresh round trip (400 ticks) spans four reprobe periods; a member
     # whose refresh is still pending is skipped, so at most one waits
     net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1,
-                                mux_cfg=MuxConfig(reprobe_ticks=100))
-    mux.aggregate_timeout = 1000
+                                mux_cfg=MuxConfig(reprobe_ticks=100, discover_timeout=1000))
     net.set_link(mux.eid, "s1", LinkModel(latency=200), both_ways=True)
     link = mux.links["s1"]
     in_flight = []
@@ -75,7 +83,7 @@ def test_reprobe_keeps_one_info_refresh_in_flight():
 
 
 def test_failed_info_refresh_clears_its_mark():
-    # every refresh times out (5 ticks against a 400-tick round trip), and
+    # every refresh times out (20 ticks against a 400-tick round trip), and
     # each reprobe period still sends the next one
     net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1,
                                 mux_cfg=MuxConfig(reprobe_ticks=100))
@@ -107,14 +115,24 @@ def test_probe_in_flight_is_not_restarted():
     assert max(attaches) == 1
 
 
-def test_shared_config_keeps_each_heads_derived_timeout():
+def test_member_slowed_after_the_head_was_built_is_discovered():
+    # the head's info read waits discover_timeout, like its walk and open,
+    # not a timeout taken from the link latencies when the head was built
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1, warmup=0,
+                                mux_cfg=MuxConfig(reprobe_ticks=100, discover_timeout=1000))
+    net.set_link(mux.eid, "s1", LinkModel(latency=200), both_ways=True)
+    net.run_until(4000)                    # discovery: eight 400-tick round trips
+    assert "\tmux-discovered\tc.head\ts1\t" in net.log.text()
+    assert "\tmux-excluded\t" not in net.log.text()
+
+
+def test_shared_config_is_left_unchanged():
     net = Network(0)
     net.set_link("h1", "s1", LinkModel(latency=1))
     net.set_link("h2", "s2", LinkModel(latency=10))
     cfg = MuxConfig()
-    h1 = Multiplexer(net, "h1", "c1", ["s1"], USERS, cfg)
-    h2 = Multiplexer(net, "h2", "c2", ["s2"], USERS, cfg)
-    assert (h1.aggregate_timeout, h2.aggregate_timeout) == (5, 50)
+    Multiplexer(net, "h1", "c1", ["s1"], USERS, cfg)
+    Multiplexer(net, "h2", "c2", ["s2"], USERS, cfg)
     assert cfg == MuxConfig()
 
 
@@ -177,9 +195,9 @@ def test_lost_rattach_retry_takes_fresh_fid():
 def test_mem_bound_error_via_mux():
     net, mux, _ = build_cluster([temp_sensor(1, 1.0)])
     client = make_client(net)
-    handle = client.open_path(mux_ref(mux), "sensors/s1/mem")
+    fid = open_fid(client, mux_ref(mux), "sensors/s1/mem")
     with pytest.raises(ClientError, match="address out of range"):
-        client.read_at(handle, 250, 10)
+        client.call(mux_ref(mux), tread(fid, 250, 10))
 
 
 def test_outstanding_requests_fast_overtakes_slow():
@@ -188,11 +206,11 @@ def test_outstanding_requests_fast_overtakes_slow():
                                 mux_cfg=MuxConfig(fallback_ticks=2000))
     net.set_link(mux.eid, "s1", LinkModel(latency=200), both_ways=True)
     client = make_client(net)
-    h1 = client.open_path(mux_ref(mux), "sensors/s1/reading")
-    h3 = client.open_path(mux_ref(mux), "sensors/s3/reading")
+    f1 = open_fid(client, mux_ref(mux), "sensors/s1/reading")
+    f3 = open_fid(client, mux_ref(mux), "sensors/s3/reading")
     finish = {}
-    client.submit_read(h1, 0, 64, lambda r: finish.setdefault("s1", net.now))
-    client.submit_read(h3, 0, 64, lambda r: finish.setdefault("s3", net.now))
+    client.submit(mux_ref(mux), tread(f1, 0, 64), lambda r: finish.setdefault("s1", net.now))
+    client.submit(mux_ref(mux), tread(f3, 0, 64), lambda r: finish.setdefault("s3", net.now))
     net.run_until(net.now + 3000)
     assert finish["s3"] < finish["s1"]
     assert finish["s1"] - finish["s3"] >= 150
@@ -203,8 +221,8 @@ def test_local_requests_unaffected_by_slow_device():
                                 mux_cfg=MuxConfig(fallback_ticks=2000))
     net.set_link(mux.eid, "s1", LinkModel(latency=200), both_ways=True)
     client = make_client(net)
-    h1 = client.open_path(mux_ref(mux), "sensors/s1/reading")
-    client.submit_read(h1, 0, 64, lambda r: None)
+    f1 = open_fid(client, mux_ref(mux), "sensors/s1/reading")
+    client.submit(mux_ref(mux), tread(f1, 0, 64), lambda r: None)
     t0 = net.now
     st = client.stat(mux_ref(mux), "ctl")      # local node, independent
     assert st.name == "ctl"
@@ -215,23 +233,23 @@ def test_fid_isolation_two_clients_same_file():
     net, mux, _ = build_cluster([temp_sensor(1, 5.0)])
     c1 = make_client(net, name="c1")
     c2 = make_client(net, name="c2")
-    h1 = c1.open_path(mux_ref(mux), "sensors/s1/reading")
-    h2 = c2.open_path(mux_ref(mux), "sensors/s1/reading")
-    assert c1.read_at(h1, 0) == b"5.000000\n"
-    assert c2.read_at(h2, 0) == b"5.000000\n"
-    c1.close(h1)                               # clunking one...
-    assert c2.read_at(h2, 0) == b"5.000000\n"  # ...never disturbs the other
+    f1 = open_fid(c1, mux_ref(mux), "sensors/s1/reading")
+    f2 = open_fid(c2, mux_ref(mux), "sensors/s1/reading")
+    assert c1.call(mux_ref(mux), tread(f1)).data == b"5.000000\n"
+    assert c2.call(mux_ref(mux), tread(f2)).data == b"5.000000\n"
+    c1.call(mux_ref(mux), tclunk(f1))                            # clunking one...
+    assert c2.call(mux_ref(mux), tread(f2)).data == b"5.000000\n"  # ...never disturbs the other
 
 
 def test_device_side_fids_distinct():
     net, mux, _ = build_cluster([temp_sensor(1, 5.0)])
     client = make_client(net)
-    h1 = client.open_path(mux_ref(mux), "sensors/s1/reading")
-    h2 = client.open_path(mux_ref(mux), "sensors/s1/reading")
-    client.read_at(h1, 0)
-    client.read_at(h2, 0)
+    f1 = open_fid(client, mux_ref(mux), "sensors/s1/reading")
+    f2 = open_fid(client, mux_ref(mux), "sensors/s1/reading")
+    client.call(mux_ref(mux), tread(f1))
+    client.call(mux_ref(mux), tread(f2))
     session = mux.sessions[client.eid]
-    dfids = [mux.relayed.get(session.fids[h["fid"]]) for h in (h1, h2)]
+    dfids = [mux.relayed.get(session.fids[fid]) for fid in (f1, f2)]
     assert None not in dfids and dfids[0] != dfids[1]
 
 
@@ -249,14 +267,14 @@ def test_concurrent_first_reads_share_one_device_fid():
                                 mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
     net.set_link(mux.eid, "s1", LinkModel(latency=50), both_ways=True)
     client = make_client(net)
-    h = client.open_path(mux_ref(mux), "sensors/s1/reading")
+    fid = open_fid(client, mux_ref(mux), "sensors/s1/reading")
     replies = []
     for _ in range(5):
-        client.submit_read(h, 0, 64, replies.append)
+        client.submit(mux_ref(mux), tread(fid, 0, 64), replies.append)
     net.run_until(net.now + 1000)
     assert [r.data for r in replies] == [b"20.900000\n"] * 5
     assert net.log.text().count("\tsend\tc.head\ts1\tTwalk") == 3   # info, listing, reading
-    client.close(h)
+    client.call(mux_ref(mux), tclunk(fid))
     net.run_until(net.now + 200)
     assert device_fids(net, "s1") == 3
     assert mux.relayed == {}
@@ -267,10 +285,10 @@ def test_clunk_while_opening_clunks_the_device_fid():
                                 mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
     net.set_link(mux.eid, "s1", LinkModel(latency=50), both_ways=True)
     client = make_client(net)
-    h = client.open_path(mux_ref(mux), "sensors/s1/reading")
-    client.submit_read(h, 0, 64, lambda r: None)
+    fid = open_fid(client, mux_ref(mux), "sensors/s1/reading")
+    client.submit(mux_ref(mux), tread(fid, 0, 64), lambda r: None)
     net.run_until(net.now + 10)            # the device fid is still opening
-    client.close(h)
+    client.call(mux_ref(mux), tclunk(fid))
     net.run_until(net.now + 1000)
     assert mux.relayed == {}
     assert device_fids(net, "s1") == 3
@@ -281,13 +299,12 @@ def test_pending_table_bound():
                                 mux_cfg=MuxConfig(fallback_ticks=5000))
     net.set_link(mux.eid, "s1", LinkModel(latency=1000), both_ways=True)
     client = make_client(net)
-    h = client.open_path(mux_ref(mux), "sensors/s1/reading")
-    client.read_at(h, 0)     # opens the device fid, so each read below is a Tread
+    fid = open_fid(client, mux_ref(mux), "sensors/s1/reading")
+    client.call(mux_ref(mux), tread(fid))   # opens the device fid, so each read below is a Tread
     replies = []
     for _ in range(40):
-        client.submit_read(h, 0, 16, replies.append)
+        client.submit(mux_ref(mux), tread(fid, 0, 16), replies.append)
     net.run_until(net.now + 40)
-    from sensefs.wire import Rerror
     busy = [r for r in replies if isinstance(r, Rerror) and r.ename == "busy"]
     assert busy, "overflowing the pending table must surface as busy"
 
@@ -297,10 +314,10 @@ def test_failed_step_with_nobody_waiting_logs_mux_error():
                                 mux_cfg=MuxConfig(fallback_ticks=5000))
     net.set_link(mux.eid, "s1", LinkModel(latency=1000), both_ways=True)
     client = make_client(net)
-    h = client.open_path(mux_ref(mux), "sensors/s1/reading")
-    client.read_at(h, 0)     # opens the device fid, so each read below is a Tread
+    fid = open_fid(client, mux_ref(mux), "sensors/s1/reading")
+    client.call(mux_ref(mux), tread(fid))   # opens the device fid, so each read below is a Tread
     for _ in range(40):
-        client.submit_read(h, 0, 16, lambda r: None)
+        client.submit(mux_ref(mux), tread(fid, 0, 16), lambda r: None)
     net.run_until(net.now + 5)
     assert len(mux.links["s1"].pending) == MAX_PENDING
     mux.set_report_rate(["s1"], 5)       # the poll step finds the table full
@@ -455,9 +472,8 @@ def test_aggregate_kind_selector():
 def test_aggregate_partial_trailer_on_timeout():
     net, mux, states = build_cluster(
         [temp_sensor(1, 10.0), temp_sensor(2, 20.0), temp_sensor(3, 30.0)],
-        latency=1, mux_cfg=MuxConfig(ttl=0),
+        latency=1, mux_cfg=MuxConfig(ttl=0, discover_timeout=10),
         aggregates=[AggregateSpec("avgT", "avg")])
-    mux.aggregate_timeout = 10
     for link in mux.links.values():
         link.cache.clear()
     states["s2"].set_power(net.now, "asleep")
