@@ -7,17 +7,21 @@ tags and fids, hands each R-message to the request waiting on its tag,
 and remembers the fid attached per user name.  Conn.issue is the one way
 a T-message leaves a node, and receive() the one way a frame enters one.
 
-The protocol sequences are generator steps (attach, walk, read_all,
-read_file, request): each yields (build, timeout) per T-message, build(tag)
-making the message, and gets back its R-message, or None if it never
-came.  A step may also yield a Flight, an outcome another step is still
-working out (once), and gets that outcome when it lands.  spawn is the one
-continuation driver: it runs a step as continuations, so any number of
-steps keep their requests in flight at once.  Its callers:
+The protocol sequences are generator steps: attach, walk, read_all and
+request, and the file steps read_file, write_file (which also asks a
+query: a write answered on the same fid) and stat_file, each one whole
+file operation on a fid of its own (on_fid).  A step yields (build,
+timeout) per T-message, build(tag) making the message, and gets back its
+R-message, or None if it never came.  A step may also yield a Flight, an
+outcome another step is still working out (once), and gets that outcome
+when it lands.  spawn is the one continuation driver: it runs a step as
+continuations, so any number of steps keep their requests in flight at
+once.  Its callers:
 
     muxfs.Multiplexer  every device exchange of a cluster head
-    FileClient._run    every file operation: one step (call, read) or many
-                       (read_many), the simulation clock run until all end
+    FileClient._run    every file operation: one step (call, read, write,
+                       stat) or many (read_many, query_many), the
+                       simulation clock run until all end
 
 FileClient gives read/write/ls/stat on paths against two kinds of
 server reference:
@@ -35,7 +39,7 @@ from functools import partial
 from . import wire
 from .fscore import FsError
 from .wire import (
-    IOUNIT, OREAD, OWRITE,
+    IOUNIT, OREAD, OWRITE, ORDWR,
     Tattach, Twalk, Topen, Tread, Twrite, Tclunk, Tstat, Rerror,
 )
 
@@ -221,13 +225,13 @@ def walk(conn, uname, path, timeout):
 
 
 def read_all(fid, timeout):
-    """Step: the bytes of an open fid from offset 0 to end of file; None if
-    a reply never came.  Raises ClientError if a read is refused."""
+    """Step: the bytes of an open fid from offset 0 to end of file.  Raises
+    ClientError if a read is refused, or 'timeout' if a reply never came."""
     out = bytearray()
     while True:
         r = yield (lambda t, o=len(out): Tread(t, fid, o, IOUNIT), timeout)
         if r is None:
-            return None
+            raise ClientError("timeout")
         _check(r)
         if not r.data:
             return bytes(out)
@@ -244,27 +248,55 @@ def request(build, timeout):
     return r
 
 
-def read_file(conn, uname, path, timeout, isdir=False):
-    """Step: the bytes of the file at path (with isdir, of a directory, else
-    the error 'not a directory'): walk, open, read to end of file and
-    clunk.  Raises ClientError if refused, or 'timeout' if a reply never
-    came."""
+def on_fid(conn, uname, path, timeout, use):
+    """Step: the value of the step use(fid) on a new fid walked to path,
+    clunked after it whether use ended or raised (a refused or lost clunk
+    is ignored).  Raises ClientError if refused, or 'timeout' if a reply
+    never came."""
     fid = yield from walk(conn, uname, path, timeout)
     if fid is None:
         raise ClientError("timeout")
     try:
+        out = yield from use(fid)
+    except ClientError as e:
+        out = e
+    yield (lambda t: Tclunk(t, fid), timeout)
+    if isinstance(out, ClientError):
+        raise out
+    return out
+
+
+def read_file(conn, uname, path, timeout, isdir=False):
+    """Step: the bytes of the file at path (with isdir, of a directory, else
+    the error 'not a directory'): walk, open, read to end of file and
+    clunk."""
+    def use(fid):
         r = yield from request(lambda t: Topen(t, fid, OREAD), timeout)
         if isdir and not r.qid.is_dir:
             raise ClientError("not a directory")
-        data = yield from read_all(fid, timeout)
-        if data is None:
-            raise ClientError("timeout")
-    except ClientError as e:
-        data = e
-    yield (lambda t: Tclunk(t, fid), timeout)     # refused or lost, the read stands
-    if isinstance(data, ClientError):
-        raise data
-    return data
+        return (yield from read_all(fid, timeout))
+    return on_fid(conn, uname, path, timeout, use)
+
+
+def write_file(conn, uname, path, data, timeout, answer=False):
+    """Step: write data to the file at path: walk, open, write and clunk;
+    the count written.  With answer, the write is a question: the file is
+    opened ORDWR and read to end of file after the write, and the answer
+    read is returned."""
+    def use(fid):
+        yield from request(lambda t: Topen(t, fid, ORDWR if answer else OWRITE), timeout)
+        r = yield from request(lambda t: Twrite(t, fid, 0, data), timeout)
+        if not answer:
+            return r.count
+        return (yield from read_all(fid, timeout))
+    return on_fid(conn, uname, path, timeout, use)
+
+
+def stat_file(conn, uname, path, timeout):
+    """Step: the stat record of the file at path: walk, stat and clunk."""
+    def use(fid):
+        return (yield from request(lambda t: Tstat(t, fid), timeout)).stat
+    return on_fid(conn, uname, path, timeout, use)
 
 
 class FileClient:
@@ -361,18 +393,6 @@ class FileClient:
             raise out.pop()           # not held by this frame: no reference cycle
         return out[0]
 
-    def _walk(self, ref, relpath):
-        fid = self._one(ref, walk(self._conn(ref), self.uname, relpath, None))
-        if fid is None:
-            raise ClientError("timeout")
-        return fid
-
-    def _clunk(self, ref, fid):
-        try:
-            self.call(ref, lambda t: Tclunk(t, fid))
-        except ClientError:
-            pass
-
     # -- file operations ------------------------------------------------
 
     def call(self, ref, build):
@@ -390,21 +410,20 @@ class FileClient:
         return self._run([(ref, read_file(self._conn(ref), self.uname, relpath, None))
                           for ref, relpath in targets])
 
+    def query_many(self, targets) -> list:
+        """For each (ref, relpath, question) of targets, in order, the
+        answer read back after writing question to that file on one fid,
+        or the ClientError that refused it, all asked in one run."""
+        return self._run([(ref, write_file(self._conn(ref), self.uname, relpath, question,
+                                           None, answer=True))
+                          for ref, relpath, question in targets])
+
     def write(self, ref, relpath, data: bytes) -> int:
-        fid = self._walk(ref, relpath)
-        try:
-            self.call(ref, lambda t: Topen(t, fid, OWRITE))
-            return self.call(ref, lambda t: Twrite(t, fid, 0, data)).count
-        finally:
-            self._clunk(ref, fid)
+        return self._one(ref, write_file(self._conn(ref), self.uname, relpath, data, None))
 
     def ls(self, ref, relpath) -> list:
         """Stat records of a directory's children, in server order."""
         return wire.decode_stats(self.read(ref, relpath, isdir=True))
 
     def stat(self, ref, relpath) -> wire.Stat:
-        fid = self._walk(ref, relpath)
-        try:
-            return self.call(ref, lambda t: Tstat(t, fid)).stat
-        finally:
-            self._clunk(ref, fid)
+        return self._one(ref, stat_file(self._conn(ref), self.uname, relpath, None))

@@ -12,6 +12,12 @@ bytes when the reply came short of the count, i.e. was the whole file),
 and later offsets are served from that, so reading to end of file runs
 a handler once.  Every read at offset 0 generates afresh, and a write
 through the fid drops what it kept.
+
+A write may also be a question (the query-file idiom of Plan 9's
+/net/cs): a write handler that returns bytes, or a Defer landing on
+bytes, answers the write, and the answer is kept for the fid's next read
+at offset 0, which serves it in place of the read handler.  The answer
+belongs to that fid alone, so no server needs a table keyed by fid.
 """
 
 from __future__ import annotations
@@ -142,7 +148,7 @@ DEFAULT_USERS = UserDb({"admin": {"admin"}, "guest": {"users"}, "mux": {"mux"}})
 
 
 class _Fid:
-    __slots__ = ("node", "uname", "open_mode", "dir_offset", "dir_index", "data")
+    __slots__ = ("node", "uname", "open_mode", "dir_offset", "dir_index", "data", "answer")
 
     def __init__(self, node, uname):
         self.node = node
@@ -151,6 +157,7 @@ class _Fid:
         self.dir_offset = 0        # next valid directory read offset
         self.dir_index = 0
         self.data = None           # what the read at offset 0 generated
+        self.answer = None         # what the last write answered, until read
 
 
 class Session:
@@ -300,6 +307,9 @@ class Server:
             if ent.data is None:
                 return node.read_handler(msg.offset, count)
             return ent.data[msg.offset:msg.offset + count]
+        if ent.answer is not None:
+            ent.data, ent.answer = ent.answer, None
+            return ent.data[:count]
         ent.data = None
         result = node.read_handler(0, count)
 
@@ -340,11 +350,20 @@ class Server:
         node = ent.node
         if node.is_dir or node.write_handler is None:
             raise FsError("not writable")
-        ent.data = None
-        result = node.write_handler(msg.offset, msg.data)
-        if not isinstance(result, Defer):
-            node.bump_version()
-        return result
+        return self.written(ent, node.write_handler(msg.offset, msg.data), len(msg.data))
+
+    @staticmethod
+    def written(ent, result, count):
+        """The reply to a write of count bytes through ent, from what its
+        handler returned (or a Defer landed on): the count written, or bytes
+        that answer the write, kept as ent's answer; an answered write
+        counts all count bytes."""
+        ent.data = ent.answer = None
+        if isinstance(result, Defer):
+            return Defer(lambda done, start=result.start:
+                         start(lambda out: done(_answered(ent, out, count))))
+        ent.node.bump_version()
+        return _answered(ent, result, count)
 
     def t_clunk(self, session, msg: Tclunk):
         if msg.fid not in session.fids:
@@ -354,6 +373,15 @@ class Server:
 
     def t_stat(self, session, msg: Tstat):
         return session.get(msg.fid).node.stat()
+
+
+def _answered(ent, out, count):
+    """A write handler's outcome as its reply: bytes are kept as ent's
+    answer and count all count bytes written; anything else stands."""
+    if isinstance(out, bytes):
+        ent.answer = out
+        return count
+    return out
 
 
 # T-message type -> (handler method name, R-message builder).  Handlers

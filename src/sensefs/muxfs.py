@@ -5,10 +5,22 @@ under sensors/, serves aggrData/ files by fanning reads out to members,
 sorts sensors into groups/ at enumeration time, and relays client
 requests to devices by fid while keeping any number of them outstanding.
 A small value cache answers for sleeping sensors within a ttl.  Writes
-to ctl are commands (rate, aggregate with fn avg, min or max, group); a
-read of ctl returns the member index, each discovered member's info text
-as last read at discovery or re-probe, so views learn every member
-without a device frame.
+to ctl are commands (rate, aggregate with fn avg, min or max, group) or
+read queries; a plain read of ctl returns the member index, each
+discovered member's info text as last read at discovery or re-probe, so
+views learn every member without a device frame.
+
+A query is Plan 9's query-file idiom (as /net/cs): a client opens ctl
+ORDWR, writes `read FILE [ID ...]` and reads the answer on the same fid.
+The head reads FILE from each named member, or from every discovered
+member, all at once, each as mux over a fid of its own (walk, open, one
+read, clunk), after checking the querying user against the member's
+mirrored stat; the answer is one line per member, `ID VALUE` (the file's
+first line) or `ID !error`.  A member that does not answer is served
+from the cache within the ttl, as a relayed read is.  So a view learns
+one file of every sensor of a cluster in one client exchange, not one
+relayed read per sensor.  Opening ctl takes only its read bit: a query
+needs no more, and every other command is checked for the write bit.
 
 All the head knows of one member lives in that member's DeviceLink: its
 connection, mirrored directory, open fids, value cache, info and pending
@@ -35,7 +47,9 @@ from functools import partial
 from . import wire
 from .client import Conn, ClientError, Flight, attach, once, read_all, receive, spawn, walk
 from .devicefs import parse_info
-from .wire import IOUNIT, OREAD, Topen, Tread, Twrite, Tclunk, Ropen, Rread, Rwrite, Rerror
+from .wire import (
+    IOUNIT, OREAD, OWRITE, ORDWR, Topen, Tread, Twrite, Tclunk, Ropen, Rread, Rwrite, Rerror,
+)
 from .fscore import Defer, FsError, Node, Server, make_dir, make_file
 
 MAX_PENDING = 32
@@ -115,7 +129,7 @@ class Multiplexer(Server):
                           children_fn=lambda: [link.node for link in self._discovered()]))
         self.aggr_dir = root.add(make_dir("aggrData", 0o555))
         root.add(make_dir("groups", 0o555, children_fn=lambda: list(self.groups.values())))
-        root.add(make_file("ctl", 0o644, read=self._read_ctl, write=self._write_ctl))
+        self.ctl = root.add(make_file("ctl", 0o644, read=self._read_ctl))
         super().__init__(root, users, name=eid, max_sessions=16)
 
         for spec in aggregates:
@@ -150,6 +164,24 @@ class Multiplexer(Server):
     def _log_failure(self, outcome):
         if isinstance(outcome, FsError):
             self.net.log.add(self.net.now, "mux-error", self.eid, "", outcome.ename)
+
+    def _fan_out(self, links, step, got, done):
+        """Run the step step(link) of every link at once.  As each ends,
+        got(link, its value or FsError) makes that link's result; done gets
+        the results in link order when the last has ended."""
+        results = [None] * len(links)
+        left = [len(links)]
+
+        def ended(i, link, outcome):
+            results[i] = got(link, outcome)
+            left[0] -= 1
+            if not left[0]:
+                done(results)
+
+        if not links:
+            done(results)
+        for i, link in enumerate(links):
+            self._spawn(link, step(link), partial(ended, i, link))
 
     # ------------------------------------------------------------------
     # discovery
@@ -246,7 +278,7 @@ class Multiplexer(Server):
             return None
         try:
             data = yield from read_all(fid, self.cfg.discover_timeout)
-        except ClientError:
+        except ClientError:     # refused, or a reply never came
             data = None
         self._clunk_remote(link, fid)
         try:
@@ -331,6 +363,8 @@ class Multiplexer(Server):
         ent = session.get(msg.fid)
         remote = self.remote.get(ent.node)
         if remote is None or ent.open_mode is None:
+            if ent.node is self.ctl and ent.open_mode in (OWRITE, ORDWR):
+                return self.written(ent, self._write_ctl(ent.uname, msg.data), len(msg.data))
             return super().t_write(session, msg)
         link, path = remote
         self.net.log.add(self.net.now, "mux-route", session.conn_key, self.eid,
@@ -385,39 +419,29 @@ class Multiplexer(Server):
         if not members:
             raise FsError("no members")
 
-        def start(cb):
-            results = {}
-            remaining = [len(members)]
+        def got(link, data):
+            if not isinstance(data, bytes):     # None or an FsError
+                data = link.fresh(spec.source_path, self.net.now - self.cfg.ttl)
+                if data is not None:
+                    self.net.log.add(self.net.now, "mux-aggregate", self.eid, link.peer,
+                                     "path=%s cached=1" % spec.source_path)
+            return _parse_floats(data) if data is not None else None
 
-            def finish():
-                used = {m: v for m, v in results.items() if v is not None}
-                if not used:
-                    cb(FsError("no members"))
-                    return
-                ncomp = min(len(v) for v in used.values())
-                out = []
-                for i in range(ncomp):
-                    out.extend(fn([used[m][i] for m in members if m in used]))
-                text = " ".join("%.6f" % v for v in out) + "\n"
-                text += "# n=%d/%d\n" % (len(used), len(members))
-                cb(text.encode()[offset:offset + count])
+        def finish(cb, results):
+            used = [v for v in results if v is not None]
+            if not used:
+                cb(FsError("no members"))
+                return
+            out = []
+            for i in range(min(len(v) for v in used)):
+                out.extend(fn([v[i] for v in used]))
+            text = " ".join("%.6f" % v for v in out) + "\n"
+            text += "# n=%d/%d\n" % (len(used), len(members))
+            cb(text.encode()[offset:offset + count])
 
-            def got(link, data):
-                if not isinstance(data, bytes):     # None or an FsError
-                    data = link.fresh(spec.source_path, self.net.now - self.cfg.ttl)
-                    if data is not None:
-                        self.net.log.add(self.net.now, "mux-aggregate", self.eid, link.peer,
-                                         "path=%s cached=1" % spec.source_path)
-                results[link] = _parse_floats(data) if data is not None else None
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    finish()
-
-            for link in members:
-                self._spawn(link, self._read_path(link, spec.source_path),
-                            lambda data, link=link: got(link, data))
-
-        return Defer(start)
+        return Defer(lambda cb: self._fan_out(
+            members, lambda link: self._read_path(link, spec.source_path), got,
+            partial(finish, cb)))
 
     # ------------------------------------------------------------------
     # polling / report rate
@@ -445,14 +469,24 @@ class Multiplexer(Server):
     # ctl file
     # ------------------------------------------------------------------
 
+    def check_open_perm(self, node, uname, mode):
+        # ctl opens on its read bit alone: _write_ctl checks each command
+        super().check_open_perm(node, uname, OREAD if node is self.ctl else mode)
+
     def _read_ctl(self, offset, count):
         """The member index: each discovered member's info text, in member order."""
         text = "".join(link.info for link in self._discovered())
         return text.encode()[offset:offset + count]
 
-    def _write_ctl(self, offset, data):
+    def _write_ctl(self, uname, data):
+        """Run one ctl command written by uname: a read query's Defer of its
+        answer, or the count written."""
         try:
             cmd, *args = data.decode().split()
+            if cmd == "read" and args:
+                return self._query(uname, args[0], args[1:])
+            if cmd in ("rate", "aggregate", "group") and not self._permits(self.ctl, uname, 2):
+                raise FsError("permission denied")
             if cmd == "rate" and args:
                 period = int(args[0])
                 devices = args[1:] or [link.peer for link in self._discovered()]
@@ -467,6 +501,54 @@ class Multiplexer(Server):
         except ValueError:      # undecodable, empty, unknown, or a bad number or name
             raise FsError("bad ctl command")
         return len(data)
+
+    def _query(self, uname, name, ids):
+        """Defer: the answer to `read name ids...`, one line per member named
+        (none named: per discovered member), in that order."""
+        for dev in ids:
+            if dev not in self.links:
+                raise FsError("unknown device %s" % dev)
+        links = [self.links[dev] for dev in ids] if ids else self._discovered()
+        asked = self.net.now
+
+        def got(link, out):
+            if out is None:             # no answer: the cache, judged at asking time
+                out = link.fresh(name, asked - self.cfg.ttl)
+                if out is None:
+                    out = FsError("device unreachable")
+                else:
+                    self.net.log.add(self.net.now, "mux-query", self.eid, link.peer,
+                                     "path=%s cached=1" % name)
+            if isinstance(out, FsError):
+                return ("%s !%s\n" % (link.peer, out.ename)).encode()
+            return b"%s %s\n" % (link.peer.encode(), out.split(b"\n", 1)[0])
+
+        return Defer(lambda done: self._fan_out(
+            links, lambda link: self._read_fresh(link, name, uname), got,
+            lambda lines: done(b"".join(lines))))
+
+    def _read_fresh(self, link, path, uname):
+        """Step: path read from the device on behalf of uname.  Refused
+        unless uname may open the mirrored file for reading; then read as
+        mux over a fid of its own: walk, open, one read (a device file fits
+        in one) and a clunk not waited for.  Returns the bytes, cached, or
+        None if the device never answered; a refusal is raised."""
+        node = link.node and link.node.lookup(path)
+        if node is None:
+            raise FsError("no such file")
+        self.check_open_perm(node, uname, OREAD)
+        timeout = self.cfg.fallback_ticks
+        fid = yield from self._open_remote(link, "mux", path, OREAD, timeout)
+        if fid is None:
+            return None
+        r = yield (lambda t: Tread(t, fid, 0, IOUNIT), timeout)
+        self._clunk_remote(link, fid)
+        if isinstance(r, Rerror):
+            raise FsError(r.ename)
+        if r is None:
+            return None
+        link.cache[path] = (r.data, self.net.now)
+        return r.data
 
 
 def _parse_floats(data: bytes):

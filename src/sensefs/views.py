@@ -5,14 +5,15 @@ Views are materialized as in-process servers whose directories are
 recomputed at every offset-0 read by reading the mounted structural trees,
 so they never invent sensors.  Which sensors exist and their kind,
 position and tags come from each cluster head's member index (its ctl),
-as fresh as the head's re-probe period; energy and readings are read
-from the devices at listing time.
+as fresh as the head's re-probe period.  Energy and readings are read
+from the devices at listing time, by asking each cluster head once: a
+`read FILE ID ...` query written to its ctl, which the head answers with
+FILE of every named member (read_members).
 
-Wherever a view reads many files (every cluster's ctl in a scan, the
-sensors' remaining-energy for a band listing or a plan, the members'
-readings for a data file) it reads them in one batch (read_paths), so
-the user waits about as long as for the slowest read, not for their sum.
-Results keep scan order.
+Wherever a view reads from many clusters (every cluster's ctl in a scan,
+one query per cluster for a band listing, a plan or a data file) it
+sends all of them in one batch, so the user waits about as long as for
+the slowest cluster, not for their sum.  Results keep scan order.
 """
 
 from __future__ import annotations
@@ -84,16 +85,21 @@ class NamespaceTable:
                 m == path or m.startswith(path + "/") for m, _ in self.mounts)
 
 
-def read_paths(client: FileClient, table: NamespaceTable, paths) -> list:
+def read_paths(client: FileClient, table: NamespaceTable, paths, questions=None) -> list:
     """For each namespace path, in order, the bytes of that file or the
-    ClientError that refused it (or its resolution), read in one batch."""
+    ClientError that refused it (or its resolution), read in one batch.
+    With questions, each path is asked questions[i] (written and its
+    answer read back on one fid) instead of read."""
     targets = []
-    for path in paths:
+    for i, path in enumerate(paths):
         try:
-            targets.append(table.resolve(path))
+            target = table.resolve(path)
         except ClientError as e:
             targets.append(e)
-    got = iter(client.read_many([t for t in targets if not isinstance(t, ClientError)]))
+            continue
+        targets.append(target if questions is None else target + (questions[i],))
+    batch = [t for t in targets if not isinstance(t, ClientError)]
+    got = iter(client.read_many(batch) if questions is None else client.query_many(batch))
     return [t if isinstance(t, ClientError) else next(got) for t in targets]
 
 
@@ -199,11 +205,9 @@ def _member_entry(info: SensorInfo):
 
 
 def _data_file(client, table, members):
-    paths = [i.path + "/reading" for i in members]
-
     def read(off, cnt):
-        chunks = read_paths(client, table, paths)
-        return b"".join(c for c in chunks if isinstance(c, bytes))[off:off + cnt]
+        readings = read_members(client, table, members, "reading")
+        return b"".join(r + b"\n" for r in readings if r is not None)[off:off + cnt]
 
     return make_file("data", 0o444, read=read)
 
@@ -274,15 +278,34 @@ def build_logical_view(client, table, tag_key="animal", root="/network") -> Serv
     return Server(root_node, _VIEW_USERS, name="data", max_sessions=8)
 
 
+def read_members(client, table, infos, name) -> list:
+    """For each sensor, in order, the first line of its file name, or None
+    if unreadable: one `read name ID ...` query per cluster, written to the
+    cluster head's ctl, all in one batch."""
+    ctls = [info.path.rsplit("/sensors/", 1)[0] + "/ctl" for info in infos]
+    asked = {}                      # ctl path -> ids its query names
+    for ctl, info in zip(ctls, infos):
+        asked.setdefault(ctl, []).append(info.id)
+    questions = [("read %s %s" % (name, " ".join(ids))).encode() for ids in asked.values()]
+    values = {}                     # (ctl path, id) -> first line
+    for ctl, answer in zip(asked, read_paths(client, table, list(asked), questions)):
+        if isinstance(answer, bytes):
+            for line in answer.split(b"\n"):
+                sid, _, value = line.partition(b" ")
+                if not value.startswith(b"!"):
+                    values[ctl, sid.decode(errors="replace")] = value
+    return [values.get((ctl, info.id)) for ctl, info in zip(ctls, infos)]
+
+
 def read_energies(client, table, infos) -> list:
     """Each sensor's remaining energy in joules, or None if unreadable, in
-    order: one batch."""
+    order: one query per cluster, all in one batch."""
     out = []
-    for data in read_paths(client, table, [i.path + "/remaining-energy" for i in infos]):
+    for data in read_members(client, table, infos, "remaining-energy"):
         energy = None
-        if isinstance(data, bytes):
+        if data is not None:
             try:
-                energy = float(data.decode().strip().split()[0])
+                energy = float(data.split()[0])
             except (ValueError, IndexError):
                 pass
         out.append(energy)

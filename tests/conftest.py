@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from sensefs.client import FileClient
+from sensefs.client import FileClient, walk
 from sensefs.devicefs import SensorState, make_device_server
 from sensefs.fscore import UserDb
 from sensefs.muxfs import AggregateSpec, GroupSpec, MuxConfig, Multiplexer
@@ -57,9 +57,16 @@ def make_client(net, uname="admin", name="client"):
     return FileClient(net, name, uname=uname)
 
 
+def walk_fid(client, ref, path):
+    """A fid of client, walked to path."""
+    fid = client._one(ref, walk(client._conn(ref), client.uname, path, None))
+    assert fid is not None, "walk unanswered"
+    return fid
+
+
 def open_fid(client, ref, path, mode=OREAD):
     """A fid of client, walked to path and opened in mode."""
-    fid = client._walk(ref, path)
+    fid = walk_fid(client, ref, path)
     client.call(ref, lambda t: Topen(t, fid, mode))
     return fid
 

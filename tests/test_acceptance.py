@@ -17,7 +17,7 @@ import time
 import pytest
 
 from conftest import (DATA_DIR, FACTORY, SCRIPT_DIR, ZOO, build_cluster,
-                      make_client, open_fid, temp_sensor)
+                      make_client, open_fid, temp_sensor, walk_fid)
 from sensefs import muxfs, wire
 from sensefs.client import ClientError, FileClient
 from sensefs.muxfs import AggregateSpec, MuxConfig
@@ -245,7 +245,7 @@ def test_acceptance_05_outstanding_requests():
     client = make_client(net)
     f1 = open_fid(client, mux_ref(mux), "sensors/s1/reading")
     f3 = open_fid(client, mux_ref(mux), "sensors/s3/reading")
-    ctl_fid = client._walk(mux_ref(mux), "ctl")
+    ctl_fid = walk_fid(client, mux_ref(mux), "ctl")
     finish = {}
     client.submit(mux_ref(mux), lambda t: wire.Tread(t, f1, 0, 64),
                   lambda r: finish.setdefault("s1", net.now))
@@ -484,7 +484,7 @@ GOLDEN_LOGS = {
     "example1_monitoring.script":
         "d87417c3689908c12f3d0577d8d1706e64bd70b507fcc584292c8dd1f5903cc3",
     "example2_datacentric.script":
-        "4124cc6c6f998eea7c2294a19a0d7694efb46838142ea005982b5cdf00c88897",
+        "4c1adc09c05fedf98a4cb814e137dc296bddce1958b2669a047dba5eefcaae6a",
     "example3_emergency.script":
         "f71ee66f0e0417f845d7c3c43eb53ff94a3539c035db556957e15ab74fb14375",
 }

@@ -187,6 +187,40 @@ def test_write_without_handler_is_not_writable():
     conn.err(lambda t: Twrite(t, fid, 0, b"x"), "not writable")
 
 
+def test_write_answer_is_read_back_on_its_fid_only():
+    # a write handler that returns bytes, at once or through a Defer,
+    # answers the write; the answer is the next read at offset 0 on that
+    # fid, read to end of file, and every other read is the read handler's
+    later = []
+
+    def ask(off, data):
+        if data == b"later":
+            return Defer(lambda done: later.append(lambda: done(b"late answer\n")))
+        return b"answer to " + data + b"\n"
+
+    root = make_dir("root")
+    root.add(make_file("q", 0o666, read=lambda off, cnt: b"index\n"[off:off + cnt],
+                       write=ask))
+    server = Server(root, USERS)
+    conn = Conn(server)
+    conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
+    f1 = walk_open(conn, ["q"], ORDWR, fid=1)
+    f2 = walk_open(conn, ["q"], ORDWR, fid=2)
+    assert conn.ok(lambda t: Twrite(t, f1, 0, b"x"), Rwrite).count == 1
+    assert conn.ok(lambda t: Tread(t, f2, 0, 100), Rread).data == b"index\n"
+    assert conn.ok(lambda t: Tread(t, f1, 0, 4), Rread).data == b"answ"
+    assert conn.ok(lambda t: Tread(t, f1, 4, 100), Rread).data == b"er to x\n"
+    assert conn.ok(lambda t: Tread(t, f1, 12, 100), Rread).data == b""
+    assert conn.ok(lambda t: Tread(t, f1, 0, 100), Rread).data == b"index\n"
+    box = []
+    server.dispatch(conn.key, Twrite(50, f2, 0, b"later"), box.append)
+    assert box == [] and len(later) == 1
+    later.pop()()
+    assert box == [Rwrite(50, 5)]
+    assert conn.ok(lambda t: Tread(t, f2, 0, 100), Rread).data == b"late answer\n"
+    assert conn.ok(lambda t: Tread(t, f1, 0, 100), Rread).data == b"index\n"
+
+
 def test_directory_read_lists_children_in_order():
     server, _ = build_server()
     conn = Conn(server)

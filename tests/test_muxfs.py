@@ -9,7 +9,7 @@ from sensefs.client import ClientError, FileClient
 from sensefs.devicefs import parse_infos
 from sensefs.muxfs import MAX_PENDING, AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from sensefs.simnet import DutyCycle, LinkModel, Network
-from sensefs.wire import IOUNIT, Rerror, Tclunk, Tread
+from sensefs.wire import IOUNIT, ORDWR, Rerror, Tclunk, Tread, Twrite
 
 from conftest import USERS, build_cluster, temp_sensor, make_client, open_fid
 
@@ -607,6 +607,117 @@ def test_readable_ctl_keeps_its_stat_and_commands():
     assert client.read(mux_ref(mux), "aggrData/avgT").splitlines()[0] == b"4.500000"
     assert [s.name for s in client.ls(mux_ref(mux), "groups/lions")] == ["s1"]
     assert [m["id"] for m in parse_infos(client.read(mux_ref(mux), "ctl").decode())] == ["s1"]
+
+
+# -- read queries through ctl --------------------------------------------------
+
+def ask(client, mux, question):
+    """The answer to one query written to mux's ctl, as text."""
+    out, = client.query_many([(mux_ref(mux), "ctl", question)])
+    if isinstance(out, ClientError):
+        raise out
+    return out.decode()
+
+
+def query_cluster(**cfg):
+    cfg.setdefault("reprobe_ticks", 10 ** 6)
+    return build_cluster([temp_sensor(1, 20.5), temp_sensor(2, 22.0)], latency=1,
+                         mux_cfg=MuxConfig(**cfg))
+
+
+def test_query_reads_each_member_once_and_holds_no_device_fid():
+    net, mux, states = query_cluster()
+    client = make_client(net)
+    held = {dev: device_fids(net, dev) for dev in ("s1", "s2")}
+    since = len(net.log.lines)
+    assert ask(client, mux, b"read reading") == "s1 20.500000\ns2 22.000000\n"
+    sid, joules = ask(client, mux, b"read remaining-energy s2").split()
+    assert sid == "s2" and float(joules) == pytest.approx(states["s2"].energy_j, abs=0.1)
+    sent = [line.split("\t")[4].split()[0] for line in net.log.lines[since:]
+            if line.split("\t")[1:3] == ["send", mux.eid]
+            and line.split("\t")[3] in ("s1", "s2")]
+    # walk, open, one read and clunk per member read: s1 once, s2 twice
+    assert sent.count("Twalk") == sent.count("Topen") == sent.count("Tclunk") == 3
+    assert sent.count("Tread") == 3 and len(sent) == 12
+    net.run_until(net.now + 10)
+    assert {dev: device_fids(net, dev) for dev in ("s1", "s2")} == held
+
+
+def test_two_fids_query_at_once_and_keep_their_answers():
+    net, mux, _ = query_cluster()
+    # s1 answers slowly, so the second query is answered first
+    net.set_link(mux.eid, "s1", LinkModel(latency=50), both_ways=True)
+    client = make_client(net)
+    f1 = open_fid(client, mux_ref(mux), "ctl", ORDWR)
+    f2 = open_fid(client, mux_ref(mux), "ctl", ORDWR)
+    done = []
+    client.submit(mux_ref(mux), lambda t: Twrite(t, f1, 0, b"read reading s1"),
+                  lambda r: done.append((1, r.count)))
+    client.submit(mux_ref(mux), lambda t: Twrite(t, f2, 0, b"read reading s2"),
+                  lambda r: done.append((2, r.count)))
+    net.run_until(net.now + 1000)
+    assert done == [(2, 15), (1, 15)]
+    assert client.call(mux_ref(mux), tread(f2)).data == b"s2 22.000000\n"
+    assert client.call(mux_ref(mux), tread(f1)).data == b"s1 20.500000\n"
+
+
+def test_plain_ctl_read_still_returns_the_member_index():
+    net, mux, states = query_cluster()
+    client = make_client(net)
+    index = (states["s1"].info_text() + states["s2"].info_text()).encode()
+    fid = open_fid(client, mux_ref(mux), "ctl", ORDWR)
+    client.call(mux_ref(mux), lambda t: Twrite(t, fid, 0, b"read reading"))
+    assert client.read(mux_ref(mux), "ctl") == index          # another fid
+    assert client.call(mux_ref(mux), tread(fid)).data == b"s1 20.500000\ns2 22.000000\n"
+    assert client.call(mux_ref(mux), tread(fid, 26)).data == b""
+    # the answer is read once: the fid's next read at offset 0 is the index
+    assert client.call(mux_ref(mux), tread(fid)).data == index
+
+
+def test_asleep_member_is_unreachable_unless_cached_within_ttl():
+    net, mux, states = query_cluster(ttl=100, fallback_ticks=200)
+    client = make_client(net)
+    states["s2"].set_power(net.now, "asleep")
+    assert ask(client, mux, b"read reading") == "s1 20.500000\ns2 !device unreachable\n"
+    states["s2"].set_power(net.now, "awake")
+    assert ask(client, mux, b"read reading s2") == "s2 22.000000\n"
+    stamp = mux.links["s2"].cache["reading"][1]
+    states["s2"].set_power(net.now, "asleep")
+    assert ask(client, mux, b"read reading s2") == "s2 22.000000\n"
+    assert "\tmux-query\tc.head\ts2\tpath=reading cached=1" in net.log.text()
+    assert net.now > stamp + 100        # the cached query waited out the fallback
+    assert ask(client, mux, b"read reading s2") == "s2 !device unreachable\n"
+
+
+def test_guest_may_query_but_not_command():
+    net, mux, _ = query_cluster()
+    guest = make_client(net, uname="guest", name="guest")
+    assert ask(guest, mux, b"read reading") == "s1 20.500000\ns2 22.000000\n"
+    for command in (b"rate 10 s1", b"aggregate avgT avg", b"group lions animal=lion"):
+        with pytest.raises(ClientError, match="permission denied"):
+            guest.write(mux_ref(mux), "ctl", command)
+    with pytest.raises(ClientError, match="bad ctl command"):
+        ask(guest, mux, b"read")
+    assert mux.links["s1"].poll is None
+    assert guest.ls(mux_ref(mux), "aggrData") == guest.ls(mux_ref(mux), "groups") == []
+    # each member file is checked against the querying user, as its mirrored
+    # stat says, before the head reads it as mux
+    mux.links["s1"].node.lookup("reading").mode = 0o440
+    since = len(net.log.lines)
+    assert ask(guest, mux, b"read reading") == "s1 !permission denied\ns2 22.000000\n"
+    assert not [line for line in net.log.lines[since:] if "\ts1\t" in line]
+    assert ask(make_client(net), mux, b"read reading s1") == "s1 20.500000\n"
+
+
+def test_malformed_query_is_bad_ctl_command():
+    net, mux, _ = query_cluster()
+    client = make_client(net)
+    for question in (b"read", b" read \n", b"\xff read reading"):
+        with pytest.raises(ClientError, match="bad ctl command"):
+            ask(client, mux, question)
+    with pytest.raises(ClientError, match="unknown device s9"):
+        ask(client, mux, b"read reading s1 s9")
+    assert ask(client, mux, b"read nosuchfile s2") == "s2 !no such file\n"
 
 
 # -- report rate ---------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sensefs import fscore
-from sensefs.client import READ_WIDTH, ClientError
+from sensefs.client import ClientError
 from sensefs.devicefs import parse_info, parse_infos
 from sensefs.muxfs import MuxConfig
 from sensefs.scenario import load_scenario
@@ -271,9 +271,9 @@ def test_resource_band_listing_reads_each_info_once(monkeypatch):
 
 
 def test_resource_view_over_a_hundred_members(monkeypatch):
-    # the energy reads of one listing run READ_WIDTH at a time, so the
-    # client's session on the head never holds more than that many fids
-    # beside its root
+    # a listing asks the head one query for every member's energy, so the
+    # client's session on the head holds its root and one ctl fid at most,
+    # and the head reads each member over a fid it clunks at once
     net, mux, states, client, table = wired(
         [temp_sensor(i, 1.0, energy_j=(5.0, 50.0, 500.0)[i % 3]) for i in range(100)])
     view = build_resource_view(client, table, 10.0, 100.0)
@@ -291,7 +291,11 @@ def test_resource_view_over_a_hundred_members(monkeypatch):
         assert [s.name for s in client.ls(("local", view), "energy/" + band)] == \
             ["s%d" % j for j in range(100) if j % 3 == i]
     assert client.ls(("local", view), "energy/unknown") == []
-    assert peak[0] == READ_WIDTH + 1
+    assert peak[0] == 2
+    for dev in states:
+        server = net.handlers[dev].__self__.server
+        held = [ent.node.name for sess in server.sessions.values() for ent in sess.fids.values()]
+        assert "remaining-energy" not in held
 
 
 def test_unreachable_member_alone_is_unknown():
@@ -301,6 +305,19 @@ def test_unreachable_member_alone_is_unknown():
     view = build_resource_view(client, table, 10.0, 100.0)
     assert [s.name for s in client.ls(("local", view), "energy/medium")] == \
         ["s1", "s3", "s4"]
+    assert [s.name for s in client.ls(("local", view), "energy/unknown")] == ["s2"]
+
+
+def test_asleep_member_keeps_its_band_within_the_ttl():
+    net, mux, states, client, table = wired(
+        [temp_sensor(i, 1.0, energy_j=50.0) for i in range(1, 3)],
+        mux_cfg=MuxConfig(ttl=200, reprobe_ticks=10 ** 6))
+    view = build_resource_view(client, table, 10.0, 100.0)
+    assert [s.name for s in client.ls(("local", view), "energy/medium")] == ["s1", "s2"]
+    states["s2"].set_power(net.now, "asleep")
+    # the head answers for s2 from the energy it read a moment ago
+    assert [s.name for s in client.ls(("local", view), "energy/medium")] == ["s1", "s2"]
+    net.run_until(net.now + 200)
     assert [s.name for s in client.ls(("local", view), "energy/unknown")] == ["s2"]
 
 
@@ -329,9 +346,32 @@ def test_zoo_band_listing_ticks():
         else:
             sequential_band_listing(shell.client, shell.table)
         ticks.append(sim.net.now - t0)
-    # two heads, 3-tick links: the scan's ctl reads, then ten energy reads
-    # at once, each as slow as one relayed read
-    assert ticks == [96, 636]
+    # two heads, 3-tick links: the scan's ctl reads, then one energy query
+    # per head at once, each as slow as a relayed read but for the device
+    # attach a relayed read makes as the client's user
+    assert ticks == [90, 636]
+
+
+def test_zoo_location_data_frame_cost():
+    # the heads' periodic info refresh is pushed out of the window, so the
+    # frames counted are the cat's own
+    with open(ZOO) as fh:
+        text = fh.read().replace("\nreprobe = 100\n", "\nreprobe = 1000000\n")
+    sim = load_scenario(text)
+    sim.start()
+    shell = Shell(sim)
+    shell.run_line("mount /dev/network /network")
+    shell.run_line("view build location")
+    since = len(sim.net.log.lines)
+    assert shell.run_line("cat /location/region-10/data") == (
+        0, "20.900000\n22.300000\n24.100000\n70.000000 30.000000\n21.700000\n19.500000")
+    # the walk's scan reads each head's ctl (12 frames each); one query to
+    # the members' head is 12 client frames, and it reads each of the six
+    # members in 8 device frames (walk, open, read, clunk)
+    assert device_frames(sim.net, since, {shell.client.eid}) == 2 * 12 + 12
+    assert device_frames(sim.net, since, set(sim.states)) == 6 * 8
+    assert sum(1 for line in sim.net.log.lines[since:]
+               if line.split("\t")[1] == "send") == 84
 
 
 # -- the member index ----------------------------------------------------------
