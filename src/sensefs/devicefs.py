@@ -216,8 +216,7 @@ def make_device_server(state: SensorState, users=None, clock=None) -> Server:
     root.add(make_file("registers", 0o644, read=read_registers, write=write_registers))
 
     def read_mem(off, cnt):
-        if off + cnt > MEM_SIZE:
-            raise FsError("address out of range")
+        # a read running past the end gets the bytes up to it, as for any file
         return bytes(state.memory[off:off + cnt])
 
     def write_mem(off, data):

@@ -294,7 +294,8 @@ class Multiplexer(Server):
     def _mirror_device(self, link, stats) -> Node:
         sdir = make_dir(link.peer, 0o555)
         for st in stats:
-            child = sdir.add(Node(st.name, st.mode & 0o777, owner=st.owner, group=st.group))
+            child = sdir.add(Node(st.name, st.mode & 0o777, owner=st.owner, group=st.group,
+                                  length=lambda n=st.length: n))
             self.remote[child] = (link, st.name)
         return sdir
 

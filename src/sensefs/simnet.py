@@ -4,15 +4,22 @@ One virtual tick = 1 ms.  A single seeded RNG drives loss and jitter, so
 (config, seed) fully determines the event log.  Frames are fire-and-forget:
 the sender is never told about a drop; reliability belongs to the layers
 above.
+
+The event log keeps every event as a packed 16-byte record and makes its
+text only when the log is read, so a long run keeps its whole log at a
+small cost; the text read back is the same as if each line had been
+formatted as it happened.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .wire import frame_summary
+from .wire import frame_head, head_summary
 
 
 @dataclass
@@ -72,21 +79,79 @@ class Event:
         self.fn = None         # freed now: a request timeout may not pop for long
 
 
+# one record per event: tick, number of its (event, src, dst), detail
+_RECORD = struct.Struct("<QII")
+_FRAME = 1 << 31            # detail bit: the rest is a frame's wire.frame_head
+
+
 class EventLog:
-    """Tab-separated trace: tick, event, src, dst, detail."""
+    """Tab-separated trace: tick, event, src, dst, detail.
+
+    add() appends one fixed-width record: the tick, the number of the
+    interned (event, src, dst) triple, and a detail field.  A frame passed
+    as the detail keeps only its type code and tag; any other detail is the
+    number of its interned text.  `lines` formats a record when it is read.
+    """
 
     def __init__(self):
-        self.lines = []
+        self._records = bytearray()
+        self._triple_ids = {}
+        self._triples = []
+        self._text_ids = {}
+        self._texts = []
+        self.lines = LogLines(self._records, self._triples, self._texts)
 
     def add(self, tick, event, src, dst, detail=""):
-        self.lines.append("%d\t%s\t%s\t%s\t%s" % (tick, event, src, dst, detail))
+        triple = (event, src, dst)
+        n = self._triple_ids.get(triple)
+        if n is None:
+            n = self._triple_ids[triple] = len(self._triples)
+            self._triples.append(triple)
+        if detail.__class__ is bytes:
+            d = _FRAME | frame_head(detail)
+        else:
+            d = self._text_ids.get(detail)
+            if d is None:
+                d = self._text_ids[detail] = len(self._texts)
+                self._texts.append(detail)
+        self._records += _RECORD.pack(tick, n, d)
 
     def text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
 
     def write(self, path):
+        """Write text() to path one line at a time."""
         with open(path, "w") as fh:
-            fh.write(self.text())
+            fh.writelines(line + "\n" for line in self.lines)
+
+
+class LogLines(Sequence):
+    """A read-only view of an EventLog's records as text lines.  Iteration
+    goes by index (Sequence's), so adds may go on while a loop is open."""
+
+    def __init__(self, records, triples, texts):
+        self._records = records
+        self._triples = triples
+        self._texts = texts
+
+    def __len__(self):
+        return len(self._records) // _RECORD.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._line(j) for j in range(*i.indices(len(self)))]
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("log line index out of range")
+        return self._line(i)
+
+    def _line(self, i):
+        tick, n, d = _RECORD.unpack_from(self._records, i * _RECORD.size)
+        event, src, dst = self._triples[n]
+        detail = head_summary(d & ~_FRAME) if d & _FRAME else self._texts[d]
+        return "%d\t%s\t%s\t%s\t%s" % (tick, event, src, dst, detail)
 
 
 class Network:
@@ -170,29 +235,28 @@ class Network:
         """Schedule delivery of one frame, or drop it silently."""
         if dst not in self.handlers:
             raise ValueError("unknown endpoint %r" % dst)
-        summary = frame_summary(frame)
         state = self.states.get(src)
         if state is not None and not state.charge(self.now, self.energy.tx_cost_j, "tx"):
-            self.log.add(self.now, "txfail", src, dst, summary)
+            self.log.add(self.now, "txfail", src, dst, frame)
             return
-        self.log.add(self.now, "send", src, dst, summary)
+        self.log.add(self.now, "send", src, dst, frame)
         link = self.link_for(src, dst)
         if link.loss > 0.0 and self.rng.random() < link.loss:
-            self.log.add(self.now, "drop", src, dst, summary)
+            self.log.add(self.now, "drop", src, dst, frame)
             return
         latency = link.latency
         if link.jitter:
             latency += self.rng.randint(0, link.jitter)
-        self.schedule(latency, lambda: self._deliver(src, dst, frame, summary))
+        self.schedule(latency, lambda: self._deliver(src, dst, frame))
 
-    def _deliver(self, src, dst, frame, summary):
+    def _deliver(self, src, dst, frame):
         state = self.states.get(dst)
         if state is not None:
             if not state.is_awake(self.now):
-                self.log.add(self.now, "sleepdrop", src, dst, summary)
+                self.log.add(self.now, "sleepdrop", src, dst, frame)
                 return
             if not state.charge(self.now, self.energy.rx_cost_j, "rx"):
-                self.log.add(self.now, "rxfail", src, dst, summary)
+                self.log.add(self.now, "rxfail", src, dst, frame)
                 return
-        self.log.add(self.now, "deliver", src, dst, summary)
+        self.log.add(self.now, "deliver", src, dst, frame)
         self.handlers[dst](src, frame)

@@ -326,10 +326,24 @@ def decode_message(frame: bytes):
     return cls(tag, *values)
 
 
-def frame_summary(frame: bytes) -> str:
-    """`Name tag=N` from a frame's header alone, for the event log."""
+# frame_head of a frame shorter than its header: above every type and tag
+SHORT_HEAD = 1 << 24
+
+
+def frame_head(frame: bytes) -> int:
+    """A frame's type code and tag as one int, code | tag << 8, read from its
+    header alone, for the event log; SHORT_HEAD if the header is cut short."""
     if len(frame) < _HEADER.size:
-        return "short"
+        return SHORT_HEAD
     _, code, tag = _HEADER.unpack_from(frame)
-    return "%s tag=%d" % (TYPE_NAMES.get(code) or "?%d" % code, tag)
+    return code | tag << 8
+
+
+def head_summary(head: int) -> str:
+    """`Name tag=N` for a frame_head value (`?N` names an unknown type code
+    N); `short` for SHORT_HEAD."""
+    if head == SHORT_HEAD:
+        return "short"
+    code = head & 0xFF
+    return "%s tag=%d" % (TYPE_NAMES.get(code) or "?%d" % code, head >> 8)
 

@@ -143,13 +143,18 @@ def test_mem_write_read_coherence():
 
 
 def test_mem_bounds():
-    _, conn, _ = device()
-    conn.ok(lambda t: Twalk(t, 0, 5, ("mem",)), Rwalk)
-    conn.ok(lambda t: Topen(t, 5, OREAD), Ropen)
-    conn.err(lambda t: Tread(t, 5, 0, 300), "address out of range")
-    conn.err(lambda t: Tread(t, 5, 250, 7), "address out of range")
+    state, conn, _ = device()
+    state.memory[:] = bytes(range(MEM_SIZE))
+    # a read running past the end gets the bytes up to it; at or past it, none
+    assert read_file(conn, "mem", 0, 300) == bytes(range(MEM_SIZE))
+    assert read_file(conn, "mem", 250, 7) == bytes(range(250, MEM_SIZE))
+    assert read_file(conn, "mem", MEM_SIZE, 1) == b""
+    assert read_file(conn, "mem", MEM_SIZE + 10, 8) == b""
+    # a write must fit
     write_file(conn, "mem", b"x" * 10, offset=250,
                expect_err="address out of range")
+    write_file(conn, "mem", b"x" * 6, offset=250)
+    assert read_file(conn, "mem", 248, 8) == bytes([248, 249]) + b"x" * 6
     assert len(read_file(conn, "mem", 0, MEM_SIZE)) == MEM_SIZE
 
 

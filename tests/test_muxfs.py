@@ -6,10 +6,10 @@ import pytest
 
 from sensefs import muxfs
 from sensefs.client import ClientError, FileClient
-from sensefs.devicefs import parse_infos
+from sensefs.devicefs import FILE_ORDER, MEM_SIZE, parse_infos
 from sensefs.muxfs import MAX_PENDING, AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from sensefs.simnet import DutyCycle, LinkModel, Network
-from sensefs.wire import IOUNIT, ORDWR, Rerror, Tclunk, Tread, Twrite
+from sensefs.wire import IOUNIT, ORDWR, OWRITE, Rerror, Tclunk, Tread, Twrite
 
 from conftest import USERS, build_cluster, temp_sensor, make_client, open_fid
 
@@ -195,9 +195,25 @@ def test_lost_rattach_retry_takes_fresh_fid():
 def test_mem_bound_error_via_mux():
     net, mux, _ = build_cluster([temp_sensor(1, 1.0)])
     client = make_client(net)
-    fid = open_fid(client, mux_ref(mux), "sensors/s1/mem")
+    fid = open_fid(client, mux_ref(mux), "sensors/s1/mem", OWRITE)
     with pytest.raises(ClientError, match="address out of range"):
-        client.call(mux_ref(mux), tread(fid, 250, 10))
+        client.call(mux_ref(mux), lambda t: Twrite(t, fid, 250, b"x" * 10))
+    # a relayed read past the end gets the bytes up to it
+    fid = open_fid(client, mux_ref(mux), "sensors/s1/mem")
+    assert client.call(mux_ref(mux), tread(fid, 250, 10)).data == bytes(6)
+    assert client.read(mux_ref(mux), "sensors/s1/mem") == bytes(MEM_SIZE)
+
+
+def test_mirrored_stat_matches_the_device():
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0)])
+    client = make_client(net)
+    for name in FILE_ORDER:
+        at_head = client.stat(mux_ref(mux), "sensors/s1/" + name)
+        at_device = client.stat(("net", "s1"), name)
+        assert (at_head.name, at_head.mode, at_head.length, at_head.owner, at_head.group) \
+            == (at_device.name, at_device.mode, at_device.length, at_device.owner,
+                at_device.group)
+    assert client.stat(mux_ref(mux), "sensors/s1/mem").length == MEM_SIZE
 
 
 def test_outstanding_requests_fast_overtakes_slow():

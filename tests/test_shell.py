@@ -103,6 +103,15 @@ def test_stat(sh):
     assert out.split() == ["control", "-rw-r--r--", "admin", "0", "admin"]
 
 
+def test_cat_and_stat_of_mem(sh):
+    status, out = sh.run_line("cat /network/cluster1/sensors/s1/mem")
+    assert (status, out) == (0, "\0" * 256)
+    _, out = sh.run_line("stat /network/cluster1/sensors/s1/mem")
+    assert out.split() == ["mem", "-rw-r--r--", "admin", "256", "admin"]
+    _, out = sh.run_line("ls -l /network/cluster1/sensors/s1")
+    assert "-rw-r--r-- admin 256 mem" in out.splitlines()
+
+
 def test_groups(sh):
     _, out = sh.run_line("groups cluster1")
     entries = dict(l.split(": ", 1) for l in out.splitlines())

@@ -1,12 +1,18 @@
 """Simulator tests: scheduling, links, loss, duty cycles, energy, determinism."""
 
+import os
+import struct
+import tempfile
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sensefs.devicefs import SensorState
 from sensefs.simnet import (
-    DutyCycle, EnergyModel, Event, LinkModel, Network,
+    DutyCycle, EnergyModel, Event, EventLog, LinkModel, Network,
 )
+from sensefs.wire import TYPE_NAMES, Rread, Tread, encode_message
 
 
 def net_with_sinks(*eids, seed=0, **kw):
@@ -248,3 +254,102 @@ def test_identical_seeds_identical_logs():
 
 def test_different_seeds_differ():
     assert run_trace(123) != run_trace(124)
+
+
+# -- the packed event log against the string log it replaced -----------------
+
+def reference_summary(frame):
+    """The per-send formatter of the string log: `Name tag=N` from a frame."""
+    if len(frame) < 7:
+        return "short"
+    _, code, tag = struct.unpack_from("<IBH", frame)
+    return "%s tag=%d" % (TYPE_NAMES.get(code) or "?%d" % code, tag)
+
+
+class ReferenceLog:
+    """The string log: one formatted line kept per event."""
+
+    def __init__(self):
+        self.lines = []
+
+    def add(self, tick, event, src, dst, detail=""):
+        if isinstance(detail, bytes):
+            detail = reference_summary(detail)
+        self.lines.append("%d\t%s\t%s\t%s\t%s" % (tick, event, src, dst, detail))
+
+    def text(self):
+        return "\n".join(self.lines) + ("\n" if self.lines else "")
+
+
+names = st.sampled_from(["send", "deliver", "drop", "mux-relay", "a", "b", "c.head", ""])
+frames = st.builds(
+    lambda code, tag, body: struct.pack("<IBH", 7 + len(body), code, tag) + body,
+    st.sampled_from(sorted(TYPE_NAMES)) | st.integers(0, 255),
+    st.integers(0, 0xFFFF), st.binary(max_size=12))
+details = (frames | st.binary(max_size=6)
+           | st.sampled_from(["", "short", "tag=7 fid=3 path=s1/reading cached=1"])
+           | st.text(max_size=20) | st.none())
+records = st.lists(st.tuples(st.integers(0, 2**40), names, names, names, details),
+                   max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records, st.data())
+def test_packed_log_reads_back_as_the_string_log(recs, data):
+    log, ref = EventLog(), ReferenceLog()
+    for tick, event, src, dst, detail in recs:
+        if detail is None:                  # the default detail
+            log.add(tick, event, src, dst)
+            ref.add(tick, event, src, dst)
+        else:
+            log.add(tick, event, src, dst, detail)
+            ref.add(tick, event, src, dst, detail)
+    lines, want = log.lines, ref.lines
+    n = len(want)
+    assert len(lines) == n
+    assert list(lines) == want
+    for i in range(-n, n):
+        assert lines[i] == want[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            lines[i]
+    start, stop = data.draw(st.integers(-n - 2, n + 2)), data.draw(st.integers(-n - 2, n + 2))
+    step = data.draw(st.sampled_from([None, 1, 2, 3, -1, -2]))
+    assert lines[start:stop:step] == want[start:stop:step]
+    assert lines[start:] == want[start:]
+    assert log.text() == ref.text()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.log")
+        log.write(path)
+        with open(path, "rb") as fh:
+            assert fh.read() == ref.text().encode()
+
+
+def test_log_iteration_leaves_adds_open():
+    log = EventLog()
+    log.add(1, "send", "a", "b", FRAME)
+    it = iter(log.lines)
+    assert next(it) == "1\tsend\ta\tb\tTclunk tag=5"
+    log.add(2, "deliver", "a", "b", FRAME)
+    assert len(log.lines) == 2
+
+
+def test_log_keeps_a_record_in_a_few_bytes():
+    pairs = [("client", "c%d.head" % i) for i in range(10)] + \
+            [("c%d.head" % i, "s%d" % j) for i in range(10) for j in range(30)]
+    frames = [encode_message(Tread(tag, tag % 100, 0, 8169)) for tag in range(1, 500)] + \
+             [encode_message(Rread(tag, b"20.900000\n")) for tag in range(1, 500)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = EventLog()
+        for i in range(50_000):
+            src, dst = pairs[i % len(pairs)]
+            frame = frames[i % len(frames)]
+            log.add(i, "send", src, dst, frame)
+            log.add(i + 2, "deliver", src, dst, frame)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log.lines) == 100_000
+    assert used <= 32 * len(log.lines)
