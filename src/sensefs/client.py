@@ -20,7 +20,7 @@ once.  Its callers:
 
     muxfs.Multiplexer  every device exchange of a cluster head
     FileClient._run    every file operation: one step (call, read, write,
-                       stat) or many (read_many, query_many), the
+                       stat) or many (read_many, write_many), the
                        simulation clock run until all end
 
 FileClient gives read/write/ls/stat on paths against two kinds of
@@ -410,13 +410,14 @@ class FileClient:
         return self._run([(ref, read_file(self._conn(ref), self.uname, relpath, None))
                           for ref, relpath in targets])
 
-    def query_many(self, targets) -> list:
-        """For each (ref, relpath, question) of targets, in order, the
-        answer read back after writing question to that file on one fid,
-        or the ClientError that refused it, all asked in one run."""
-        return self._run([(ref, write_file(self._conn(ref), self.uname, relpath, question,
-                                           None, answer=True))
-                          for ref, relpath, question in targets])
+    def write_many(self, targets, answer=False) -> list:
+        """For each (ref, relpath, data) of targets, in order, the count
+        written to that file, or with answer the answer read back after
+        the write on the same fid (a query), or the ClientError that
+        refused it, all written in one run."""
+        return self._run([(ref, write_file(self._conn(ref), self.uname, relpath, data,
+                                           None, answer))
+                          for ref, relpath, data in targets])
 
     def write(self, ref, relpath, data: bytes) -> int:
         return self._one(ref, write_file(self._conn(ref), self.uname, relpath, data, None))

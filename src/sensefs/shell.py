@@ -214,7 +214,7 @@ class Shell:
             return 0, self.execute(line)
         except (ClientError, FsError) as e:
             return 1, "error: %s" % (e.ename,)
-        except (CommandError, PlanError, ValueError) as e:
+        except (CommandError, PlanError, ValueError, OSError) as e:   # OSError: log FILE
             return 1, "error: %s" % (e,)
 
 
@@ -285,6 +285,9 @@ def main(argv=None):
 
     try:
         sim = load_scenario_file(args.scenario, seed=args.seed)
+        if args.script:
+            with open(args.script) as fh:
+                script = fh.read()
     except (ScenarioError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
@@ -293,13 +296,16 @@ def main(argv=None):
 
     code = 0
     if args.script:
-        with open(args.script) as fh:
-            code, report = run_script(shell, fh.read(), out=sys.stdout)
+        code, report = run_script(shell, script, out=sys.stdout)
         print(report)
     else:
         repl(shell)
     if args.log:
-        sim.net.log.write(args.log)
+        try:
+            sim.net.log.write(args.log)
+        except OSError as e:
+            print("error: %s" % e, file=sys.stderr)
+            return 1
     return code
 
 

@@ -7,13 +7,18 @@ so they never invent sensors.  Which sensors exist and their kind,
 position and tags come from each cluster head's member index (its ctl),
 as fresh as the head's re-probe period.  Energy and readings are read
 from the devices at listing time, by asking each cluster head once: a
-`read FILE ID ...` query written to its ctl, which the head answers with
-FILE of every named member (read_members).
+`read FILE [ID ...]` query written to its ctl, which the head answers
+with FILE of every named member, or of every member if none is named,
+one `ID VALUE` or `ID !error` line each (parse_answer).  A band listing
+is one such query per head, naming no member: it reads no member index,
+since the answer itself names the members in member-index order.  A
+plan and a location data file name their members (read_members).
 
-Wherever a view reads from many clusters (every cluster's ctl in a scan,
-one query per cluster for a band listing, a plan or a data file) it
-sends all of them in one batch, so the user waits about as long as for
-the slowest cluster, not for their sum.  Results keep scan order.
+Wherever a view reads from or writes to many clusters (every cluster's
+ctl in a scan, one query per cluster for a band listing, a plan or a
+data file, one rate command per cluster for a plan's tasking) it sends
+all of them in one batch, so the user waits about as long as for the
+slowest cluster, not for their sum.  Results keep scan order.
 """
 
 from __future__ import annotations
@@ -99,7 +104,8 @@ def read_paths(client: FileClient, table: NamespaceTable, paths, questions=None)
             continue
         targets.append(target if questions is None else target + (questions[i],))
     batch = [t for t in targets if not isinstance(t, ClientError)]
-    got = iter(client.read_many(batch) if questions is None else client.query_many(batch))
+    got = iter(client.read_many(batch) if questions is None
+               else client.write_many(batch, answer=True))
     return [t if isinstance(t, ClientError) else next(got) for t in targets]
 
 
@@ -198,9 +204,8 @@ class Region:
 _VIEW_USERS = UserDb({"admin": {"admin"}})
 
 
-def _member_entry(info: SensorInfo):
-    path = info.path
-    return make_file(info.id, 0o444,
+def _member_entry(sid, path):
+    return make_file(sid, 0o444,
                      read=lambda off, cnt: (path + "\n").encode()[off:off + cnt])
 
 
@@ -231,7 +236,7 @@ def build_location_view(client, table, geo: GeoMap, regions=(), cell: float = 1.
                 dirs = []
                 for lat_label, members in lats.items():
                     def cell_children(members=members):
-                        nodes = [_member_entry(i) for i in members]
+                        nodes = [_member_entry(i.id, i.path) for i in members]
                         nodes.append(_data_file(client, table, members))
                         return nodes
                     dirs.append(make_dir(lat_label, 0o555, children_fn=cell_children))
@@ -240,7 +245,7 @@ def build_location_view(client, table, geo: GeoMap, regions=(), cell: float = 1.
         for region in regions:
             def region_children(region=region, infos=infos):
                 members = [i for i in infos if region.contains(i.position)]
-                nodes = [_member_entry(i) for i in members]
+                nodes = [_member_entry(i.id, i.path) for i in members]
                 nodes.append(_data_file(client, table, members))
                 return nodes
             out.append(make_dir(region.name, 0o555, children_fn=region_children))
@@ -268,7 +273,7 @@ def build_logical_view(client, table, tag_key="animal", root="/network") -> Serv
                         values.setdefault(value, []).append(info)
                 return [
                     make_dir(value + "s", 0o555,
-                             children_fn=lambda ms=ms: [_member_entry(i) for i in ms])
+                             children_fn=lambda ms=ms: [_member_entry(i.id, i.path) for i in ms])
                     for value, ms in values.items()
                 ]
             out.append(make_dir(kind, 0o555, children_fn=kind_children))
@@ -276,6 +281,18 @@ def build_logical_view(client, table, tag_key="animal", root="/network") -> Serv
 
     root_node = make_dir("data", 0o555, children_fn=top_children)
     return Server(root_node, _VIEW_USERS, name="data", max_sessions=8)
+
+
+def parse_answer(answer: bytes) -> list:
+    """The (member id, value) of each line of a ctl query's answer, in
+    order: value is the first line of the member's file, or None for an
+    `ID !error` line."""
+    out = []
+    for line in answer.split(b"\n"):
+        if line:
+            sid, _, value = line.partition(b" ")
+            out.append((sid.decode(errors="replace"), None if value.startswith(b"!") else value))
+    return out
 
 
 def read_members(client, table, infos, name) -> list:
@@ -290,26 +307,26 @@ def read_members(client, table, infos, name) -> list:
     values = {}                     # (ctl path, id) -> first line
     for ctl, answer in zip(asked, read_paths(client, table, list(asked), questions)):
         if isinstance(answer, bytes):
-            for line in answer.split(b"\n"):
-                sid, _, value = line.partition(b" ")
-                if not value.startswith(b"!"):
-                    values[ctl, sid.decode(errors="replace")] = value
+            for sid, value in parse_answer(answer):
+                values[ctl, sid] = value
     return [values.get((ctl, info.id)) for ctl, info in zip(ctls, infos)]
+
+
+def _energy(value):
+    """Joules from the first line of a remaining-energy file, or None if
+    it was not read or is not a number."""
+    if value is None:
+        return None
+    try:
+        return float(value.split()[0])
+    except (ValueError, IndexError):
+        return None
 
 
 def read_energies(client, table, infos) -> list:
     """Each sensor's remaining energy in joules, or None if unreadable, in
     order: one query per cluster, all in one batch."""
-    out = []
-    for data in read_members(client, table, infos, "remaining-energy"):
-        energy = None
-        if data is not None:
-            try:
-                energy = float(data.split()[0])
-            except (ValueError, IndexError):
-                pass
-        out.append(energy)
-    return out
+    return [_energy(v) for v in read_members(client, table, infos, "remaining-energy")]
 
 
 def energy_band(energy, low_j, high_j) -> str:
@@ -324,16 +341,24 @@ def energy_band(energy, low_j, high_j) -> str:
 
 def build_resource_view(client, table, low_j: float, high_j: float,
                         root="/network") -> Server:
-    """Tree /resource/energy/{low,medium,high,unknown}/, banded at read time."""
+    """Tree /resource/energy/{low,medium,high,unknown}/, banded at read
+    time: a listing writes `read remaining-energy`, naming no member, to
+    the ctl of every cluster under root in one batch, and its answers list
+    every member in member-index order.  An entry without a ctl that
+    answers (a device mounted directly under root) is skipped, as in
+    scan_sensors."""
     if not 0 < low_j < high_j:
         raise ValueError("thresholds must satisfy 0 < low < high")
 
     def band_children(band):
         def children():
-            infos = scan_sensors(client, table, root)
-            return [_member_entry(info)
-                    for info, energy in zip(infos, read_energies(client, table, infos))
-                    if energy_band(energy, low_j, high_j) == band]
+            clusters = list(dir_entries(client, table, root))
+            answers = read_paths(client, table, ["%s/%s/ctl" % (root, c) for c in clusters],
+                                 [b"read remaining-energy"] * len(clusters))
+            return [_member_entry(sid, "%s/%s/sensors/%s" % (root, cluster, sid))
+                    for cluster, answer in zip(clusters, answers) if isinstance(answer, bytes)
+                    for sid, value in parse_answer(answer)
+                    if energy_band(_energy(value), low_j, high_j) == band]
         return children
 
     energy_dir = make_dir("energy", 0o555)
@@ -400,11 +425,16 @@ def plan_query(client, table, regions, region_name, coverage, aggregation="avg",
 
 
 def execute_plan(client, table, plan: TaskPlan, root="/network"):
-    """Task the selected sensors with the plan's reporting rate."""
+    """Task the selected sensors with the plan's reporting rate: one rate
+    command per cluster head, all written in one batch.  Every head is
+    tried; then the first refusal, in cluster order, is raised."""
+    targets = []
     for cluster, members in plan.clusters.items():
         ref, rel = table.resolve("%s/%s/ctl" % (root, cluster))
-        command = "rate %d %s" % (plan.rate, " ".join(members))
-        client.write(ref, rel, command.encode())
+        targets.append((ref, rel, ("rate %d %s" % (plan.rate, " ".join(members))).encode()))
+    refused = [out for out in client.write_many(targets) if isinstance(out, ClientError)]
+    if refused:
+        raise refused.pop(0)        # not held by this frame: no reference cycle
 
 
 # ----------------------------------------------------------------------

@@ -484,7 +484,7 @@ GOLDEN_LOGS = {
     "example1_monitoring.script":
         "d87417c3689908c12f3d0577d8d1706e64bd70b507fcc584292c8dd1f5903cc3",
     "example2_datacentric.script":
-        "4c1adc09c05fedf98a4cb814e137dc296bddce1958b2669a047dba5eefcaae6a",
+        "8014847a5bb317fba133dc82368fcbc69664013666a8a734abb3c6a6cc8a1542",
     "example3_emergency.script":
         "f71ee66f0e0417f845d7c3c43eb53ff94a3539c035db556957e15ab74fb14375",
 }

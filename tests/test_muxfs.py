@@ -629,7 +629,7 @@ def test_readable_ctl_keeps_its_stat_and_commands():
 
 def ask(client, mux, question):
     """The answer to one query written to mux's ctl, as text."""
-    out, = client.query_many([(mux_ref(mux), "ctl", question)])
+    out, = client.write_many([(mux_ref(mux), "ctl", question)], answer=True)
     if isinstance(out, ClientError):
         raise out
     return out.decode()

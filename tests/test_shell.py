@@ -128,6 +128,17 @@ def test_errors_render_with_prefix(sh):
     assert status == 1 and out.startswith("error: unknown command")
 
 
+def test_log_to_an_unwritable_path_is_an_error(sh, tmp_path):
+    missing = str(tmp_path / "no-such-dir" / "x.log")
+    status, out = sh.run_line("log " + missing)
+    assert status == 1
+    assert out.startswith("error: [Errno 2] No such file or directory") and missing in out
+    # the shell goes on: a later command runs, and a writable path works
+    assert sh.run_line("seed")[0] == 0
+    assert sh.run_line("log " + str(tmp_path / "x.log")) == (0, "")
+    assert (tmp_path / "x.log").read_text() == sh.sim.net.log.text()
+
+
 def test_guest_permission_error():
     shell = zoo_shell(user="guest")
     shell.run_line("mount /dev/network /network")
@@ -219,6 +230,25 @@ def test_cli_bad_scenario(tmp_path, capsys):
     bad.write_text("[sensor s1]\nduty = 0 0 0\n")
     assert main(["--scenario", str(bad)]) == 1
     assert "error: line 2: bad value for 'duty'" in capsys.readouterr().err
+
+
+def test_cli_missing_script(tmp_path, capsys):
+    missing = str(tmp_path / "missing.script")
+    assert main(["--scenario", ZOO, "--script", missing]) == 1
+    out = capsys.readouterr()
+    assert out.err == "error: [Errno 2] No such file or directory: %r\n" % missing
+    assert out.out == ""                # nothing ran
+
+
+def test_cli_unwritable_log(tmp_path, capsys):
+    log = str(tmp_path / "no-such-dir" / "events.log")
+    code = main(["--scenario", ZOO,
+                 "--script", os.path.join(SCRIPT_DIR, "example1_monitoring.script"),
+                 "--log", log])
+    assert code == 1
+    out = capsys.readouterr()
+    assert "PASS" in out.out            # the script ran; only the log failed
+    assert out.err == "error: [Errno 2] No such file or directory: %r\n" % log
 
 
 def test_cli_constant_pair_needs_a_position_sensor(tmp_path, capsys):

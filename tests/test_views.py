@@ -11,7 +11,7 @@ from sensefs.scenario import load_scenario
 from sensefs.shell import Shell
 from sensefs.simnet import LinkModel
 from sensefs.views import (
-    EMERGENCY_ROOT, GeoMap, NamespaceTable, PlanError, Region, SensorInfo,
+    EMERGENCY_ROOT, GeoMap, NamespaceTable, PlanError, Region, SensorInfo, TaskPlan,
     build_location_view, build_logical_view, build_resource_view,
     cell_label, dir_entries, emergency_mount, energy_band, execute_plan,
     make_responder, norm_path, plan_query, raise_alert, scan_sensors,
@@ -243,31 +243,38 @@ def test_resource_view_rebands_as_energy_drains():
 
 
 def test_resource_band_listing_reads_each_info_once(monkeypatch):
-    """Each sensor's info comes once per band listing, from the one read of
-    its head's member index (ctl), and no info file is read."""
+    """A band listing reads no member index (ctl) and no info file: it
+    sends its head one query, naming no member, and the answer lists
+    every member."""
     net, mux, states, client, table = wired([
         temp_sensor(i, 1.0, energy_j=50.0) for i in range(1, 4)])
     view = build_resource_view(client, table, 10.0, 100.0)
-    reads = []
-    real_read, real_read_many = client.read, client.read_many
+    reads, writes = [], []
+    real_read, real_read_many, real_write_many = client.read, client.read_many, client.write_many
 
     def counting_read(ref, path, *args, **kw):
-        reads.append(path)
+        if ref[0] == "net":
+            reads.append(path)
         return real_read(ref, path, *args, **kw)
 
     def counting_read_many(targets):
         reads.extend(path for _, path in targets)
         return real_read_many(targets)
 
+    def counting_write_many(targets, answer=False):
+        writes.extend((ref, path, data, answer) for ref, path, data in targets)
+        return real_write_many(targets, answer)
+
     monkeypatch.setattr(client, "read", counting_read)
     monkeypatch.setattr(client, "read_many", counting_read_many)
+    monkeypatch.setattr(client, "write_many", counting_write_many)
     assert [s.name for s in client.ls(("local", view), "energy/medium")] == \
         ["s1", "s2", "s3"]
-    assert [p for p in reads if p.endswith("info")] == []
-    assert reads.count("ctl") == 1
+    assert reads == []
+    assert writes == [(("net", mux.eid), "ctl", b"read remaining-energy", True)]
     assert client.ls(("local", view), "energy/low") == []
-    assert [p for p in reads if p.endswith("info")] == []
-    assert reads.count("ctl") == 2
+    assert reads == []
+    assert len(writes) == 2 and writes[1] == writes[0]
 
 
 def test_resource_view_over_a_hundred_members(monkeypatch):
@@ -315,10 +322,16 @@ def test_asleep_member_keeps_its_band_within_the_ttl():
     view = build_resource_view(client, table, 10.0, 100.0)
     assert [s.name for s in client.ls(("local", view), "energy/medium")] == ["s1", "s2"]
     states["s2"].set_power(net.now, "asleep")
-    # the head answers for s2 from the energy it read a moment ago
+    since = len(net.log.lines)
+    # the head answers for s2 from the energy it read a moment ago, once s2
+    # has not answered within the fallback wait
     assert [s.name for s in client.ls(("local", view), "energy/medium")] == ["s1", "s2"]
+    cached = [line for line in net.log.lines[since:] if "\tmux-query\t" in line]
+    assert len(cached) == 1 and cached[0].endswith("path=remaining-energy cached=1")
     net.run_until(net.now + 200)
+    # past the ttl s2 answers `!device unreachable`: unknown, in no other band
     assert [s.name for s in client.ls(("local", view), "energy/unknown")] == ["s2"]
+    assert [s.name for s in client.ls(("local", view), "energy/medium")] == ["s1"]
 
 
 def sequential_band_listing(client, table):
@@ -346,10 +359,65 @@ def test_zoo_band_listing_ticks():
         else:
             sequential_band_listing(shell.client, shell.table)
         ticks.append(sim.net.now - t0)
-    # two heads, 3-tick links: the scan's ctl reads, then one energy query
-    # per head at once, each as slow as a relayed read but for the device
-    # attach a relayed read makes as the client's user
-    assert ticks == [90, 636]
+    # two heads, 3-tick links: one energy query per head at once, naming
+    # no member, with no member-index read before it
+    assert ticks == [60, 636]
+
+
+def test_band_listing_skips_a_device_mounted_under_the_root():
+    net, mux, states, client, table = wired([
+        temp_sensor(i, 1.0, energy_j=50.0) for i in range(1, 4)])
+    table.mount("/network/s1", ("net", "s1"))      # a device, not a head: no ctl
+    vref = ("local", build_resource_view(client, table, 10.0, 100.0))
+    assert list(dir_entries(client, table, "/network")) == ["c", "s1"]
+    assert [i.path for i in scan_sensors(client, table)] == \
+        ["/network/c/sensors/s%d" % i for i in range(1, 4)]
+    assert [s.name for s in client.ls(vref, "energy/medium")] == ["s1", "s2", "s3"]
+    assert client.read(vref, "energy/medium/s1") == b"/network/c/sensors/s1\n"
+    assert client.ls(vref, "energy/unknown") == []
+
+
+# two heads on 2-tick links; each head's members are listed in member
+# order (the order of their sections), which is not the order of their ids
+TWO_HEADS = """
+[scenario]
+reprobe = 1000000
+[link]
+latency = 2
+[cluster b]
+[cluster a]
+""" + "".join("""
+[sensor %s]
+cluster = %s
+kind = temperature
+position = %d 10
+energy = %s
+source = constant 20
+""" % spec for spec in [("s5", "b", 10, 500), ("s1", "b", 20, 50), ("s9", "b", 30, 500),
+                        ("s4", "a", 40, 500), ("s2", "a", 50, 5), ("s3", "a", 60, 500)]) + """
+[region r]
+rect = 0 0 100 100
+"""
+
+
+def two_heads():
+    sim = load_scenario(TWO_HEADS)
+    sim.start()
+    shell = Shell(sim)
+    assert shell.run_line("mount /dev/network /network") == (0, "")
+    return sim, shell
+
+
+def test_band_listing_member_order_across_two_heads():
+    sim, shell = two_heads()
+    assert shell.run_line("ls /network") == (0, "b\na")
+    assert shell.run_line("view build resource") == (0, "")
+    assert shell.run_line("ls /resource/energy/high") == (0, "s5\ns9\ns4\ns3")
+    assert shell.run_line("ls /resource/energy/medium") == (0, "s1")
+    assert shell.run_line("ls /resource/energy/low") == (0, "s2")
+    assert [i.id for i in scan_sensors(shell.client, shell.table)] == \
+        ["s5", "s1", "s9", "s4", "s2", "s3"]
+    assert shell.run_line("cat /resource/energy/high/s4") == (0, "/network/a/sensors/s4")
 
 
 def test_zoo_location_data_frame_cost():
@@ -529,6 +597,38 @@ def test_execute_plan_tasks_clusters():
               and int(line.split("\t")[0]) > t0}
     assert {"s1", "s3", "s6", "s7"} <= polled
     assert "s4" not in polled and "s5" not in polled
+
+
+def test_plan_over_two_clusters_tasks_both_heads_in_one_run():
+    sim, shell = two_heads()
+    client, table, net = shell.client, shell.table, sim.net
+    plan = plan_query(client, table, sim.cfg.regions, "r", coverage=4, rate=50)
+    assert plan.clusters == {"b": ["s5", "s1", "s9"], "a": ["s4", "s3"]}
+    t0 = net.now
+    execute_plan(client, table, plan)
+    tasking = net.now - t0
+    assert all(sim.muxes[c].links[m].poll is not None
+               for c, members in plan.clusters.items() for m in members)
+    assert sim.muxes["a"].links["s2"].poll is None
+    # the same command to one head alone takes as long as tasking both
+    t0 = net.now
+    ref, rel = table.resolve("/network/a/ctl")
+    client.write(ref, rel, b"rate 50 s4 s3")
+    assert net.now - t0 == tasking == 16
+
+
+def test_plan_refusal_is_the_error_and_other_heads_are_still_tasked():
+    sim, shell = two_heads()
+    client, table = shell.client, shell.table
+    plan = TaskPlan(["s9", "s4"], {"b": ["bogus"], "a": ["s4"]}, "avg", 50, [])
+    with pytest.raises(ClientError, match="unknown device bogus"):
+        execute_plan(client, table, plan)
+    assert sim.muxes["a"].links["s4"].poll is not None
+    assert all(link.poll is None for link in sim.muxes["b"].links.values())
+    # both refuse: the first head's refusal, in cluster order
+    plan = TaskPlan([], {"b": ["x1"], "a": ["x2"]}, "avg", 50, [])
+    with pytest.raises(ClientError, match="unknown device x1"):
+        execute_plan(client, table, plan)
 
 
 # -- emergency ------------------------------------------------------------------
