@@ -4,7 +4,8 @@ Discovers its member devices over the wire, mirrors their static trees
 under sensors/, serves aggrData/ files by fanning reads out to members,
 sorts sensors into groups/ at enumeration time, and relays client
 requests to devices by fid while keeping any number of them outstanding.
-A small value cache answers for sleeping sensors within a ttl.  Writes
+A small value cache answers for sleeping sensors within a ttl, judged
+at the tick a read, query or aggregate was asked (_cached).  Writes
 to ctl are commands (rate, aggregate with fn avg, min or max, group) or
 read queries; a plain read of ctl returns the member index, each
 discovered member's info text as last read at discovery or re-probe, so
@@ -101,14 +102,6 @@ class DeviceLink(Conn):
     def set_info(self, data: bytes):
         self.info = data.decode(errors="replace")
         self.meta = parse_info(self.info)
-
-    def fresh(self, path, since):
-        """The cached bytes of path if they were read at tick since or
-        later, else None."""
-        entry = self.cache.get(path)
-        if entry is None or entry[1] < since:
-            return None
-        return entry[0]
 
 
 class Multiplexer(Server):
@@ -351,7 +344,7 @@ class Multiplexer(Server):
                 return r.data
             # no answer: serve the cache, its freshness judged when the
             # request arrived, not after the unreachable-device timeout
-            cached = link.fresh(path, asked - self.cfg.ttl)
+            cached = self._cached(link, path, asked)
             if cached is None:
                 raise FsError("device unreachable")
             ent.data = cached
@@ -420,12 +413,11 @@ class Multiplexer(Server):
         if not members:
             raise FsError("no members")
 
+        asked = self.net.now
+
         def got(link, data):
             if not isinstance(data, bytes):     # None or an FsError
-                data = link.fresh(spec.source_path, self.net.now - self.cfg.ttl)
-                if data is not None:
-                    self.net.log.add(self.net.now, "mux-aggregate", self.eid, link.peer,
-                                     "path=%s cached=1" % spec.source_path)
+                data = self._cached(link, spec.source_path, asked, "mux-aggregate")
             return _parse_floats(data) if data is not None else None
 
         def finish(cb, results):
@@ -513,13 +505,10 @@ class Multiplexer(Server):
         asked = self.net.now
 
         def got(link, out):
-            if out is None:             # no answer: the cache, judged at asking time
-                out = link.fresh(name, asked - self.cfg.ttl)
+            if out is None:
+                out = self._cached(link, name, asked, "mux-query")
                 if out is None:
                     out = FsError("device unreachable")
-                else:
-                    self.net.log.add(self.net.now, "mux-query", self.eid, link.peer,
-                                     "path=%s cached=1" % name)
             if isinstance(out, FsError):
                 return ("%s !%s\n" % (link.peer, out.ename)).encode()
             return b"%s %s\n" % (link.peer.encode(), out.split(b"\n", 1)[0])
@@ -527,6 +516,17 @@ class Multiplexer(Server):
         return Defer(lambda done: self._fan_out(
             links, lambda link: self._read_fresh(link, name, uname), got,
             lambda lines: done(b"".join(lines))))
+
+    def _cached(self, link, path, asked, event=None):
+        """For a member that did not answer a request asked at tick asked:
+        the cached bytes of path if read within the ttl before then, else
+        None.  A value served is logged as event, if one is given."""
+        entry = link.cache.get(path)
+        if entry is None or entry[1] < asked - self.cfg.ttl:
+            return None
+        if event:
+            self.net.log.add(self.net.now, event, self.eid, link.peer, "path=%s cached=1" % path)
+        return entry[0]
 
     def _read_fresh(self, link, path, uname):
         """Step: path read from the device on behalf of uname.  Refused

@@ -38,6 +38,13 @@ def _mode_text(mode: int) -> str:
     return "".join(out)
 
 
+def _number(text: str, usage: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise CommandError(usage) from None
+
+
 class Shell:
     def __init__(self, sim, user="admin"):
         self.sim = sim
@@ -146,29 +153,32 @@ class Shell:
         return "\n".join(lines)
 
     def cmd_view(self, args):
+        usage = ("usage: view build <structural | location [CELL] | logical [TAG] | "
+                 "resource [LOW HIGH]>")
         if len(args) < 2 or args[0] != "build":
-            raise CommandError("usage: view build <structural|location|logical|resource>")
-        kind = args[1]
+            raise CommandError(usage)
+        kind, extra = args[1], args[2:]
+        most = {"structural": 0, "location": 1, "logical": 1, "resource": 2}.get(kind)
+        if most is None:
+            raise CommandError("unknown view kind %r" % kind)
+        if len(extra) > most:
+            raise CommandError(usage)
         cfg = self.sim.cfg
-        if kind == "structural":
-            return ""    # the structural view is the mount itself
         if kind == "location":
-            cell = float(args[2]) if len(args) > 2 else cfg.view_cell
+            cell = _number(extra[0], usage) if extra else cfg.view_cell
             server = views.build_location_view(
                 self.client, self.table, cfg.geo, cfg.regions, cell)
             self.table.mount("/location", ("local", server))
         elif kind == "logical":
-            tag = args[2] if len(args) > 2 else cfg.view_tag
+            tag = extra[0] if extra else cfg.view_tag
             server = views.build_logical_view(self.client, self.table, tag)
             self.table.mount("/data", ("local", server))
         elif kind == "resource":
-            low = float(args[2]) if len(args) > 2 else cfg.view_low
-            high = float(args[3]) if len(args) > 3 else cfg.view_high
+            low = _number(extra[0], usage) if extra else cfg.view_low
+            high = _number(extra[1], usage) if len(extra) > 1 else cfg.view_high
             server = views.build_resource_view(self.client, self.table, low, high)
             self.table.mount("/resource", ("local", server))
-        else:
-            raise CommandError("unknown view kind %r" % kind)
-        return ""
+        return ""    # structural: the view is the mount itself
 
     def cmd_plan(self, args):
         if len(args) != 4:

@@ -1,16 +1,20 @@
 """Namespace construction: mount tables, logical/location/resource views,
 query planning, and emergency-response mounts.
 
-Views are materialized as in-process servers whose directories are
-recomputed at every offset-0 read by reading the mounted structural trees,
-so they never invent sensors.  Which sensors exist and their kind,
-position and tags come from each cluster head's member index (its ctl),
-as fresh as the head's re-probe period.  Energy and readings are read
-from the devices at listing time, by asking each cluster head once: a
-`read FILE [ID ...]` query written to its ctl, which the head answers
-with FILE of every named member, or of every member if none is named,
-one `ID VALUE` or `ID !error` line each (parse_answer).  A band listing
-is one such query per head, naming no member: it reads no member index,
+Views are materialized as in-process servers that never invent sensors.
+One builder (_view) makes all three: a view directory whose listing, or
+a walk from it, builds its whole tree from one fresh scan of the mounted
+structural trees.  So the location and logical views scan once per walk
+from their root, a resource band asks afresh at each listing or lookup,
+and /resource and /resource/energy, being static, ask nothing.  Which
+sensors exist and their kind, position and tags come from each cluster
+head's member index (its ctl), as fresh as the head's re-probe period.
+Energy and readings are read from the devices at listing time, by asking
+each cluster head once: a `read FILE [ID ...]` query written to its ctl,
+which the head answers with FILE of every named member, or of every
+member if none is named, one `ID VALUE` or `ID !error` line each
+(parse_answer).  A band listing is one such query per head, naming no
+member (ask_heads, as for the member index): it reads no member index,
 since the answer itself names the members in member-index order.  A
 plan and a location data file name their members (read_members).
 
@@ -24,12 +28,13 @@ slowest cluster, not for their sum.  Results keep scan order.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import partial
 
 from .client import ClientError, FileClient
 from .devicefs import parse_infos
-from .fscore import Server, UserDb, make_dir, make_file
-from .wire import DMDIR
+from .fscore import Node, Server, UserDb, make_dir, make_file
 
 
 def norm_path(path: str) -> str:
@@ -140,22 +145,24 @@ class SensorInfo:
     position: tuple = None
 
 
+def ask_heads(client, table, root="/network", question=None) -> list:
+    """(cluster, bytes) for each entry under root whose ctl answers, in
+    listing order: its member index, or with question, its answer to that
+    query; every ctl in one batch.  An entry without a ctl that answers (a
+    device mounted directly under root) is skipped."""
+    clusters = list(dir_entries(client, table, root))
+    questions = None if question is None else [question] * len(clusters)
+    answers = read_paths(client, table, ["%s/%s/ctl" % (root, c) for c in clusters], questions)
+    return [(c, answer) for c, answer in zip(clusters, answers) if isinstance(answer, bytes)]
+
+
 def scan_sensors(client, table, root="/network") -> list:
     """Read each cluster head's member index, its ctl file: one read per
-    cluster under root, all in one batch, none per sensor.  An entry
-    without a ctl that reads back (a device mounted directly under root)
-    is skipped."""
-    clusters = list(dir_entries(client, table, root))
-    indexes = read_paths(client, table, ["%s/%s/ctl" % (root, c) for c in clusters])
-    infos = []
-    for cluster, index in zip(clusters, indexes):
-        if isinstance(index, ClientError):
-            continue
-        for meta in parse_infos(index.decode(errors="replace")):
-            spath = "%s/%s/sensors/%s" % (root, cluster, meta["id"])
-            infos.append(SensorInfo(meta["id"], cluster, spath, meta.get("kind", "unknown"),
-                                    meta["tags"], meta.get("position")))
-    return infos
+    cluster under root, all in one batch, none per sensor."""
+    return [SensorInfo(meta["id"], cluster, "%s/%s/sensors/%s" % (root, cluster, meta["id"]),
+                       meta.get("kind", "unknown"), meta["tags"], meta.get("position"))
+            for cluster, index in ask_heads(client, table, root)
+            for meta in parse_infos(index.decode(errors="replace"))]
 
 
 # ----------------------------------------------------------------------
@@ -209,78 +216,71 @@ def _member_entry(sid, path):
                      read=lambda off, cnt: (path + "\n").encode()[off:off + cnt])
 
 
-def _data_file(client, table, members):
-    def read(off, cnt):
-        readings = read_members(client, table, members, "reading")
-        return b"".join(r + b"\n" for r in readings if r is not None)[off:off + cnt]
+def _view(name, scan, data=None) -> Node:
+    """A view directory whose listing, or a walk from it, builds the tree
+    of one fresh scan().  The scan yields (label path, sensor) pairs in
+    listing order: each makes the directories of its label path, and a
+    sensor that is not None gets its entry in the last of them.  With
+    data, each directory a label path ends in closes with the file
+    data(its sensors).  Of two entries of one name in a directory, the
+    first is kept (node.add refuses the second), as a walk finds it."""
 
-    return make_file("data", 0o444, read=read)
+    def children():
+        top, ends = make_dir(name, 0o555), {}      # ends: directory -> its sensors
+        for labels, sensor in scan():
+            node = top
+            for label in labels:
+                node = node.lookup(label) or node.add(make_dir(label, 0o555))
+            members = ends.setdefault(node, [])
+            if sensor is not None:
+                members.append(sensor)
+                with suppress(ValueError):
+                    node.add(_member_entry(sensor.id, sensor.path))
+        if data is not None:
+            for node, members in ends.items():
+                with suppress(ValueError):
+                    node.add(data(members))
+        return top.list_children()
+
+    return make_dir(name, 0o555, children_fn=children)
+
+
+def _view_server(node) -> Server:
+    return Server(node, _VIEW_USERS, name=node.name, max_sessions=8)
 
 
 def build_location_view(client, table, geo: GeoMap, regions=(), cell: float = 1.0,
                         root="/network") -> Server:
     """Tree /location/<lonCell>/<latCell>/{members..., data} plus one
-    directory per named region."""
+    directory per named region, each with its data file."""
 
-    def top_children():
+    def scan():
         infos = [i for i in scan_sensors(client, table, root) if i.position]
-        cells = {}
         for info in infos:
             lon, lat = geo.lonlat(info.position)
-            lon_label = cell_label(lon, "E", "W", cell)
-            lat_label = cell_label(lat, "N", "S", cell)
-            cells.setdefault(lon_label, {}).setdefault(lat_label, []).append(info)
-        out = []
-        for lon_label, lats in cells.items():
-            def lon_children(lats=lats):
-                dirs = []
-                for lat_label, members in lats.items():
-                    def cell_children(members=members):
-                        nodes = [_member_entry(i.id, i.path) for i in members]
-                        nodes.append(_data_file(client, table, members))
-                        return nodes
-                    dirs.append(make_dir(lat_label, 0o555, children_fn=cell_children))
-                return dirs
-            out.append(make_dir(lon_label, 0o555, children_fn=lon_children))
-        for region in regions:
-            def region_children(region=region, infos=infos):
-                members = [i for i in infos if region.contains(i.position)]
-                nodes = [_member_entry(i.id, i.path) for i in members]
-                nodes.append(_data_file(client, table, members))
-                return nodes
-            out.append(make_dir(region.name, 0o555, children_fn=region_children))
-        return out
+            yield (cell_label(lon, "E", "W", cell), cell_label(lat, "N", "S", cell)), info
+        for region in regions:              # an empty region is listed too
+            yield (region.name,), None
+            yield from (((region.name,), i) for i in infos if region.contains(i.position))
 
-    root_node = make_dir("location", 0o555, children_fn=top_children)
-    return Server(root_node, _VIEW_USERS, name="location", max_sessions=8)
+    def data(members):
+        def read(off, cnt):
+            readings = read_members(client, table, members, "reading")
+            return b"".join(r + b"\n" for r in readings if r is not None)[off:off + cnt]
+        return make_file("data", 0o444, read=read)
+
+    return _view_server(_view("location", scan, data))
 
 
 def build_logical_view(client, table, tag_key="animal", root="/network") -> Server:
     """Tree /data/<kind>/<tag value + 's'>/ listing matching sensors."""
 
-    def top_children():
-        infos = scan_sensors(client, table, root)
-        kinds = {}
-        for info in infos:
-            kinds.setdefault(info.kind, []).append(info)
-        out = []
-        for kind, members in kinds.items():
-            def kind_children(members=members):
-                values = {}
-                for info in members:
-                    value = info.tags.get(tag_key)
-                    if value is not None:
-                        values.setdefault(value, []).append(info)
-                return [
-                    make_dir(value + "s", 0o555,
-                             children_fn=lambda ms=ms: [_member_entry(i.id, i.path) for i in ms])
-                    for value, ms in values.items()
-                ]
-            out.append(make_dir(kind, 0o555, children_fn=kind_children))
-        return out
+    def scan():
+        for info in scan_sensors(client, table, root):
+            value = info.tags.get(tag_key)
+            yield ((info.kind,), None) if value is None else ((info.kind, value + "s"), info)
 
-    root_node = make_dir("data", 0o555, children_fn=top_children)
-    return Server(root_node, _VIEW_USERS, name="data", max_sessions=8)
+    return _view_server(_view("data", scan))
 
 
 def parse_answer(answer: bytes) -> list:
@@ -323,12 +323,6 @@ def _energy(value):
         return None
 
 
-def read_energies(client, table, infos) -> list:
-    """Each sensor's remaining energy in joules, or None if unreadable, in
-    order: one query per cluster, all in one batch."""
-    return [_energy(v) for v in read_members(client, table, infos, "remaining-energy")]
-
-
 def energy_band(energy, low_j, high_j) -> str:
     if energy is None:
         return "unknown"
@@ -342,31 +336,24 @@ def energy_band(energy, low_j, high_j) -> str:
 def build_resource_view(client, table, low_j: float, high_j: float,
                         root="/network") -> Server:
     """Tree /resource/energy/{low,medium,high,unknown}/, banded at read
-    time: a listing writes `read remaining-energy`, naming no member, to
-    the ctl of every cluster under root in one batch, and its answers list
-    every member in member-index order.  An entry without a ctl that
-    answers (a device mounted directly under root) is skipped, as in
-    scan_sensors."""
+    time: a band's listing or lookup asks every head under root in one
+    batch with `read remaining-energy`, naming no member, and its answers
+    list every member in member-index order."""
     if not 0 < low_j < high_j:
         raise ValueError("thresholds must satisfy 0 < low < high")
 
-    def band_children(band):
-        def children():
-            clusters = list(dir_entries(client, table, root))
-            answers = read_paths(client, table, ["%s/%s/ctl" % (root, c) for c in clusters],
-                                 [b"read remaining-energy"] * len(clusters))
-            return [_member_entry(sid, "%s/%s/sensors/%s" % (root, cluster, sid))
-                    for cluster, answer in zip(clusters, answers) if isinstance(answer, bytes)
-                    for sid, value in parse_answer(answer)
-                    if energy_band(_energy(value), low_j, high_j) == band]
-        return children
+    def scan(band):
+        for cluster, answer in ask_heads(client, table, root, b"read remaining-energy"):
+            for sid, value in parse_answer(answer):
+                if energy_band(_energy(value), low_j, high_j) == band:
+                    yield (), SensorInfo(sid, cluster, "%s/%s/sensors/%s" % (root, cluster, sid))
 
     energy_dir = make_dir("energy", 0o555)
     for band in ("low", "medium", "high", "unknown"):
-        energy_dir.add(make_dir(band, 0o555, children_fn=band_children(band)))
+        energy_dir.add(_view(band, partial(scan, band)))
     root_node = make_dir("resource", 0o555)
     root_node.add(energy_dir)
-    return Server(root_node, _VIEW_USERS, name="resource", max_sessions=8)
+    return _view_server(root_node)
 
 
 # ----------------------------------------------------------------------
@@ -406,8 +393,8 @@ def plan_query(client, table, regions, region_name, coverage, aggregation="avg",
     rationale = []
     selected = []
     clusters = {}
-    for info, energy in zip(in_region, read_energies(client, table, in_region)):
-        band = energy_band(energy, low_j, high_j)
+    for info, value in zip(in_region, read_members(client, table, in_region, "remaining-energy")):
+        band = energy_band(_energy(value), low_j, high_j)
         if band == "low":
             rationale.append((info.id, False, "low-energy"))
         elif band == "unknown":

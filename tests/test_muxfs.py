@@ -498,6 +498,37 @@ def test_aggregate_partial_trailer_on_timeout():
     assert data.splitlines() == ["20.000000", "# n=2/3"]
 
 
+def sleeping_aggregate(age):
+    """avgTemp over s1 (10.0) and s2 (20.0) once s2, whose reading the head
+    cached age ticks before, is asleep: the head waits its 20-tick
+    discover_timeout for s2 and then judges s2's cached reading against
+    the 30-tick ttl.  Returns (the aggregate's lines, log text)."""
+    net, mux, states = build_cluster(
+        [temp_sensor(1, 10.0), temp_sensor(2, 20.0)], latency=1,
+        mux_cfg=MuxConfig(ttl=30, discover_timeout=20, reprobe_ticks=10 ** 6),
+        aggregates=[AggregateSpec("avgTemp", "avg")])
+    client = make_client(net)
+    assert client.read(mux_ref(mux), "sensors/s2/reading") == b"20.000000\n"
+    stamp = mux.links["s2"].cache["reading"][1]
+    states["s2"].set_power(net.now, "asleep")
+    net.run_until(stamp + age)
+    return client.read(mux_ref(mux), "aggrData/avgTemp").decode().splitlines(), net.log.text()
+
+
+def test_aggregate_judges_a_silent_members_cache_when_asked():
+    # cached 10 ticks before the read, 30 or more once the wait is over:
+    # fresh when asked, as a relayed read or a query would judge it
+    lines, log = sleeping_aggregate(age=10)
+    assert lines == ["15.000000", "# n=2/2"]
+    assert "\tmux-aggregate\tc.head\ts2\tpath=reading cached=1" in log
+
+
+def test_aggregate_excludes_a_silent_members_value_past_the_ttl():
+    lines, log = sleeping_aggregate(age=31)
+    assert lines == ["10.000000", "# n=1/2"]
+    assert "\tmux-aggregate\t" not in log
+
+
 # -- groups -------------------------------------------------------------------
 
 def test_group_membership_by_tag():

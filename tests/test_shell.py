@@ -6,9 +6,11 @@ import os
 import pytest
 
 from sensefs.scenario import ScenarioError, load_scenario_file, parse_scenario
-from sensefs.shell import Shell, main, repl, run_script
+from sensefs.shell import PROMPT, Shell, main, repl, run_script
 
 from conftest import FACTORY, SCRIPT_DIR, ZOO
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def zoo_shell(seed=None, user="admin"):
@@ -167,6 +169,61 @@ def test_views_and_plan_via_shell():
     assert out.splitlines()[0] == "selected: s1 s3 s6 s7"
     status, out = shell.run_line("plan region-10 5 avg 50")
     assert status == 1 and out.startswith("error: coverage unmet (4<5)")
+
+
+VIEW_USAGE = ("error: usage: view build <structural | location [CELL] | logical [TAG] | "
+              "resource [LOW HIGH]>")
+
+
+@pytest.mark.parametrize("line", [
+    "view", "view build", "view make resource",
+    "view build resource /resource",            # a path where a threshold goes
+    "view build resource 10 high", "view build location east",
+    "view build resource 1 2 3", "view build location 1 2",
+    "view build logical animal extra", "view build structural /network",
+])
+def test_view_build_bad_arguments_get_the_usage(line):
+    shell = zoo_shell()
+    assert shell.run_line(line) == (1, VIEW_USAGE)
+    assert shell.table.mounts == []
+
+
+def test_view_build_optional_arguments():
+    shell = zoo_shell()
+    shell.run_line("mount /dev/network /network")
+    assert shell.run_line("view build nowhere") == (1, "error: unknown view kind 'nowhere'")
+    assert shell.run_line("view build resource 100 10") == (
+        1, "error: thresholds must satisfy 0 < low < high")
+    # s4 holds under 5 J, s5 under 8 J, every other zoo sensor about 1000 J
+    assert shell.run_line("view build resource 1e-3 2e-3") == (0, "")
+    assert shell.run_line("ls /resource/energy/low") == (0, "")
+    assert shell.run_line("view build resource 6") == (0, "")       # high from [views]
+    assert shell.run_line("ls /resource/energy/low") == (0, "s4")
+    assert shell.run_line("ls /resource/energy/medium") == (0, "s5")
+    assert shell.run_line("view build location 90") == (0, "")
+    assert shell.run_line("ls /location") == (0, "0W\nregion-10")
+    assert shell.run_line("view build logical kind") == (0, "")
+    assert shell.run_line("ls /data") == (0, "temperature\nposition")
+    assert shell.run_line("ls /data/temperature") == (0, "")
+
+
+def test_readme_session_replays_on_zoo():
+    """Every output the README's example session shows is what the shell
+    answers on zoo.scn."""
+    with open(README) as fh:
+        text = fh.read()
+    block = text.split("Example session on `zoo.scn`:\n\n```\n", 1)[1].split("```", 1)[0]
+    steps = []                  # (command, the lines shown after it)
+    for line in block.splitlines():
+        if line.startswith(PROMPT):
+            steps.append((line[len(PROMPT):], []))
+        else:
+            steps[-1][1].append(line)
+    assert [command.split()[0] for command, _ in steps] == \
+        ["mount", "cat", "write", "view", "ls", "plan"]
+    shell = zoo_shell()
+    for command, shown in steps:
+        assert (command, shell.run_line(command)) == (command, (0, "\n".join(shown)))
 
 
 def run_bundled(scenario, script_name, seed=None):

@@ -14,7 +14,8 @@ from sensefs.views import (
     EMERGENCY_ROOT, GeoMap, NamespaceTable, PlanError, Region, SensorInfo, TaskPlan,
     build_location_view, build_logical_view, build_resource_view,
     cell_label, dir_entries, emergency_mount, energy_band, execute_plan,
-    make_responder, norm_path, plan_query, raise_alert, scan_sensors,
+    make_responder, norm_path, parse_answer, plan_query, raise_alert, read_members,
+    read_paths, scan_sensors,
 )
 
 from conftest import ZOO, build_cluster, make_client, temp_sensor
@@ -512,6 +513,216 @@ def test_zoo_scan_frame_cost():
     # per cluster head: attach, walk, open, read, end-of-file read and clunk
     # of ctl, each a T- and an R-message
     assert device_frames(sim.net, since, {client.eid}) == 12 * len(sim.cfg.clusters) == 24
+
+
+# -- the view builder ------------------------------------------------------------
+
+def _ref_entry(sid, path):
+    return fscore.make_file(sid, 0o444,
+                            read=lambda off, cnt: (path + "\n").encode()[off:off + cnt])
+
+
+def _ref_data_file(client, table, members):
+    def read(off, cnt):
+        readings = read_members(client, table, members, "reading")
+        return b"".join(r + b"\n" for r in readings if r is not None)[off:off + cnt]
+
+    return fscore.make_file("data", 0o444, read=read)
+
+
+def _ref_server(root_node):
+    return fscore.Server(root_node, fscore.UserDb({"admin": {"admin"}}),
+                         name=root_node.name, max_sessions=8)
+
+
+def reference_location_view(client, table, geo, regions=(), cell=1.0, root="/network"):
+    """build_location_view as it was before the one view builder: each
+    level a hand-nested children_fn."""
+    make_dir = fscore.make_dir
+
+    def top_children():
+        infos = [i for i in scan_sensors(client, table, root) if i.position]
+        cells = {}
+        for info in infos:
+            lon, lat = geo.lonlat(info.position)
+            lon_label = cell_label(lon, "E", "W", cell)
+            lat_label = cell_label(lat, "N", "S", cell)
+            cells.setdefault(lon_label, {}).setdefault(lat_label, []).append(info)
+        out = []
+        for lon_label, lats in cells.items():
+            def lon_children(lats=lats):
+                dirs = []
+                for lat_label, members in lats.items():
+                    def cell_children(members=members):
+                        nodes = [_ref_entry(i.id, i.path) for i in members]
+                        nodes.append(_ref_data_file(client, table, members))
+                        return nodes
+                    dirs.append(make_dir(lat_label, 0o555, children_fn=cell_children))
+                return dirs
+            out.append(make_dir(lon_label, 0o555, children_fn=lon_children))
+        for region in regions:
+            def region_children(region=region, infos=infos):
+                members = [i for i in infos if region.contains(i.position)]
+                nodes = [_ref_entry(i.id, i.path) for i in members]
+                nodes.append(_ref_data_file(client, table, members))
+                return nodes
+            out.append(make_dir(region.name, 0o555, children_fn=region_children))
+        return out
+
+    return _ref_server(make_dir("location", 0o555, children_fn=top_children))
+
+
+def reference_logical_view(client, table, tag_key="animal", root="/network"):
+    """build_logical_view as it was before the one view builder."""
+    make_dir = fscore.make_dir
+
+    def top_children():
+        kinds = {}
+        for info in scan_sensors(client, table, root):
+            kinds.setdefault(info.kind, []).append(info)
+        out = []
+        for kind, members in kinds.items():
+            def kind_children(members=members):
+                values = {}
+                for info in members:
+                    value = info.tags.get(tag_key)
+                    if value is not None:
+                        values.setdefault(value, []).append(info)
+                return [
+                    make_dir(value + "s", 0o555,
+                             children_fn=lambda ms=ms: [_ref_entry(i.id, i.path) for i in ms])
+                    for value, ms in values.items()
+                ]
+            out.append(make_dir(kind, 0o555, children_fn=kind_children))
+        return out
+
+    return _ref_server(make_dir("data", 0o555, children_fn=top_children))
+
+
+def reference_resource_view(client, table, low_j, high_j, root="/network"):
+    """build_resource_view as it was before the one view builder."""
+    make_dir = fscore.make_dir
+
+    def energy(value):
+        if value is None:
+            return None
+        try:
+            return float(value.split()[0])
+        except (ValueError, IndexError):
+            return None
+
+    def band_children(band):
+        def children():
+            clusters = list(dir_entries(client, table, root))
+            answers = read_paths(client, table, ["%s/%s/ctl" % (root, c) for c in clusters],
+                                 [b"read remaining-energy"] * len(clusters))
+            return [_ref_entry(sid, "%s/%s/sensors/%s" % (root, cluster, sid))
+                    for cluster, answer in zip(clusters, answers) if isinstance(answer, bytes)
+                    for sid, value in parse_answer(answer)
+                    if energy_band(energy(value), low_j, high_j) == band]
+        return children
+
+    energy_dir = make_dir("energy", 0o555)
+    for band in ("low", "medium", "high", "unknown"):
+        energy_dir.add(make_dir(band, 0o555, children_fn=band_children(band)))
+    root_node = make_dir("resource", 0o555)
+    root_node.add(energy_dir)
+    return _ref_server(root_node)
+
+
+REFERENCE_VIEWS = (reference_location_view, reference_logical_view, reference_resource_view)
+SHIPPED_VIEWS = (build_location_view, build_logical_view, build_resource_view)
+
+# cells 1W, 0E and 1E in longitude, 0S, 0N and 1N in latitude, at 111 km a degree
+_X = st.sampled_from([-150000.0, 1000.0, 20000.0, 200000.0])
+_Y = st.sampled_from([-50000.0, 3000.0, 130000.0])
+_DEPLOYED_SENSOR = st.tuples(
+    st.sampled_from(["a", "b"]),                                # cluster
+    st.sampled_from(["temperature", "humidity", "light"]),      # kind
+    st.one_of(st.none(), st.tuples(_X, _Y)),                    # position
+    st.sampled_from([None, "lion", "zebra"]),                   # animal tag
+    st.sampled_from([5, 50, 500]),                              # energy: low, medium, high
+)
+# regions over the cells above; the last holds no sensor
+_RECTS = [(-200000, -60000, 0, 200000), (0, 0, 30000, 5000), (10 ** 7, 10 ** 7, 10 ** 8, 10 ** 8)]
+
+
+def deployment_text(sensors, regions):
+    text = "[scenario]\nfallback = 40\n[link]\nlatency = 2\n[cluster a]\n[cluster b]\n"
+    for i, (cluster, kind, position, tag, energy) in enumerate(sensors, 1):
+        text += "[sensor s%d]\ncluster = %s\nkind = %s\nenergy = %d\nsource = constant %d\n" \
+            % (i, cluster, kind, energy, 20 + i)
+        if position is not None:
+            text += "position = %r %r\n" % position
+        if tag is not None:
+            text += "tag animal = %s\n" % tag
+    for name, rect in regions:
+        text += "[region %s]\nrect = %d %d %d %d\n" % ((name,) + rect)
+    return text
+
+
+def browse(builders, text, asleep):
+    """Mount the three views the builders make on a fresh simulation of
+    text, with sensor asleep (if any) gone to sleep, and list every view
+    directory with `ls -l` and cat every file in it.  Returns each
+    command with its status, output, ticks and frames sent."""
+    sim = load_scenario(text)
+    sim.start()
+    shell = Shell(sim)
+    assert shell.run_line("mount /dev/network /network") == (0, "")
+    location, logical, resource = builders
+    cfg = sim.cfg
+    shell.table.mount("/location", ("local", location(
+        shell.client, shell.table, cfg.geo, cfg.regions, cfg.view_cell)))
+    shell.table.mount("/data", ("local", logical(shell.client, shell.table, cfg.view_tag)))
+    shell.table.mount("/resource", ("local", resource(
+        shell.client, shell.table, cfg.view_low, cfg.view_high)))
+    if asleep is not None:
+        sim.states[asleep].set_power(sim.net.now, "asleep")
+    steps = []
+
+    def run(command):
+        since, t0 = len(sim.net.log.lines), sim.net.now
+        status, out = shell.run_line(command)
+        sends = sum(1 for line in sim.net.log.lines[since:] if line.split("\t")[1] == "send")
+        steps.append((command, status, out, sim.net.now - t0, sends))
+        return status, out
+
+    def walk(path):
+        status, out = run("ls -l " + path)
+        for line in out.splitlines() if status == 0 else ():
+            mode, name = line.split()[0], line.split()[-1]
+            if mode.startswith("d"):
+                walk(path + "/" + name)
+            else:
+                run("cat %s/%s" % (path, name))
+
+    for root in ("/location", "/data", "/resource"):
+        walk(root)
+    return steps, sim.net.log.text()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_DEPLOYED_SENSOR, min_size=1, max_size=5),
+       st.lists(st.sampled_from(range(len(_RECTS))), max_size=3, unique=True),
+       st.data())
+def test_views_match_the_hand_nested_builders(sensors, rects, data):
+    regions = [("r%d" % i, _RECTS[i]) for i in rects]
+    asleep = data.draw(st.one_of(st.none(), st.integers(1, len(sensors)).map("s%d".__mod__)))
+    text = deployment_text(sensors, regions)
+    want, got = browse(REFERENCE_VIEWS, text, asleep), browse(SHIPPED_VIEWS, text, asleep)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+
+
+def test_a_sensor_named_data_shadows_the_cells_data_file():
+    # the first entry of a name wins, as it did when a walk looked it up
+    text = deployment_text([("a", "temperature", (1000.0, 3000.0), "lion", 50)] * 2, [])
+    text = text.replace("[sensor s1]", "[sensor data]")
+    steps, log = browse(SHIPPED_VIEWS, text, None)
+    assert (steps, log) == browse(REFERENCE_VIEWS, text, None)
+    assert ("cat /location/0E/0N/data", 0, "/network/a/sensors/data") in \
+        [step[:3] for step in steps]
 
 
 # -- planning ------------------------------------------------------------------
