@@ -10,18 +10,19 @@ a T-message leaves a node, and receive() the one way a frame enters one.
 The protocol sequences are generator steps: attach, walk, read_all and
 request, and the file steps read_file, write_file (which also asks a
 query: a write answered on the same fid) and stat_file, each one whole
-file operation on a fid of its own (on_fid).  A step yields (build,
-timeout) per T-message, build(tag) making the message, and gets back its
-R-message, or None if it never came.  A step may also yield a Flight, an
-outcome another step is still working out (once), and gets that outcome
-when it lands.  spawn is the one continuation driver: it runs a step as
-continuations, so any number of steps keep their requests in flight at
-once.  Its callers:
+file operation on a fid of its own (on_fid).  A step says only what to
+send: it yields a build per T-message, build(tag) making the message,
+and gets back its R-message, or None if it never came.  A step may also
+yield a Flight, an outcome another step is still working out (once), and
+gets that outcome when it lands.  spawn is the one continuation driver:
+it runs a step as continuations, so any number of steps keep their
+requests in flight at once.  Its callers fix how long a request waits:
 
-    muxfs.Multiplexer  every device exchange of a cluster head
+    muxfs.Multiplexer  every device exchange of a cluster head, under the
+                       timeout named where the step is spawned
     FileClient._run    every file operation: one step (call, read, write,
-                       stat) or many (read_many, write_many), the
-                       simulation clock run until all end
+                       stat) or many (read_many, write_many), the clock
+                       run until all end; a request waits self.timeout
 
 FileClient gives read/write/ls/stat on paths against two kinds of
 server reference:
@@ -125,7 +126,7 @@ class Flight(list):
 
 
 def spawn(step, call, done):
-    """Drive a step as continuations.  call(build, cb, timeout) issues each
+    """Drive a step as continuations.  call(build, cb) issues each
     T-message it yields, and cb resumes it with the R-message or None; a
     Flight it yields resumes it when the flight lands.  An FsError that
     call raises or a flight lands with is raised inside the step.  done
@@ -151,9 +152,8 @@ def _resume(step, call, done, value):
     if isinstance(ask, Flight):
         ask.append(resume)
         return
-    build, timeout = ask
     try:
-        call(build, resume, timeout)
+        call(ask, resume)
         return
     except FsError as e:
         refused = e
@@ -192,30 +192,30 @@ def once(table, key, start, *args):
 # protocol steps
 # ----------------------------------------------------------------------
 
-def attach(conn, uname, timeout):
+def attach(conn, uname):
     """Step: the fid attached as uname, attaching a fresh fid on first use
     (once, for all steps that ask meanwhile); None if the reply never came."""
-    return (yield from once(conn.roots, uname, _attach, conn, uname, timeout))
+    return (yield from once(conn.roots, uname, _attach, conn, uname))
 
 
-def _attach(conn, uname, timeout):
+def _attach(conn, uname):
     fid = next(conn.fids)
-    r = yield (lambda t: Tattach(t, fid, uname, ""), timeout)
+    r = yield lambda t: Tattach(t, fid, uname, "")
     if r is None:
         return None
     _check(r)
     return fid
 
 
-def walk(conn, uname, path, timeout):
+def walk(conn, uname, path):
     """Step: a new fid walked from uname's root to path; None if a reply
     never came.  Raises ClientError if refused or path does not exist."""
-    root = yield from attach(conn, uname, timeout)
+    root = yield from attach(conn, uname)
     if root is None:
         return None
     names = tuple(p for p in path.split("/") if p)
     fid = next(conn.fids)
-    r = yield (lambda t: Twalk(t, root, fid, names), timeout)
+    r = yield lambda t: Twalk(t, root, fid, names)
     if r is None:
         return None
     _check(r)
@@ -224,12 +224,12 @@ def walk(conn, uname, path, timeout):
     return fid
 
 
-def read_all(fid, timeout):
+def read_all(fid):
     """Step: the bytes of an open fid from offset 0 to end of file.  Raises
     ClientError if a read is refused, or 'timeout' if a reply never came."""
     out = bytearray()
     while True:
-        r = yield (lambda t, o=len(out): Tread(t, fid, o, IOUNIT), timeout)
+        r = yield lambda t, o=len(out): Tread(t, fid, o, IOUNIT)
         if r is None:
             raise ClientError("timeout")
         _check(r)
@@ -238,65 +238,65 @@ def read_all(fid, timeout):
         out += r.data
 
 
-def request(build, timeout):
+def request(build):
     """Step: the R-message to the one T-message build(tag).  Raises
     ClientError if refused, or 'timeout' if the reply never came."""
-    r = yield (build, timeout)
+    r = yield build
     if r is None:
         raise ClientError("timeout")
     _check(r)
     return r
 
 
-def on_fid(conn, uname, path, timeout, use):
+def on_fid(conn, uname, path, use):
     """Step: the value of the step use(fid) on a new fid walked to path,
     clunked after it whether use ended or raised (a refused or lost clunk
     is ignored).  Raises ClientError if refused, or 'timeout' if a reply
     never came."""
-    fid = yield from walk(conn, uname, path, timeout)
+    fid = yield from walk(conn, uname, path)
     if fid is None:
         raise ClientError("timeout")
     try:
         out = yield from use(fid)
     except ClientError as e:
         out = e
-    yield (lambda t: Tclunk(t, fid), timeout)
+    yield lambda t: Tclunk(t, fid)
     if isinstance(out, ClientError):
         raise out
     return out
 
 
-def read_file(conn, uname, path, timeout, isdir=False):
+def read_file(conn, uname, path, isdir=False):
     """Step: the bytes of the file at path (with isdir, of a directory, else
     the error 'not a directory'): walk, open, read to end of file and
     clunk."""
     def use(fid):
-        r = yield from request(lambda t: Topen(t, fid, OREAD), timeout)
+        r = yield from request(lambda t: Topen(t, fid, OREAD))
         if isdir and not r.qid.is_dir:
             raise ClientError("not a directory")
-        return (yield from read_all(fid, timeout))
-    return on_fid(conn, uname, path, timeout, use)
+        return (yield from read_all(fid))
+    return on_fid(conn, uname, path, use)
 
 
-def write_file(conn, uname, path, data, timeout, answer=False):
+def write_file(conn, uname, path, data, answer=False):
     """Step: write data to the file at path: walk, open, write and clunk;
     the count written.  With answer, the write is a question: the file is
     opened ORDWR and read to end of file after the write, and the answer
     read is returned."""
     def use(fid):
-        yield from request(lambda t: Topen(t, fid, ORDWR if answer else OWRITE), timeout)
-        r = yield from request(lambda t: Twrite(t, fid, 0, data), timeout)
+        yield from request(lambda t: Topen(t, fid, ORDWR if answer else OWRITE))
+        r = yield from request(lambda t: Twrite(t, fid, 0, data))
         if not answer:
             return r.count
-        return (yield from read_all(fid, timeout))
-    return on_fid(conn, uname, path, timeout, use)
+        return (yield from read_all(fid))
+    return on_fid(conn, uname, path, use)
 
 
-def stat_file(conn, uname, path, timeout):
+def stat_file(conn, uname, path):
     """Step: the stat record of the file at path: walk, stat and clunk."""
     def use(fid):
-        return (yield from request(lambda t: Tstat(t, fid), timeout)).stat
-    return on_fid(conn, uname, path, timeout, use)
+        return (yield from request(lambda t: Tstat(t, fid))).stat
+    return on_fid(conn, uname, path, use)
 
 
 class FileClient:
@@ -368,8 +368,7 @@ class FileClient:
                         i, step = queue.popleft()
                         flying[ref] += 1
                         queued -= 1
-                        spawn(step, lambda build, cb, _, ref=ref: self.submit(ref, build, cb),
-                              partial(finish, ref, i))
+                        spawn(step, partial(self.submit, ref), partial(finish, ref, i))
             if not left:
                 break
             nxt = net.peek_time()
@@ -397,17 +396,17 @@ class FileClient:
 
     def call(self, ref, build):
         """Send one T-message and run the clock until its reply arrives."""
-        return self._one(ref, request(build, None))
+        return self._one(ref, request(build))
 
     def read(self, ref, relpath, isdir=False) -> bytes:
         """The bytes of a file; with isdir, of a directory, else the
         error 'not a directory'."""
-        return self._one(ref, read_file(self._conn(ref), self.uname, relpath, None, isdir))
+        return self._one(ref, read_file(self._conn(ref), self.uname, relpath, isdir))
 
     def read_many(self, targets) -> list:
         """For each (ref, relpath) of targets, in order, the bytes of that
         file or the ClientError that refused it, all read in one run."""
-        return self._run([(ref, read_file(self._conn(ref), self.uname, relpath, None))
+        return self._run([(ref, read_file(self._conn(ref), self.uname, relpath))
                           for ref, relpath in targets])
 
     def write_many(self, targets, answer=False) -> list:
@@ -415,16 +414,15 @@ class FileClient:
         written to that file, or with answer the answer read back after
         the write on the same fid (a query), or the ClientError that
         refused it, all written in one run."""
-        return self._run([(ref, write_file(self._conn(ref), self.uname, relpath, data,
-                                           None, answer))
+        return self._run([(ref, write_file(self._conn(ref), self.uname, relpath, data, answer))
                           for ref, relpath, data in targets])
 
     def write(self, ref, relpath, data: bytes) -> int:
-        return self._one(ref, write_file(self._conn(ref), self.uname, relpath, data, None))
+        return self._one(ref, write_file(self._conn(ref), self.uname, relpath, data))
 
     def ls(self, ref, relpath) -> list:
         """Stat records of a directory's children, in server order."""
         return wire.decode_stats(self.read(ref, relpath, isdir=True))
 
     def stat(self, ref, relpath) -> wire.Stat:
-        return self._one(ref, stat_file(self._conn(ref), self.uname, relpath, None))
+        return self._one(ref, stat_file(self._conn(ref), self.uname, relpath))

@@ -31,12 +31,15 @@ fids (relayed) and mirrored nodes (remote, each naming its link).
 Towards its devices the head is a client built on the core in client.py:
 one Conn per member (a DeviceLink) and the same attach/walk/read_all
 steps a FileClient runs, driven by the same client.spawn: _call issues
-each yielded T-message and the step resumes from its reply or
-per-request timeout, so device I/O never blocks the dispatch loop.  A
-head step returns its outcome or raises FsError, and spawn hands either
-to whoever waits on it, such as a relayed read's reply.  A device fid
-the head opens (its own, or one behind a relayed client fid) is opened
-once: requests that need it while the open is in flight wait for it.  A
+each T-message a step yields and the step resumes from its reply or
+timeout, so device I/O never blocks the dispatch loop.  A step says only
+what to send; the timeout is named where it is spawned: discover_timeout
+for discovery, info refresh, aggregates, polls and _clunk_remote, and
+fallback_ticks for relayed reads and writes and ctl queries.  A head
+step returns its outcome or raises FsError, and spawn hands either to
+whoever waits on it, such as a relayed read's reply.  A device fid the
+head opens (its own, or one behind a relayed client fid) is opened once:
+requests that need it while the open is in flight wait for it.  A
 mirrored file opens against its mirrored stat, even while its device sleeps.
 """
 
@@ -142,26 +145,26 @@ class Multiplexer(Server):
     def _on_frame(self, src, frame):
         receive(self.net, self.eid, src, frame, server=self, conn=self.links.get(src))
 
-    def _call(self, link, build, cb, timeout):
-        """Send one T-message to a device; cb(R-message) or cb(None) on timeout."""
+    def _call(self, link, timeout, build, cb):
+        """Send one T-message to a device; cb(R-message), or cb(None) after timeout ticks."""
         if len(link.pending) >= MAX_PENDING:
             raise FsError("busy")
         link.issue(build, cb, timeout)
 
-    def _spawn(self, link, step, done=None):
-        """Run a step of exchanges with one device; done gets its return
-        value or the FsError it raised; with no done, a failure is logged
-        as mux-error."""
-        spawn(step, partial(self._call, link), done or self._log_failure)
+    def _spawn(self, link, step, timeout, done=None):
+        """Run a step of exchanges with one device, each request waiting
+        timeout ticks for its reply; done gets its return value or the
+        FsError it raised; with no done, a failure is logged as mux-error."""
+        spawn(step, partial(self._call, link, timeout), done or self._log_failure)
 
     def _log_failure(self, outcome):
         if isinstance(outcome, FsError):
             self.net.log.add(self.net.now, "mux-error", self.eid, "", outcome.ename)
 
-    def _fan_out(self, links, step, got, done):
-        """Run the step step(link) of every link at once.  As each ends,
-        got(link, its value or FsError) makes that link's result; done gets
-        the results in link order when the last has ended."""
+    def _fan_out(self, links, step, timeout, got, done):
+        """Run the step step(link) of every link at once, under timeout.  As
+        each ends, got(link, its value or FsError) makes that link's result;
+        done gets the results in link order when the last has ended."""
         results = [None] * len(links)
         left = [len(links)]
 
@@ -174,7 +177,7 @@ class Multiplexer(Server):
         if not links:
             done(results)
         for i, link in enumerate(links):
-            self._spawn(link, step(link), partial(ended, i, link))
+            self._spawn(link, step(link), timeout, partial(ended, i, link))
 
     # ------------------------------------------------------------------
     # discovery
@@ -189,13 +192,15 @@ class Multiplexer(Server):
         self.discover()
         for link in self._discovered():
             if not link.refreshing:
-                self._spawn(link, self._marked(link, self._refresh_info(link)))
+                self._spawn(link, self._marked(link, self._refresh_info(link)),
+                            self.cfg.discover_timeout)
         self.net.schedule(self.cfg.reprobe_ticks, self._reprobe)
 
     def discover(self):
         for link in self.links.values():
             if link.node is None and not link.refreshing:
-                self._spawn(link, self._marked(link, self._discover_device(link)))
+                self._spawn(link, self._marked(link, self._discover_device(link)),
+                            self.cfg.discover_timeout)
 
     @staticmethod
     def _marked(link, step):
@@ -211,7 +216,7 @@ class Multiplexer(Server):
         dev = link.peer
         link.roots.pop("mux", None)         # the attach is the probe: always send it
         try:
-            root = yield from attach(link, "mux", self.cfg.discover_timeout)
+            root = yield from attach(link, "mux")
         except ClientError:
             root = None
         if root is None:
@@ -233,23 +238,22 @@ class Multiplexer(Server):
     def _read_path(self, link, path):
         """Read a device file with the mux's own identity, keeping the fid
         open.  Yields device calls; returns payload bytes or None on failure."""
-        fid = yield from once(link.open_fids, path, self._open_remote,
-                              link, "mux", path, OREAD, self.cfg.discover_timeout)
+        fid = yield from once(link.open_fids, path, self._open_remote, link, "mux", path, OREAD)
         if fid is None:
             return None
-        r = yield (lambda t: Tread(t, fid, 0, IOUNIT), self.cfg.discover_timeout)
+        r = yield lambda t: Tread(t, fid, 0, IOUNIT)
         if isinstance(r, Rread):
             link.cache[path] = (r.data, self.net.now)
             return r.data
         return None
 
-    def _open_remote(self, link, uname, path, mode, timeout):
+    def _open_remote(self, link, uname, path, mode):
         """Walk (attaching once per uname) and open; returns the device fid,
         or None if the device never answered."""
-        fid = yield from walk(link, uname, path, timeout)
+        fid = yield from walk(link, uname, path)
         if fid is None:
             return None
-        r = yield (lambda t: Topen(t, fid, mode), timeout)
+        r = yield lambda t: Topen(t, fid, mode)
         if not isinstance(r, Ropen):
             self._clunk_remote(link, fid)
             if isinstance(r, Rerror):
@@ -259,18 +263,16 @@ class Multiplexer(Server):
 
     def _clunk_remote(self, link, fid):
         try:
-            self._call(link, lambda t: Tclunk(t, fid), lambda r: None,
-                       self.cfg.discover_timeout)
+            self._call(link, self.cfg.discover_timeout, lambda t: Tclunk(t, fid), lambda r: None)
         except FsError:
             pass
 
     def _read_root_listing(self, link):
-        fid = yield from self._open_remote(link, "mux", "", OREAD,
-                                           self.cfg.discover_timeout)
+        fid = yield from self._open_remote(link, "mux", "", OREAD)
         if fid is None:
             return None
         try:
-            data = yield from read_all(fid, self.cfg.discover_timeout)
+            data = yield from read_all(fid)
         except ClientError:     # refused, or a reply never came
             data = None
         self._clunk_remote(link, fid)
@@ -302,10 +304,10 @@ class Multiplexer(Server):
         R-message, or None if the device never answered.  An Rerror is
         raised as FsError."""
         dfid = yield from once(self.relayed, ent, self._open_remote,
-                               link, ent.uname, path, ent.open_mode, self.cfg.fallback_ticks)
+                               link, ent.uname, path, ent.open_mode)
         if dfid is None:
             return None
-        r = yield (lambda t: build(t, dfid), self.cfg.fallback_ticks)
+        r = yield lambda t: build(t, dfid)
         if isinstance(r, Rerror):
             raise FsError(r.ename)
         return r
@@ -351,7 +353,7 @@ class Multiplexer(Server):
             self._relay_log(session, msg, "%s/%s" % (dev, path), 1)
             return cached[msg.offset:msg.offset + count]
 
-        return Defer(lambda cb: self._spawn(link, chain(), cb))
+        return Defer(lambda cb: self._spawn(link, chain(), self.cfg.fallback_ticks, cb))
 
     def t_write(self, session, msg):
         ent = session.get(msg.fid)
@@ -371,7 +373,7 @@ class Multiplexer(Server):
                 raise FsError("device unreachable")
             return r.count
 
-        return Defer(lambda cb: self._spawn(link, chain(), cb))
+        return Defer(lambda cb: self._spawn(link, chain(), self.cfg.fallback_ticks, cb))
 
     def t_clunk(self, session, msg):
         ent = session.fids.get(msg.fid)
@@ -433,8 +435,8 @@ class Multiplexer(Server):
             cb(text.encode()[offset:offset + count])
 
         return Defer(lambda cb: self._fan_out(
-            members, lambda link: self._read_path(link, spec.source_path), got,
-            partial(finish, cb)))
+            members, lambda link: self._read_path(link, spec.source_path),
+            self.cfg.discover_timeout, got, partial(finish, cb)))
 
     # ------------------------------------------------------------------
     # polling / report rate
@@ -455,7 +457,7 @@ class Multiplexer(Server):
                 link.poll = self.net.schedule(period, lambda link=link: self._sample(link, period))
 
     def _sample(self, link, period):
-        self._spawn(link, self._read_path(link, "reading"))
+        self._spawn(link, self._read_path(link, "reading"), self.cfg.discover_timeout)
         link.poll = self.net.schedule(period, lambda: self._sample(link, period))
 
     # ------------------------------------------------------------------
@@ -514,8 +516,8 @@ class Multiplexer(Server):
             return b"%s %s\n" % (link.peer.encode(), out.split(b"\n", 1)[0])
 
         return Defer(lambda done: self._fan_out(
-            links, lambda link: self._read_fresh(link, name, uname), got,
-            lambda lines: done(b"".join(lines))))
+            links, lambda link: self._read_fresh(link, name, uname), self.cfg.fallback_ticks,
+            got, lambda lines: done(b"".join(lines))))
 
     def _cached(self, link, path, asked, event=None):
         """For a member that did not answer a request asked at tick asked:
@@ -538,11 +540,10 @@ class Multiplexer(Server):
         if node is None:
             raise FsError("no such file")
         self.check_open_perm(node, uname, OREAD)
-        timeout = self.cfg.fallback_ticks
-        fid = yield from self._open_remote(link, "mux", path, OREAD, timeout)
+        fid = yield from self._open_remote(link, "mux", path, OREAD)
         if fid is None:
             return None
-        r = yield (lambda t: Tread(t, fid, 0, IOUNIT), timeout)
+        r = yield lambda t: Tread(t, fid, 0, IOUNIT)
         self._clunk_remote(link, fid)
         if isinstance(r, Rerror):
             raise FsError(r.ename)

@@ -19,6 +19,8 @@ or `table T0:V0 T1:V1 ...` (step function over virtual time).
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import astuple, dataclass, field, replace
 from typing import NamedTuple
 
@@ -116,6 +118,14 @@ def _words(conv, *counts):
     return parse
 
 
+def _positive(value):
+    """A number that is finite and above zero (a size or a scale)."""
+    number = float(value)
+    if not 0 < number < math.inf:
+        raise ValueError("%s is not a finite number above 0" % value)
+    return number
+
+
 def _source(spec):
     make_source(spec, "position")   # the laxest kind; _validate checks the sensor's own
     return spec
@@ -153,6 +163,14 @@ def _add(items, name, item):
     return item
 
 
+def _region(cfg, names):
+    """A [region NAME] header; a name of a location cell's form (digits,
+    then E, W, N or S) would share that cell's /location directory."""
+    if re.fullmatch(r"\d+[EWNS]", names[0]):
+        raise ScenarioError("region name %r is a location cell's name" % names[0])
+    return _add(cfg.regions, names[0], Region(names[0], 0, 0, 0, 0))
+
+
 class _Section(NamedTuple):
     arity: tuple    # numbers of names the header may take
     open: object    # (cfg, names) -> what the keys set, None for a duplicate
@@ -165,7 +183,8 @@ SECTIONS = {
         key: (key, int) for key in
         ("seed", "ttl", "fallback", "reprobe", "discover_timeout", "warmup")}),
     "geo": _Section((0,), lambda cfg, names: cfg.geo, {
-        key: (key, float) for key in ("origin_lon", "origin_lat", "m_per_deg")}),
+        "origin_lon": ("origin_lon", float), "origin_lat": ("origin_lat", float),
+        "m_per_deg": ("m_per_deg", _positive)}),
     "energy": _Section((0,), lambda cfg, names: cfg.energy, {
         "tx": ("tx_cost_j", float), "rx": ("rx_cost_j", float),
         "idle": ("idle_cost_j_per_tick", float)}),
@@ -190,13 +209,11 @@ SECTIONS = {
         (2,), lambda cfg, names: _add(cfg.groups.setdefault(names[0], []), names[1],
                                       GroupSpec(names[1], "", "")),
         {"tag": ("tag_key tag_value", _words(str, 2))}),
-    "region": _Section(
-        (1,), lambda cfg, names: _add(cfg.regions, names[0], Region(names[0], 0, 0, 0, 0)),
-        {"rect": ("x1 y1 x2 y2", _words(float, 4))}),
+    "region": _Section((1,), _region, {"rect": ("x1 y1 x2 y2", _words(float, 4))}),
     "responder": _Section(
         (1,), lambda cfg, names: _add(cfg.responders, names[0], names[0]), {}),
     "views": _Section((0,), lambda cfg, names: cfg, {
-        "cell": ("view_cell", float), "tag": ("view_tag", str),
+        "cell": ("view_cell", _positive), "tag": ("view_tag", str),
         "low": ("view_low", float), "high": ("view_high", float)}),
 }
 

@@ -10,6 +10,7 @@ expected-output blocks for regression runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import views
@@ -38,9 +39,10 @@ def _mode_text(mode: int) -> str:
     return "".join(out)
 
 
-def _number(text: str, usage: str) -> float:
+def _number(text: str, usage: str, conv=float):
+    """text as a number through conv, else the CommandError usage."""
     try:
-        return float(text)
+        return conv(text)
     except ValueError:
         raise CommandError(usage) from None
 
@@ -166,6 +168,8 @@ class Shell:
         cfg = self.sim.cfg
         if kind == "location":
             cell = _number(extra[0], usage) if extra else cfg.view_cell
+            if not 0 < cell < math.inf:
+                raise CommandError(usage)
             server = views.build_location_view(
                 self.client, self.table, cfg.geo, cfg.regions, cell)
             self.table.mount("/location", ("local", server))
@@ -181,9 +185,11 @@ class Shell:
         return ""    # structural: the view is the mount itself
 
     def cmd_plan(self, args):
+        usage = "usage: plan <region> <coverage> <aggregation> <rate>"
         if len(args) != 4:
-            raise CommandError("usage: plan <region> <coverage> <aggregation> <rate>")
-        region, coverage, agg, rate = args[0], int(args[1]), args[2], int(args[3])
+            raise CommandError(usage)
+        region, agg = args[0], args[2]
+        coverage, rate = _number(args[1], usage, int), _number(args[3], usage, int)
         cfg = self.sim.cfg
         plan = plan_query(self.client, self.table, cfg.regions, region, coverage,
                           aggregation=agg, rate=rate,
@@ -201,9 +207,10 @@ class Shell:
         return out
 
     def cmd_tick(self, args):
+        usage = "usage: tick <n>"
         if not args:
-            raise CommandError("usage: tick <n>")
-        self.sim.net.run_until(self.sim.net.now + int(args[0]))
+            raise CommandError(usage)
+        self.sim.net.run_until(self.sim.net.now + _number(args[0], usage, int))
         return ""
 
     def cmd_seed(self, args):

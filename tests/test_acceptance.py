@@ -21,7 +21,7 @@ from conftest import (DATA_DIR, FACTORY, SCRIPT_DIR, ZOO, build_cluster,
 from sensefs import muxfs, wire
 from sensefs.client import ClientError, FileClient
 from sensefs.muxfs import AggregateSpec, MuxConfig
-from sensefs.scenario import load_scenario_file
+from sensefs.scenario import load_scenario, load_scenario_file
 from sensefs.shell import Shell, run_script
 from sensefs.devicefs import SensorState
 from sensefs.simnet import DutyCycle, EnergyModel, LinkModel, Network
@@ -366,7 +366,6 @@ def big_scenario(n_clusters=10, per_cluster=30):
 
 
 def test_acceptance_09_scale():
-    from sensefs.scenario import load_scenario
     start = time.perf_counter()
     sim = load_scenario(big_scenario())
     sim.start()                           # discovery across all clusters
@@ -507,3 +506,59 @@ def test_acceptance_12_determinism():
     assert digests == GOLDEN_LOGS
     report(12, "determinism", ok,
            "3 bundled scripts: transcripts and event logs byte-identical, logs golden")
+
+
+# A zoo session over a lossy, jittery radio: timeouts, cache fallback,
+# retries and lost clunks, which the loss-free scripts above never reach.
+LOSSY_SESSION = """\
+mount /dev/network /network
+cat /network/cluster1/sensors/s1/reading
+cat /network/cluster1/sensors/s1/reading
+cat /network/cluster1/sensors/s1/reading
+cat /network/cluster1/sensors/s1/reading
+write /network/cluster1/sensors/s3/control 1.5
+write /network/cluster1/sensors/s3/control 1.5
+cat /network/cluster1/sensors/s3/reading
+cat /network/cluster1/sensors/s3/reading
+cat /network/cluster1/aggrData/avgTemp
+cat /network/cluster1/aggrData/avgTemp
+cat /network/cluster2/aggrData/avgTemp
+cat /network/cluster2/aggrData/avgTemp
+ls -l /network/cluster1/sensors
+ls -l /network/cluster2/sensors
+write /network/cluster2/sensors/s9/control sleep
+write /network/cluster2/sensors/s9/control sleep
+tick 40
+cat /network/cluster2/sensors/s9/reading
+cat /network/cluster2/sensors/s9/reading
+view build resource
+ls /resource/energy/high
+ls /resource/energy/low
+plan region-10 4 avg 50
+plan region-10 4 avg 50
+view build location
+cat /location/region-10/data
+cat /location/region-10/data
+cat /network/cluster2/sensors/s8/reading
+cat /network/cluster2/sensors/s8/reading"""
+
+# sha256 of LOSSY_SESSION's transcript and of its whole event log
+LOSSY_GOLDEN = ("78d8e448d8d8130bf9499bad9216afad8158a0090288c5e1423176de633e9792",
+                "e330c0161840dd9670ca3f09af24c79341147924843a5423bcac026d6633d9ab")
+
+
+def test_lossy_session_is_golden():
+    with open(ZOO) as fh:
+        text = fh.read().replace("loss = 0.0", "loss = 0.2").replace("jitter = 0", "jitter = 2")
+    assert "loss = 0.2" in text and "jitter = 2" in text
+    sim = load_scenario(text)
+    sim.start()
+    shell = Shell(sim)
+    transcript = ""
+    for line in LOSSY_SESSION.splitlines():
+        status, output = shell.run_line(line)
+        transcript += "> %s\n%d %s\n" % (line, status, output)
+    print(transcript)              # shown when the digests differ
+    digests = (hashlib.sha256(transcript.encode()).hexdigest(),
+               hashlib.sha256(sim.net.log.text().encode()).hexdigest())
+    assert digests == LOSSY_GOLDEN

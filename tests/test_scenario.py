@@ -67,8 +67,13 @@ def test_duplicate_ids_rejected():
     ("[link a]\n", "line 1: [link] takes 0 or 2 name(s), got 1"),
     ("[region r]\nrect = 0 0 1 1\n[region r]\n", "line 3: duplicate region r"),
     ("[responder a]\n[responder a]\n", "line 2: duplicate responder a"),
+    ("[region r]\n[region 0E]\n", "line 2: region name '0E' is a location cell's name"),
+    ("[region 35N]\n", "line 1: region name '35N' is a location cell's name"),
+    ("[region 120S]\n", "line 1: region name '120S' is a location cell's name"),
+    ("[region 54W]\n", "line 1: region name '54W' is a location cell's name"),
 ], ids=["unknown", "unknown-with-key", "scenario-args", "views-args", "link-args",
-        "duplicate-region", "duplicate-responder"])
+        "duplicate-region", "duplicate-responder", "region-lon-cell", "region-lat-cell",
+        "region-south-cell", "region-west-cell"])
 def test_header_error_at_its_line(text, error):
     with pytest.raises(ScenarioError, match=re.escape(error)):
         parse_scenario(text)
@@ -85,11 +90,26 @@ def test_header_error_at_its_line(text, error):
     ("[sensor s]\nsource = ramp 3\n", "line 2: bad value for 'source'"),
     ("[sensor s]\nsource = wobble 1\n", "line 2: bad value for 'source'"),
     ("[sensor s]\nsource = table\n", "line 2: bad value for 'source'"),
+    ("[views]\ncell = 0\n", "line 2: bad value for 'cell': 0 is not a finite number above 0"),
+    ("[views]\ncell = -1\n", "line 2: bad value for 'cell'"),
+    ("[views]\ncell = nan\n", "line 2: bad value for 'cell'"),
+    ("[views]\ncell = inf\n", "line 2: bad value for 'cell'"),
+    ("[geo]\nm_per_deg = 0\n", "line 2: bad value for 'm_per_deg'"),
+    ("[geo]\nm_per_deg = -111000\n", "line 2: bad value for 'm_per_deg'"),
+    ("[geo]\nm_per_deg = nan\n", "line 2: bad value for 'm_per_deg'"),
+    ("[geo]\nm_per_deg = -inf\n", "line 2: bad value for 'm_per_deg'"),
 ], ids=["latency", "loss", "jitter", "pair-latency", "pair-loss", "duty-empty", "duty-words",
-        "ramp-args", "source-kind", "table-empty"])
+        "ramp-args", "source-kind", "table-empty", "cell-zero", "cell-negative", "cell-nan",
+        "cell-inf", "m_per_deg-zero", "m_per_deg-negative", "m_per_deg-nan", "m_per_deg-inf"])
 def test_bad_value_at_its_line(text, error):
     with pytest.raises(ScenarioError, match=re.escape(error)):
         parse_scenario(text)
+
+
+def test_region_names_unlike_a_cell_are_kept():
+    names = ["E0", "0e", "0EW", "-1W", "1.5E", "region-10", "N"]
+    text = "".join("[region %s]\n" % n for n in names)
+    assert [r.name for r in parse_scenario(text).regions] == names
 
 
 def test_duty_phase_defaults_to_zero():

@@ -181,11 +181,31 @@ VIEW_USAGE = ("error: usage: view build <structural | location [CELL] | logical 
     "view build resource 10 high", "view build location east",
     "view build resource 1 2 3", "view build location 1 2",
     "view build logical animal extra", "view build structural /network",
+    "view build location 0", "view build location -1",     # a cell must be finite, above 0
+    "view build location nan", "view build location inf",
 ])
 def test_view_build_bad_arguments_get_the_usage(line):
     shell = zoo_shell()
     assert shell.run_line(line) == (1, VIEW_USAGE)
     assert shell.table.mounts == []
+
+
+PLAN_USAGE = "error: usage: plan <region> <coverage> <aggregation> <rate>"
+
+
+@pytest.mark.parametrize("line, error", [
+    ("plan region-10 four avg 10", PLAN_USAGE),
+    ("plan region-10 4 avg soon", PLAN_USAGE),
+    ("plan region-10 2.5 avg 10", PLAN_USAGE),
+    ("tick soon", "error: usage: tick <n>"),
+    ("tick 1.5", "error: usage: tick <n>"),
+], ids=["plan-coverage", "plan-rate", "plan-fraction", "tick-word", "tick-fraction"])
+def test_plan_and_tick_bad_numbers_get_the_usage(line, error):
+    shell = zoo_shell()
+    shell.run_line("mount /dev/network /network")
+    now = shell.sim.net.now
+    assert shell.run_line(line) == (1, error)
+    assert shell.sim.net.now == now
 
 
 def test_view_build_optional_arguments():
@@ -287,6 +307,11 @@ def test_cli_bad_scenario(tmp_path, capsys):
     bad.write_text("[sensor s1]\nduty = 0 0 0\n")
     assert main(["--scenario", str(bad)]) == 1
     assert "error: line 2: bad value for 'duty'" in capsys.readouterr().err
+    for section, key in (("views", "cell"), ("geo", "m_per_deg")):
+        bad.write_text("[%s]\n%s = 0\n" % (section, key))
+        assert main(["--scenario", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: bad value for %r: 0 is not a finite number above 0\n" % key)
 
 
 def test_cli_missing_script(tmp_path, capsys):
