@@ -13,15 +13,14 @@ views learn every member without a device frame.
 
 A query is Plan 9's query-file idiom (as /net/cs): a client opens ctl
 ORDWR, writes `read FILE [ID ...]` and reads the answer on the same fid.
-The head reads FILE from each named member, or from every discovered
-member, all at once, each as mux over a fid of its own (walk, open, one
-read, clunk), after checking the querying user against the member's
-mirrored stat; the answer is one line per member, `ID VALUE` (the file's
-first line) or `ID !error`.  A member that does not answer is served
-from the cache within the ttl, as a relayed read is.  So a view learns
-one file of every sensor of a cluster in one client exchange, not one
-relayed read per sensor.  Opening ctl takes only its read bit: a query
-needs no more, and every other command is checked for the write bit.
+The head reads FILE from each named member, or every discovered member,
+at once, after checking the querying user against the member's mirrored
+stat; the answer is one line per member, `ID VALUE` (the file's first
+line) or `ID !error`.  A member that does not answer is served from the
+cache within the ttl, as a relayed read is.  So a view learns one file
+of every sensor of a cluster in one client exchange.  Opening ctl takes
+only its read bit: a query needs no more, and every other command is
+checked for the write bit.
 
 All the head knows of one member lives in that member's DeviceLink: its
 connection, mirrored directory, open fids, value cache, info and pending
@@ -41,18 +40,27 @@ whoever waits on it, such as a relayed read's reply.  A device fid the
 head opens (its own, or one behind a relayed client fid) is opened once:
 requests that need it while the open is in flight wait for it.  A
 mirrored file opens against its mirrored stat, even while its device sleeps.
+
+The head reads a member file one way (_read_path: info, aggregates,
+polls, queries), as mux over a fid it keeps open for that file alone:
+an attach of its own walked in place (walk(5) lets newfid be fid), so
+the first read costs attach, walk, open and read, each later one a read,
+and no root is kept.  Discovery's probe is the attach that becomes the
+info fid; the root listing is read on a second attach, then clunked.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
 from . import wire
-from .client import Conn, ClientError, Flight, attach, once, read_all, receive, spawn, walk
+from .client import Conn, ClientError, Flight, _attach, once, read_all, receive, spawn, walk
 from .devicefs import parse_info
 from .wire import (
-    IOUNIT, OREAD, OWRITE, ORDWR, Topen, Tread, Twrite, Tclunk, Ropen, Rread, Rwrite, Rerror,
+    IOUNIT, OREAD, OWRITE, ORDWR, Twalk, Topen, Tread, Twrite, Tclunk,
+    Rwalk, Ropen, Rread, Rwrite, Rerror,
 )
 from .fscore import Defer, FsError, Node, Server, make_dir, make_file
 
@@ -95,16 +103,12 @@ class DeviceLink(Conn):
     def __init__(self, net, eid, device_id):
         super().__init__(net, eid, device_id)
         self.node = None           # mirrored sensors/<id> dir; None until discovered
-        self.open_fids = {}        # path -> device fid opened OREAD as "mux"
+        self.open_fids = {}        # path -> the head's kept fid: a mux attach opened OREAD
         self.cache = {}            # path -> (bytes, stamp) of its last offset-0 read
         self.info = ""             # the device's info text, as last read
         self.meta = {}             # kind, tags, position parsed from info
         self.refreshing = False    # a probe or info refresh is in flight
         self.poll = None           # the pending report-rate poll Event
-
-    def set_info(self, data: bytes):
-        self.info = data.decode(errors="replace")
-        self.meta = parse_info(self.info)
 
 
 class Multiplexer(Server):
@@ -192,7 +196,7 @@ class Multiplexer(Server):
         self.discover()
         for link in self._discovered():
             if not link.refreshing:
-                self._spawn(link, self._marked(link, self._refresh_info(link)),
+                self._spawn(link, self._marked(link, self._read_path(link, "info")),
                             self.cfg.discover_timeout)
         self.net.schedule(self.cfg.reprobe_ticks, self._reprobe)
 
@@ -214,20 +218,25 @@ class Multiplexer(Server):
 
     def _discover_device(self, link):
         dev = link.peer
-        link.roots.pop("mux", None)         # the attach is the probe: always send it
-        try:
-            root = yield from attach(link, "mux")
-        except ClientError:
-            root = None
-        if root is None:
+        stale = link.open_fids.pop("info", None)     # kept by a probe that failed later
+        if stale is not None:
+            self._clunk_remote(link, stale)
+        fid = info = stats = None
+        with suppress(ClientError):
+            fid = yield from _attach(link, "mux")   # the probe: the info fid to be
+        if fid is None:
             self.net.log.add(self.net.now, "mux-probe-miss", self.eid, dev, "")
             return
-        info = yield from self._read_path(link, "info")
+        with suppress(FsError):
+            info = yield from self._read_path(link, "info", fid)
         if info is None:
             self.net.log.add(self.net.now, "mux-excluded", self.eid, dev, "info unreadable")
             return
-        link.set_info(info)
-        stats = yield from self._read_root_listing(link)
+        fid = yield from self._open_mux(link, "")   # the root listing, on an attach of its own
+        if fid is not None:
+            with suppress(ClientError, wire.WireError):   # refused, a reply lost, or undecodable
+                stats = wire.decode_stats((yield from read_all(fid)))
+            self._clunk_remote(link, fid)
         if stats is None:
             self.net.log.add(self.net.now, "mux-excluded", self.eid, dev, "listing unreadable")
             return
@@ -235,56 +244,59 @@ class Multiplexer(Server):
         self.net.log.add(self.net.now, "mux-discovered", self.eid, dev,
                          "kind=%s" % link.meta.get("kind", "?"))
 
-    def _read_path(self, link, path):
-        """Read a device file with the mux's own identity, keeping the fid
-        open.  Yields device calls; returns payload bytes or None on failure."""
-        fid = yield from once(link.open_fids, path, self._open_remote, link, "mux", path, OREAD)
+    def _read_path(self, link, path, fid=None):
+        """Step: a member file read as mux over the fid kept open for it in
+        link.open_fids, opened on first use (_open_mux, from fid if given):
+        its bytes, cached (info also as link.info), or None if the device
+        never answered; a refusal is raised."""
+        fid = yield from once(link.open_fids, path, self._open_mux, link, path, fid)
         if fid is None:
             return None
         r = yield lambda t: Tread(t, fid, 0, IOUNIT)
-        if isinstance(r, Rread):
+        if isinstance(r, Rerror):
+            raise FsError(r.ename)
+        if r is not None:
             link.cache[path] = (r.data, self.net.now)
+            if path == "info":
+                link.info = r.data.decode(errors="replace")
+                link.meta = parse_info(link.info)
             return r.data
-        return None
+
+    def _open_mux(self, link, path, fid=None):
+        """Step: a fid of the head's own opened OREAD on path: fid, else a
+        fresh mux attach, walked in place (walk(5) lets newfid be fid; the
+        root needs no walk).  None if the device never answered."""
+        if fid is None:
+            fid = yield from _attach(link, "mux")
+            if fid is None:
+                return None
+        names = tuple(p for p in path.split("/") if p)
+        r = (yield lambda t: Twalk(t, fid, fid, names)) if names else None
+        if not names or isinstance(r, Rwalk) and len(r.qids) == len(names):
+            r = yield lambda t: Topen(t, fid, OREAD)
+        return self._opened(link, fid, r)
 
     def _open_remote(self, link, uname, path, mode):
-        """Walk (attaching once per uname) and open; returns the device fid,
-        or None if the device never answered."""
+        """Step: a new device fid walked from uname's root (attached once
+        per uname) to path and opened in mode; None if never answered."""
         fid = yield from walk(link, uname, path)
-        if fid is None:
-            return None
-        r = yield lambda t: Topen(t, fid, mode)
-        if not isinstance(r, Ropen):
-            self._clunk_remote(link, fid)
-            if isinstance(r, Rerror):
-                raise FsError(r.ename)
-            return None
-        return fid
+        return fid if fid is None else self._opened(
+            link, fid, (yield lambda t: Topen(t, fid, mode)))
+
+    def _opened(self, link, fid, r):
+        """fid if r is its Ropen, else None once fid is clunked; a refusal,
+        or a walk that stopped short, is raised."""
+        if isinstance(r, Ropen):
+            return fid
+        self._clunk_remote(link, fid)
+        if r is not None:
+            raise FsError(r.ename if isinstance(r, Rerror) else "no such file")
 
     def _clunk_remote(self, link, fid):
         try:
             self._call(link, self.cfg.discover_timeout, lambda t: Tclunk(t, fid), lambda r: None)
         except FsError:
             pass
-
-    def _read_root_listing(self, link):
-        fid = yield from self._open_remote(link, "mux", "", OREAD)
-        if fid is None:
-            return None
-        try:
-            data = yield from read_all(fid)
-        except ClientError:     # refused, or a reply never came
-            data = None
-        self._clunk_remote(link, fid)
-        try:
-            return None if data is None else wire.decode_stats(data)
-        except wire.WireError:
-            return None
-
-    def _refresh_info(self, link):
-        info = yield from self._read_path(link, "info")
-        if info is not None:
-            link.set_info(info)
 
     def _mirror_device(self, link, stats) -> Node:
         sdir = make_dir(link.peer, 0o555)
@@ -515,9 +527,15 @@ class Multiplexer(Server):
                 return ("%s !%s\n" % (link.peer, out.ename)).encode()
             return b"%s %s\n" % (link.peer.encode(), out.split(b"\n", 1)[0])
 
+        def read(link):         # as mux, once uname may open the mirrored file to read
+            node = link.node and link.node.lookup(name)
+            if node is None:
+                raise FsError("no such file")
+            self.check_open_perm(node, uname, OREAD)
+            return (yield from self._read_path(link, name))
+
         return Defer(lambda done: self._fan_out(
-            links, lambda link: self._read_fresh(link, name, uname), self.cfg.fallback_ticks,
-            got, lambda lines: done(b"".join(lines))))
+            links, read, self.cfg.fallback_ticks, got, lambda lines: done(b"".join(lines))))
 
     def _cached(self, link, path, asked, event=None):
         """For a member that did not answer a request asked at tick asked:
@@ -529,28 +547,6 @@ class Multiplexer(Server):
         if event:
             self.net.log.add(self.net.now, event, self.eid, link.peer, "path=%s cached=1" % path)
         return entry[0]
-
-    def _read_fresh(self, link, path, uname):
-        """Step: path read from the device on behalf of uname.  Refused
-        unless uname may open the mirrored file for reading; then read as
-        mux over a fid of its own: walk, open, one read (a device file fits
-        in one) and a clunk not waited for.  Returns the bytes, cached, or
-        None if the device never answered; a refusal is raised."""
-        node = link.node and link.node.lookup(path)
-        if node is None:
-            raise FsError("no such file")
-        self.check_open_perm(node, uname, OREAD)
-        fid = yield from self._open_remote(link, "mux", path, OREAD)
-        if fid is None:
-            return None
-        r = yield lambda t: Tread(t, fid, 0, IOUNIT)
-        self._clunk_remote(link, fid)
-        if isinstance(r, Rerror):
-            raise FsError(r.ename)
-        if r is None:
-            return None
-        link.cache[path] = (r.data, self.net.now)
-        return r.data
 
 
 def _parse_floats(data: bytes):

@@ -164,9 +164,9 @@ def _add(items, name, item):
 
 
 def _region(cfg, names):
-    """A [region NAME] header; a name of a location cell's form (digits,
-    then E, W, N or S) would share that cell's /location directory."""
-    if re.fullmatch(r"\d+[EWNS]", names[0]):
+    """A [region NAME] header; a name of a location cell's form (a decimal
+    number, then E, W, N or S) would share that cell's /location directory."""
+    if re.fullmatch(r"\d+(\.\d+)?[EWNS]", names[0]):
         raise ScenarioError("region name %r is a location cell's name" % names[0])
     return _add(cfg.regions, names[0], Region(names[0], 0, 0, 0, 0))
 

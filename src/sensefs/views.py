@@ -183,9 +183,13 @@ class GeoMap:
 
 
 def cell_label(value_deg: float, positive: str, negative: str, cell: float = 1.0) -> str:
+    """The name of the cell, cell degrees wide, that holds value_deg: its
+    edge nearer zero and a hemisphere letter (-54.2: 54W; with cell 0.5,
+    0.7: 0.5E).  The quotient is rounded to 9 places before its floor, so
+    float error cannot drop 0.3 into the 0.1-wide cell below it."""
     letter = positive if value_deg >= 0 else negative
-    magnitude = int(math.floor(abs(value_deg) / cell) * cell)
-    return "%d%s" % (magnitude, letter)
+    edge = math.floor(round(abs(value_deg) / cell, 9)) * cell
+    return "%.12g%s" % (edge, letter)
 
 
 @dataclass

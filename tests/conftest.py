@@ -64,6 +64,14 @@ def walk_fid(client, ref, path):
     return fid
 
 
+def device_fid_files(net, dev):
+    """(user name, file name) of every fid bound on device dev, over all
+    its sessions, in the order they were bound."""
+    server = net.handlers[dev].__self__.server
+    return [(ent.uname, ent.node.name) for sess in server.sessions.values()
+            for ent in sess.fids.values()]
+
+
 def open_fid(client, ref, path, mode=OREAD):
     """A fid of client, walked to path and opened in mode."""
     fid = walk_fid(client, ref, path)

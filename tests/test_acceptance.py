@@ -481,11 +481,11 @@ def run_bundled(scenario, script_name, seed):
 # sha256 of each bundled script's event log (the --log file) at seed 42
 GOLDEN_LOGS = {
     "example1_monitoring.script":
-        "d87417c3689908c12f3d0577d8d1706e64bd70b507fcc584292c8dd1f5903cc3",
+        "566ba453f96eec0e36139c80faa16f2d53f6a117f7fcbd6f5cd3801b0f6a32c7",
     "example2_datacentric.script":
-        "8014847a5bb317fba133dc82368fcbc69664013666a8a734abb3c6a6cc8a1542",
+        "f8e153697ca1949629f2e92d3d49851c43ca4e508e92f09a2f3d8189ff86fcf8",
     "example3_emergency.script":
-        "f71ee66f0e0417f845d7c3c43eb53ff94a3539c035db556957e15ab74fb14375",
+        "35ae723d5aba36a0ec88d7fa3de8ea24f9802316a53a5948605815fedc6621cb",
 }
 
 
@@ -543,8 +543,8 @@ cat /network/cluster2/sensors/s8/reading
 cat /network/cluster2/sensors/s8/reading"""
 
 # sha256 of LOSSY_SESSION's transcript and of its whole event log
-LOSSY_GOLDEN = ("78d8e448d8d8130bf9499bad9216afad8158a0090288c5e1423176de633e9792",
-                "e330c0161840dd9670ca3f09af24c79341147924843a5423bcac026d6633d9ab")
+LOSSY_GOLDEN = ("b8ac94d8d04d9bae8d9f17deca9dad7374a446158f0022b2d31009f282ec3899",
+                "868a1c03cbc85d971762b1758f344839489cf74a09d9b8d3af68e44732d27345")
 
 
 def test_lossy_session_is_golden():

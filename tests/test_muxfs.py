@@ -4,14 +4,14 @@ import re
 
 import pytest
 
-from sensefs import muxfs
+from sensefs import muxfs, wire
 from sensefs.client import ClientError, FileClient
 from sensefs.devicefs import FILE_ORDER, MEM_SIZE, parse_infos
 from sensefs.muxfs import MAX_PENDING, AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from sensefs.simnet import DutyCycle, LinkModel, Network
-from sensefs.wire import IOUNIT, ORDWR, OWRITE, Rerror, Tclunk, Tread, Twrite
+from sensefs.wire import IOUNIT, ORDWR, OWRITE, Rerror, Rread, Tclunk, Tread, Twrite
 
-from conftest import USERS, build_cluster, temp_sensor, make_client, open_fid
+from conftest import USERS, build_cluster, device_fid_files, temp_sensor, make_client, open_fid
 
 
 def mux_ref(mux):
@@ -124,6 +124,28 @@ def test_member_slowed_after_the_head_was_built_is_discovered():
     net.run_until(4000)                    # discovery: eight 400-tick round trips
     assert "\tmux-discovered\tc.head\ts1\t" in net.log.text()
     assert "\tmux-excluded\t" not in net.log.text()
+
+
+def test_reprobe_after_a_lost_info_read_clunks_the_kept_fid():
+    # s1's first answer to an info read is lost: s1 is excluded with its
+    # info fid open, and the next probe clunks that fid before it attaches
+    # its own, so s1 ends up holding the head's info fid alone
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1, warmup=0,
+                                mux_cfg=MuxConfig(reprobe_ticks=100))
+    send, lost = net.send, []
+
+    def lose_first_rread(src, dst, frame):
+        if src == "s1" and not lost and isinstance(wire.decode_message(frame), Rread):
+            lost.append(frame)
+            return
+        send(src, dst, frame)
+
+    net.send = lose_first_rread
+    net.run_until(150)
+    log = net.log.text()
+    assert "\tmux-excluded\tc.head\ts1\tinfo unreadable" in log
+    assert "\tmux-discovered\tc.head\ts1\t" in log
+    assert device_fid_files(net, "s1") == [("mux", "info")]
 
 
 def test_shared_config_is_left_unchanged():
@@ -277,8 +299,8 @@ def device_fids(net, dev):
 
 def test_concurrent_first_reads_share_one_device_fid():
     # five reads race on a fresh relayed fid: one attach, walk and open
-    # serve them all, and the clunk leaves only the head's own fids (its
-    # mux root and info fid, and the admin root) bound on the device
+    # serve them all, and the clunk leaves only the head's info fid and
+    # the admin root bound on the device
     net, mux, _ = build_cluster([temp_sensor(1, 20.9)], latency=1,
                                 mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
     net.set_link(mux.eid, "s1", LinkModel(latency=50), both_ways=True)
@@ -289,10 +311,10 @@ def test_concurrent_first_reads_share_one_device_fid():
         client.submit(mux_ref(mux), tread(fid, 0, 64), replies.append)
     net.run_until(net.now + 1000)
     assert [r.data for r in replies] == [b"20.900000\n"] * 5
-    assert net.log.text().count("\tsend\tc.head\ts1\tTwalk") == 3   # info, listing, reading
+    assert net.log.text().count("\tsend\tc.head\ts1\tTwalk") == 2   # info, reading
     client.call(mux_ref(mux), tclunk(fid))
     net.run_until(net.now + 200)
-    assert device_fids(net, "s1") == 3
+    assert device_fids(net, "s1") == 2
     assert mux.relayed == {}
 
 
@@ -307,7 +329,7 @@ def test_clunk_while_opening_clunks_the_device_fid():
     client.call(mux_ref(mux), tclunk(fid))
     net.run_until(net.now + 1000)
     assert mux.relayed == {}
-    assert device_fids(net, "s1") == 3
+    assert device_fids(net, "s1") == 2        # the head's info fid and the admin root
 
 
 def test_pending_table_bound():
@@ -672,22 +694,52 @@ def query_cluster(**cfg):
                          mux_cfg=MuxConfig(**cfg))
 
 
-def test_query_reads_each_member_once_and_holds_no_device_fid():
+def member_frames(net, mux, since, devices=("s1", "s2")):
+    """The types of the frames sent between mux and any of devices after
+    log line since, either way, sorted."""
+    return sorted(detail.split()[0] for _, event, src, dst, detail in
+                  (line.split("\t") for line in net.log.lines[since:])
+                  if event == "send" and {src, dst} & set(devices) and mux.eid in (src, dst))
+
+
+def test_query_reads_each_member_over_a_kept_fid():
+    # the first query of a file opens it on each member over an attach of
+    # its own (attach, walk in place, open, read), which the head keeps
+    # open, so a repeated query is one read per member
     net, mux, states = query_cluster()
     client = make_client(net)
     held = {dev: device_fids(net, dev) for dev in ("s1", "s2")}
     since = len(net.log.lines)
     assert ask(client, mux, b"read reading") == "s1 20.500000\ns2 22.000000\n"
+    assert member_frames(net, mux, since) == sorted(
+        ["Tattach", "Rattach", "Twalk", "Rwalk", "Topen", "Ropen", "Tread", "Rread"] * 2)
+    since = len(net.log.lines)
+    assert ask(client, mux, b"read reading") == "s1 20.500000\ns2 22.000000\n"
+    assert member_frames(net, mux, since) == ["Rread", "Rread", "Tread", "Tread"]
     sid, joules = ask(client, mux, b"read remaining-energy s2").split()
     assert sid == "s2" and float(joules) == pytest.approx(states["s2"].energy_j, abs=0.1)
-    sent = [line.split("\t")[4].split()[0] for line in net.log.lines[since:]
-            if line.split("\t")[1:3] == ["send", mux.eid]
-            and line.split("\t")[3] in ("s1", "s2")]
-    # walk, open, one read and clunk per member read: s1 once, s2 twice
-    assert sent.count("Twalk") == sent.count("Topen") == sent.count("Tclunk") == 3
-    assert sent.count("Tread") == 3 and len(sent) == 12
     net.run_until(net.now + 10)
-    assert {dev: device_fids(net, dev) for dev in ("s1", "s2")} == held
+    # one fid per member and file read, and no root behind them
+    assert {dev: device_fids(net, dev) - held[dev] for dev in held} == {"s1": 1, "s2": 2}
+    assert "mux" not in mux.links["s1"].roots
+
+
+def test_kept_fid_still_checks_each_querying_user():
+    # an admin's query leaves s1's reading open at the head; a guest the
+    # mirrored stat refuses is still refused, without a device frame
+    net, mux, _ = query_cluster()
+    admin, guest = make_client(net), make_client(net, uname="guest", name="guest")
+    assert ask(admin, mux, b"read reading s1") == "s1 20.500000\n"
+    assert isinstance(mux.links["s1"].open_fids["reading"], int)
+    mux.links["s1"].node.lookup("reading").mode = 0o440
+    since = len(net.log.lines)
+    assert ask(guest, mux, b"read reading s1") == "s1 !permission denied\n"
+    assert member_frames(net, mux, since) == []
+    # a device's refusal of a read on a kept fid is the member's answer
+    for _ in range(2):
+        since = len(net.log.lines)
+        assert ask(admin, mux, b"read control s1") == "s1 !not readable\n"
+    assert member_frames(net, mux, since) == ["Rerror", "Tread"]
 
 
 def test_two_fids_query_at_once_and_keep_their_answers():

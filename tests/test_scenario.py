@@ -71,9 +71,10 @@ def test_duplicate_ids_rejected():
     ("[region 35N]\n", "line 1: region name '35N' is a location cell's name"),
     ("[region 120S]\n", "line 1: region name '120S' is a location cell's name"),
     ("[region 54W]\n", "line 1: region name '54W' is a location cell's name"),
+    ("[region 0.5E]\n", "line 1: region name '0.5E' is a location cell's name"),
 ], ids=["unknown", "unknown-with-key", "scenario-args", "views-args", "link-args",
         "duplicate-region", "duplicate-responder", "region-lon-cell", "region-lat-cell",
-        "region-south-cell", "region-west-cell"])
+        "region-south-cell", "region-west-cell", "region-fractional-cell"])
 def test_header_error_at_its_line(text, error):
     with pytest.raises(ScenarioError, match=re.escape(error)):
         parse_scenario(text)
@@ -107,7 +108,7 @@ def test_bad_value_at_its_line(text, error):
 
 
 def test_region_names_unlike_a_cell_are_kept():
-    names = ["E0", "0e", "0EW", "-1W", "1.5E", "region-10", "N"]
+    names = ["E0", "0e", "0EW", "-1W", "1.E", ".5E", "region-10", "N"]
     text = "".join("[region %s]\n" % n for n in names)
     assert [r.name for r in parse_scenario(text).regions] == names
 

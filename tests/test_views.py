@@ -18,7 +18,7 @@ from sensefs.views import (
     read_paths, scan_sensors,
 )
 
-from conftest import ZOO, build_cluster, make_client, temp_sensor
+from conftest import ZOO, build_cluster, device_fid_files, make_client, temp_sensor
 
 
 def device_frames(net, since, devices):
@@ -82,14 +82,23 @@ def test_resolution_is_pure():
 
 # -- cells --------------------------------------------------------------------
 
-@pytest.mark.parametrize("deg,expect", [
-    (-54.2, "54W"), (-54.0, "54W"), (-53.999, "53W"),
-    (0.0, "0E"), (0.5, "0E"), (-0.5, "0W"),
-    (35.7, "35N"), (35.0, "35N"), (34.999, "34N"),
-])
-def test_cell_label_boundaries(deg, expect):
+CELL_CASES = [      # (degrees, cell width, label)
+    (-54.2, 1, "54W"), (-54.0, 1, "54W"), (-53.999, 1, "53W"),
+    (0.0, 1, "0E"), (0.5, 1, "0E"), (-0.5, 1, "0W"),
+    (35.7, 1, "35N"), (35.0, 1, "35N"), (34.999, 1, "34N"),
+    # a fractional cell is named by its edge, and float error does not
+    # move a value on an edge (0.3 / 0.1 is 2.9999999999999996)
+    (0.2, 0.5, "0E"), (0.7, 0.5, "0.5E"), (-0.7, 0.5, "0.5W"), (35.7, 0.25, "35.5N"),
+    (0.3, 0.1, "0.3E"), (0.29, 0.1, "0.2E"), (-54.2, 2, "54W"),
+]
+
+
+@pytest.mark.parametrize("deg,cell,expect", CELL_CASES, ids=[
+    "%s-%s" % (deg, expect) if cell == 1 else "%s-cell%s-%s" % (deg, cell, expect)
+    for deg, cell, expect in CELL_CASES])
+def test_cell_label_boundaries(deg, cell, expect):
     pos, neg = ("E", "W") if expect[-1] in "EW" else ("N", "S")
-    assert cell_label(deg, pos, neg) == expect
+    assert cell_label(deg, pos, neg, cell) == expect
 
 
 def test_geo_map():
@@ -281,7 +290,8 @@ def test_resource_band_listing_reads_each_info_once(monkeypatch):
 def test_resource_view_over_a_hundred_members(monkeypatch):
     # a listing asks the head one query for every member's energy, so the
     # client's session on the head holds its root and one ctl fid at most,
-    # and the head reads each member over a fid it clunks at once
+    # and each member holds the head's info and remaining-energy fids, and
+    # no root
     net, mux, states, client, table = wired(
         [temp_sensor(i, 1.0, energy_j=(5.0, 50.0, 500.0)[i % 3]) for i in range(100)])
     view = build_resource_view(client, table, 10.0, 100.0)
@@ -301,9 +311,7 @@ def test_resource_view_over_a_hundred_members(monkeypatch):
     assert client.ls(("local", view), "energy/unknown") == []
     assert peak[0] == 2
     for dev in states:
-        server = net.handlers[dev].__self__.server
-        held = [ent.node.name for sess in server.sessions.values() for ent in sess.fids.values()]
-        assert "remaining-energy" not in held
+        assert device_fid_files(net, dev) == [("mux", "info"), ("mux", "remaining-energy")]
 
 
 def test_unreachable_member_alone_is_unknown():
@@ -361,8 +369,9 @@ def test_zoo_band_listing_ticks():
             sequential_band_listing(shell.client, shell.table)
         ticks.append(sim.net.now - t0)
     # two heads, 3-tick links: one energy query per head at once, naming
-    # no member, with no member-index read before it
-    assert ticks == [60, 636]
+    # no member, with no member-index read before it; the query's first
+    # read of remaining-energy attaches, walks, opens and reads
+    assert ticks == [66, 636]
 
 
 def test_band_listing_skips_a_device_mounted_under_the_root():
@@ -441,6 +450,46 @@ def test_zoo_location_data_frame_cost():
     assert device_frames(sim.net, since, set(sim.states)) == 6 * 8
     assert sum(1 for line in sim.net.log.lines[since:]
                if line.split("\t")[1] == "send") == 84
+
+
+def quiet_zoo():
+    """The zoo with its heads' periodic info refresh pushed out of the
+    window, mounted at /network in a shell."""
+    with open(ZOO) as fh:
+        text = fh.read().replace("\nreprobe = 100\n", "\nreprobe = 1000000\n")
+    sim = load_scenario(text)
+    sim.start()
+    shell = Shell(sim)
+    shell.run_line("mount /dev/network /network")
+    return sim, shell
+
+
+def test_zoo_discovery_leaves_each_device_its_info_fid_alone():
+    sim, _ = quiet_zoo()
+    for dev in sim.states:
+        assert device_fid_files(sim.net, dev) == [("mux", "info")]
+
+
+def test_zoo_second_band_listing_reads_each_member_once():
+    # the first listing opens remaining-energy on every member and keeps
+    # it open; the second reads it over that fid: Tread and Rread
+    sim, shell = quiet_zoo()
+    shell.run_line("view build resource")
+    assert shell.run_line("ls /resource/energy/low") == (0, "s4\ns5")
+    since, t0 = len(sim.net.log.lines), sim.net.now
+    assert shell.run_line("ls /resource/energy/low") == (0, "s4\ns5")
+    assert sim.net.now - t0 == 42
+    assert device_frames(sim.net, since, set(sim.states)) == 2 * len(sim.states)
+
+
+def test_zoo_second_location_data_read_reads_each_member_once():
+    sim, shell = quiet_zoo()
+    shell.run_line("view build location")
+    data = (0, "20.900000\n22.300000\n24.100000\n70.000000 30.000000\n21.700000\n19.500000")
+    assert shell.run_line("cat /location/region-10/data") == data
+    since = len(sim.net.log.lines)
+    assert shell.run_line("cat /location/region-10/data") == data
+    assert device_frames(sim.net, since, set(sim.states)) == 6 * 2
 
 
 # -- the member index ----------------------------------------------------------
