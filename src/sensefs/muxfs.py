@@ -4,23 +4,26 @@ Discovers its member devices over the wire, mirrors their static trees
 under sensors/, serves aggrData/ files by fanning reads out to members,
 sorts sensors into groups/ at enumeration time, and relays client
 requests to devices by fid while keeping any number of them outstanding.
-A small value cache answers for sleeping sensors within a ttl, judged
-at the tick a read, query or aggregate was asked (_cached).  Writes
-to ctl are commands (rate, aggregate with fn avg, min or max, group) or
-read queries; a plain read of ctl returns the member index, each
-discovered member's info text as last read at discovery or re-probe, so
-views learn every member without a device frame.
+A value cache keeps each member file's last offset-0 read; a copy is
+fresh for ttl ticks before the tick a question was asked (_cached).  A
+question the head answers itself (an aggregate, a ctl query) serves a
+fresh copy read after the member's last relayed write, with no device
+frame (_recent).  Relayed reads and writes and polls always go to the
+device, and a fresh copy stands in for a member that does not answer.
+Writes to ctl are commands (rate, aggregate with fn avg, min or max,
+group) or read queries; a plain read of ctl returns the member index,
+each discovered member's info text as last read at discovery or
+re-probe, so views learn every member without a device frame.
 
 A query is Plan 9's query-file idiom (as /net/cs): a client opens ctl
 ORDWR, writes `read FILE [ID ...]` and reads the answer on the same fid.
 The head reads FILE from each named member, or every discovered member,
 at once, after checking the querying user against the member's mirrored
 stat; the answer is one line per member, `ID VALUE` (the file's first
-line) or `ID !error`.  A member that does not answer is served from the
-cache within the ttl, as a relayed read is.  So a view learns one file
-of every sensor of a cluster in one client exchange.  Opening ctl takes
-only its read bit: a query needs no more, and every other command is
-checked for the write bit.
+line) or `ID !error`, from a fresh copy where there is one.  So a view
+learns one file of every sensor of a cluster in one client exchange.
+Opening ctl takes only its read bit: a query needs no more, and every
+other command is checked for the write bit.
 
 All the head knows of one member lives in that member's DeviceLink: its
 connection, mirrored directory, open fids, value cache, info and pending
@@ -63,8 +66,11 @@ from .wire import (
     Rwalk, Ropen, Rread, Rwrite, Rerror,
 )
 from .fscore import Defer, FsError, Node, Server, make_dir, make_file
+from .simnet import Hop
 
 MAX_PENDING = 32
+ROUTED = "fwd tag=%d fid=%d path=%s"       # mux-route and mux-relay details (simnet.Hop)
+RELAYED = ("tag=%d fid=%d path=%s cached=0", "tag=%d fid=%d path=%s cached=1")
 
 
 @dataclass
@@ -105,6 +111,7 @@ class DeviceLink(Conn):
         self.node = None           # mirrored sensors/<id> dir; None until discovered
         self.open_fids = {}        # path -> the head's kept fid: a mux attach opened OREAD
         self.cache = {}            # path -> (bytes, stamp) of its last offset-0 read
+        self.written = -1          # tick its last relayed write ended: older copies are stale
         self.info = ""             # the device's info text, as last read
         self.meta = {}             # kind, tags, position parsed from info
         self.refreshing = False    # a probe or info refresh is in flight
@@ -293,10 +300,8 @@ class Multiplexer(Server):
             raise FsError(r.ename if isinstance(r, Rerror) else "no such file")
 
     def _clunk_remote(self, link, fid):
-        try:
+        with suppress(FsError):
             self._call(link, self.cfg.discover_timeout, lambda t: Tclunk(t, fid), lambda r: None)
-        except FsError:
-            pass
 
     def _mirror_device(self, link, stats) -> Node:
         sdir = make_dir(link.peer, 0o555)
@@ -326,8 +331,7 @@ class Multiplexer(Server):
 
     def _relay_log(self, session, msg, path, cached):
         self.net.log.add(self.net.now, "mux-relay", self.eid, session.conn_key,
-                         "tag=%d fid=%d path=%s cached=%d"
-                         % (msg.tag, msg.fid, path, cached))
+                         Hop(RELAYED[cached], msg.tag, msg.fid, path))
 
     def t_read(self, session, msg):
         ent = session.get(msg.fid)
@@ -344,7 +348,7 @@ class Multiplexer(Server):
             self._relay_log(session, msg, "%s/%s" % (dev, path), 1)
             return ent.data[msg.offset:msg.offset + count]
         self.net.log.add(self.net.now, "mux-route", session.conn_key, self.eid,
-                         "fwd tag=%d fid=%d path=%s/%s" % (msg.tag, msg.fid, dev, path))
+                         Hop(ROUTED, msg.tag, msg.fid, "%s/%s" % (dev, path)))
 
         asked = self.net.now
 
@@ -376,11 +380,14 @@ class Multiplexer(Server):
             return super().t_write(session, msg)
         link, path = remote
         self.net.log.add(self.net.now, "mux-route", session.conn_key, self.eid,
-                         "fwd tag=%d fid=%d path=%s/%s" % (msg.tag, msg.fid, link.peer, path))
+                         Hop(ROUTED, msg.tag, msg.fid, "%s/%s" % (link.peer, path)))
 
         def chain():
-            r = yield from self._relay(link, ent, path,
-                                       lambda t, dfid: Twrite(t, dfid, msg.offset, msg.data))
+            try:
+                r = yield from self._relay(link, ent, path,
+                                           lambda t, dfid: Twrite(t, dfid, msg.offset, msg.data))
+            finally:
+                link.written = self.net.now
             if not isinstance(r, Rwrite):
                 raise FsError("device unreachable")
             return r.count
@@ -447,7 +454,7 @@ class Multiplexer(Server):
             cb(text.encode()[offset:offset + count])
 
         return Defer(lambda cb: self._fan_out(
-            members, lambda link: self._read_path(link, spec.source_path),
+            members, lambda link: self._recent(link, spec.source_path, asked, "mux-aggregate"),
             self.cfg.discover_timeout, got, partial(finish, cb)))
 
     # ------------------------------------------------------------------
@@ -532,15 +539,23 @@ class Multiplexer(Server):
             if node is None:
                 raise FsError("no such file")
             self.check_open_perm(node, uname, OREAD)
-            return (yield from self._read_path(link, name))
+            return (yield from self._recent(link, name, asked, "mux-query"))
 
         return Defer(lambda done: self._fan_out(
             links, read, self.cfg.fallback_ticks, got, lambda lines: done(b"".join(lines))))
 
+    def _recent(self, link, path, asked, event):
+        """Step: path's bytes for a question the head answers itself, asked
+        at tick asked: its cached copy if read within the ttl before then
+        and after the member's last relayed write, else a device read."""
+        fresh = link.cache.get(path, (None, -1))[1] > link.written
+        cached = self._cached(link, path, asked, event) if fresh else None
+        return cached if cached is not None else (yield from self._read_path(link, path))
+
     def _cached(self, link, path, asked, event=None):
-        """For a member that did not answer a request asked at tick asked:
-        the cached bytes of path if read within the ttl before then, else
-        None.  A value served is logged as event, if one is given."""
+        """The cached bytes of path if read within the ttl before tick asked,
+        the tick a request was asked, else None: the one freshness rule.  A
+        value served is logged as event, if one is given."""
         entry = link.cache.get(path)
         if entry is None or entry[1] < asked - self.cfg.ttl:
             return None

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import random
 import struct
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -82,6 +83,24 @@ class Event:
 # one record per event: tick, number of its (event, src, dst), detail
 _RECORD = struct.Struct("<QII")
 _FRAME = 1 << 31            # detail bit: the rest is a frame's wire.frame_head
+_HOP = 1 << 30              # detail bit: the rest numbers a hop record
+_HOP_RECORD = struct.Struct("<HII")     # a Hop's tag, fid and number of (fmt, path)
+
+
+class Hop(namedtuple("Hop", "fmt tag fid path")):
+    """A log detail `fmt % (tag, fid, path)`, such as a request's hop
+    through a cluster head.  The log keeps tag and fid as packed numbers
+    and interns only (fmt, path), so a detail that names a new tag or fid
+    keeps no new text.  It answers str() and endswith as its text would,
+    for a caller that wraps add and reads details as text (the bench
+    tracer tests mux-relay details with endswith)."""
+    __slots__ = ()
+
+    def __str__(self):
+        return self.fmt % self[1:]
+
+    def endswith(self, suffix):
+        return str(self).endswith(suffix)
 
 
 class EventLog:
@@ -89,17 +108,20 @@ class EventLog:
 
     add() appends one fixed-width record: the tick, the number of the
     interned (event, src, dst) triple, and a detail field.  A frame passed
-    as the detail keeps only its type code and tag; any other detail is the
-    number of its interned text.  `lines` formats a record when it is read.
+    as the detail keeps only its type code and tag; a Hop, the number of
+    its own record of tag, fid and interned (fmt, path); any other detail
+    is the number of its interned text.  `lines` formats a record when it
+    is read.
     """
 
     def __init__(self):
         self._records = bytearray()
+        self._hops = bytearray()
         self._triple_ids = {}
         self._triples = []
         self._text_ids = {}
-        self._texts = []
-        self.lines = LogLines(self._records, self._triples, self._texts)
+        self._texts = []        # interned texts, and each Hop's (fmt, path)
+        self.lines = LogLines(self._records, self._triples, self._texts, self._hops)
 
     def add(self, tick, event, src, dst, detail=""):
         triple = (event, src, dst)
@@ -107,14 +129,24 @@ class EventLog:
         if n is None:
             n = self._triple_ids[triple] = len(self._triples)
             self._triples.append(triple)
-        if detail.__class__ is bytes:
+        cls = detail.__class__
+        if cls is bytes:
             d = _FRAME | frame_head(detail)
+        elif cls is Hop:
+            fmt, tag, fid, path = detail
+            d = _HOP | len(self._hops) // _HOP_RECORD.size
+            self._hops += _HOP_RECORD.pack(tag, fid, self._number((fmt, path)))
         else:
-            d = self._text_ids.get(detail)
-            if d is None:
-                d = self._text_ids[detail] = len(self._texts)
-                self._texts.append(detail)
+            d = self._number(detail)
         self._records += _RECORD.pack(tick, n, d)
+
+    def _number(self, text):
+        """The number of text (or a Hop's (fmt, path)), interned on first use."""
+        d = self._text_ids.get(text)
+        if d is None:
+            d = self._text_ids[text] = len(self._texts)
+            self._texts.append(text)
+        return d
 
     def text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
@@ -129,10 +161,11 @@ class LogLines(Sequence):
     """A read-only view of an EventLog's records as text lines.  Iteration
     goes by index (Sequence's), so adds may go on while a loop is open."""
 
-    def __init__(self, records, triples, texts):
+    def __init__(self, records, triples, texts, hops):
         self._records = records
         self._triples = triples
         self._texts = texts
+        self._hops = hops
 
     def __len__(self):
         return len(self._records) // _RECORD.size
@@ -150,7 +183,14 @@ class LogLines(Sequence):
     def _line(self, i):
         tick, n, d = _RECORD.unpack_from(self._records, i * _RECORD.size)
         event, src, dst = self._triples[n]
-        detail = head_summary(d & ~_FRAME) if d & _FRAME else self._texts[d]
+        if d & _FRAME:
+            detail = head_summary(d & ~_FRAME)
+        elif d & _HOP:
+            tag, fid, t = _HOP_RECORD.unpack_from(self._hops, (d & ~_HOP) * _HOP_RECORD.size)
+            fmt, path = self._texts[t]
+            detail = fmt % (tag, fid, path)
+        else:
+            detail = self._texts[d]
         return "%d\t%s\t%s\t%s\t%s" % (tick, event, src, dst, detail)
 
 

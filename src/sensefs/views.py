@@ -9,8 +9,8 @@ from their root, a resource band asks afresh at each listing or lookup,
 and /resource and /resource/energy, being static, ask nothing.  Which
 sensors exist and their kind, position and tags come from each cluster
 head's member index (its ctl), as fresh as the head's re-probe period.
-Energy and readings are read from the devices at listing time, by asking
-each cluster head once: a `read FILE [ID ...]` query written to its ctl,
+Energy and readings are no older than the head's ttl, got by asking each
+cluster head once: a `read FILE [ID ...]` query written to its ctl,
 which the head answers with FILE of every named member, or of every
 member if none is named, one `ID VALUE` or `ID !error` line each
 (parse_answer).  A band listing is one such query per head, naming no

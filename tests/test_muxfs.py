@@ -455,15 +455,26 @@ def test_registered_median_against_oracle(monkeypatch):
 
 
 def test_aggregate_read_costs_one_device_read_per_member():
+    # within the ttl (30) the head answers from the values it read, with no
+    # device frame; past it, each member costs one read on its kept fid
     net, mux, states = build_cluster(
         [temp_sensor(i, 20.0 + i) for i in range(1, 6)],
         mux_cfg=MuxConfig(reprobe_ticks=10 ** 6),
         aggregates=[AggregateSpec("avgT", "avg")])
+    devices = tuple(states)
     client = make_client(net)
-    client.read(mux_ref(mux), "aggrData/avgT")     # opens each member's reading
-    before = sum(s.received_frames for s in states.values())
-    client.read(mux_ref(mux), "aggrData/avgT")
-    assert sum(s.received_frames for s in states.values()) - before == len(states)
+    first = client.read(mux_ref(mux), "aggrData/avgT")     # opens each member's reading
+    since = len(net.log.lines)
+    assert client.read(mux_ref(mux), "aggrData/avgT") == first
+    assert member_frames(net, mux, since, devices) == []
+    served = [line for line in net.log.lines[since:] if "\tmux-aggregate\t" in line]
+    assert [line.split("\t")[3:] for line in served] == \
+        [[dev, "path=reading cached=1"] for dev in devices]
+    net.run_until(max(link.cache["reading"][1] for link in mux.links.values()) + 31)
+    since = len(net.log.lines)
+    assert client.read(mux_ref(mux), "aggrData/avgT") == first
+    assert member_frames(net, mux, since, devices) == ["Rread"] * 5 + ["Tread"] * 5
+    assert "\tmux-aggregate\t" not in "".join(net.log.lines[since:])
 
 
 def test_aggregate_read_to_eof_is_one_snapshot():
@@ -518,6 +529,30 @@ def test_aggregate_partial_trailer_on_timeout():
     client = make_client(net)
     data = client.read(mux_ref(mux), "aggrData/avgT").decode()
     assert data.splitlines() == ["20.000000", "# n=2/3"]
+
+
+def test_aggregate_after_a_relayed_write_reads_the_device():
+    # a write relayed to a member makes its cached values stale: within the
+    # ttl an aggregate reads that member again and sees the new calibration,
+    # and the old value still stands in if the member does not answer
+    net, mux, states = build_cluster(
+        [temp_sensor(1, 20.0), temp_sensor(2, 22.0)],
+        mux_cfg=MuxConfig(ttl=1000, reprobe_ticks=10 ** 6),
+        aggregates=[AggregateSpec("avgT", "avg")])
+    client = make_client(net)
+    assert client.read(mux_ref(mux), "aggrData/avgT") == b"21.000000\n# n=2/2\n"
+    client.write(mux_ref(mux), "sensors/s1/control", b"4")
+    states["s1"].set_power(net.now, "asleep")
+    since = len(net.log.lines)
+    assert client.read(mux_ref(mux), "aggrData/avgT") == b"21.000000\n# n=2/2\n"
+    assert member_frames(net, mux, since) == ["Tread"]
+    assert [line.split("\t")[3:] for line in net.log.lines[since:]
+            if "\tmux-aggregate\t" in line] == [["s2", "path=reading cached=1"],
+                                                 ["s1", "path=reading cached=1"]]
+    states["s1"].set_power(net.now, "awake")
+    since = len(net.log.lines)
+    assert client.read(mux_ref(mux), "aggrData/avgT") == b"23.000000\n# n=2/2\n"
+    assert member_frames(net, mux, since) == ["Rread", "Tread"]
 
 
 def sleeping_aggregate(age):
@@ -713,6 +748,12 @@ def test_query_reads_each_member_over_a_kept_fid():
     assert ask(client, mux, b"read reading") == "s1 20.500000\ns2 22.000000\n"
     assert member_frames(net, mux, since) == sorted(
         ["Tattach", "Rattach", "Twalk", "Rwalk", "Topen", "Ropen", "Tread", "Rread"] * 2)
+    # asked again within the ttl (30), the head answers from what it read
+    since = len(net.log.lines)
+    assert ask(client, mux, b"read reading") == "s1 20.500000\ns2 22.000000\n"
+    assert member_frames(net, mux, since) == []
+    # past the ttl, each member costs one read on its kept fid
+    net.run_until(mux.links["s2"].cache["reading"][1] + 31)
     since = len(net.log.lines)
     assert ask(client, mux, b"read reading") == "s1 20.500000\ns2 22.000000\n"
     assert member_frames(net, mux, since) == ["Rread", "Rread", "Tread", "Tread"]
@@ -782,10 +823,35 @@ def test_asleep_member_is_unreachable_unless_cached_within_ttl():
     assert ask(client, mux, b"read reading s2") == "s2 22.000000\n"
     stamp = mux.links["s2"].cache["reading"][1]
     states["s2"].set_power(net.now, "asleep")
+    # within the ttl the asleep member is answered from the cache at once:
+    # no device frame, and no fallback wait
+    since = len(net.log.lines)
     assert ask(client, mux, b"read reading s2") == "s2 22.000000\n"
-    assert "\tmux-query\tc.head\ts2\tpath=reading cached=1" in net.log.text()
-    assert net.now > stamp + 100        # the cached query waited out the fallback
+    assert member_frames(net, mux, since) == []
+    assert [line.split("\t", 1)[1] for line in net.log.lines[since:]
+            if "\tmux-query\t" in line] == ["mux-query\tc.head\ts2\tpath=reading cached=1"]
+    assert net.now < stamp + 100
+    # past the ttl the head asks the device, waits out the fallback, and
+    # its copy is too old to serve
+    net.run_until(stamp + 101)
+    since = len(net.log.lines)
     assert ask(client, mux, b"read reading s2") == "s2 !device unreachable\n"
+    assert member_frames(net, mux, since) == ["Tread"]
+    assert net.now > stamp + 101 + 200
+
+
+def test_guest_is_refused_before_a_cached_answer():
+    # the per-user check against the mirrored stat comes before the cache:
+    # a guest is refused s1's reading although a fresh copy is cached
+    net, mux, _ = query_cluster(ttl=1000)
+    admin, guest = make_client(net), make_client(net, uname="guest", name="guest")
+    assert ask(admin, mux, b"read reading") == "s1 20.500000\ns2 22.000000\n"
+    mux.links["s1"].node.lookup("reading").mode = 0o440
+    since = len(net.log.lines)
+    assert ask(guest, mux, b"read reading") == "s1 !permission denied\ns2 22.000000\n"
+    assert member_frames(net, mux, since) == []
+    assert [line.split("\t")[3] for line in net.log.lines[since:]
+            if "\tmux-query\t" in line] == ["s2"]
 
 
 def test_guest_may_query_but_not_command():
@@ -841,6 +907,18 @@ def test_report_rate_poll_counts():
     net.run_until(t0 + 100)
     polls = count_polls(net.log.text(), "s1", t0, t0 + 100)
     assert polls == 10
+
+
+def test_rate_below_the_ttl_still_polls_the_device():
+    # a poll samples the device although its last sample is within the
+    # ttl: one device Tread per period, and each refills the cache
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1,
+                                mux_cfg=MuxConfig(ttl=30, reprobe_ticks=10 ** 6))
+    make_client(net).write(mux_ref(mux), "ctl", b"rate 5 s1")
+    t0 = net.now
+    net.run_until(t0 + 100)
+    assert count_polls(net.log.text(), "s1", t0, t0 + 100) == 20
+    assert mux.links["s1"].cache["reading"][1] > t0 + 90
 
 
 def test_report_rate_zero_stops_polling():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sensefs.devicefs import SensorState
 from sensefs.simnet import (
-    DutyCycle, EnergyModel, Event, EventLog, LinkModel, Network,
+    DutyCycle, EnergyModel, Event, EventLog, Hop, LinkModel, Network,
 )
 from sensefs.wire import TYPE_NAMES, Rread, Tread, encode_message
 
@@ -275,6 +275,9 @@ class ReferenceLog:
     def add(self, tick, event, src, dst, detail=""):
         if isinstance(detail, bytes):
             detail = reference_summary(detail)
+        elif isinstance(detail, Hop):
+            fmt, tag, fid, path = detail
+            detail = fmt % (tag, fid, path)
         self.lines.append("%d\t%s\t%s\t%s\t%s" % (tick, event, src, dst, detail))
 
     def text(self):
@@ -286,7 +289,10 @@ frames = st.builds(
     lambda code, tag, body: struct.pack("<IBH", 7 + len(body), code, tag) + body,
     st.sampled_from(sorted(TYPE_NAMES)) | st.integers(0, 255),
     st.integers(0, 0xFFFF), st.binary(max_size=12))
-details = (frames | st.binary(max_size=6)
+hops = st.builds(Hop,
+                st.sampled_from(["fwd tag=%d fid=%d path=%s", "tag=%d fid=%d path=%s cached=1"]),
+                st.integers(0, 0xFFFF), st.integers(0, 2**32 - 1), st.text(max_size=12))
+details = (frames | st.binary(max_size=6) | hops
            | st.sampled_from(["", "short", "tag=7 fid=3 path=s1/reading cached=1"])
            | st.text(max_size=20) | st.none())
 records = st.lists(st.tuples(st.integers(0, 2**40), names, names, names, details),
@@ -353,3 +359,29 @@ def test_log_keeps_a_record_in_a_few_bytes():
         tracemalloc.stop()
     assert len(log.lines) == 100_000
     assert used <= 32 * len(log.lines)
+
+
+def test_hop_details_keep_no_text_per_tag_or_fid():
+    # a relay hop names a new tag and fid nearly every time; its record
+    # keeps them as numbers, so the log grows by a few bytes per hop
+    # however many tags and fids it has seen
+    paths = ["s%d/reading" % j for j in range(30)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = EventLog()
+        for i in range(50_000):
+            log.add(i, "mux-route", "client", "c.head",
+                    Hop("fwd tag=%d fid=%d path=%s", i % 0xFFFF, i, paths[i % 30]))
+            log.add(i + 2, "mux-relay", "c.head", "client",
+                    Hop("tag=%d fid=%d path=%s cached=1", i % 0xFFFF, i, paths[i % 30]))
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log.lines) == 100_000
+    assert used <= 32 * len(log.lines)
+    assert log.lines[-1] == \
+        "50001\tmux-relay\tc.head\tclient\ttag=49999 fid=49999 path=s19/reading cached=1"
+    hop = Hop("tag=%d fid=%d path=%s cached=1", 7, 3, "s1/reading")
+    assert str(hop) == "tag=7 fid=3 path=s1/reading cached=1"
+    assert hop.endswith("cached=1") and not hop.endswith("cached=0")

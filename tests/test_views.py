@@ -244,12 +244,25 @@ def test_resource_view_bands():
 def test_resource_view_rebands_as_energy_drains():
     net, mux, states, client, table = wired([
         temp_sensor(1, 1.0, energy_j=50.0),
-    ])
+    ], mux_cfg=MuxConfig(ttl=100, reprobe_ticks=10 ** 6))
     view = build_resource_view(client, table, 10.0, 100.0)
     vref = ("local", view)
     assert [s.name for s in client.ls(vref, "energy/medium")] == ["s1"]
+    stamp = mux.links["s1"].cache["remaining-energy"][1]
     states["s1"].energy_j = 4.0
+    # within the ttl the head answers with the energy it read: the old
+    # band, and no device frame
+    since = len(net.log.lines)
+    assert client.ls(vref, "energy/low") == []
+    assert [s.name for s in client.ls(vref, "energy/medium")] == ["s1"]
+    assert device_frames(net, since, {"s1"}) == 0
+    # once the ttl has passed, the head reads the device: the new band, for
+    # one Tread and its Rread
+    net.run_until(stamp + 101)
+    since = len(net.log.lines)
     assert [s.name for s in client.ls(vref, "energy/low")] == ["s1"]
+    assert device_frames(net, since, {"s1"}) == 2
+    assert client.ls(vref, "energy/medium") == []
 
 
 def test_resource_band_listing_reads_each_info_once(monkeypatch):
@@ -331,16 +344,34 @@ def test_asleep_member_keeps_its_band_within_the_ttl():
     view = build_resource_view(client, table, 10.0, 100.0)
     assert [s.name for s in client.ls(("local", view), "energy/medium")] == ["s1", "s2"]
     states["s2"].set_power(net.now, "asleep")
-    since = len(net.log.lines)
-    # the head answers for s2 from the energy it read a moment ago, once s2
-    # has not answered within the fallback wait
+    since, t0 = len(net.log.lines), net.now
+    # the head answers for both members from the energy it read a moment
+    # ago: no device frame, and no fallback wait for the asleep s2
     assert [s.name for s in client.ls(("local", view), "energy/medium")] == ["s1", "s2"]
-    cached = [line for line in net.log.lines[since:] if "\tmux-query\t" in line]
-    assert len(cached) == 1 and cached[0].endswith("path=remaining-energy cached=1")
+    cached = [line.split("\t")[3:] for line in net.log.lines[since:] if "\tmux-query\t" in line]
+    assert cached == [[sid, "path=remaining-energy cached=1"] for sid in ("s1", "s2")]
+    assert device_frames(net, since, {"s1", "s2"}) == 0
+    assert net.now - t0 < 100
     net.run_until(net.now + 200)
     # past the ttl s2 answers `!device unreachable`: unknown, in no other band
     assert [s.name for s in client.ls(("local", view), "energy/unknown")] == ["s2"]
     assert [s.name for s in client.ls(("local", view), "energy/medium")] == ["s1"]
+
+
+def test_band_entry_walk_is_answered_within_the_ttl():
+    # a walk to a band entry asks the head again; within the ttl the head
+    # answers from the energy it read for the listing, so an entry just
+    # listed is found with no device frame and no fallback wait (1000 ticks)
+    net, mux, states, client, table = wired(
+        [temp_sensor(i, 1.0, energy_j=50.0) for i in range(1, 3)],
+        mux_cfg=MuxConfig(ttl=200, reprobe_ticks=10 ** 6))
+    vref = ("local", build_resource_view(client, table, 10.0, 100.0))
+    assert [s.name for s in client.ls(vref, "energy/medium")] == ["s1", "s2"]
+    states["s2"].set_power(net.now, "asleep")
+    since, t0 = len(net.log.lines), net.now
+    assert client.read(vref, "energy/medium/s2") == b"/network/c/sensors/s2\n"
+    assert device_frames(net, since, {"s1", "s2"}) == 0
+    assert net.now - t0 < 100
 
 
 def sequential_band_listing(client, table):
