@@ -12,8 +12,10 @@ frame (_recent).  Relayed reads and writes and polls always go to the
 device, and a fresh copy stands in for a member that does not answer.
 Writes to ctl are commands (rate, aggregate with fn avg, min or max,
 group) or read queries; a plain read of ctl returns the member index,
-each discovered member's info text as last read at discovery or
-re-probe, so views learn every member without a device frame.
+each discovered member's info text as read at discovery, so views learn
+every member without a device frame.  info is static on a device, so it
+is read once: the head probes each member not yet discovered, again every
+reprobe_ticks while any is missing, and sends nothing once all are found.
 
 A query is Plan 9's query-file idiom (as /net/cs): a client opens ctl
 ORDWR, writes `read FILE [ID ...]` and reads the answer on the same fid.
@@ -36,13 +38,13 @@ steps a FileClient runs, driven by the same client.spawn: _call issues
 each T-message a step yields and the step resumes from its reply or
 timeout, so device I/O never blocks the dispatch loop.  A step says only
 what to send; the timeout is named where it is spawned: discover_timeout
-for discovery, info refresh, aggregates, polls and _clunk_remote, and
-fallback_ticks for relayed reads and writes and ctl queries.  A head
-step returns its outcome or raises FsError, and spawn hands either to
-whoever waits on it, such as a relayed read's reply.  A device fid the
-head opens (its own, or one behind a relayed client fid) is opened once:
-requests that need it while the open is in flight wait for it.  A
-mirrored file opens against its mirrored stat, even while its device sleeps.
+for discovery, aggregates, polls and _clunk_remote, and fallback_ticks
+for relayed reads and writes and ctl queries.  A head step returns its
+outcome or raises FsError, and spawn hands either to whoever waits on
+it, such as a relayed read's reply.  A device fid the head opens (its
+own, or one behind a relayed client fid) is opened once: requests that
+need it while the open is in flight wait for it.  A mirrored file opens
+against its mirrored stat, even while its device sleeps.
 
 The head reads a member file one way (_read_path: info, aggregates,
 polls, queries), as mux over a fid it keeps open for that file alone:
@@ -77,7 +79,7 @@ RELAYED = ("tag=%d fid=%d path=%s cached=0", "tag=%d fid=%d path=%s cached=1")
 class MuxConfig:
     ttl: int = 30                 # max age of a cache-served value, ticks
     fallback_ticks: int = 1000    # wait before falling back to cache/unreachable
-    reprobe_ticks: int = 100      # period of discovery/metadata refresh
+    reprobe_ticks: int = 100      # probe period while a member is still undiscovered
     discover_timeout: int = 20    # the head's own requests: probes, opens, member reads
 
 
@@ -112,9 +114,9 @@ class DeviceLink(Conn):
         self.open_fids = {}        # path -> the head's kept fid: a mux attach opened OREAD
         self.cache = {}            # path -> (bytes, stamp) of its last offset-0 read
         self.written = -1          # tick its last relayed write ended: older copies are stale
-        self.info = ""             # the device's info text, as last read
+        self.info = ""             # the device's info text, as read at discovery
         self.meta = {}             # kind, tags, position parsed from info
-        self.refreshing = False    # a probe or info refresh is in flight
+        self.probing = False       # a discovery probe is in flight
         self.poll = None           # the pending report-rate poll Event
 
 
@@ -195,33 +197,25 @@ class Multiplexer(Server):
     # ------------------------------------------------------------------
 
     def start(self):
-        """Kick off discovery and the periodic re-probe."""
-        self.discover()
-        self.net.schedule(self.cfg.reprobe_ticks, self._reprobe)
-
-    def _reprobe(self):
-        self.discover()
-        for link in self._discovered():
-            if not link.refreshing:
-                self._spawn(link, self._marked(link, self._read_path(link, "info")),
-                            self.cfg.discover_timeout)
-        self.net.schedule(self.cfg.reprobe_ticks, self._reprobe)
-
-    def discover(self):
-        for link in self.links.values():
-            if link.node is None and not link.refreshing:
+        """Probe every member not yet discovered, again every reprobe_ticks
+        while any is missing; once all are found, schedule nothing more."""
+        missing = [link for link in self.links.values() if link.node is None]
+        for link in missing:
+            if not link.probing:
                 self._spawn(link, self._marked(link, self._discover_device(link)),
                             self.cfg.discover_timeout)
+        if missing:
+            self.net.schedule(self.cfg.reprobe_ticks, self.start)
 
     @staticmethod
     def _marked(link, step):
-        """Step: step, with link.refreshing set while it runs, so a re-probe
-        starts no second probe or info refresh of that member meanwhile."""
-        link.refreshing = True
+        """Step: step, with link.probing set while it runs, so a re-probe
+        starts no second probe of that member meanwhile."""
+        link.probing = True
         try:
             return (yield from step)
         finally:
-            link.refreshing = False
+            link.probing = False
 
     def _discover_device(self, link):
         dev = link.peer
@@ -239,6 +233,8 @@ class Multiplexer(Server):
         if info is None:
             self.net.log.add(self.net.now, "mux-excluded", self.eid, dev, "info unreadable")
             return
+        link.info = info.decode(errors="replace")
+        link.meta = parse_info(link.info)
         fid = yield from self._open_mux(link, "")   # the root listing, on an attach of its own
         if fid is not None:
             with suppress(ClientError, wire.WireError):   # refused, a reply lost, or undecodable
@@ -254,8 +250,8 @@ class Multiplexer(Server):
     def _read_path(self, link, path, fid=None):
         """Step: a member file read as mux over the fid kept open for it in
         link.open_fids, opened on first use (_open_mux, from fid if given):
-        its bytes, cached (info also as link.info), or None if the device
-        never answered; a refusal is raised."""
+        its bytes, cached, or None if the device never answered; a refusal
+        is raised."""
         fid = yield from once(link.open_fids, path, self._open_mux, link, path, fid)
         if fid is None:
             return None
@@ -264,9 +260,6 @@ class Multiplexer(Server):
             raise FsError(r.ename)
         if r is not None:
             link.cache[path] = (r.data, self.net.now)
-            if path == "info":
-                link.info = r.data.decode(errors="replace")
-                link.meta = parse_info(link.info)
             return r.data
 
     def _open_mux(self, link, path, fid=None):
@@ -501,18 +494,17 @@ class Multiplexer(Server):
                 return self._query(uname, args[0], args[1:])
             if cmd in ("rate", "aggregate", "group") and not self._permits(self.ctl, uname, 2):
                 raise FsError("permission denied")
-            if cmd == "rate" and args:
-                period = int(args[0])
+            if cmd == "rate" and args and int(args[0]) >= 0:
                 devices = args[1:] or [link.peer for link in self._discovered()]
-                self.set_report_rate(devices, period)
-            elif cmd == "aggregate" and len(args) >= 2:
-                self.add_aggregate(AggregateSpec(*args[:3]))
+                self.set_report_rate(devices, int(args[0]))
+            elif cmd == "aggregate" and len(args) in (2, 3):
+                self.add_aggregate(AggregateSpec(*args))
             elif cmd == "group" and len(args) == 2 and "=" in args[1]:
                 key, value = args[1].split("=", 1)
                 self.add_group(GroupSpec(args[0], key, value))
             else:
                 raise ValueError(cmd)
-        except ValueError:      # undecodable, empty, unknown, or a bad number or name
+        except ValueError:      # undecodable, empty, unknown, a bad number or name, or extra words
             raise FsError("bad ctl command")
         return len(data)
 

@@ -8,7 +8,7 @@ structural trees.  So the location and logical views scan once per walk
 from their root, a resource band asks afresh at each listing or lookup,
 and /resource and /resource/energy, being static, ask nothing.  Which
 sensors exist and their kind, position and tags come from each cluster
-head's member index (its ctl), as fresh as the head's re-probe period.
+head's member index (its ctl), each member's info as read at discovery.
 Energy and readings are no older than the head's ttl, got by asking each
 cluster head once: a `read FILE [ID ...]` query written to its ctl,
 which the head answers with FILE of every named member, or of every

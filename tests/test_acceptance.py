@@ -481,11 +481,11 @@ def run_bundled(scenario, script_name, seed):
 # sha256 of each bundled script's event log (the --log file) at seed 42
 GOLDEN_LOGS = {
     "example1_monitoring.script":
-        "566ba453f96eec0e36139c80faa16f2d53f6a117f7fcbd6f5cd3801b0f6a32c7",
+        "c4126670fe8ed7f42c830c8e277a49737624d04ffe5ca7c3f08e088e8eefe485",
     "example2_datacentric.script":
-        "f8e153697ca1949629f2e92d3d49851c43ca4e508e92f09a2f3d8189ff86fcf8",
+        "77a36946a64fc3c0b34c2e642bc5b5abd38927a98bb3ef86458215a27407af74",
     "example3_emergency.script":
-        "35ae723d5aba36a0ec88d7fa3de8ea24f9802316a53a5948605815fedc6621cb",
+        "1f565d9e950713b42cc639473bf64d0cb952333858d3b634d9d7f5b15dd6873c",
 }
 
 
@@ -543,8 +543,8 @@ cat /network/cluster2/sensors/s8/reading
 cat /network/cluster2/sensors/s8/reading"""
 
 # sha256 of LOSSY_SESSION's transcript and of its whole event log
-LOSSY_GOLDEN = ("b8ac94d8d04d9bae8d9f17deca9dad7374a446158f0022b2d31009f282ec3899",
-                "868a1c03cbc85d971762b1758f344839489cf74a09d9b8d3af68e44732d27345")
+LOSSY_GOLDEN = ("c89ebee88476e21bd48d710258abdce9589a72b1f4a427595504f09cef2f18e7",
+                "2cace0b2e336e903a71779d79a231cf2ecf3f088b72b5a5d11671075652da887")
 
 
 def test_lossy_session_is_golden():

@@ -11,7 +11,10 @@ from sensefs.muxfs import MAX_PENDING, AggregateSpec, GroupSpec, MuxConfig, Mult
 from sensefs.simnet import DutyCycle, LinkModel, Network
 from sensefs.wire import IOUNIT, ORDWR, OWRITE, Rerror, Rread, Tclunk, Tread, Twrite
 
-from conftest import USERS, build_cluster, device_fid_files, temp_sensor, make_client, open_fid
+from sensefs.scenario import load_scenario_file
+
+from conftest import (FACTORY, USERS, ZOO, build_cluster, device_fid_files, temp_sensor,
+                      make_client, open_fid)
 
 
 def mux_ref(mux):
@@ -56,42 +59,35 @@ def test_discovery_excludes_silent_device_then_reprobe_recovers():
     client = make_client(net)
     names = [s.name for s in client.ls(mux_ref(mux), "sensors")]
     assert names == ["s1"]
+    net.run_until(360)
+    # while s2 sleeps, the head probes it once per period: one Tattach
+    assert [int(line.split("\t")[0]) for line in net.log.lines
+            if "\tsend\tc.head\ts2\tTattach" in line] == [0, 100, 200, 300]
     states["s2"].power_override = None
-    net.run_until(400)        # next re-probe finds it
+    net.run_until(600)        # the next re-probe finds it
     names = [s.name for s in client.ls(mux_ref(mux), "sensors")]
     assert names == ["s1", "s2"]
+    # every member found: the head sends nothing more and schedules nothing
+    since = len(net.log.lines)
+    net.run_until(net.now + 1000)
+    assert not [line for line in net.log.lines[since:]
+                if line.split("\t")[1] == "send" and line.split("\t")[2] == mux.eid]
+    assert net.peek_time() is None
 
 
-def test_reprobe_keeps_one_info_refresh_in_flight():
-    # a refresh round trip (400 ticks) spans four reprobe periods; a member
-    # whose refresh is still pending is skipped, so at most one waits
-    net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1,
-                                mux_cfg=MuxConfig(reprobe_ticks=100, discover_timeout=1000))
-    net.set_link(mux.eid, "s1", LinkModel(latency=200), both_ways=True)
-    link = mux.links["s1"]
-    in_flight = []
-
-    def sample():
-        in_flight.append(len(link.pending))
-        net.schedule(1, sample)
-
-    t0 = net.now
-    net.schedule(0, sample)
-    net.run_until(t0 + 1000)
-    assert max(in_flight) == 1
-    assert count_polls(net.log.text(), "s1", t0, net.now) == 3
-
-
-def test_failed_info_refresh_clears_its_mark():
-    # every refresh times out (20 ticks against a 400-tick round trip), and
-    # each reprobe period still sends the next one
-    net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1,
-                                mux_cfg=MuxConfig(reprobe_ticks=100))
-    net.set_link(mux.eid, "s1", LinkModel(latency=200), both_ways=True)
-    t0 = net.now
-    net.run_until(t0 + 1000)
-    assert count_polls(net.log.text(), "s1", t0, net.now) == 10
-    assert not mux.links["s1"].refreshing
+@pytest.mark.parametrize("scenario", [ZOO, FACTORY], ids=["zoo", "factory"])
+def test_shipped_scenario_is_silent_once_every_member_is_found(scenario):
+    # as shipped (re-probe period 100): info is read once, at discovery, so
+    # an idle network sends no frame and spends no energy
+    sim = load_scenario_file(scenario)
+    assert all(mux.cfg.reprobe_ticks == 100 for mux in sim.muxes.values())
+    sim.start()
+    since, t0 = len(sim.net.log.lines), sim.net.now
+    energy = [state.energy_j for state in sim.states.values()]
+    sim.net.run_until(t0 + 10000)
+    assert not [line for line in sim.net.log.lines[since:] if line.split("\t")[1] == "send"]
+    assert [state.energy_j for state in sim.states.values()] == energy
+    assert sim.net.peek_time() is None
 
 
 def test_probe_in_flight_is_not_restarted():
@@ -603,20 +599,6 @@ def test_group_membership_by_tag():
     assert g.qid.path == s.qid.path
 
 
-def test_retag_moves_sensor_on_next_enumeration():
-    net, mux, states = build_cluster(
-        [temp_sensor(1, 1.0, tags={"animal": "snake"}),
-         temp_sensor(2, 2.0, tags={"animal": "snake"})],
-        mux_cfg=MuxConfig(reprobe_ticks=50),
-        groups=[GroupSpec("snakes", "animal", "snake")])
-    client = make_client(net)
-    assert len(client.ls(mux_ref(mux), "groups/snakes")) == 2
-    states["s2"].tags["animal"] = "bird"
-    net.run_until(net.now + 120)     # let a re-probe refresh the metadata
-    names = [s.name for s in client.ls(mux_ref(mux), "groups/snakes")]
-    assert names == ["s1"]
-
-
 def test_empty_group_lists_empty():
     net, mux, _ = build_cluster([temp_sensor(1, 1.0)],
                                 groups=[GroupSpec("birds", "animal", "bird")])
@@ -643,12 +625,21 @@ def test_ctl_bad_rate_is_rerror():
     net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1,
                                 mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
     client = make_client(net)
-    with pytest.raises(ClientError, match="bad ctl command"):
-        client.write(mux_ref(mux), "ctl", b"rate abc")
+    for command in (b"rate abc", b"rate -5 s1"):
+        with pytest.raises(ClientError, match="bad ctl command"):
+            client.write(mux_ref(mux), "ctl", command)
     assert mux.links["s1"].poll is None
     t0 = net.now
     net.run_until(t0 + 100)
     assert count_polls(net.log.text(), "s1", t0, t0 + 100) == 0
+    # a refused rate leaves a running poll as it was
+    client.write(mux_ref(mux), "ctl", b"rate 10 s1")
+    with pytest.raises(ClientError, match="bad ctl command"):
+        client.write(mux_ref(mux), "ctl", b"rate -5 s1")
+    net.run_until(net.now + 50)      # past the first read, which opens the fid
+    t1 = net.now
+    net.run_until(t1 + 100)
+    assert count_polls(net.log.text(), "s1", t1, t1 + 100) == 10
 
 
 def test_ctl_duplicate_aggregate_is_rerror():
@@ -657,6 +648,8 @@ def test_ctl_duplicate_aggregate_is_rerror():
     client.write(mux_ref(mux), "ctl", b"aggregate avgT avg")
     with pytest.raises(ClientError, match="exists"):
         client.write(mux_ref(mux), "ctl", b"aggregate avgT max temperature")
+    with pytest.raises(ClientError, match="bad ctl command"):
+        client.write(mux_ref(mux), "ctl", b"aggregate x avg temperature extra junk")
     assert [s.name for s in client.ls(mux_ref(mux), "aggrData")] == ["avgT"]
     assert client.read(mux_ref(mux), "aggrData/avgT").splitlines()[0] == b"4.500000"
 
@@ -979,7 +972,7 @@ def test_repeated_rate_commands_keep_one_poll_chain():
             net.step()
         return live_events() - idle
 
-    idle = live_events()             # the reprobe timer
+    idle = live_events()             # the re-probe start() scheduled before discovery
     for command in [b"rate 10 s1"] * 3 + [b"rate 10", b"rate 20 s1"]:
         client.write(mux_ref(mux), "ctl", command)
     assert poll_events() == 2

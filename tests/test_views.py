@@ -7,7 +7,7 @@ from sensefs import fscore
 from sensefs.client import ClientError
 from sensefs.devicefs import parse_info, parse_infos
 from sensefs.muxfs import MuxConfig
-from sensefs.scenario import load_scenario
+from sensefs.scenario import load_scenario, load_scenario_file
 from sensefs.shell import Shell
 from sensefs.simnet import LinkModel
 from sensefs.views import (
@@ -176,8 +176,9 @@ def test_location_view_cells_and_regions():
 
 def test_walk_into_a_view_cell_sends_no_device_frame():
     # the walk still runs the root's children_fn, which reads one ctl per
-    # cluster and no sensor's info; no background info refresh falls in
-    net, mux, states, client, table = wired(mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
+    # cluster and no sensor's info, and a head whose members are all found
+    # sends nothing of its own
+    net, mux, states, client, table = wired()
     view = build_location_view(client, table, GeoMap(origin_lon=-54.9, origin_lat=35.1))
     since = len(net.log.lines)
     assert [s.name for s in client.ls(("local", view), "54W/35N")] == \
@@ -204,17 +205,6 @@ def test_logical_view_pluralizes_tag_values():
     assert sorted(groups) == ["snakes", "zebras"]
     assert [s.name for s in client.ls(vref, "temperature/snakes")] == ["s1"]
     assert [s.name for s in client.ls(vref, "position/lions")] == ["s3"]
-
-
-def test_logical_view_recomputes_after_retag():
-    net, mux, states, client, table = wired(mux_cfg=MuxConfig(reprobe_ticks=50))
-    view = build_logical_view(client, table, tag_key="animal")
-    vref = ("local", view)
-    assert [s.name for s in client.ls(vref, "temperature/snakes")] == ["s1"]
-    states["s1"].tags["animal"] = "zebra"
-    net.run_until(net.now + 120)
-    assert [s.name for s in client.ls(vref, "temperature/zebras")] == \
-        ["s1", "s2"]
 
 
 def test_energy_band():
@@ -383,12 +373,11 @@ def sequential_band_listing(client, table):
 
 
 def test_zoo_band_listing_ticks():
-    # the heads' periodic info refresh is pushed out of the window
-    with open(ZOO) as fh:
-        text = fh.read().replace("\nreprobe = 100\n", "\nreprobe = 1000000\n")
+    # the shipped zoo: once its members are found, the heads send nothing
+    # of their own, so every tick counted is the listing's
     ticks = []
     for listing in ("ls /resource/energy/low", None):
-        sim = load_scenario(text)
+        sim = load_scenario_file(ZOO)
         sim.start()
         shell = Shell(sim)
         shell.run_line("mount /dev/network /network")
@@ -462,11 +451,9 @@ def test_band_listing_member_order_across_two_heads():
 
 
 def test_zoo_location_data_frame_cost():
-    # the heads' periodic info refresh is pushed out of the window, so the
-    # frames counted are the cat's own
-    with open(ZOO) as fh:
-        text = fh.read().replace("\nreprobe = 100\n", "\nreprobe = 1000000\n")
-    sim = load_scenario(text)
+    # the shipped zoo: once its members are found, the heads send nothing
+    # of their own, so the frames counted are the cat's own
+    sim = load_scenario_file(ZOO)
     sim.start()
     shell = Shell(sim)
     shell.run_line("mount /dev/network /network")
@@ -484,11 +471,9 @@ def test_zoo_location_data_frame_cost():
 
 
 def quiet_zoo():
-    """The zoo with its heads' periodic info refresh pushed out of the
-    window, mounted at /network in a shell."""
-    with open(ZOO) as fh:
-        text = fh.read().replace("\nreprobe = 100\n", "\nreprobe = 1000000\n")
-    sim = load_scenario(text)
+    """The shipped zoo, its members all found, so its heads send nothing of
+    their own, mounted at /network in a shell."""
+    sim = load_scenario_file(ZOO)
     sim.start()
     shell = Shell(sim)
     shell.run_line("mount /dev/network /network")
@@ -575,12 +560,12 @@ def test_scan_keeps_a_sleeping_member_from_the_index():
 
 
 def test_zoo_scan_frame_cost():
-    # the heads' periodic info refresh is pushed out of the window, so the
-    # frames counted are the scan's own
+    # the shipped zoo, re-probe period 100: once its members are found, the
+    # heads send nothing of their own, so the frames counted are the scan's
     with open(ZOO) as fh:
         text = fh.read()
     assert "\nreprobe = 100\n" in text
-    sim = load_scenario(text.replace("\nreprobe = 100\n", "\nreprobe = 1000000\n"))
+    sim = load_scenario(text)
     sim.start()
     client = sim.new_client()
     table = NamespaceTable()
@@ -816,9 +801,7 @@ def plan_cluster():
         temp_sensor(6, 21.7, position=(40.0, 80.0), energy_j=700.0),
         temp_sensor(7, 19.5, position=(50.0, 90.0), energy_j=600.0),
     ]
-    # a huge reprobe period keeps background info refreshes out of the
-    # frame traces these tests count
-    return wired(sensors, mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
+    return wired(sensors)
 
 
 def plan_fixture():
