@@ -5,6 +5,17 @@ One virtual tick = 1 ms.  A single seeded RNG drives loss and jitter, so
 the sender is never told about a drop; reliability belongs to the layers
 above.
 
+The event queue is one heap of two kinds of entry, ordered by (tick,
+seq) alone, so both kinds run in the order they were issued.  A
+scheduled callback is (tick, seq, Event); the Event is what a caller may
+cancel.  A frame in flight is (tick, seq, None, src, dst, frame), which
+step delivers.  It carries no object because a fan-out keeps hundreds of
+frames in flight: an entry of only ints, strings and bytes stops being
+tracked by the cyclic garbage collector at the first collection it
+survives, while an Event with its closure would be promoted to the
+oldest generation and make full collections, each a scan of every
+tracked object, come about twice as often.
+
 The event log keeps every event as a packed 16-byte record and makes its
 text only when the log is read, so a long run keeps its whole log at a
 small cost; the text read back is the same as if each line had been
@@ -68,7 +79,9 @@ class DutyCycle:
 
 
 class Event:
-    """A scheduled callback; the heap holds it as (time, seq, event)."""
+    """A scheduled callback; the heap holds it as (time, seq, event).  A
+    frame in flight has no Event: its entry is (time, seq, None, src,
+    dst, frame), which nothing can cancel."""
     __slots__ = ("fn", "cancelled")
 
     def __init__(self, fn):
@@ -238,19 +251,25 @@ class Network:
         return ev
 
     def step(self) -> bool:
-        while self._heap:
-            time, _, ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            self.now = time
-            ev.fn()
-            return True
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            ev = entry[2]
+            if ev is None:                 # a frame in flight
+                self.now = entry[0]
+                self._deliver(entry[3], entry[4], entry[5])
+                return True
+            if not ev.cancelled:
+                self.now = entry[0]
+                ev.fn()
+                return True
         return False
 
     def peek_time(self):
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2] is not None and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def run_until(self, t):
         if t < self.now:
@@ -287,7 +306,8 @@ class Network:
         latency = link.latency
         if link.jitter:
             latency += self.rng.randint(0, link.jitter)
-        self.schedule(latency, lambda: self._deliver(src, dst, frame))
+        heapq.heappush(self._heap, (self.now + latency, self._seq, None, src, dst, frame))
+        self._seq += 1
 
     def _deliver(self, src, dst, frame):
         state = self.states.get(dst)

@@ -145,15 +145,28 @@ class SensorInfo:
     position: tuple = None
 
 
+# the errors of an entry under the root that has no ctl: a device mounted
+# directly under it (no such file), or a directory the mounts make (not found)
+_NO_CTL = ("no such file", "not found")
+
+
 def ask_heads(client, table, root="/network", question=None) -> list:
-    """(cluster, bytes) for each entry under root whose ctl answers, in
+    """(cluster, bytes) for each entry under root that has a ctl, in
     listing order: its member index, or with question, its answer to that
-    query; every ctl in one batch.  An entry without a ctl that answers (a
-    device mounted directly under root) is skipped."""
+    query; every ctl in one batch.  An entry without a ctl (a device
+    mounted directly under root) is skipped; any other failure, such as a
+    head that did not answer, raises a ClientError with its error (the
+    first in listing order)."""
     clusters = list(dir_entries(client, table, root))
     questions = None if question is None else [question] * len(clusters)
-    answers = read_paths(client, table, ["%s/%s/ctl" % (root, c) for c in clusters], questions)
-    return [(c, answer) for c, answer in zip(clusters, answers) if isinstance(answer, bytes)]
+    out = []
+    for cluster, answer in zip(clusters, read_paths(
+            client, table, ["%s/%s/ctl" % (root, c) for c in clusters], questions)):
+        if isinstance(answer, bytes):
+            out.append((cluster, answer))
+        elif answer.ename not in _NO_CTL:
+            raise ClientError(answer.ename)     # new: no frame holds it, so no cycle
+    return out
 
 
 def scan_sensors(client, table, root="/network") -> list:

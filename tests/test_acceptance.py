@@ -543,8 +543,8 @@ cat /network/cluster2/sensors/s8/reading
 cat /network/cluster2/sensors/s8/reading"""
 
 # sha256 of LOSSY_SESSION's transcript and of its whole event log
-LOSSY_GOLDEN = ("c89ebee88476e21bd48d710258abdce9589a72b1f4a427595504f09cef2f18e7",
-                "2cace0b2e336e903a71779d79a231cf2ecf3f088b72b5a5d11671075652da887")
+LOSSY_GOLDEN = ("134670dd002070a7440705f623cf34414e31aa7bee92cff6332a213e8c9e61aa",
+                "e9e48d0b66ef06e95c8c211809ceedf64cbecebe6e86e0b3f6bef6662e604722")
 
 
 def test_lossy_session_is_golden():

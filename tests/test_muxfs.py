@@ -8,7 +8,7 @@ from sensefs import muxfs, wire
 from sensefs.client import ClientError, FileClient
 from sensefs.devicefs import FILE_ORDER, MEM_SIZE, parse_infos
 from sensefs.muxfs import MAX_PENDING, AggregateSpec, GroupSpec, MuxConfig, Multiplexer
-from sensefs.simnet import DutyCycle, LinkModel, Network
+from sensefs.simnet import DutyCycle, Event, LinkModel, Network
 from sensefs.wire import IOUNIT, ORDWR, OWRITE, Rerror, Rread, Tclunk, Tread, Twrite
 
 from sensefs.scenario import load_scenario_file
@@ -963,7 +963,8 @@ def test_repeated_rate_commands_keep_one_poll_chain():
     client = make_client(net)
 
     def live_events():
-        return sum(not ev.cancelled for _, _, ev in net._heap)
+        # scheduled callbacks only: a frame in flight has no Event
+        return sum(isinstance(entry[2], Event) and not entry[2].cancelled for entry in net._heap)
 
     def poll_events():
         # with no device read in flight, the live events past the idle

@@ -7,6 +7,7 @@ import pytest
 
 from sensefs.scenario import ScenarioError, load_scenario_file, parse_scenario
 from sensefs.shell import PROMPT, Shell, main, repl, run_script
+from sensefs.simnet import LinkModel
 
 from conftest import FACTORY, SCRIPT_DIR, ZOO
 
@@ -41,6 +42,28 @@ def test_ls_long_shows_metadata(sh):
                for l in lines)
     assert any(l.startswith("-rw-r--r--") and l.endswith("control")
                for l in lines)
+
+
+def test_views_fail_when_a_head_does_not_answer():
+    shell = zoo_shell()
+    for line in ["mount /dev/network /network", "mount /dev/s1 /network/s1",
+                 "mount /dev/s2 /network/more/s2",
+                 "view build resource", "view build location", "view build logical"]:
+        assert shell.run_line(line) == (0, "")
+    # s1 is a device mounted directly under /network, and more a directory
+    # the mounts make: neither has a ctl, and both are skipped
+    assert shell.run_line("ls /network") == (0, "cluster1\ncluster2\ns1\nmore")
+    assert shell.run_line("ls /resource/energy/high") == (0, "s1\ns2\ns3\ns6\ns7\ns8\ns9\ns10")
+    commands = ["ls /resource/energy/high", "ls /resource/energy/low",
+                "cat /location/region-10/data", "ls /location", "ls /data",
+                "plan region-10 4 avg 50"]
+    assert all(shell.run_line(line)[0] == 0 for line in commands)
+    # cluster2's head no longer hears the shell's client, nor it the head
+    shell.sim.net.set_link(shell.client.eid, "cluster2.head", LinkModel(loss=1.0),
+                           both_ways=True)
+    for line in commands:
+        assert shell.run_line(line) == (1, "error: timeout"), line
+    assert shell.run_line("cat /network/cluster1/sensors/s1/reading")[0] == 0
 
 
 @pytest.mark.parametrize("path", [

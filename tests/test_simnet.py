@@ -1,5 +1,6 @@
 """Simulator tests: scheduling, links, loss, duty cycles, energy, determinism."""
 
+import gc
 import os
 import struct
 import tempfile
@@ -110,6 +111,45 @@ def test_event_cancellation():
     ev.cancel()
     net.run_until_idle()
     assert fired == []
+
+
+def test_frame_in_flight_is_not_tracked_by_the_collector():
+    # a frame's heap entry holds only ints, strings, None and bytes, so the
+    # first young collection stops tracking it and it is never promoted
+    net, _ = net_with_sinks("a", "b")
+    net.send("a", "b", FRAME)
+    (entry,) = net._heap
+    gc.collect(0)
+    assert not gc.is_tracked(entry)
+
+
+@pytest.mark.parametrize("frame_first", [True, False])
+def test_frame_and_callback_due_at_one_tick_run_in_issue_order(frame_first):
+    net = Network(0, default_link=LinkModel(latency=5))
+    order = []
+    net.register("a", lambda src, frame: None)
+    net.register("b", lambda src, frame: order.append(("frame", net.now)))
+    issue = [lambda: net.send("a", "b", FRAME),
+             lambda: net.schedule(5, lambda: order.append(("callback", net.now)))]
+    for fn in issue if frame_first else issue[::-1]:
+        fn()
+    net.run_until_idle()
+    expected = [("frame", 5), ("callback", 5)]
+    assert order == (expected if frame_first else expected[::-1])
+
+
+def test_cancelled_event_beside_a_frame_is_skipped_by_peek_time():
+    net, received = net_with_sinks("a", "b", default_link=LinkModel(latency=5))
+    before = net.schedule(3, lambda: received["b"].append("early"))
+    same_tick = net.schedule(5, lambda: received["b"].append("same tick"))
+    net.send("a", "b", FRAME)
+    after = net.schedule(5, lambda: received["b"].append("after"))
+    for ev in (before, same_tick, after):
+        ev.cancel()
+    assert net.peek_time() == 5
+    assert net.step() and received["b"] == [(5, "a", FRAME)]
+    assert net.peek_time() is None
+    assert not net.step()
 
 
 def test_run_until_advances_clock_without_events():
