@@ -12,11 +12,14 @@ request, and the file steps read_file, write_file (which also asks a
 query: a write answered on the same fid) and stat_file, each one whole
 file operation on a fid of its own (on_fid).  A step says only what to
 send: it yields a build per T-message, build(tag) making the message,
-and gets back its R-message, or None if it never came.  A step may also
+and gets back its R-message.  A refusal (an Rerror) or a reply that never
+came (a Timeout) is raised at that yield as a ClientError instead, so a
+step fails one way and never tests a reply for failure.  A step may also
 yield a Flight, an outcome another step is still working out (once), and
 gets that outcome when it lands.  spawn is the one continuation driver:
 it runs a step as continuations, so any number of steps keep their
-requests in flight at once.  Its callers fix how long a request waits:
+requests in flight at once.  Its callers fix how long a request waits
+before it gets a Timeout:
 
     muxfs.Multiplexer  every device exchange of a cluster head, under the
                        timeout named where the step is spawned
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from contextlib import suppress
 from functools import partial
 
 from . import wire
@@ -50,7 +54,15 @@ READ_WIDTH = 16          # steps a run keeps in flight per server, well
 
 
 class ClientError(FsError):
-    """A request refused by its server, or never answered."""
+    """A request refused by its server (its Rerror's ename), or never
+    answered (Timeout)."""
+
+
+class Timeout(ClientError):
+    """A request whose reply never came."""
+
+    def __init__(self):
+        super().__init__("timeout")
 
 
 def receive(net, eid, src, frame, server=None, conn=None):
@@ -89,31 +101,27 @@ class Conn:
         return tag
 
     def issue(self, build, cb, timeout=None):
-        """Send build(tag) to the peer; cb(R-message) later, or cb(None) if
-        timeout ticks pass first.  Returns the tag."""
+        """Send build(tag) to the peer; cb(R-message) later, or cb(a Timeout)
+        if timeout ticks pass first.  Returns the tag."""
         tag = self.new_tag()
         frame = wire.encode_message(build(tag))
         timer = None
         if timeout is not None:
-            timer = self.net.schedule(timeout, lambda: self.answer(tag, None))
+            timer = self.net.schedule(timeout, lambda: self.answer(tag, Timeout()))
         self.pending[tag] = (cb, timer)
         self.net.send(self.eid, self.peer, frame)
         return tag
 
     def answer(self, tag, msg):
-        """Hand msg (None: it never came) to the request waiting on tag;
-        a late reply to a request given up on is dropped."""
+        """Hand msg, its R-message or a Timeout if it never came, to the
+        request waiting on tag; a late reply to a request given up on is
+        dropped."""
         entry = self.pending.pop(tag, None)
         if entry is not None:
             cb, timer = entry
             if timer is not None:
                 timer.cancel()
             cb(msg)
-
-
-def _check(r):
-    if isinstance(r, Rerror):
-        raise ClientError(r.ename)
 
 
 # ----------------------------------------------------------------------
@@ -127,12 +135,13 @@ class Flight(list):
 
 def spawn(step, call, done):
     """Drive a step as continuations.  call(build, cb) issues each
-    T-message it yields, and cb resumes it with the R-message or None; a
-    Flight it yields resumes it when the flight lands.  An FsError that
-    call raises or a flight lands with is raised inside the step.  done
-    gets the step's return value or the FsError it raised.  An error
-    handed on as a value drops its traceback, whose frames would otherwise
-    hold it in a reference cycle."""
+    T-message it yields, and cb resumes it with the R-message; a Flight it
+    yields resumes it when the flight lands.  An Rerror handed to cb is
+    raised inside the step as a ClientError, and so is an FsError that
+    call raises, that cb is handed (a Timeout: the reply never came) or
+    that a flight lands with.  done gets the step's return value or the
+    FsError it raised.  An error handed on as a value drops its traceback,
+    whose frames would otherwise hold it in a reference cycle."""
     _resume(step, call, done, None)
 
 
@@ -140,6 +149,8 @@ def _resume(step, call, done, value):
     try:
         if isinstance(value, FsError):
             ask = step.throw(value.with_traceback(None))
+        elif type(value) is Rerror:
+            ask = step.throw(ClientError(value.ename))
         else:
             ask = step.send(value)
     except StopIteration as stop:
@@ -163,8 +174,8 @@ def _resume(step, call, done, value):
 def once(table, key, start, *args):
     """Step: table[key], else the outcome of the step start(*args), worked
     out once for however many steps ask at a time: while it runs,
-    table[key] is a Flight that later askers wait on.  A None outcome or
-    an error is not kept, and the outcome is not kept if table[key] was
+    table[key] is a Flight that later askers wait on.  An error is raised
+    to every asker and not kept, and no outcome is kept if table[key] was
     removed meanwhile."""
     have = table.get(key)
     if isinstance(have, Flight):
@@ -177,14 +188,17 @@ def once(table, key, start, *args):
     except FsError as e:
         outcome = e
     if table.get(key) is flight:
-        if outcome is None or isinstance(outcome, FsError):
+        if isinstance(outcome, FsError):
             del table[key]
         else:
             table[key] = outcome
     for resume in flight:
         resume(outcome)
     if isinstance(outcome, FsError):
-        raise outcome
+        try:
+            raise outcome
+        finally:
+            del outcome         # its traceback holds this frame: no reference cycle
     return outcome
 
 
@@ -194,31 +208,23 @@ def once(table, key, start, *args):
 
 def attach(conn, uname):
     """Step: the fid attached as uname, attaching a fresh fid on first use
-    (once, for all steps that ask meanwhile); None if the reply never came."""
+    (once, for all steps that ask meanwhile)."""
     return (yield from once(conn.roots, uname, _attach, conn, uname))
 
 
 def _attach(conn, uname):
     fid = next(conn.fids)
-    r = yield lambda t: Tattach(t, fid, uname, "")
-    if r is None:
-        return None
-    _check(r)
+    yield lambda t: Tattach(t, fid, uname, "")
     return fid
 
 
 def walk(conn, uname, path):
-    """Step: a new fid walked from uname's root to path; None if a reply
-    never came.  Raises ClientError if refused or path does not exist."""
+    """Step: a new fid walked from uname's root to path.  Raises ClientError
+    if refused or path does not exist, or Timeout if a reply never came."""
     root = yield from attach(conn, uname)
-    if root is None:
-        return None
     names = tuple(p for p in path.split("/") if p)
     fid = next(conn.fids)
     r = yield lambda t: Twalk(t, root, fid, names)
-    if r is None:
-        return None
-    _check(r)
     if len(r.qids) != len(names):
         raise ClientError("no such file")
     return fid
@@ -226,13 +232,10 @@ def walk(conn, uname, path):
 
 def read_all(fid):
     """Step: the bytes of an open fid from offset 0 to end of file.  Raises
-    ClientError if a read is refused, or 'timeout' if a reply never came."""
+    ClientError if a read is refused, or Timeout if a reply never came."""
     out = bytearray()
     while True:
         r = yield lambda t, o=len(out): Tread(t, fid, o, IOUNIT)
-        if r is None:
-            raise ClientError("timeout")
-        _check(r)
         if not r.data:
             return bytes(out)
         out += r.data
@@ -240,27 +243,22 @@ def read_all(fid):
 
 def request(build):
     """Step: the R-message to the one T-message build(tag).  Raises
-    ClientError if refused, or 'timeout' if the reply never came."""
-    r = yield build
-    if r is None:
-        raise ClientError("timeout")
-    _check(r)
-    return r
+    ClientError if refused, or Timeout if the reply never came."""
+    return (yield build)
 
 
 def on_fid(conn, uname, path, use):
     """Step: the value of the step use(fid) on a new fid walked to path,
     clunked after it whether use ended or raised (a refused or lost clunk
-    is ignored).  Raises ClientError if refused, or 'timeout' if a reply
+    is ignored).  Raises ClientError if refused, or Timeout if a reply
     never came."""
     fid = yield from walk(conn, uname, path)
-    if fid is None:
-        raise ClientError("timeout")
     try:
         out = yield from use(fid)
     except ClientError as e:
         out = e
-    yield lambda t: Tclunk(t, fid)
+    with suppress(ClientError):
+        yield lambda t: Tclunk(t, fid)
     if isinstance(out, ClientError):
         raise out
     return out
@@ -271,7 +269,7 @@ def read_file(conn, uname, path, isdir=False):
     the error 'not a directory'): walk, open, read to end of file and
     clunk."""
     def use(fid):
-        r = yield from request(lambda t: Topen(t, fid, OREAD))
+        r = yield lambda t: Topen(t, fid, OREAD)
         if isdir and not r.qid.is_dir:
             raise ClientError("not a directory")
         return (yield from read_all(fid))
@@ -284,8 +282,8 @@ def write_file(conn, uname, path, data, answer=False):
     opened ORDWR and read to end of file after the write, and the answer
     read is returned."""
     def use(fid):
-        yield from request(lambda t: Topen(t, fid, ORDWR if answer else OWRITE))
-        r = yield from request(lambda t: Twrite(t, fid, 0, data))
+        yield lambda t: Topen(t, fid, ORDWR if answer else OWRITE)
+        r = yield lambda t: Twrite(t, fid, 0, data)
         if not answer:
             return r.count
         return (yield from read_all(fid))
@@ -295,7 +293,7 @@ def write_file(conn, uname, path, data, answer=False):
 def stat_file(conn, uname, path):
     """Step: the stat record of the file at path: walk, stat and clunk."""
     def use(fid):
-        return (yield from request(lambda t: Tstat(t, fid))).stat
+        return (yield lambda t: Tstat(t, fid)).stat
     return on_fid(conn, uname, path, use)
 
 
@@ -326,8 +324,8 @@ class FileClient:
 
     def submit(self, ref, build, cb):
         """Issue one T-message without waiting; cb(R-message) when its reply
-        arrives, or cb(None) from a run that finds it unanswered past its
-        deadline.  Returns the tag."""
+        arrives, or cb(a Timeout) from a run that finds it unanswered past
+        its deadline.  Returns the tag."""
         conn = self._conn(ref)
         if ref[0] == "net":
             tag = conn.issue(build, cb)
@@ -345,8 +343,8 @@ class FileClient:
         a time per server, running the clock until every one has ended;
         return, in order, each step's value or the FsError it raised.  A
         request still unanswered when the next event is due after its
-        deadline (timeout ticks after it was sent) gets None, and the clock
-        stays where it is; deadlines come due in send order (_waiting)."""
+        deadline (timeout ticks after it was sent) gets a Timeout, and the
+        clock stays where it is; deadlines come due in send order (_waiting)."""
         results = [None] * len(steps)
         queues = {}                   # ref -> deque of (index, step) not started
         for i, (ref, step) in enumerate(steps):
@@ -375,9 +373,9 @@ class FileClient:
             if waiting and (nxt is None or nxt > waiting[0][0]):
                 _, conn, tag, entry = waiting.popleft()
                 if conn.pending.get(tag) is entry:      # not answered, nor its tag reused
-                    conn.answer(tag, None)
+                    conn.answer(tag, Timeout())
             elif not net.step():
-                raise ClientError("timeout")     # a step waits on no request and no event
+                raise Timeout()           # a step waits on no request and no event
         while waiting:                  # drop the deadlines of answered requests
             _, conn, tag, entry = waiting[0]
             if conn.pending.get(tag) is entry:

@@ -35,16 +35,20 @@ fids (relayed) and mirrored nodes (remote, each naming its link).
 Towards its devices the head is a client built on the core in client.py:
 one Conn per member (a DeviceLink) and the same attach/walk/read_all
 steps a FileClient runs, driven by the same client.spawn: _call issues
-each T-message a step yields and the step resumes from its reply or
-timeout, so device I/O never blocks the dispatch loop.  A step says only
-what to send; the timeout is named where it is spawned: discover_timeout
-for discovery, aggregates, polls and _clunk_remote, and fallback_ticks
-for relayed reads and writes and ctl queries.  A head step returns its
-outcome or raises FsError, and spawn hands either to whoever waits on
-it, such as a relayed read's reply.  A device fid the head opens (its
-own, or one behind a relayed client fid) is opened once: requests that
-need it while the open is in flight wait for it.  A mirrored file opens
-against its mirrored stat, even while its device sleeps.
+each T-message a step yields, so device I/O never blocks the dispatch
+loop, and the step resumes with its reply, or has a refusal or a
+client.Timeout raised in it, so the head never tests a reply for failure.
+A step says only what to send; the timeout is named where it is
+spawned: discover_timeout for discovery, aggregates, polls and
+_clunk_remote, and fallback_ticks for relayed reads and writes and ctl
+queries.  A head step returns its outcome or raises FsError, and spawn
+hands either to whoever waits on it, such as a relayed read's reply; a
+Timeout is where the head falls back to a cached copy, for a relayed
+read, an aggregate or a query.  A device fid the head opens (its own, or
+one behind a relayed client fid) is opened once: requests that need it
+while the open is in flight wait for it, and a walk or open of it that
+fails, lost included, clunks it (_open).  A mirrored file opens against
+its mirrored stat, even while its device sleeps.
 
 The head reads a member file one way (_read_path: info, aggregates,
 polls, queries), as mux over a fid it keeps open for that file alone:
@@ -61,12 +65,11 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import wire
-from .client import Conn, ClientError, Flight, _attach, once, read_all, receive, spawn, walk
-from .devicefs import parse_info
-from .wire import (
-    IOUNIT, OREAD, OWRITE, ORDWR, Twalk, Topen, Tread, Twrite, Tclunk,
-    Rwalk, Ropen, Rread, Rwrite, Rerror,
+from .client import (
+    Conn, ClientError, Flight, Timeout, _attach, once, read_all, receive, spawn, walk,
 )
+from .devicefs import parse_info
+from .wire import IOUNIT, OREAD, OWRITE, ORDWR, Twalk, Topen, Tread, Twrite, Tclunk
 from .fscore import Defer, FsError, Node, Server, make_dir, make_file
 from .simnet import Hop
 
@@ -159,7 +162,7 @@ class Multiplexer(Server):
         receive(self.net, self.eid, src, frame, server=self, conn=self.links.get(src))
 
     def _call(self, link, timeout, build, cb):
-        """Send one T-message to a device; cb(R-message), or cb(None) after timeout ticks."""
+        """Send one T-message to a device; cb(R-message), or cb(a Timeout) after timeout ticks."""
         if len(link.pending) >= MAX_PENDING:
             raise FsError("busy")
         link.issue(build, cb, timeout)
@@ -167,11 +170,12 @@ class Multiplexer(Server):
     def _spawn(self, link, step, timeout, done=None):
         """Run a step of exchanges with one device, each request waiting
         timeout ticks for its reply; done gets its return value or the
-        FsError it raised; with no done, a failure is logged as mux-error."""
+        FsError it raised; with no done, a failure other than a Timeout is
+        logged as mux-error."""
         spawn(step, partial(self._call, link, timeout), done or self._log_failure)
 
     def _log_failure(self, outcome):
-        if isinstance(outcome, FsError):
+        if isinstance(outcome, FsError) and not isinstance(outcome, Timeout):
             self.net.log.add(self.net.now, "mux-error", self.eid, "", outcome.ename)
 
     def _fan_out(self, links, step, timeout, got, done):
@@ -235,8 +239,8 @@ class Multiplexer(Server):
             return
         link.info = info.decode(errors="replace")
         link.meta = parse_info(link.info)
-        fid = yield from self._open_mux(link, "")   # the root listing, on an attach of its own
-        if fid is not None:
+        with suppress(Timeout):
+            fid = yield from self._open_mux(link, "")   # the root listing, on an attach of its own
             with suppress(ClientError, wire.WireError):   # refused, a reply lost, or undecodable
                 stats = wire.decode_stats((yield from read_all(fid)))
             self._clunk_remote(link, fid)
@@ -250,47 +254,38 @@ class Multiplexer(Server):
     def _read_path(self, link, path, fid=None):
         """Step: a member file read as mux over the fid kept open for it in
         link.open_fids, opened on first use (_open_mux, from fid if given):
-        its bytes, cached, or None if the device never answered; a refusal
-        is raised."""
+        its bytes, cached.  A refusal or a Timeout is raised."""
         fid = yield from once(link.open_fids, path, self._open_mux, link, path, fid)
-        if fid is None:
-            return None
-        r = yield lambda t: Tread(t, fid, 0, IOUNIT)
-        if isinstance(r, Rerror):
-            raise FsError(r.ename)
-        if r is not None:
-            link.cache[path] = (r.data, self.net.now)
-            return r.data
+        data = (yield lambda t: Tread(t, fid, 0, IOUNIT)).data
+        link.cache[path] = (data, self.net.now)
+        return data
 
     def _open_mux(self, link, path, fid=None):
         """Step: a fid of the head's own opened OREAD on path: fid, else a
-        fresh mux attach, walked in place (walk(5) lets newfid be fid; the
-        root needs no walk).  None if the device never answered."""
+        fresh mux attach, walked in place (_open)."""
         if fid is None:
             fid = yield from _attach(link, "mux")
-            if fid is None:
-                return None
-        names = tuple(p for p in path.split("/") if p)
-        r = (yield lambda t: Twalk(t, fid, fid, names)) if names else None
-        if not names or isinstance(r, Rwalk) and len(r.qids) == len(names):
-            r = yield lambda t: Topen(t, fid, OREAD)
-        return self._opened(link, fid, r)
+        return (yield from self._open(link, fid, path, OREAD))
 
     def _open_remote(self, link, uname, path, mode):
         """Step: a new device fid walked from uname's root (attached once
-        per uname) to path and opened in mode; None if never answered."""
+        per uname) to path and opened in mode."""
         fid = yield from walk(link, uname, path)
-        return fid if fid is None else self._opened(
-            link, fid, (yield lambda t: Topen(t, fid, mode)))
+        return (yield from self._open(link, fid, "", mode))
 
-    def _opened(self, link, fid, r):
-        """fid if r is its Ropen, else None once fid is clunked; a refusal,
-        or a walk that stopped short, is raised."""
-        if isinstance(r, Ropen):
-            return fid
-        self._clunk_remote(link, fid)
-        if r is not None:
-            raise FsError(r.ename if isinstance(r, Rerror) else "no such file")
+    def _open(self, link, fid, path, mode):
+        """Step: fid, walked in place to path (walk(5) lets newfid be fid;
+        "" needs no walk) and opened in mode.  A walk or open that fails,
+        a Timeout included, clunks fid and is raised."""
+        names = tuple(p for p in path.split("/") if p)
+        try:
+            if names and len((yield lambda t: Twalk(t, fid, fid, names)).qids) != len(names):
+                raise ClientError("no such file")
+            yield lambda t: Topen(t, fid, mode)
+        except ClientError:
+            self._clunk_remote(link, fid)
+            raise
+        return fid
 
     def _clunk_remote(self, link, fid):
         with suppress(FsError):
@@ -309,18 +304,12 @@ class Multiplexer(Server):
     # ------------------------------------------------------------------
 
     def _relay(self, link, ent, path, build):
-        """Step: build(tag, device fid) sent on the device fid behind a
-        relayed client fid, walked and opened on first use; returns the
-        R-message, or None if the device never answered.  An Rerror is
-        raised as FsError."""
+        """Step: the R-message to build(tag, device fid), sent on the device
+        fid behind a relayed client fid, walked and opened on first use.  A
+        refusal or a Timeout is raised."""
         dfid = yield from once(self.relayed, ent, self._open_remote,
                                link, ent.uname, path, ent.open_mode)
-        if dfid is None:
-            return None
-        r = yield lambda t: build(t, dfid)
-        if isinstance(r, Rerror):
-            raise FsError(r.ename)
-        return r
+        return (yield lambda t: build(t, dfid))
 
     def _relay_log(self, session, msg, path, cached):
         self.net.log.add(self.net.now, "mux-relay", self.eid, session.conn_key,
@@ -346,13 +335,13 @@ class Multiplexer(Server):
         asked = self.net.now
 
         def chain():
-            r = yield from self._relay(link, ent, path,
-                                       lambda t, dfid: Tread(t, dfid, msg.offset, count))
-            if isinstance(r, Rread):
+            with suppress(Timeout):
+                data = (yield from self._relay(
+                    link, ent, path, lambda t, dfid: Tread(t, dfid, msg.offset, count))).data
                 if msg.offset == 0:
-                    link.cache[path] = (r.data, self.net.now)
+                    link.cache[path] = (data, self.net.now)
                 self._relay_log(session, msg, "%s/%s" % (dev, path), 0)
-                return r.data
+                return data
             # no answer: serve the cache, its freshness judged when the
             # request arrived, not after the unreachable-device timeout
             cached = self._cached(link, path, asked)
@@ -376,14 +365,14 @@ class Multiplexer(Server):
                          Hop(ROUTED, msg.tag, msg.fid, "%s/%s" % (link.peer, path)))
 
         def chain():
-            try:
-                r = yield from self._relay(link, ent, path,
-                                           lambda t, dfid: Twrite(t, dfid, msg.offset, msg.data))
-            finally:
-                link.written = self.net.now
-            if not isinstance(r, Rwrite):
-                raise FsError("device unreachable")
-            return r.count
+            with suppress(Timeout):
+                try:
+                    r = yield from self._relay(
+                        link, ent, path, lambda t, dfid: Twrite(t, dfid, msg.offset, msg.data))
+                    return r.count
+                finally:
+                    link.written = self.net.now
+            raise FsError("device unreachable")
 
         return Defer(lambda cb: self._spawn(link, chain(), self.cfg.fallback_ticks, cb))
 
@@ -430,7 +419,7 @@ class Multiplexer(Server):
         asked = self.net.now
 
         def got(link, data):
-            if not isinstance(data, bytes):     # None or an FsError
+            if not isinstance(data, bytes):     # an FsError, a Timeout among them
                 data = self._cached(link, spec.source_path, asked, "mux-aggregate")
             return _parse_floats(data) if data is not None else None
 
@@ -518,7 +507,7 @@ class Multiplexer(Server):
         asked = self.net.now
 
         def got(link, out):
-            if out is None:
+            if isinstance(out, Timeout):
                 out = self._cached(link, name, asked, "mux-query")
                 if out is None:
                     out = FsError("device unreachable")

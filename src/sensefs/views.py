@@ -314,8 +314,10 @@ def parse_answer(answer: bytes) -> list:
 
 def read_members(client, table, infos, name) -> list:
     """For each sensor, in order, the first line of its file name, or None
-    if unreadable: one `read name ID ...` query per cluster, written to the
-    cluster head's ctl, all in one batch."""
+    for its `ID !error` line: one `read name ID ...` query per cluster,
+    written to the cluster head's ctl, all in one batch.  A query that
+    fails, such as one whose head did not answer, raises a ClientError
+    with its error (the first in cluster order), as ask_heads does."""
     ctls = [info.path.rsplit("/sensors/", 1)[0] + "/ctl" for info in infos]
     asked = {}                      # ctl path -> ids its query names
     for ctl, info in zip(ctls, infos):
@@ -323,9 +325,10 @@ def read_members(client, table, infos, name) -> list:
     questions = [("read %s %s" % (name, " ".join(ids))).encode() for ids in asked.values()]
     values = {}                     # (ctl path, id) -> first line
     for ctl, answer in zip(asked, read_paths(client, table, list(asked), questions)):
-        if isinstance(answer, bytes):
-            for sid, value in parse_answer(answer):
-                values[ctl, sid] = value
+        if not isinstance(answer, bytes):
+            raise ClientError(answer.ename)     # new: no frame holds it, so no cycle
+        for sid, value in parse_answer(answer):
+            values[ctl, sid] = value
     return [values.get((ctl, info.id)) for ctl, info in zip(ctls, infos)]
 
 

@@ -59,9 +59,7 @@ def make_client(net, uname="admin", name="client"):
 
 def walk_fid(client, ref, path):
     """A fid of client, walked to path."""
-    fid = client._one(ref, walk(client._conn(ref), client.uname, path))
-    assert fid is not None, "walk unanswered"
-    return fid
+    return client._one(ref, walk(client._conn(ref), client.uname, path))
 
 
 def device_fid_files(net, dev):

@@ -543,7 +543,7 @@ cat /network/cluster2/sensors/s8/reading
 cat /network/cluster2/sensors/s8/reading"""
 
 # sha256 of LOSSY_SESSION's transcript and of its whole event log
-LOSSY_GOLDEN = ("134670dd002070a7440705f623cf34414e31aa7bee92cff6332a213e8c9e61aa",
+LOSSY_GOLDEN = ("cf63e529e1423b84e279339a0b47b10bfffa4d1a32528313b3f1503da128463c",
                 "e9e48d0b66ef06e95c8c211809ceedf64cbecebe6e86e0b3f6bef6662e604722")
 
 

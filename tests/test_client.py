@@ -3,11 +3,12 @@ way a T-message leaves it, on devices, heads and file clients alike."""
 
 import pytest
 
-from sensefs.client import ClientError, FileClient
+from sensefs.client import ClientError, FileClient, Timeout
 from sensefs.fscore import Defer, Server, make_dir, make_file
 from sensefs.muxfs import MuxConfig
+from sensefs.shell import Shell
 from sensefs.simnet import LinkModel, Network
-from sensefs.wire import Rclunk, Rread, Tread, encode_message
+from sensefs.wire import Rclunk, Rread, Tread, decode_message, encode_message
 
 from conftest import USERS, build_cluster, make_client, open_fid, temp_sensor
 
@@ -76,7 +77,25 @@ def test_issue_sends_to_the_peer_and_times_out_once():
     assert events(net, "drop")[-1] == [mux.eid, "s1"]
     assert tag in link.pending
     net.run_until(net.now + 20)
-    assert answers == [None] and link.pending == {}
+    assert [type(a) for a in answers] == [Timeout] and link.pending == {}
+
+
+def test_lost_rclunk_does_not_fail_the_read(zoo_sim):
+    # the head's Rclunk to the shell's client is lost: the read already has
+    # its value, so cat answers it with status 0
+    shell = Shell(zoo_sim)
+    shell.run_line("mount /dev/network /network")
+    net, send, lost = zoo_sim.net, zoo_sim.net.send, []
+
+    def lose_rclunk(src, dst, frame):
+        if dst == shell.client.eid and isinstance(decode_message(frame), Rclunk):
+            lost.append(src)
+            return
+        send(src, dst, frame)
+
+    net.send = lose_rclunk
+    assert shell.run_line("cat /network/cluster1/sensors/s1/reading") == (0, "20.900000")
+    assert len(lost) == 1
 
 
 # -- batches -------------------------------------------------------------------

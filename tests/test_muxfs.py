@@ -1,5 +1,6 @@
 """Cluster-head tests: discovery, relaying, aggregation, groups, cache."""
 
+import gc
 import re
 
 import pytest
@@ -326,6 +327,44 @@ def test_clunk_while_opening_clunks_the_device_fid():
     net.run_until(net.now + 1000)
     assert mux.relayed == {}
     assert device_fids(net, "s1") == 2        # the head's info fid and the admin root
+
+
+def test_lost_ropen_of_a_relayed_open_clunks_the_device_fid():
+    # s1's Ropen for a relayed client fid is lost: the head gives the open
+    # up after fallback_ticks and clunks the device fid it walked and
+    # opened, so s1 is left holding what it held before
+    net, mux, _ = build_cluster([temp_sensor(1, 20.9)], latency=1,
+                                mux_cfg=MuxConfig(fallback_ticks=50, reprobe_ticks=10 ** 6))
+    client = make_client(net)
+    assert client.read(mux_ref(mux), "sensors/s1/reading") == b"20.900000\n"
+    net.run_until(net.now + 10)            # the head's device clunk lands
+    baseline = device_fids(net, "s1")      # the head's info fid and the admin root
+    send, lost = net.send, []
+
+    def lose_ropen(src, dst, frame):
+        if src == "s1" and not lost and isinstance(wire.decode_message(frame), wire.Ropen):
+            lost.append(frame)
+            return
+        send(src, dst, frame)
+
+    net.send = lose_ropen
+    since = len(net.log.lines)
+    # the read falls back to the copy cached within the ttl; the Timeout,
+    # raised out of once and suppressed there, leaves no reference cycle
+    # for the collector to find
+    gc.collect()
+    gc.disable()
+    try:
+        assert client.read(mux_ref(mux), "sensors/s1/reading") == b"20.900000\n"
+        net.run_until(net.now + 10)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert lost
+    sent = [line.split("\t")[4].split()[0] for line in net.log.lines[since:]
+            if line.split("\t")[1:4] == ["send", mux.eid, "s1"]]
+    assert sent == ["Twalk", "Topen", "Tclunk"]
+    assert device_fids(net, "s1") == baseline
 
 
 def test_pending_table_bound():

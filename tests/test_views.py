@@ -508,6 +508,43 @@ def test_zoo_second_location_data_read_reads_each_member_once():
     assert device_frames(sim.net, since, set(sim.states)) == 6 * 2
 
 
+def lose_queries(sim, shell, name):
+    """Drop every `read name ...` query the shell's client writes to a head."""
+    send = sim.net.send
+
+    def lose(src, dst, frame):
+        if src != shell.client.eid or b"read %s " % name.encode() not in frame:
+            send(src, dst, frame)
+
+    sim.net.send = lose
+
+
+def test_location_data_fails_when_a_query_is_lost():
+    # the member indexes are read, then the query to the members' head is
+    # lost: the data file fails with that error, not an empty status 0
+    sim, shell = quiet_zoo()
+    shell.run_line("view build location")
+    lose_queries(sim, shell, "reading")
+    assert shell.run_line("cat /location/region-10/data") == (1, "error: timeout")
+
+
+def test_plan_fails_when_an_energy_query_is_lost():
+    sim, shell = quiet_zoo()
+    lose_queries(sim, shell, "remaining-energy")
+    assert shell.run_line("plan region-10 4 avg 50") == (1, "error: timeout")
+
+
+def test_member_error_line_does_not_fail_the_data_file():
+    # s3 is asleep past the ttl: its head answers `s3 !device unreachable`,
+    # and the data file lists the other members' readings
+    sim, shell = quiet_zoo()
+    shell.run_line("view build location")
+    assert shell.run_line("write /network/cluster1/sensors/s3/control sleep") == (0, "")
+    shell.run_line("tick 40")
+    assert shell.run_line("cat /location/region-10/data") == (
+        0, "20.900000\n24.100000\n70.000000 30.000000\n21.700000\n19.500000")
+
+
 # -- the member index ----------------------------------------------------------
 
 def per_sensor_scan(client, table, root="/network"):
