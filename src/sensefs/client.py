@@ -25,7 +25,7 @@ before it gets a Timeout:
                        timeout named where the step is spawned
     FileClient._run    every file operation: one step (call, read, write,
                        stat) or many (read_many, write_many), the clock
-                       run until all end; a request waits self.timeout
+                       run until all end; a request waits CLIENT_TIMEOUT
 
 FileClient gives read/write/ls/stat on paths against two kinds of
 server reference:
@@ -301,11 +301,10 @@ class FileClient:
     """One client identity: an endpoint on the network plus a Conn per
     server it talks to.  Every file operation is a run of steps (_run)."""
 
-    def __init__(self, net, eid, uname="admin", timeout=CLIENT_TIMEOUT):
+    def __init__(self, net, eid, uname="admin"):
         self.net = net
         self.eid = eid
         self.uname = uname
-        self.timeout = timeout            # ticks every request waits for its reply
         self._tags = itertools.count(1)   # one tag sequence across servers
         self._conns = {}                  # server ref -> Conn
         self._waiting = deque()           # (deadline, conn, tag, pending entry), oldest first
@@ -335,7 +334,7 @@ class FileClient:
             ref[1].dispatch(self.eid, build(tag), partial(conn.answer, tag))
         entry = conn.pending.get(tag)
         if entry is not None:           # a local reply that came at once needs no deadline
-            self._waiting.append((self.net.now + self.timeout, conn, tag, entry))
+            self._waiting.append((self.net.now + CLIENT_TIMEOUT, conn, tag, entry))
         return tag
 
     def _run(self, steps) -> list:
@@ -343,8 +342,9 @@ class FileClient:
         a time per server, running the clock until every one has ended;
         return, in order, each step's value or the FsError it raised.  A
         request still unanswered when the next event is due after its
-        deadline (timeout ticks after it was sent) gets a Timeout, and the
-        clock stays where it is; deadlines come due in send order (_waiting)."""
+        deadline (CLIENT_TIMEOUT ticks after it was sent) gets a Timeout,
+        and the clock stays where it is; deadlines come due in send order
+        (_waiting)."""
         results = [None] * len(steps)
         queues = {}                   # ref -> deque of (index, step) not started
         for i, (ref, step) in enumerate(steps):

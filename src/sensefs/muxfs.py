@@ -323,10 +323,13 @@ class Multiplexer(Server):
         link, path = remote
         dev = link.peer
         count = min(msg.count, IOUNIT)
-        # once a fid has been served from cache it keeps serving that same
-        # snapshot (ent.data), so a sequential whole-file read stays consistent
-        # and the end-of-file probe does not wait out the unreachable timeout
-        if ent.data is not None and ent not in self.relayed:
+        # an offset-0 read always asks the device; a later offset on a fid
+        # whose offset-0 answer came from the cache reads that snapshot
+        # (ent.data), so one whole-file read never splices cache and device
+        # and its end-of-file read does not wait out the unreachable timeout
+        if msg.offset == 0:
+            ent.data = None
+        elif ent.data is not None:
             self._relay_log(session, msg, "%s/%s" % (dev, path), 1)
             return ent.data[msg.offset:msg.offset + count]
         self.net.log.add(self.net.now, "mux-route", session.conn_key, self.eid,

@@ -364,10 +364,6 @@ class Simulation:
         return FileClient(self.net, "client%d" % self._clients, uname=uname)
 
 
-def load_scenario(text: str) -> Simulation:
-    return Simulation(parse_scenario(text))
-
-
 def load_scenario_file(path: str, seed=None) -> Simulation:
     with open(path) as fh:
         cfg = parse_scenario(fh.read())

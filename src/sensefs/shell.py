@@ -147,7 +147,7 @@ class Shell:
     def cmd_groups(self, args):
         if not args:
             raise CommandError("usage: groups <cluster>")
-        base = self._abspath("/network/%s/groups" % args[0])
+        base = self._abspath("%s/%s/groups" % (views.NETWORK, args[0]))
         lines = []
         for group in dir_entries(self.client, self.table, base):
             members = dir_entries(self.client, self.table, base + "/" + group)

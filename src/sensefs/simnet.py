@@ -281,13 +281,6 @@ class Network:
             self.step()
         self.now = t
 
-    def run_until_idle(self, max_events=1_000_000):
-        n = 0
-        while self.step():
-            n += 1
-            if n >= max_events:
-                raise RuntimeError("simulation did not go idle")
-
     # -- the wireless channel ---------------------------------------------
 
     def send(self, src, dst, frame: bytes):

@@ -1,5 +1,5 @@
 """Namespace construction: mount tables, logical/location/resource views,
-query planning, and emergency-response mounts.
+query planning, and emergency-response alerts.
 
 Views are materialized as in-process servers that never invent sensors.
 One builder (_view) makes all three: a view directory whose listing, or
@@ -35,6 +35,7 @@ from functools import partial
 from .client import ClientError, FileClient
 from .devicefs import parse_infos
 from .fscore import Node, Server, UserDb, make_dir, make_file
+from .muxfs import AGGREGATIONS
 
 
 def norm_path(path: str) -> str:
@@ -43,31 +44,17 @@ def norm_path(path: str) -> str:
 
 
 class NamespaceTable:
-    """Ordered mounts and binds; later entries shadow earlier ones."""
+    """Ordered mounts; later entries shadow earlier ones."""
 
     def __init__(self):
         self.mounts = []   # (path, ref)
-        self.binds = []    # (source, target): accessing target resolves to source
 
     def mount(self, path: str, ref):
         self.mounts.append((norm_path(path), ref))
 
-    def bind(self, source: str, target: str):
-        self.binds.append((norm_path(source), norm_path(target)))
-
-    def _apply_binds(self, path: str) -> str:
-        for _ in range(len(self.binds) + 1):
-            for source, target in reversed(self.binds):
-                if path == target or path.startswith(target + "/"):
-                    path = source + path[len(target):]
-                    break
-            else:
-                return path
-        return path
-
     def resolve(self, path: str):
         """Return (server ref, server-relative path) for an absolute path."""
-        path = self._apply_binds(norm_path(path))
+        path = norm_path(path)
         for mount_path, ref in reversed(self.mounts):
             if path == mount_path or path.startswith(mount_path + "/"):
                 return ref, path[len(mount_path):].lstrip("/")
@@ -86,13 +73,11 @@ class NamespaceTable:
         return names
 
     def covers(self, path: str) -> bool:
-        path = norm_path(path)
         try:
             self.resolve(path)
             return True
         except ClientError:
-            return bool(self.mount_children(path)) or any(
-                m == path or m.startswith(path + "/") for m, _ in self.mounts)
+            return bool(self.mount_children(path))
 
 
 def read_paths(client: FileClient, table: NamespaceTable, paths, questions=None) -> list:
@@ -126,7 +111,7 @@ def dir_entries(client: FileClient, table: NamespaceTable, path: str) -> dict:
         entries = {st.name: st for st in client.ls(ref, rel)}
     for name in table.mount_children(path):
         entries.setdefault(name, None)
-    if not entries and ref is None and not table.covers(path):
+    if not entries and ref is None:
         raise ClientError("not found")
     return entries
 
@@ -145,23 +130,25 @@ class SensorInfo:
     position: tuple = None
 
 
-# the errors of an entry under the root that has no ctl: a device mounted
+NETWORK = "/network"     # where the shell mounts the heads: views and plans read here
+
+# the errors of an entry under NETWORK that has no ctl: a device mounted
 # directly under it (no such file), or a directory the mounts make (not found)
 _NO_CTL = ("no such file", "not found")
 
 
-def ask_heads(client, table, root="/network", question=None) -> list:
-    """(cluster, bytes) for each entry under root that has a ctl, in
+def ask_heads(client, table, question=None) -> list:
+    """(cluster, bytes) for each entry under NETWORK that has a ctl, in
     listing order: its member index, or with question, its answer to that
     query; every ctl in one batch.  An entry without a ctl (a device
-    mounted directly under root) is skipped; any other failure, such as a
+    mounted directly under NETWORK) is skipped; any other failure, such as a
     head that did not answer, raises a ClientError with its error (the
     first in listing order)."""
-    clusters = list(dir_entries(client, table, root))
+    clusters = list(dir_entries(client, table, NETWORK))
     questions = None if question is None else [question] * len(clusters)
     out = []
     for cluster, answer in zip(clusters, read_paths(
-            client, table, ["%s/%s/ctl" % (root, c) for c in clusters], questions)):
+            client, table, ["%s/%s/ctl" % (NETWORK, c) for c in clusters], questions)):
         if isinstance(answer, bytes):
             out.append((cluster, answer))
         elif answer.ename not in _NO_CTL:
@@ -169,12 +156,12 @@ def ask_heads(client, table, root="/network", question=None) -> list:
     return out
 
 
-def scan_sensors(client, table, root="/network") -> list:
+def scan_sensors(client, table) -> list:
     """Read each cluster head's member index, its ctl file: one read per
-    cluster under root, all in one batch, none per sensor."""
-    return [SensorInfo(meta["id"], cluster, "%s/%s/sensors/%s" % (root, cluster, meta["id"]),
+    cluster under NETWORK, all in one batch, none per sensor."""
+    return [SensorInfo(meta["id"], cluster, "%s/%s/sensors/%s" % (NETWORK, cluster, meta["id"]),
                        meta.get("kind", "unknown"), meta["tags"], meta.get("position"))
-            for cluster, index in ask_heads(client, table, root)
+            for cluster, index in ask_heads(client, table)
             for meta in parse_infos(index.decode(errors="replace"))]
 
 
@@ -266,13 +253,12 @@ def _view_server(node) -> Server:
     return Server(node, _VIEW_USERS, name=node.name, max_sessions=8)
 
 
-def build_location_view(client, table, geo: GeoMap, regions=(), cell: float = 1.0,
-                        root="/network") -> Server:
+def build_location_view(client, table, geo: GeoMap, regions=(), cell: float = 1.0) -> Server:
     """Tree /location/<lonCell>/<latCell>/{members..., data} plus one
     directory per named region, each with its data file."""
 
     def scan():
-        infos = [i for i in scan_sensors(client, table, root) if i.position]
+        infos = [i for i in scan_sensors(client, table) if i.position]
         for info in infos:
             lon, lat = geo.lonlat(info.position)
             yield (cell_label(lon, "E", "W", cell), cell_label(lat, "N", "S", cell)), info
@@ -289,11 +275,11 @@ def build_location_view(client, table, geo: GeoMap, regions=(), cell: float = 1.
     return _view_server(_view("location", scan, data))
 
 
-def build_logical_view(client, table, tag_key="animal", root="/network") -> Server:
+def build_logical_view(client, table, tag_key="animal") -> Server:
     """Tree /data/<kind>/<tag value + 's'>/ listing matching sensors."""
 
     def scan():
-        for info in scan_sensors(client, table, root):
+        for info in scan_sensors(client, table):
             value = info.tags.get(tag_key)
             yield ((info.kind,), None) if value is None else ((info.kind, value + "s"), info)
 
@@ -353,20 +339,20 @@ def energy_band(energy, low_j, high_j) -> str:
     return "high"
 
 
-def build_resource_view(client, table, low_j: float, high_j: float,
-                        root="/network") -> Server:
+def build_resource_view(client, table, low_j: float, high_j: float) -> Server:
     """Tree /resource/energy/{low,medium,high,unknown}/, banded at read
-    time: a band's listing or lookup asks every head under root in one
+    time: a band's listing or lookup asks every head under NETWORK in one
     batch with `read remaining-energy`, naming no member, and its answers
     list every member in member-index order."""
     if not 0 < low_j < high_j:
         raise ValueError("thresholds must satisfy 0 < low < high")
 
     def scan(band):
-        for cluster, answer in ask_heads(client, table, root, b"read remaining-energy"):
+        for cluster, answer in ask_heads(client, table, b"read remaining-energy"):
             for sid, value in parse_answer(answer):
                 if energy_band(_energy(value), low_j, high_j) == band:
-                    yield (), SensorInfo(sid, cluster, "%s/%s/sensors/%s" % (root, cluster, sid))
+                    path = "%s/%s/sensors/%s" % (NETWORK, cluster, sid)
+                    yield (), SensorInfo(sid, cluster, path)
 
     energy_dir = make_dir("energy", 0o555)
     for band in ("low", "medium", "high", "unknown"):
@@ -400,12 +386,14 @@ class TaskPlan:
 
 
 def plan_query(client, table, regions, region_name, coverage, aggregation="avg",
-               rate=0, low_j=10.0, high_j=100.0, root="/network") -> TaskPlan:
+               rate=0, low_j=10.0, high_j=100.0) -> TaskPlan:
     """Select in-region sensors, drop the low-energy band, check coverage."""
+    if aggregation not in AGGREGATIONS:
+        raise PlanError("no such aggregation %s" % aggregation)
     region = next((r for r in regions if r.name == region_name), None)
     if region is None:
         raise PlanError("no such region %s" % region_name)
-    infos = scan_sensors(client, table, root)
+    infos = scan_sensors(client, table)
     in_region = [i for i in infos if region.contains(i.position)]
     if not in_region:
         raise PlanError("no sensors in region")
@@ -431,13 +419,13 @@ def plan_query(client, table, regions, region_name, coverage, aggregation="avg",
     return TaskPlan(selected, clusters, aggregation, rate, rationale)
 
 
-def execute_plan(client, table, plan: TaskPlan, root="/network"):
+def execute_plan(client, table, plan: TaskPlan):
     """Task the selected sensors with the plan's reporting rate: one rate
     command per cluster head, all written in one batch.  Every head is
     tried; then the first refusal, in cluster order, is raised."""
     targets = []
     for cluster, members in plan.clusters.items():
-        ref, rel = table.resolve("%s/%s/ctl" % (root, cluster))
+        ref, rel = table.resolve("%s/%s/ctl" % (NETWORK, cluster))
         targets.append((ref, rel, ("rate %d %s" % (plan.rate, " ".join(members))).encode()))
     refused = [out for out in client.write_many(targets) if isinstance(out, ClientError)]
     if refused:
@@ -449,10 +437,6 @@ def execute_plan(client, table, plan: TaskPlan, root="/network"):
 # ----------------------------------------------------------------------
 
 EMERGENCY_ROOT = "/mnt/Emergency"
-
-
-def emergency_mount(table: NamespaceTable, name: str, ref):
-    table.mount("%s/%s" % (EMERGENCY_ROOT, name), ref)
 
 
 def raise_alert(client, table, text: str):

@@ -21,7 +21,7 @@ from conftest import (DATA_DIR, FACTORY, SCRIPT_DIR, ZOO, build_cluster,
 from sensefs import muxfs, wire
 from sensefs.client import ClientError, FileClient
 from sensefs.muxfs import AggregateSpec, MuxConfig
-from sensefs.scenario import load_scenario, load_scenario_file
+from sensefs.scenario import Simulation, load_scenario_file, parse_scenario
 from sensefs.shell import Shell, run_script
 from sensefs.devicefs import SensorState
 from sensefs.simnet import DutyCycle, EnergyModel, LinkModel, Network
@@ -367,7 +367,7 @@ def big_scenario(n_clusters=10, per_cluster=30):
 
 def test_acceptance_09_scale():
     start = time.perf_counter()
-    sim = load_scenario(big_scenario())
+    sim = Simulation(parse_scenario(big_scenario()))
     sim.start()                           # discovery across all clusters
     client = sim.new_client()
     table = mount_network(sim)
@@ -551,7 +551,7 @@ def test_lossy_session_is_golden():
     with open(ZOO) as fh:
         text = fh.read().replace("loss = 0.0", "loss = 0.2").replace("jitter = 0", "jitter = 2")
     assert "loss = 0.2" in text and "jitter = 2" in text
-    sim = load_scenario(text)
+    sim = Simulation(parse_scenario(text))
     sim.start()
     shell = Shell(sim)
     transcript = ""

@@ -132,7 +132,7 @@ def test_batch_request_times_out_after_the_client_timeout():
     # deadline fails, and the clock stays where it is
     net, mux, _ = build_cluster([temp_sensor(1, 20.9)],
                                 mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
-    client = FileClient(net, "client", timeout=50)
+    client = FileClient(net, "client")
     ref = ("net", mux.eid)
     assert client.read(ref, "sensors/s1/reading") == b"20.900000\n"
     net.run_until(net.now + 10)              # the head's device clunk lands

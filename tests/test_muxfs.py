@@ -6,7 +6,7 @@ import re
 import pytest
 
 from sensefs import muxfs, wire
-from sensefs.client import ClientError, FileClient
+from sensefs.client import ClientError, FileClient, read_all
 from sensefs.devicefs import FILE_ORDER, MEM_SIZE, parse_infos
 from sensefs.muxfs import MAX_PENDING, AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from sensefs.simnet import DutyCycle, Event, LinkModel, Network
@@ -436,6 +436,52 @@ def test_write_to_sleeping_sensor_unreachable():
     client = make_client(net)
     with pytest.raises(ClientError, match="device unreachable"):
         client.write(mux_ref(mux), "sensors/s1/control", b"1.0")
+
+
+def changing_sensor():
+    """A one-sensor cluster whose reading is value[0], with a short
+    fallback; returns (net, mux, states, client, value)."""
+    value = [20.9]
+    net, mux, states = build_cluster(
+        [temp_sensor(1, None, raw_source=lambda t: value[0])], latency=1,
+        mux_cfg=MuxConfig(ttl=30, fallback_ticks=5, reprobe_ticks=10 ** 6))
+    return net, mux, states, make_client(net), value
+
+
+def test_offset_zero_reread_after_a_cache_fallback_asks_the_device():
+    net, mux, states, client, value = changing_sensor()
+    ref = mux_ref(mux)
+    assert client.read(ref, "sensors/s1/reading") == b"20.900000\n"
+    fid = open_fid(client, ref, "sensors/s1/reading")
+    states["s1"].set_power(net.now, "asleep")      # the device open is lost
+    assert client._one(ref, read_all(fid)) == b"20.900000\n"
+    assert mux.relayed == {}                        # no device fid behind fid
+    states["s1"].set_power(net.now, "awake")
+    value[0] = 25.9
+    net.run_until(net.now + 500)
+    since = len(net.log.lines)
+    assert client._one(ref, read_all(fid)) == b"25.900000\n"
+    assert "Tread" in member_frames(net, mux, since, ("s1",))
+
+
+def test_a_read_answered_from_the_cache_ends_from_that_snapshot():
+    # the device fid is open, but the offset-0 reply is lost: the rest of
+    # the read comes from the same cached copy, never from the device
+    net, mux, states, client, value = changing_sensor()
+    ref = mux_ref(mux)
+    value[0] = 9.5
+    fid = open_fid(client, ref, "sensors/s1/reading")
+    assert client._one(ref, read_all(fid)) == b"9.500000\n"
+    value[0] = 10.5
+    net.set_link("s1", mux.eid, LinkModel(latency=1, loss=1.0))
+    out = client.call(ref, tread(fid)).data
+    net.set_link("s1", mux.eid, LinkModel(latency=1))
+    while True:
+        data = client.call(ref, tread(fid, len(out))).data
+        if not data:
+            break
+        out += data
+    assert out == b"9.500000\n"
 
 
 # -- aggregation -------------------------------------------------------------

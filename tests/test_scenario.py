@@ -6,7 +6,7 @@ import pytest
 
 from sensefs.fscore import Server
 from sensefs.scenario import (
-    ScenarioError, load_scenario, load_scenario_file, make_source, parse_scenario,
+    ScenarioError, Simulation, load_scenario_file, make_source, parse_scenario,
 )
 
 from conftest import ZOO, FACTORY
@@ -165,8 +165,6 @@ def test_source_unknown():
 
 def test_link_overrides_apply_both_ways():
     cfg = parse_scenario(MINIMAL + "\n[link c1.head s1]\nlatency = 9\n")
-    sim_text = None
-    from sensefs.scenario import Simulation
     sim = Simulation(cfg)
     assert sim.net.link_for("c1.head", "s1").latency == 9
     assert sim.net.link_for("s1", "c1.head").latency == 9
@@ -175,7 +173,6 @@ def test_link_overrides_apply_both_ways():
 
 def test_oneway_link_override():
     cfg = parse_scenario(MINIMAL + "\n[link s1 c1.head]\nlatency = 9\noneway = true\n")
-    from sensefs.scenario import Simulation
     sim = Simulation(cfg)
     assert sim.net.link_for("s1", "c1.head").latency == 9
     assert sim.net.link_for("c1.head", "s1").latency == cfg.default_link.latency
@@ -184,7 +181,7 @@ def test_oneway_link_override():
 
 
 def test_simulation_wiring():
-    sim = load_scenario(MINIMAL)
+    sim = Simulation(parse_scenario(MINIMAL))
     sim.start()
     client = sim.new_client()
     names = [s.name for s in client.ls(("net", "c1.head"), "sensors")]

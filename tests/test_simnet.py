@@ -25,6 +25,12 @@ def net_with_sinks(*eids, seed=0, **kw):
     return net, received
 
 
+def drain(net):
+    """Run every queued event; the clock stops at the last one."""
+    while net.step():
+        pass
+
+
 FRAME = bytes.fromhex("0B0000006E050001000000")   # any valid 11-byte frame
 
 
@@ -39,7 +45,7 @@ def test_delivery_at_exact_latency():
     net, received = net_with_sinks("a", "b",
                                    default_link=LinkModel(latency=5))
     net.send("a", "b", FRAME)
-    net.run_until_idle()
+    drain(net)
     assert received["b"] == [(5, "a", FRAME)]
 
 
@@ -54,7 +60,7 @@ def test_loss_one_never_delivers():
                                    default_link=LinkModel(latency=1, loss=1.0))
     for _ in range(50):
         net.send("a", "b", FRAME)
-    net.run_until_idle()
+    drain(net)
     assert received["b"] == []
     assert sum(1 for l in net.log.lines if "\tdrop\t" in l) == 50
 
@@ -64,7 +70,7 @@ def test_loss_zero_delivers_all():
                                    default_link=LinkModel(latency=1, loss=0.0))
     for _ in range(50):
         net.send("a", "b", FRAME)
-    net.run_until_idle()
+    drain(net)
     assert len(received["b"]) == 50
 
 
@@ -75,7 +81,7 @@ def test_seeded_loss_trace_regression():
                                    default_link=LinkModel(latency=1, loss=0.3))
     for _ in range(1000):
         net.send("a", "b", FRAME)
-    net.run_until_idle()
+    drain(net)
     delivered = len(received["b"])
     assert abs(delivered - 700) < 60        # sanity: near the expectation
     assert delivered == 705                 # regression pin
@@ -87,7 +93,7 @@ def test_jitter_within_bounds_and_seeded():
             "a", "b", seed=seed, default_link=LinkModel(latency=3, jitter=4))
         for _ in range(100):
             net.send("a", "b", FRAME)
-        net.run_until_idle()
+        drain(net)
         return [t for t, _, _ in received["b"]]
     times = run(7)
     assert all(3 <= t <= 7 for t in times)
@@ -100,7 +106,7 @@ def test_event_ordering_same_tick():
     order = []
     net.schedule(5, lambda: order.append("first"))
     net.schedule(5, lambda: order.append("second"))
-    net.run_until_idle()
+    drain(net)
     assert order == ["first", "second"]
 
 
@@ -109,7 +115,7 @@ def test_event_cancellation():
     fired = []
     ev = net.schedule(5, lambda: fired.append(1))
     ev.cancel()
-    net.run_until_idle()
+    drain(net)
     assert fired == []
 
 
@@ -133,7 +139,7 @@ def test_frame_and_callback_due_at_one_tick_run_in_issue_order(frame_first):
              lambda: net.schedule(5, lambda: order.append(("callback", net.now)))]
     for fn in issue if frame_first else issue[::-1]:
         fn()
-    net.run_until_idle()
+    drain(net)
     expected = [("frame", 5), ("callback", 5)]
     assert order == (expected if frame_first else expected[::-1])
 
@@ -167,7 +173,7 @@ def test_causality_no_delivery_before_min_latency():
     for i in range(20):
         net.schedule(i * 10, lambda: sends.append(net.now) or
                      net.send("a", "b", FRAME))
-    net.run_until_idle()
+    drain(net)
     deliveries = [t for t, _, _ in received["b"]]
     for sent, got in zip(sends, deliveries):
         assert got >= sent + 2
@@ -208,7 +214,7 @@ def test_sleeping_radio_drops_frames():
     net.schedule(50, lambda: net.send("cli", "dev", FRAME))
     # delivery at t=101 lands in the next on window
     net.schedule(100, lambda: net.send("cli", "dev", FRAME))
-    net.run_until_idle()
+    drain(net)
     assert got == [101]
     assert any("\tsleepdrop\t" in l for l in net.log.lines)
 
@@ -224,7 +230,7 @@ def test_tx_rx_idle_costs_charged():
     net.register("a", lambda src, frame: None, state=a)
     net.register("b", lambda src, frame: None, state=b)
     net.schedule(10, lambda: net.send("a", "b", FRAME))
-    net.run_until_idle()
+    drain(net)
     a.settle(net.now)
     b.settle(net.now)
     # both settle through the delivery tick (now = 11): 11 idle ticks each
@@ -239,7 +245,7 @@ def test_energy_shortfall_fails_frame_and_pins_zero():
     net.register("a", lambda src, frame: None, state=a)
     net.register("b", lambda src, frame: None)
     net.send("a", "b", FRAME)
-    net.run_until_idle()
+    drain(net)
     assert a.energy_j == 0.0
     assert a.sent_frames == 0
     assert any("\ttxfail\t" in l for l in net.log.lines)
@@ -262,7 +268,7 @@ def test_energy_conservation_randomized():
         t = rng.randrange(0, 5000)
         src, dst = rng.sample(["a", "b"], 2)
         net.schedule(t, lambda s=src, d=dst: net.send(s, d, FRAME))
-    net.run_until_idle()
+    drain(net)
     for eid, state in states.items():
         state.settle(net.now)
         expected = (1024.0
@@ -284,7 +290,7 @@ def run_trace(seed):
                                                    loss=0.25))
     for i in range(200):
         net.schedule(i, lambda: net.send("a", "b", FRAME))
-    net.run_until_idle()
+    drain(net)
     return net.log.text()
 
 

@@ -7,13 +7,13 @@ from sensefs import fscore
 from sensefs.client import ClientError
 from sensefs.devicefs import parse_info, parse_infos
 from sensefs.muxfs import MuxConfig
-from sensefs.scenario import load_scenario, load_scenario_file
+from sensefs.scenario import Simulation, load_scenario_file, parse_scenario
 from sensefs.shell import Shell
 from sensefs.simnet import LinkModel
 from sensefs.views import (
     EMERGENCY_ROOT, GeoMap, NamespaceTable, PlanError, Region, SensorInfo, TaskPlan,
     build_location_view, build_logical_view, build_resource_view,
-    cell_label, dir_entries, emergency_mount, energy_band, execute_plan,
+    cell_label, dir_entries, energy_band, execute_plan,
     make_responder, norm_path, parse_answer, plan_query, raise_alert, read_members,
     read_paths, scan_sensors,
 )
@@ -56,14 +56,6 @@ def test_later_mounts_shadow_earlier():
     assert table.resolve("/n/x")[0] == "new"
 
 
-def test_bind_redirects():
-    table = NamespaceTable()
-    table.mount("/network/cluster1", "mux1")
-    table.bind("/network/cluster1", "/shortcut")
-    ref, rel = table.resolve("/shortcut/sensors/s1")
-    assert ref == "mux1" and rel == "sensors/s1"
-
-
 def test_mount_children_synthesizes_directories():
     table = NamespaceTable()
     table.mount("/federation/a", "ma")
@@ -75,9 +67,10 @@ def test_mount_children_synthesizes_directories():
 def test_resolution_is_pure():
     table = NamespaceTable()
     table.mount("/n/a", "ma")
-    table.bind("/n/a", "/alias")
-    first = table.resolve("/alias/f")
-    assert all(table.resolve("/alias/f") == first for _ in range(5))
+    table.mount("/n/a/b", "mb")
+    first = table.resolve("/n/a/b/f")
+    assert first == ("mb", "f")
+    assert all(table.resolve("/n/a/b/f") == first for _ in range(5))
 
 
 # -- cells --------------------------------------------------------------------
@@ -431,7 +424,7 @@ rect = 0 0 100 100
 
 
 def two_heads():
-    sim = load_scenario(TWO_HEADS)
+    sim = Simulation(parse_scenario(TWO_HEADS))
     sim.start()
     shell = Shell(sim)
     assert shell.run_line("mount /dev/network /network") == (0, "")
@@ -547,12 +540,12 @@ def test_member_error_line_does_not_fail_the_data_file():
 
 # -- the member index ----------------------------------------------------------
 
-def per_sensor_scan(client, table, root="/network"):
+def per_sensor_scan(client, table):
     """scan_sensors as it was before the member index: list each cluster's
     sensors/ and read every sensor's info through its head."""
     infos = []
-    for cluster in dir_entries(client, table, root):
-        base = "%s/%s/sensors" % (root, cluster)
+    for cluster in dir_entries(client, table, "/network"):
+        base = "/network/%s/sensors" % cluster
         for sid in dir_entries(client, table, base):
             ref, rel = table.resolve("%s/%s/info" % (base, sid))
             meta = parse_info(client.read(ref, rel).decode())
@@ -602,7 +595,7 @@ def test_zoo_scan_frame_cost():
     with open(ZOO) as fh:
         text = fh.read()
     assert "\nreprobe = 100\n" in text
-    sim = load_scenario(text)
+    sim = Simulation(parse_scenario(text))
     sim.start()
     client = sim.new_client()
     table = NamespaceTable()
@@ -637,13 +630,13 @@ def _ref_server(root_node):
                          name=root_node.name, max_sessions=8)
 
 
-def reference_location_view(client, table, geo, regions=(), cell=1.0, root="/network"):
+def reference_location_view(client, table, geo, regions=(), cell=1.0):
     """build_location_view as it was before the one view builder: each
     level a hand-nested children_fn."""
     make_dir = fscore.make_dir
 
     def top_children():
-        infos = [i for i in scan_sensors(client, table, root) if i.position]
+        infos = [i for i in scan_sensors(client, table) if i.position]
         cells = {}
         for info in infos:
             lon, lat = geo.lonlat(info.position)
@@ -674,13 +667,13 @@ def reference_location_view(client, table, geo, regions=(), cell=1.0, root="/net
     return _ref_server(make_dir("location", 0o555, children_fn=top_children))
 
 
-def reference_logical_view(client, table, tag_key="animal", root="/network"):
+def reference_logical_view(client, table, tag_key="animal"):
     """build_logical_view as it was before the one view builder."""
     make_dir = fscore.make_dir
 
     def top_children():
         kinds = {}
-        for info in scan_sensors(client, table, root):
+        for info in scan_sensors(client, table):
             kinds.setdefault(info.kind, []).append(info)
         out = []
         for kind, members in kinds.items():
@@ -701,7 +694,7 @@ def reference_logical_view(client, table, tag_key="animal", root="/network"):
     return _ref_server(make_dir("data", 0o555, children_fn=top_children))
 
 
-def reference_resource_view(client, table, low_j, high_j, root="/network"):
+def reference_resource_view(client, table, low_j, high_j):
     """build_resource_view as it was before the one view builder."""
     make_dir = fscore.make_dir
 
@@ -715,10 +708,10 @@ def reference_resource_view(client, table, low_j, high_j, root="/network"):
 
     def band_children(band):
         def children():
-            clusters = list(dir_entries(client, table, root))
-            answers = read_paths(client, table, ["%s/%s/ctl" % (root, c) for c in clusters],
+            clusters = list(dir_entries(client, table, "/network"))
+            answers = read_paths(client, table, ["/network/%s/ctl" % c for c in clusters],
                                  [b"read remaining-energy"] * len(clusters))
-            return [_ref_entry(sid, "%s/%s/sensors/%s" % (root, cluster, sid))
+            return [_ref_entry(sid, "/network/%s/sensors/%s" % (cluster, sid))
                     for cluster, answer in zip(clusters, answers) if isinstance(answer, bytes)
                     for sid, value in parse_answer(answer)
                     if energy_band(energy(value), low_j, high_j) == band]
@@ -768,7 +761,7 @@ def browse(builders, text, asleep):
     text, with sensor asleep (if any) gone to sleep, and list every view
     directory with `ls -l` and cat every file in it.  Returns each
     command with its status, output, ticks and frames sent."""
-    sim = load_scenario(text)
+    sim = Simulation(parse_scenario(text))
     sim.start()
     shell = Shell(sim)
     assert shell.run_line("mount /dev/network /network") == (0, "")
@@ -879,6 +872,15 @@ def test_plan_unknown_region():
         plan_query(client, table, regions, "elsewhere", coverage=1)
 
 
+def test_plan_unknown_aggregation_reads_and_writes_nothing():
+    sim, shell = quiet_zoo()
+    since = len(sim.net.log.lines)
+    assert shell.run_line("plan region-10 4 bogus 10") == (
+        1, "error: no such aggregation bogus")
+    assert len(sim.net.log.lines) == since           # no frame, so no head tasked
+    assert all(link.poll is None for mux in sim.muxes.values() for link in mux.links.values())
+
+
 def test_plan_monotone_in_threshold():
     net, client, table, regions = plan_fixture()
     prev = None
@@ -950,7 +952,7 @@ def test_alert_fans_out_to_all_responders():
         server, received = make_responder(name)
         from sensefs.scenario import ServerEndpoint
         ServerEndpoint(net, name, server)
-        emergency_mount(table, name, ("net", name))
+        table.mount("%s/%s" % (EMERGENCY_ROOT, name), ("net", name))
     delivered, failures = raise_alert(client, table, "gas leak detected")
     assert delivered == 3 and failures == []
     assert client.read(table.resolve(EMERGENCY_ROOT + "/sms/log")[0],
@@ -968,7 +970,7 @@ def test_alert_partial_delivery_on_lossy_link():
     for name in ("sms", "pager", "email"):
         server, _ = make_responder(name)
         ServerEndpoint(net, name, server)
-        emergency_mount(table, name, ("net", name))
+        table.mount("%s/%s" % (EMERGENCY_ROOT, name), ("net", name))
     net.set_link(client.eid, "pager", LinkModel(latency=1, loss=1.0))
     delivered, failures = raise_alert(client, table, "leak")
     assert delivered == 2
