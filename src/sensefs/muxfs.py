@@ -50,12 +50,13 @@ while the open is in flight wait for it, and a walk or open of it that
 fails, lost included, clunks it (_open).  A mirrored file opens against
 its mirrored stat, even while its device sleeps.
 
-The head reads a member file one way (_read_path: info, aggregates,
-polls, queries), as mux over a fid it keeps open for that file alone:
-an attach of its own walked in place (walk(5) lets newfid be fid), so
-the first read costs attach, walk, open and read, each later one a read,
-and no root is kept.  Discovery's probe is the attach that becomes the
-info fid; the root listing is read on a second attach, then clunked.
+The head reads a member file one way (_read_path: aggregates, polls,
+queries), as mux over a fid it keeps open for that file alone: an attach
+of its own walked in place (walk(5) lets newfid be fid), so the first
+read costs attach, walk, open and read, each later one a read, and no
+root is kept.  Discovery keeps no fid: the probe's attach walks a new
+fid to info, then lists the root itself; both are clunked, however the
+probe ends.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .client import (
     Conn, ClientError, Flight, Timeout, _attach, once, read_all, receive, spawn, walk,
 )
 from .devicefs import parse_info
-from .wire import IOUNIT, OREAD, OWRITE, ORDWR, Twalk, Topen, Tread, Twrite, Tclunk
+from .wire import IOUNIT, OREAD, OWRITE, ORDWR, Tattach, Twalk, Topen, Tread, Twrite, Tclunk
 from .fscore import Defer, FsError, Node, Server, make_dir, make_file
 from .simnet import Hop
 
@@ -222,49 +223,48 @@ class Multiplexer(Server):
             link.probing = False
 
     def _discover_device(self, link):
-        dev = link.peer
-        stale = link.open_fids.pop("info", None)     # kept by a probe that failed later
-        if stale is not None:
-            self._clunk_remote(link, stale)
-        fid = info = stats = None
-        with suppress(ClientError):
-            fid = yield from _attach(link, "mux")   # the probe: the info fid to be
-        if fid is None:
-            self.net.log.add(self.net.now, "mux-probe-miss", self.eid, dev, "")
+        fid = next(link.fids)
+        try:
+            yield lambda t: Tattach(t, fid, "mux", "")
+        except ClientError as e:
+            if isinstance(e, Timeout):                  # the member may have bound it
+                self._clunk_remote(link, fid)
+            self.net.log.add(self.net.now, "mux-probe-miss", self.eid, link.peer, "")
             return
-        with suppress(FsError):
-            info = yield from self._read_path(link, "info", fid)
-        if info is None:
-            self.net.log.add(self.net.now, "mux-excluded", self.eid, dev, "info unreadable")
+        info = stats = None
+        ifid = next(link.fids)
+        with suppress(FsError):         # refused, busy or a reply lost: excluded
+            if (yield lambda t: Twalk(t, fid, ifid, ("info",))).qids:
+                yield lambda t: Topen(t, ifid, OREAD)
+                info = (yield lambda t: Tread(t, ifid, 0, IOUNIT)).data
+        self._clunk_remote(link, ifid)
+        if info is not None:
+            with suppress(FsError, wire.WireError):    # refused, a reply lost, or undecodable
+                yield lambda t: Topen(t, fid, OREAD)
+                stats = wire.decode_stats((yield from read_all(fid)))
+        self._clunk_remote(link, fid)
+        if stats is None:
+            self.net.log.add(self.net.now, "mux-excluded", self.eid, link.peer,
+                             "info unreadable" if info is None else "listing unreadable")
             return
         link.info = info.decode(errors="replace")
         link.meta = parse_info(link.info)
-        with suppress(Timeout):
-            fid = yield from self._open_mux(link, "")   # the root listing, on an attach of its own
-            with suppress(ClientError, wire.WireError):   # refused, a reply lost, or undecodable
-                stats = wire.decode_stats((yield from read_all(fid)))
-            self._clunk_remote(link, fid)
-        if stats is None:
-            self.net.log.add(self.net.now, "mux-excluded", self.eid, dev, "listing unreadable")
-            return
         link.node = self._mirror_device(link, stats)
-        self.net.log.add(self.net.now, "mux-discovered", self.eid, dev,
+        self.net.log.add(self.net.now, "mux-discovered", self.eid, link.peer,
                          "kind=%s" % link.meta.get("kind", "?"))
 
-    def _read_path(self, link, path, fid=None):
+    def _read_path(self, link, path):
         """Step: a member file read as mux over the fid kept open for it in
-        link.open_fids, opened on first use (_open_mux, from fid if given):
-        its bytes, cached.  A refusal or a Timeout is raised."""
-        fid = yield from once(link.open_fids, path, self._open_mux, link, path, fid)
+        link.open_fids, opened on first use (_open_mux): its bytes, cached.
+        A refusal or a Timeout is raised."""
+        fid = yield from once(link.open_fids, path, self._open_mux, link, path)
         data = (yield lambda t: Tread(t, fid, 0, IOUNIT)).data
         link.cache[path] = (data, self.net.now)
         return data
 
-    def _open_mux(self, link, path, fid=None):
-        """Step: a fid of the head's own opened OREAD on path: fid, else a
-        fresh mux attach, walked in place (_open)."""
-        if fid is None:
-            fid = yield from _attach(link, "mux")
+    def _open_mux(self, link, path):
+        """Step: a fresh mux attach, walked in place to path, opened OREAD (_open)."""
+        fid = yield from _attach(link, "mux")
         return (yield from self._open(link, fid, path, OREAD))
 
     def _open_remote(self, link, uname, path, mode):

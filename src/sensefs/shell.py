@@ -115,8 +115,14 @@ class Shell:
 
     def cmd_cd(self, args):
         path = self._abspath(args[0]) if args else "/"
-        if path != "/" and not self.table.covers(path):
-            raise CommandError("no such directory %s" % path)
+        if path != "/" and not self.table.mount_children(path):
+            try:                # a directory only the server knows: ask it
+                ref, rel = self.table.resolve(path)
+                isdir = self.client.stat(ref, rel).mode & DMDIR
+            except ClientError:
+                isdir = 0
+            if not isdir:
+                raise CommandError("no such directory %s" % path)
         self.cwd = path
         return ""
 

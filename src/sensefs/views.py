@@ -72,13 +72,6 @@ class NamespaceTable:
                     names.append(name)
         return names
 
-    def covers(self, path: str) -> bool:
-        try:
-            self.resolve(path)
-            return True
-        except ClientError:
-            return bool(self.mount_children(path))
-
 
 def read_paths(client: FileClient, table: NamespaceTable, paths, questions=None) -> list:
     """For each namespace path, in order, the bytes of that file or the

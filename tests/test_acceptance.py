@@ -481,11 +481,11 @@ def run_bundled(scenario, script_name, seed):
 # sha256 of each bundled script's event log (the --log file) at seed 42
 GOLDEN_LOGS = {
     "example1_monitoring.script":
-        "c4126670fe8ed7f42c830c8e277a49737624d04ffe5ca7c3f08e088e8eefe485",
+        "76a3511e2ab3d01a447809844d5b2b8d2165b6537501fcc61617737033cc0c81",
     "example2_datacentric.script":
-        "77a36946a64fc3c0b34c2e642bc5b5abd38927a98bb3ef86458215a27407af74",
+        "94bf83ca1212a19521b9a55a19049144fe7f66aef5387b72c83b2ec534d7f9b2",
     "example3_emergency.script":
-        "1f565d9e950713b42cc639473bf64d0cb952333858d3b634d9d7f5b15dd6873c",
+        "4a6c1cc31047d0f73e0742e645168af992b9571487e07e7055e99823b3eba113",
 }
 
 
@@ -543,8 +543,8 @@ cat /network/cluster2/sensors/s8/reading
 cat /network/cluster2/sensors/s8/reading"""
 
 # sha256 of LOSSY_SESSION's transcript and of its whole event log
-LOSSY_GOLDEN = ("cf63e529e1423b84e279339a0b47b10bfffa4d1a32528313b3f1503da128463c",
-                "e9e48d0b66ef06e95c8c211809ceedf64cbecebe6e86e0b3f6bef6662e604722")
+LOSSY_GOLDEN = ("b465d695968ca0e129bf34ef762c79ff4aaddb1711d9d264b3c9ca0d52b50aae",
+                "6bf828070dc1dbd9aeac29b4fd05cb07d4b54eabaeaead02bd3c35b3c366224e")
 
 
 def test_lossy_session_is_golden():

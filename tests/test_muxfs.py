@@ -124,9 +124,9 @@ def test_member_slowed_after_the_head_was_built_is_discovered():
 
 
 def test_reprobe_after_a_lost_info_read_clunks_the_kept_fid():
-    # s1's first answer to an info read is lost: s1 is excluded with its
-    # info fid open, and the next probe clunks that fid before it attaches
-    # its own, so s1 ends up holding the head's info fid alone
+    # s1's first answer to an info read is lost: s1 is excluded, and the
+    # probe clunks both its fids as it gives up; the next probe discovers
+    # s1 and clunks its own, so s1 ends up holding no fid of the head's
     net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1, warmup=0,
                                 mux_cfg=MuxConfig(reprobe_ticks=100))
     send, lost = net.send, []
@@ -142,7 +142,36 @@ def test_reprobe_after_a_lost_info_read_clunks_the_kept_fid():
     log = net.log.text()
     assert "\tmux-excluded\tc.head\ts1\tinfo unreadable" in log
     assert "\tmux-discovered\tc.head\ts1\t" in log
-    assert device_fid_files(net, "s1") == [("mux", "info")]
+    assert device_fid_files(net, "s1") == []
+
+
+# every reply of a probe but its clunks': one Rattach and one Rwalk, the
+# Ropen of info and of the root, the Rread of info and the two of the root
+@pytest.mark.parametrize("kind,nth", [
+    (wire.Rattach, 1), (wire.Rwalk, 1), (wire.Ropen, 1), (wire.Ropen, 2),
+    (Rread, 1), (Rread, 2), (Rread, 3),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_lost_discovery_reply_leaves_the_member_no_fid(kind, nth):
+    # the nth reply of that kind from s1 is lost: the probe gives up and
+    # clunks every fid s1 may have bound for it, the re-probe discovers s1
+    # and clunks its own
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1, warmup=0,
+                                mux_cfg=MuxConfig(reprobe_ticks=100))
+    send, seen, lost = net.send, [], []
+
+    def lose_nth(src, dst, frame):
+        if src == "s1" and isinstance(wire.decode_message(frame), kind):
+            seen.append(frame)
+            if len(seen) == nth:
+                lost.append(frame)
+                return
+        send(src, dst, frame)
+
+    net.send = lose_nth
+    net.run_until(150)
+    assert len(lost) == 1
+    assert net.log.text().count("\tmux-discovered\tc.head\ts1\t") == 1
+    assert device_fid_files(net, "s1") == []
 
 
 def test_shared_config_is_left_unchanged():
@@ -296,8 +325,8 @@ def device_fids(net, dev):
 
 def test_concurrent_first_reads_share_one_device_fid():
     # five reads race on a fresh relayed fid: one attach, walk and open
-    # serve them all, and the clunk leaves only the head's info fid and
-    # the admin root bound on the device
+    # serve them all, and the clunk leaves only the admin root bound on
+    # the device
     net, mux, _ = build_cluster([temp_sensor(1, 20.9)], latency=1,
                                 mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
     net.set_link(mux.eid, "s1", LinkModel(latency=50), both_ways=True)
@@ -311,7 +340,7 @@ def test_concurrent_first_reads_share_one_device_fid():
     assert net.log.text().count("\tsend\tc.head\ts1\tTwalk") == 2   # info, reading
     client.call(mux_ref(mux), tclunk(fid))
     net.run_until(net.now + 200)
-    assert device_fids(net, "s1") == 2
+    assert device_fids(net, "s1") == 1
     assert mux.relayed == {}
 
 
@@ -326,7 +355,7 @@ def test_clunk_while_opening_clunks_the_device_fid():
     client.call(mux_ref(mux), tclunk(fid))
     net.run_until(net.now + 1000)
     assert mux.relayed == {}
-    assert device_fids(net, "s1") == 2        # the head's info fid and the admin root
+    assert device_fids(net, "s1") == 1        # the admin root
 
 
 def test_lost_ropen_of_a_relayed_open_clunks_the_device_fid():
@@ -338,7 +367,7 @@ def test_lost_ropen_of_a_relayed_open_clunks_the_device_fid():
     client = make_client(net)
     assert client.read(mux_ref(mux), "sensors/s1/reading") == b"20.900000\n"
     net.run_until(net.now + 10)            # the head's device clunk lands
-    baseline = device_fids(net, "s1")      # the head's info fid and the admin root
+    baseline = device_fids(net, "s1")      # the admin root
     send, lost = net.send, []
 
     def lose_ropen(src, dst, frame):

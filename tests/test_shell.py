@@ -114,6 +114,18 @@ def test_cd_pwd_relative_paths(sh):
     sh.run_line("cd /")
 
 
+@pytest.mark.parametrize("path", [
+    "/network/cluster1/nosuch", "/network/cluster1/sensors/s1/reading", "/nowhere",
+])
+def test_cd_refuses_what_is_not_a_directory(sh, path):
+    sh.run_line("cd /network/cluster1")
+    assert sh.run_line("cd " + path) == (1, "error: no such directory " + path)
+    assert sh.run_line("pwd") == (0, "/network/cluster1")
+    assert sh.run_line("cd sensors/s1") == (0, "")      # a directory on the server
+    assert sh.run_line("cd /network") == (0, "")        # a directory of mounts alone
+    sh.run_line("cd /")
+
+
 def test_cat_and_write(sh):
     _, out = sh.run_line("cat /network/cluster1/sensors/s1/reading")
     assert out == "20.900000"

@@ -286,8 +286,8 @@ def test_resource_band_listing_reads_each_info_once(monkeypatch):
 def test_resource_view_over_a_hundred_members(monkeypatch):
     # a listing asks the head one query for every member's energy, so the
     # client's session on the head holds its root and one ctl fid at most,
-    # and each member holds the head's info and remaining-energy fids, and
-    # no root
+    # and each member holds the head's remaining-energy fid alone, and no
+    # root
     net, mux, states, client, table = wired(
         [temp_sensor(i, 1.0, energy_j=(5.0, 50.0, 500.0)[i % 3]) for i in range(100)])
     view = build_resource_view(client, table, 10.0, 100.0)
@@ -307,7 +307,7 @@ def test_resource_view_over_a_hundred_members(monkeypatch):
     assert client.ls(("local", view), "energy/unknown") == []
     assert peak[0] == 2
     for dev in states:
-        assert device_fid_files(net, dev) == [("mux", "info"), ("mux", "remaining-energy")]
+        assert device_fid_files(net, dev) == [("mux", "remaining-energy")]
 
 
 def test_unreachable_member_alone_is_unknown():
@@ -473,10 +473,10 @@ def quiet_zoo():
     return sim, shell
 
 
-def test_zoo_discovery_leaves_each_device_its_info_fid_alone():
+def test_zoo_discovery_leaves_no_fid_on_any_device():
     sim, _ = quiet_zoo()
     for dev in sim.states:
-        assert device_fid_files(sim.net, dev) == [("mux", "info")]
+        assert device_fid_files(sim.net, dev) == []
 
 
 def test_zoo_second_band_listing_reads_each_member_once():
