@@ -266,12 +266,12 @@ def on_fid(conn, uname, path, use):
 
 def read_file(conn, uname, path, isdir=False):
     """Step: the bytes of the file at path (with isdir, of a directory, else
-    the error 'not a directory'): walk, open, read to end of file and
-    clunk."""
+    the error 'not a directory'; without, a directory is the error 'is a
+    directory'): walk, open, read to end of file and clunk."""
     def use(fid):
         r = yield lambda t: Topen(t, fid, OREAD)
-        if isdir and not r.qid.is_dir:
-            raise ClientError("not a directory")
+        if isdir != r.qid.is_dir:
+            raise ClientError("not a directory" if isdir else "is a directory")
         return (yield from read_all(fid))
     return on_fid(conn, uname, path, use)
 
@@ -397,8 +397,8 @@ class FileClient:
         return self._one(ref, request(build))
 
     def read(self, ref, relpath, isdir=False) -> bytes:
-        """The bytes of a file; with isdir, of a directory, else the
-        error 'not a directory'."""
+        """The bytes of a file, else the error 'is a directory'; with isdir,
+        of a directory, else the error 'not a directory'."""
         return self._one(ref, read_file(self._conn(ref), self.uname, relpath, isdir))
 
     def read_many(self, targets) -> list:

@@ -15,7 +15,20 @@ group) or read queries; a plain read of ctl returns the member index,
 each discovered member's info text as read at discovery, so views learn
 every member without a device frame.  info is static on a device, so it
 is read once: the head probes each member not yet discovered, again every
-reprobe_ticks while any is missing, and sends nothing once all are found.
+reprobe_ticks while any is missing, and sends nothing once all are found;
+a probe that read info and then failed keeps it, and the next only lists
+the root.
+
+An aggregate's question is asked at the open, as a Plan 9 server may act
+on Topen (the clone files do): opening an aggrData file starts its
+fan-out, with that tick as the tick asked, so the members' round trip
+overlaps the client's Ropen and Tread.  The outcome is kept per client
+fid entry (answers), as relayed keeps device fids: the fid's first read
+at offset 0 takes it, waiting on its Flight if it has not landed, and
+later offsets read that snapshot; every later offset-0 read asks again.
+An error (no members, no such aggregation, every member silent) answers
+that read, not the open, and a clunk before it drops the entry while the
+fan-out still lands in the value cache.
 
 A query is Plan 9's query-file idiom (as /net/cs): a client opens ctl
 ORDWR, writes `read FILE [ID ...]` and reads the answer on the same fid.
@@ -118,7 +131,7 @@ class DeviceLink(Conn):
         self.open_fids = {}        # path -> the head's kept fid: a mux attach opened OREAD
         self.cache = {}            # path -> (bytes, stamp) of its last offset-0 read
         self.written = -1          # tick its last relayed write ended: older copies are stale
-        self.info = ""             # the device's info text, as read at discovery
+        self.info = None           # the device's info text, once a probe has read it
         self.meta = {}             # kind, tags, position parsed from info
         self.probing = False       # a discovery probe is in flight
         self.poll = None           # the pending report-rate poll Event
@@ -136,6 +149,8 @@ class Multiplexer(Server):
         self.groups = {}           # group name -> its directory
         self.remote = {}           # mirrored device node -> (DeviceLink, relpath)
         self.relayed = {}          # client fid entry -> device fid it reads through
+        self.aggregates = {}       # aggregate file node -> its AggregateSpec
+        self.answers = {}          # client fid entry -> its open's aggregate, or its Flight
 
         root = make_dir(cluster_name, 0o555)
         root.add(make_dir("sensors", 0o555,
@@ -231,24 +246,25 @@ class Multiplexer(Server):
                 self._clunk_remote(link, fid)
             self.net.log.add(self.net.now, "mux-probe-miss", self.eid, link.peer, "")
             return
-        info = stats = None
-        ifid = next(link.fids)
-        with suppress(FsError):         # refused, busy or a reply lost: excluded
-            if (yield lambda t: Twalk(t, fid, ifid, ("info",))).qids:
-                yield lambda t: Topen(t, ifid, OREAD)
-                info = (yield lambda t: Tread(t, ifid, 0, IOUNIT)).data
-        self._clunk_remote(link, ifid)
-        if info is not None:
+        stats = None
+        if link.info is None:           # a later probe goes on from the info read before
+            ifid = next(link.fids)
+            with suppress(FsError):     # refused, busy or a reply lost: excluded
+                if (yield lambda t: Twalk(t, fid, ifid, ("info",))).qids:
+                    yield lambda t: Topen(t, ifid, OREAD)
+                    link.info = (yield lambda t: Tread(t, ifid, 0, IOUNIT)).data.decode(
+                        errors="replace")
+                    link.meta = parse_info(link.info)
+            self._clunk_remote(link, ifid)
+        if link.info is not None:
             with suppress(FsError, wire.WireError):    # refused, a reply lost, or undecodable
                 yield lambda t: Topen(t, fid, OREAD)
                 stats = wire.decode_stats((yield from read_all(fid)))
         self._clunk_remote(link, fid)
         if stats is None:
             self.net.log.add(self.net.now, "mux-excluded", self.eid, link.peer,
-                             "info unreadable" if info is None else "listing unreadable")
+                             "info unreadable" if link.info is None else "listing unreadable")
             return
-        link.info = info.decode(errors="replace")
-        link.meta = parse_info(link.info)
         link.node = self._mirror_device(link, stats)
         self.net.log.add(self.net.now, "mux-discovered", self.eid, link.peer,
                          "kind=%s" % link.meta.get("kind", "?"))
@@ -315,8 +331,31 @@ class Multiplexer(Server):
         self.net.log.add(self.net.now, "mux-relay", self.eid, session.conn_key,
                          Hop(RELAYED[cached], msg.tag, msg.fid, path))
 
+    def t_open(self, session, msg):
+        qid = super().t_open(session, msg)
+        ent = session.fids[msg.fid]
+        spec = self.aggregates.get(ent.node)
+        if spec is not None:    # an aggregate is asked at the open: its fan-out starts now
+            try:
+                defer = self._aggregate_handler(spec, 0, IOUNIT)
+            except FsError:     # no aggregation or no members: the first read says so
+                return qid
+            flight = self.answers[ent] = Flight()
+            defer.start(partial(self._landed, ent, flight))
+        return qid
+
+    def _landed(self, ent, flight, outcome):
+        """An open's aggregate has ended: kept for the fid's first read, or
+        handed to that read if it is waiting; dropped if the fid was clunked."""
+        if self.answers.get(ent) is flight:
+            self.answers[ent] = outcome
+        for take in flight:
+            take(outcome)
+
     def t_read(self, session, msg):
         ent = session.get(msg.fid)
+        if msg.offset == 0 and ent in self.answers:
+            return self._take(ent, self.answers.pop(ent), min(msg.count, IOUNIT))
         remote = self.remote.get(ent.node)
         if remote is None or ent.open_mode is None:
             return super().t_read(session, msg)
@@ -356,6 +395,22 @@ class Multiplexer(Server):
 
         return Defer(lambda cb: self._spawn(link, chain(), self.cfg.fallback_ticks, cb))
 
+    @staticmethod
+    def _take(ent, have, count):
+        """Defer: the first read of ent, answered by its open's aggregate
+        once it has ended (have, or the Flight it lands on); a whole file is
+        kept as ent's snapshot for later offsets, as fscore keeps one."""
+        def take(done, outcome):
+            if isinstance(outcome, bytes):
+                if len(outcome) < IOUNIT:
+                    ent.data = outcome
+                outcome = outcome[:count]
+            done(outcome)
+
+        if isinstance(have, Flight):
+            return Defer(lambda done: have.append(partial(take, done)))
+        return Defer(lambda done: take(done, have))
+
     def t_write(self, session, msg):
         ent = session.get(msg.fid)
         remote = self.remote.get(ent.node)
@@ -381,6 +436,7 @@ class Multiplexer(Server):
 
     def t_clunk(self, session, msg):
         ent = session.fids.get(msg.fid)
+        self.answers.pop(ent, None)     # an unread aggregate still lands in the cache
         dfid = self.relayed.pop(ent, None)
         if dfid is not None:
             link = self.remote[ent.node][0]
@@ -397,9 +453,9 @@ class Multiplexer(Server):
     def add_aggregate(self, spec: AggregateSpec):
         if self.aggr_dir.lookup(spec.name) is not None:
             raise FsError("file already exists")
-        node = make_file(spec.name, 0o444)
-        node.read_handler = lambda off, cnt, s=spec: self._aggregate_handler(s, off, cnt)
-        self.aggr_dir.add(node)
+        node = self.aggr_dir.add(make_file(spec.name, 0o444, read=partial(
+            self._aggregate_handler, spec)))
+        self.aggregates[node] = spec
 
     def add_group(self, spec: GroupSpec):
         if spec.name in self.groups:
@@ -489,14 +545,14 @@ class Multiplexer(Server):
             if cmd == "rate" and args and int(args[0]) >= 0:
                 devices = args[1:] or [link.peer for link in self._discovered()]
                 self.set_report_rate(devices, int(args[0]))
-            elif cmd == "aggregate" and len(args) in (2, 3):
+            elif cmd == "aggregate" and len(args) in (2, 3) and args[1] in AGGREGATIONS:
                 self.add_aggregate(AggregateSpec(*args))
             elif cmd == "group" and len(args) == 2 and "=" in args[1]:
                 key, value = args[1].split("=", 1)
                 self.add_group(GroupSpec(args[0], key, value))
             else:
                 raise ValueError(cmd)
-        except ValueError:      # undecodable, empty, unknown, a bad number or name, or extra words
+        except ValueError:      # undecodable, empty, unknown, a bad number, name or fn, extra words
             raise FsError("bad ctl command")
         return len(data)
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .client import FileClient, receive
 from .devicefs import SensorState, make_device_server
 from .fscore import DEFAULT_USERS, Server
-from .muxfs import AggregateSpec, GroupSpec, MuxConfig, Multiplexer
+from .muxfs import AGGREGATIONS, AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from .simnet import DutyCycle, EnergyModel, LinkModel, Network
 from .views import GeoMap, Region, make_responder
 
@@ -126,6 +126,13 @@ def _positive(value):
     return number
 
 
+def _aggregation(name):
+    """The name of a function in muxfs.AGGREGATIONS."""
+    if name not in AGGREGATIONS:
+        raise ValueError("no such aggregation %r" % name)
+    return name
+
+
 def _source(spec):
     make_source(spec, "position")   # the laxest kind; _validate checks the sensor's own
     return spec
@@ -204,7 +211,7 @@ SECTIONS = {
     "aggregate": _Section(
         (2,), lambda cfg, names: _add(cfg.aggregates.setdefault(names[0], []), names[1],
                                       AggregateSpec(names[1], "avg")),
-        {"fn": ("fn_name", str), "kind": ("kind", str), "path": ("source_path", str)}),
+        {"fn": ("fn_name", _aggregation), "kind": ("kind", str), "path": ("source_path", str)}),
     "group": _Section(
         (2,), lambda cfg, names: _add(cfg.groups.setdefault(names[0], []), names[1],
                                       GroupSpec(names[1], "", "")),

@@ -98,6 +98,7 @@ _RECORD = struct.Struct("<QII")
 _FRAME = 1 << 31            # detail bit: the rest is a frame's wire.frame_head
 _HOP = 1 << 30              # detail bit: the rest numbers a hop record
 _HOP_RECORD = struct.Struct("<HII")     # a Hop's tag, fid and number of (fmt, path)
+_BLOCK = 4096 * _RECORD.size    # bytes per block of records (64 KiB)
 
 
 class Hop(namedtuple("Hop", "fmt tag fid path")):
@@ -125,10 +126,15 @@ class EventLog:
     its own record of tag, fid and interned (fmt, path); any other detail
     is the number of its interned text.  `lines` formats a record when it
     is read.
+
+    Records are kept in 64 KiB blocks, not one growing buffer: malloc maps
+    a buffer of megabytes on its own, and freeing one raises glibc's mmap
+    threshold, after which the next log's buffer regrows by copying inside
+    the heap, so a process's peak RSS moved by megabytes with its layout.
     """
 
     def __init__(self):
-        self._records = bytearray()
+        self._records = [bytearray()]   # blocks of records, each full but the last
         self._hops = bytearray()
         self._triple_ids = {}
         self._triples = []
@@ -151,7 +157,11 @@ class EventLog:
             self._hops += _HOP_RECORD.pack(tag, fid, self._number((fmt, path)))
         else:
             d = self._number(detail)
-        self._records += _RECORD.pack(tick, n, d)
+        records = self._records[-1]
+        if len(records) == _BLOCK:
+            records = bytearray()
+            self._records.append(records)
+        records += _RECORD.pack(tick, n, d)
 
     def _number(self, text):
         """The number of text (or a Hop's (fmt, path)), interned on first use."""
@@ -181,7 +191,7 @@ class LogLines(Sequence):
         self._hops = hops
 
     def __len__(self):
-        return len(self._records) // _RECORD.size
+        return ((len(self._records) - 1) * _BLOCK + len(self._records[-1])) // _RECORD.size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -194,7 +204,8 @@ class LogLines(Sequence):
         return self._line(i)
 
     def _line(self, i):
-        tick, n, d = _RECORD.unpack_from(self._records, i * _RECORD.size)
+        block, at = divmod(i * _RECORD.size, _BLOCK)
+        tick, n, d = _RECORD.unpack_from(self._records[block], at)
         event, src, dst = self._triples[n]
         if d & _FRAME:
             detail = head_summary(d & ~_FRAME)

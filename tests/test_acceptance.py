@@ -483,9 +483,9 @@ GOLDEN_LOGS = {
     "example1_monitoring.script":
         "76a3511e2ab3d01a447809844d5b2b8d2165b6537501fcc61617737033cc0c81",
     "example2_datacentric.script":
-        "94bf83ca1212a19521b9a55a19049144fe7f66aef5387b72c83b2ec534d7f9b2",
+        "d3a4e231b00f1a715b8a78b3d096fe0ce4dc989fc9e8684f31f8b29e05e0e72a",
     "example3_emergency.script":
-        "4a6c1cc31047d0f73e0742e645168af992b9571487e07e7055e99823b3eba113",
+        "5ff2440a8e234a4b7baa1c4e808d87c3601b87bcc02d71fd2039d3f5156859d3",
 }
 
 
@@ -543,8 +543,8 @@ cat /network/cluster2/sensors/s8/reading
 cat /network/cluster2/sensors/s8/reading"""
 
 # sha256 of LOSSY_SESSION's transcript and of its whole event log
-LOSSY_GOLDEN = ("b465d695968ca0e129bf34ef762c79ff4aaddb1711d9d264b3c9ca0d52b50aae",
-                "6bf828070dc1dbd9aeac29b4fd05cb07d4b54eabaeaead02bd3c35b3c366224e")
+LOSSY_GOLDEN = ("3edc26e7c5506070dc85d84aa8f54e80986ecd280ae033fbd911395e9e668680",
+                "09f879d659b4252b5398618bcb85824d705596f99f0726fdf1ae8f7261785718")
 
 
 def test_lossy_session_is_golden():

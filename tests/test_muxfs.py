@@ -6,7 +6,7 @@ import re
 import pytest
 
 from sensefs import muxfs, wire
-from sensefs.client import ClientError, FileClient, read_all
+from sensefs.client import ClientError, FileClient, Flight, read_all
 from sensefs.devicefs import FILE_ORDER, MEM_SIZE, parse_infos
 from sensefs.muxfs import MAX_PENDING, AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from sensefs.simnet import DutyCycle, Event, LinkModel, Network
@@ -28,6 +28,12 @@ def tread(fid, offset=0, count=IOUNIT):
 
 def tclunk(fid):
     return lambda t: Tclunk(t, fid)
+
+
+def sends(net, since):
+    """(src, dst, message type) of each frame sent after log line since."""
+    return [(src, dst, detail.split()[0]) for _, event, src, dst, detail in
+            (line.split("\t") for line in net.log.lines[since:]) if event == "send"]
 
 
 # -- discovery -------------------------------------------------------------
@@ -154,8 +160,9 @@ def test_reprobe_after_a_lost_info_read_clunks_the_kept_fid():
 def test_lost_discovery_reply_leaves_the_member_no_fid(kind, nth):
     # the nth reply of that kind from s1 is lost: the probe gives up and
     # clunks every fid s1 may have bound for it, the re-probe discovers s1
-    # and clunks its own
-    net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1, warmup=0,
+    # and clunks its own; a probe that read info keeps it, so only a reply
+    # lost on the way to info (its walk, open or read) walks to it again
+    net, mux, states = build_cluster([temp_sensor(1, 1.0)], latency=1, warmup=0,
                                 mux_cfg=MuxConfig(reprobe_ticks=100))
     send, seen, lost = net.send, [], []
 
@@ -172,6 +179,9 @@ def test_lost_discovery_reply_leaves_the_member_no_fid(kind, nth):
     assert len(lost) == 1
     assert net.log.text().count("\tmux-discovered\tc.head\ts1\t") == 1
     assert device_fid_files(net, "s1") == []
+    info_lost = (kind, nth) in ((wire.Rwalk, 1), (wire.Ropen, 1), (Rread, 1))
+    assert sends(net, 0).count((mux.eid, "s1", "Twalk")) == 1 + info_lost
+    assert mux.links["s1"].info == states["s1"].info_text()
 
 
 def test_shared_config_is_left_unchanged():
@@ -696,6 +706,117 @@ def test_aggregate_excludes_a_silent_members_value_past_the_ttl():
     assert "\tmux-aggregate\t" not in log
 
 
+# -- an aggregate is asked at the open ---------------------------------------
+
+def aggregate_at_open(**cfg):
+    """A head (latency 1) over s1, s2 and s3 (21, 22, 23) whose avgT was
+    read once, so each member's reading is open on a kept fid, and whose
+    copies have all aged past the ttl (30).  Returns (net, mux, states,
+    client)."""
+    net, mux, states = build_cluster(
+        [temp_sensor(i, 20.0 + i) for i in (1, 2, 3)], latency=1,
+        mux_cfg=MuxConfig(reprobe_ticks=10 ** 6, **cfg),
+        aggregates=[AggregateSpec("avgT", "avg")])
+    client = make_client(net)
+    assert client.read(mux_ref(mux), "aggrData/avgT") == b"22.000000\n# n=3/3\n"
+    net.run_until(net.now + 31)
+    return net, mux, states, client
+
+
+def test_aggregate_cat_overlaps_the_fan_out_with_the_open():
+    # walk 2 + open 2 + read 2 + end-of-file read 2 + clunk 2: the members'
+    # round trip runs while the Ropen and the Tread are on the wire
+    net, mux, _, client = aggregate_at_open()
+    t0, since = net.now, len(net.log.lines)
+    assert client.read(mux_ref(mux), "aggrData/avgT") == b"22.000000\n# n=3/3\n"
+    assert net.now - t0 == 10
+    assert len([f for f in sends(net, since) if "client" in f[:2]]) == 10
+    assert member_frames(net, mux, since, ("s1", "s2", "s3")) == ["Rread"] * 3 + ["Tread"] * 3
+    assert mux.answers == {}
+
+
+def test_member_treads_leave_the_head_before_its_ropen():
+    net, mux, _, client = aggregate_at_open()
+    since = len(net.log.lines)
+    client.read(mux_ref(mux), "aggrData/avgT")
+    frames = sends(net, since)
+    ropen = frames.index((mux.eid, "client", "Ropen"))
+    treads = [i for i, f in enumerate(frames) if f[0] == mux.eid and f[2] == "Tread"]
+    assert len(treads) == 3 and max(treads) < ropen
+
+
+def test_a_read_before_a_slow_member_answers_waits_for_it():
+    # the open reaches the head at tick 3 and s1 answers at 23; the
+    # client's Tread, in at 5, waits for s1 and is answered at 24, then
+    # the end-of-file read and the clunk take 4 more
+    net, mux, _, client = aggregate_at_open(discover_timeout=50)
+    net.set_link(mux.eid, "s1", LinkModel(latency=10), both_ways=True)
+    t0, since = net.now, len(net.log.lines)
+    assert client.read(mux_ref(mux), "aggrData/avgT") == b"22.000000\n# n=3/3\n"
+    assert net.now - t0 == 28
+    lines = [line.split("\t")[1:4] for line in net.log.lines[since:]]
+    asked = lines.index(["deliver", "client", mux.eid])
+    asked = lines.index(["deliver", "client", mux.eid], asked + 2)     # walk, open, then read
+    assert lines.index(["deliver", "s1", mux.eid]) > asked
+    assert "\tmux-aggregate\t" not in "".join(net.log.lines[since:])
+
+
+def test_each_later_offset_zero_read_on_the_fid_fans_out_again():
+    net, mux, _, client = aggregate_at_open()
+    fid = open_fid(client, mux_ref(mux), "aggrData/avgT")
+    assert client.call(mux_ref(mux), tread(fid)).data == b"22.000000\n# n=3/3\n"
+    net.run_until(net.now + 31)
+    since = len(net.log.lines)
+    assert client.call(mux_ref(mux), tread(fid)).data == b"22.000000\n# n=3/3\n"
+    assert member_frames(net, mux, since, ("s1", "s2", "s3")) == ["Rread"] * 3 + ["Tread"] * 3
+    assert client.call(mux_ref(mux), tread(fid, offset=17)).data == b"\n"
+    client.call(mux_ref(mux), tclunk(fid))
+
+
+def test_clunk_before_the_read_drops_the_answer_and_the_fan_out_still_lands():
+    # s1 answers the open's fan-out after the clunk, and its copy is kept
+    net, mux, _, client = aggregate_at_open(discover_timeout=50)
+    net.set_link(mux.eid, "s1", LinkModel(latency=10), both_ways=True)
+    fid = open_fid(client, mux_ref(mux), "aggrData/avgT")
+    opened = net.now
+    assert [type(have) for have in mux.answers.values()] == [Flight]
+    client.call(mux_ref(mux), tclunk(fid))
+    assert mux.answers == {}
+    net.run_until(net.now + 30)
+    assert mux.answers == {}
+    assert all(link.cache["reading"][1] >= opened for link in mux.links.values())
+
+
+@pytest.mark.parametrize("members, fn, error", [
+    ([], "avg", "no members"),
+    ([temp_sensor(1, 1.0)], "nonesuch", "no such aggregation"),
+])
+def test_an_aggregate_error_answers_the_read_not_the_open(members, fn, error):
+    net, mux, _ = build_cluster(members, aggregates=[AggregateSpec("x", fn)])
+    client = make_client(net)
+    fid = open_fid(client, mux_ref(mux), "aggrData/x")
+    assert mux.answers == {}
+    with pytest.raises(ClientError, match=error):
+        client.call(mux_ref(mux), tread(fid))
+
+
+def test_a_lost_member_reply_still_gives_the_trailer():
+    # s2's Rread to the open's fan-out is lost: the head waits out its
+    # discover_timeout and answers from the two members that did answer
+    net, mux, _, client = aggregate_at_open()
+    send, lost = net.send, []
+
+    def lose_s2_rread(src, dst, frame):
+        if src == "s2" and not lost and isinstance(wire.decode_message(frame), Rread):
+            lost.append(frame)
+            return
+        send(src, dst, frame)
+
+    net.send = lose_s2_rread
+    assert client.read(mux_ref(mux), "aggrData/avgT") == b"22.000000\n# n=2/3\n"
+    assert len(lost) == 1
+
+
 # -- groups -------------------------------------------------------------------
 
 def test_group_membership_by_tag():
@@ -766,6 +887,17 @@ def test_ctl_duplicate_aggregate_is_rerror():
         client.write(mux_ref(mux), "ctl", b"aggregate x avg temperature extra junk")
     assert [s.name for s in client.ls(mux_ref(mux), "aggrData")] == ["avgT"]
     assert client.read(mux_ref(mux), "aggrData/avgT").splitlines()[0] == b"4.500000"
+
+
+def test_ctl_unknown_aggregation_is_rerror():
+    # an fn not in muxfs.AGGREGATIONS is refused, so no file is listed that
+    # could only ever answer `no such aggregation`
+    net, mux, _ = build_cluster([temp_sensor(1, 4.5)])
+    client = make_client(net)
+    with pytest.raises(ClientError, match="bad ctl command"):
+        client.write(mux_ref(mux), "ctl", b"aggregate foo median")
+    assert client.ls(mux_ref(mux), "aggrData") == []
+    assert mux.aggregates == {}
 
 
 def test_ctl_duplicate_group_is_rerror():

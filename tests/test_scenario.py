@@ -99,9 +99,12 @@ def test_header_error_at_its_line(text, error):
     ("[geo]\nm_per_deg = -111000\n", "line 2: bad value for 'm_per_deg'"),
     ("[geo]\nm_per_deg = nan\n", "line 2: bad value for 'm_per_deg'"),
     ("[geo]\nm_per_deg = -inf\n", "line 2: bad value for 'm_per_deg'"),
+    ("[cluster c]\n[aggregate c a]\nkind = temperature\nfn = median\n",
+     "line 4: bad value for 'fn': no such aggregation 'median'"),
 ], ids=["latency", "loss", "jitter", "pair-latency", "pair-loss", "duty-empty", "duty-words",
         "ramp-args", "source-kind", "table-empty", "cell-zero", "cell-negative", "cell-nan",
-        "cell-inf", "m_per_deg-zero", "m_per_deg-negative", "m_per_deg-nan", "m_per_deg-inf"])
+        "cell-inf", "m_per_deg-zero", "m_per_deg-negative", "m_per_deg-nan", "m_per_deg-inf",
+        "aggregate-fn"])
 def test_bad_value_at_its_line(text, error):
     with pytest.raises(ScenarioError, match=re.escape(error)):
         parse_scenario(text)

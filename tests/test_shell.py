@@ -83,6 +83,19 @@ def test_ls_of_a_file_is_not_a_directory(path):
                               "sensefs> cluster1\ncluster2\nsensefs> ")
 
 
+@pytest.mark.parametrize("path", [
+    "/network/cluster1",                            # a head directory
+    "/network/cluster1/sensors/s1",                 # a mirrored sensor directory
+    "/location/region-10",                          # a view directory
+])
+def test_cat_of_a_directory_is_a_directory(path):
+    shell = zoo_shell()
+    shell.run_line("mount /dev/network /network")
+    shell.run_line("view build location")
+    assert shell.run_line("cat " + path) == (1, "error: is a directory")
+    assert shell.run_line("cat /network/cluster1/sensors/s1/reading") == (0, "20.900000")
+
+
 @pytest.mark.parametrize("path, status, names", [
     ("/nowhere", 1, "error: not found"),
     ("/network/cluster1/nope", 1, "error: no such file"),

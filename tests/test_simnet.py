@@ -377,6 +377,22 @@ def test_packed_log_reads_back_as_the_string_log(recs, data):
             assert fh.read() == ref.text().encode()
 
 
+def test_log_reads_back_across_its_blocks():
+    # two full 64 KiB blocks of records and part of a third: every line,
+    # slice and the text read back as the string log's
+    log, ref = EventLog(), ReferenceLog()
+    for i in range(2 * 4096 + 17):
+        for each in (log, ref):
+            each.add(i, "send", "a", "b%d" % (i % 3), FRAME if i % 2 else "x%d" % (i % 5))
+    lines, want = log.lines, ref.lines
+    assert len(lines) == len(want) == 8209
+    for i in (0, 4095, 4096, 8191, 8192, -1):
+        assert lines[i] == want[i]
+    assert lines[4000:4200] == want[4000:4200]
+    assert lines[::-997] == want[::-997]
+    assert log.text() == ref.text()
+
+
 def test_log_iteration_leaves_adds_open():
     log = EventLog()
     log.add(1, "send", "a", "b", FRAME)
