@@ -13,11 +13,15 @@ and later offsets are served from that, so reading to end of file runs
 a handler once.  Every read at offset 0 generates afresh, and a write
 through the fid drops what it kept.
 
-A write may also be a question (the query-file idiom of Plan 9's
-/net/cs): a write handler that returns bytes, or a Defer landing on
-bytes, answers the write, and the answer is kept for the fid's next read
-at offset 0, which serves it in place of the read handler.  The answer
-belongs to that fid alone, so no server needs a table keyed by fid.
+A fid's answer may be asked ahead of its read: by a write that is a
+question (the query-file idiom of Plan 9's /net/cs: a write handler that
+returns bytes, or a Defer landing on bytes, answers the write), or by a
+server at the open (a started Defer, which may still be in flight).  The
+fid's next read at offset 0 serves the answer in place of the read
+handler, waiting for it if it has not landed, and keeps it whole for
+later offsets; an FsError answers that read and keeps nothing.  The
+answer belongs to that fid alone, so no server needs a table keyed by
+fid, and a clunk drops it with the fid.
 """
 
 from __future__ import annotations
@@ -57,6 +61,20 @@ class Defer:
 
     def __init__(self, start):
         self.start = start
+
+
+def started(defer) -> Defer:
+    """defer, started now: a Defer of its outcome that hands it to a
+    reader at once if it has already landed, and otherwise when it lands."""
+    landed, waiting = [], []
+
+    def land(outcome):
+        landed.append(outcome)
+        for done in waiting:
+            done(outcome)
+
+    defer.start(land)
+    return Defer(lambda done: done(landed[0]) if landed else waiting.append(done))
 
 
 class Node:
@@ -157,7 +175,7 @@ class _Fid:
         self.dir_offset = 0        # next valid directory read offset
         self.dir_index = 0
         self.data = None           # what the read at offset 0 generated
-        self.answer = None         # what the last write answered, until read
+        self.answer = None         # the answer asked ahead of the next offset-0 read
 
 
 class Session:
@@ -307,16 +325,14 @@ class Server:
             if ent.data is None:
                 return node.read_handler(msg.offset, count)
             return ent.data[msg.offset:msg.offset + count]
-        if ent.answer is not None:
-            ent.data, ent.answer = ent.answer, None
-            return ent.data[:count]
-        ent.data = None
-        result = node.read_handler(0, count)
+        answer, ent.answer, ent.data = ent.answer, None, None
+        result = node.read_handler(0, count) if answer is None else answer
 
         def keep(data):
-            # a reply short of the count is the whole file
-            if isinstance(data, bytes) and len(data) < count:
+            # an answer is the whole file, and so is a reply short of the count
+            if isinstance(data, bytes) and (answer is not None or len(data) < count):
                 ent.data = data
+                return data[:count]
             return data
 
         if isinstance(result, Defer):

@@ -22,13 +22,13 @@ the root.
 An aggregate's question is asked at the open, as a Plan 9 server may act
 on Topen (the clone files do): opening an aggrData file starts its
 fan-out, with that tick as the tick asked, so the members' round trip
-overlaps the client's Ropen and Tread.  The outcome is kept per client
-fid entry (answers), as relayed keeps device fids: the fid's first read
-at offset 0 takes it, waiting on its Flight if it has not landed, and
-later offsets read that snapshot; every later offset-0 read asks again.
-An error (no members, no such aggregation, every member silent) answers
-that read, not the open, and a clunk before it drops the entry while the
-fan-out still lands in the value cache.
+overlaps the client's Ropen and Tread.  The outcome is the fid's answer
+(fscore): the fid's first read at offset 0 takes it, waiting for it if it
+has not landed, and later offsets read that snapshot; every later
+offset-0 read asks again.  An error (no members, no such aggregation,
+every member silent) answers that read, not the open, and a clunk before
+it drops the answer with the fid while the fan-out still lands in the
+value cache.
 
 A query is Plan 9's query-file idiom (as /net/cs): a client opens ctl
 ORDWR, writes `read FILE [ID ...]` and reads the answer on the same fid.
@@ -84,7 +84,7 @@ from .client import (
 )
 from .devicefs import parse_info
 from .wire import IOUNIT, OREAD, OWRITE, ORDWR, Tattach, Twalk, Topen, Tread, Twrite, Tclunk
-from .fscore import Defer, FsError, Node, Server, make_dir, make_file
+from .fscore import Defer, FsError, Node, Server, make_dir, make_file, started
 from .simnet import Hop
 
 MAX_PENDING = 32
@@ -149,8 +149,6 @@ class Multiplexer(Server):
         self.groups = {}           # group name -> its directory
         self.remote = {}           # mirrored device node -> (DeviceLink, relpath)
         self.relayed = {}          # client fid entry -> device fid it reads through
-        self.aggregates = {}       # aggregate file node -> its AggregateSpec
-        self.answers = {}          # client fid entry -> its open's aggregate, or its Flight
 
         root = make_dir(cluster_name, 0o555)
         root.add(make_dir("sensors", 0o555,
@@ -334,30 +332,15 @@ class Multiplexer(Server):
     def t_open(self, session, msg):
         qid = super().t_open(session, msg)
         ent = session.fids[msg.fid]
-        spec = self.aggregates.get(ent.node)
-        if spec is not None:    # an aggregate is asked at the open: its fan-out starts now
-            try:
-                defer = self._aggregate_handler(spec, 0, IOUNIT)
-            except FsError:     # no aggregation or no members: the first read says so
-                return qid
-            flight = self.answers[ent] = Flight()
-            defer.start(partial(self._landed, ent, flight))
+        if self.aggr_dir.lookup(ent.node.name) is ent.node:     # an aggregate: asked now
+            with suppress(FsError):     # no aggregation or no members: the first read says so
+                ent.answer = started(ent.node.read_handler(0, IOUNIT))
         return qid
-
-    def _landed(self, ent, flight, outcome):
-        """An open's aggregate has ended: kept for the fid's first read, or
-        handed to that read if it is waiting; dropped if the fid was clunked."""
-        if self.answers.get(ent) is flight:
-            self.answers[ent] = outcome
-        for take in flight:
-            take(outcome)
 
     def t_read(self, session, msg):
         ent = session.get(msg.fid)
-        if msg.offset == 0 and ent in self.answers:
-            return self._take(ent, self.answers.pop(ent), min(msg.count, IOUNIT))
         remote = self.remote.get(ent.node)
-        if remote is None or ent.open_mode is None:
+        if remote is None or ent.open_mode not in (OREAD, ORDWR):
             return super().t_read(session, msg)
         link, path = remote
         dev = link.peer
@@ -395,26 +378,10 @@ class Multiplexer(Server):
 
         return Defer(lambda cb: self._spawn(link, chain(), self.cfg.fallback_ticks, cb))
 
-    @staticmethod
-    def _take(ent, have, count):
-        """Defer: the first read of ent, answered by its open's aggregate
-        once it has ended (have, or the Flight it lands on); a whole file is
-        kept as ent's snapshot for later offsets, as fscore keeps one."""
-        def take(done, outcome):
-            if isinstance(outcome, bytes):
-                if len(outcome) < IOUNIT:
-                    ent.data = outcome
-                outcome = outcome[:count]
-            done(outcome)
-
-        if isinstance(have, Flight):
-            return Defer(lambda done: have.append(partial(take, done)))
-        return Defer(lambda done: take(done, have))
-
     def t_write(self, session, msg):
         ent = session.get(msg.fid)
         remote = self.remote.get(ent.node)
-        if remote is None or ent.open_mode is None:
+        if remote is None or ent.open_mode not in (OWRITE, ORDWR):
             if ent.node is self.ctl and ent.open_mode in (OWRITE, ORDWR):
                 return self.written(ent, self._write_ctl(ent.uname, msg.data), len(msg.data))
             return super().t_write(session, msg)
@@ -436,7 +403,6 @@ class Multiplexer(Server):
 
     def t_clunk(self, session, msg):
         ent = session.fids.get(msg.fid)
-        self.answers.pop(ent, None)     # an unread aggregate still lands in the cache
         dfid = self.relayed.pop(ent, None)
         if dfid is not None:
             link = self.remote[ent.node][0]
@@ -453,9 +419,7 @@ class Multiplexer(Server):
     def add_aggregate(self, spec: AggregateSpec):
         if self.aggr_dir.lookup(spec.name) is not None:
             raise FsError("file already exists")
-        node = self.aggr_dir.add(make_file(spec.name, 0o444, read=partial(
-            self._aggregate_handler, spec)))
-        self.aggregates[node] = spec
+        self.aggr_dir.add(make_file(spec.name, 0o444, read=partial(self._aggregate_handler, spec)))
 
     def add_group(self, spec: GroupSpec):
         if spec.name in self.groups:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sensefs import wire
 from sensefs.fscore import (
-    Defer, FsError, Node, Server, UserDb, make_dir, make_file,
+    Defer, FsError, Node, Server, UserDb, make_dir, make_file, started,
 )
 from sensefs.wire import (
     OREAD, OWRITE, ORDWR, QDIR, DMDIR,
@@ -219,6 +219,48 @@ def test_write_answer_is_read_back_on_its_fid_only():
     assert box == [Rwrite(50, 5)]
     assert conn.ok(lambda t: Tread(t, f2, 0, 100), Rread).data == b"late answer\n"
     assert conn.ok(lambda t: Tread(t, f1, 0, 100), Rread).data == b"index\n"
+
+
+def test_an_answer_started_at_the_open_is_the_first_reads():
+    # a server may ask a fid's answer at its open (started): the first read
+    # at offset 0 takes it, at once if it has landed and when it lands if
+    # not; it is kept whole for later offsets, an FsError answers that read
+    # and keeps nothing, and the next read at offset 0 is the handler's
+    asked = []
+
+    class Asking(Server):
+        def t_open(self, session, msg):
+            qid = super().t_open(session, msg)
+            session.fids[msg.fid].answer = started(Defer(asked.append))
+            return qid
+
+    root = make_dir("root")
+    calls = []
+    root.add(make_file("f", 0o444, read=lambda off, cnt: calls.append(off) or
+                       b"handler\n"[off:off + cnt]))
+    server = Asking(root, USERS)
+    conn = Conn(server)
+    conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
+    f1 = walk_open(conn, ["f"], fid=1)
+    asked.pop()(b"early answer\n")
+    assert conn.ok(lambda t: Tread(t, f1, 0, 5), Rread).data == b"early"
+    assert conn.ok(lambda t: Tread(t, f1, 5, 100), Rread).data == b" answer\n"
+    assert calls == []
+    assert conn.ok(lambda t: Tread(t, f1, 0, 100), Rread).data == b"handler\n"
+    assert calls == [0]
+    f2 = walk_open(conn, ["f"], fid=2)
+    box = []
+    server.dispatch(conn.key, Tread(50, f2, 0, 100), box.append)
+    assert box == []
+    asked.pop()(b"late answer\n")
+    assert box == [Rread(50, b"late answer\n")]
+    assert conn.ok(lambda t: Tread(t, f2, 5, 100), Rread).data == b"answer\n"
+    f3 = walk_open(conn, ["f"], fid=3)
+    asked.pop()(FsError("no members"))
+    conn.err(lambda t: Tread(t, f3, 0, 100), "no members")
+    assert server.sessions[conn.key].fids[f3].data is None
+    assert conn.ok(lambda t: Tread(t, f3, 0, 100), Rread).data == b"handler\n"
+    assert calls == [0, 0]
 
 
 def test_directory_read_lists_children_in_order():

@@ -6,11 +6,11 @@ import re
 import pytest
 
 from sensefs import muxfs, wire
-from sensefs.client import ClientError, FileClient, Flight, read_all
+from sensefs.client import ClientError, FileClient, read_all
 from sensefs.devicefs import FILE_ORDER, MEM_SIZE, parse_infos
 from sensefs.muxfs import MAX_PENDING, AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from sensefs.simnet import DutyCycle, Event, LinkModel, Network
-from sensefs.wire import IOUNIT, ORDWR, OWRITE, Rerror, Rread, Tclunk, Tread, Twrite
+from sensefs.wire import IOUNIT, OREAD, ORDWR, OWRITE, Rerror, Rread, Tclunk, Tread, Twrite
 
 from sensefs.scenario import load_scenario_file
 
@@ -260,6 +260,25 @@ def test_mem_bound_error_via_mux():
     fid = open_fid(client, mux_ref(mux), "sensors/s1/mem")
     assert client.call(mux_ref(mux), tread(fid, 250, 10)).data == bytes(6)
     assert client.read(mux_ref(mux), "sensors/s1/mem") == bytes(MEM_SIZE)
+
+
+@pytest.mark.parametrize("path, mode, build, error", [
+    ("sensors/s1/reading", OREAD, lambda fid: lambda t: Twrite(t, fid, 0, b"x"),
+     "fid not open for writing"),
+    ("sensors/s1/control", OWRITE, tread, "fid not open for reading"),
+])
+def test_a_relayed_request_the_open_mode_forbids_sends_no_device_frame(path, mode, build, error):
+    # the head refuses it as fscore does, and a refused write leaves the
+    # member's cached copies as fresh as they were
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0)], latency=1,
+                                mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
+    client = make_client(net)
+    fid = open_fid(client, mux_ref(mux), path, mode)
+    since, written = len(net.log.lines), mux.links["s1"].written
+    with pytest.raises(ClientError, match=error):
+        client.call(mux_ref(mux), build(fid))
+    assert [f for f in sends(net, since) if f[0] == mux.eid and f[1] == "s1"] == []
+    assert mux.links["s1"].written == written
 
 
 def test_mirrored_stat_matches_the_device():
@@ -732,7 +751,7 @@ def test_aggregate_cat_overlaps_the_fan_out_with_the_open():
     assert net.now - t0 == 10
     assert len([f for f in sends(net, since) if "client" in f[:2]]) == 10
     assert member_frames(net, mux, since, ("s1", "s2", "s3")) == ["Rread"] * 3 + ["Tread"] * 3
-    assert mux.answers == {}
+    assert [ent for ent in mux.sessions[client.eid].fids.values() if ent.answer is not None] == []
 
 
 def test_member_treads_leave_the_head_before_its_ropen():
@@ -778,12 +797,13 @@ def test_clunk_before_the_read_drops_the_answer_and_the_fan_out_still_lands():
     net, mux, _, client = aggregate_at_open(discover_timeout=50)
     net.set_link(mux.eid, "s1", LinkModel(latency=10), both_ways=True)
     fid = open_fid(client, mux_ref(mux), "aggrData/avgT")
-    opened = net.now
-    assert [type(have) for have in mux.answers.values()] == [Flight]
+    opened, landed = net.now, []
+    mux.sessions[client.eid].fids[fid].answer.start(landed.append)
+    assert landed == []                 # the fid's answer is still in flight
     client.call(mux_ref(mux), tclunk(fid))
-    assert mux.answers == {}
+    assert fid not in mux.sessions[client.eid].fids
     net.run_until(net.now + 30)
-    assert mux.answers == {}
+    assert landed == [b"22.000000\n# n=3/3\n"]
     assert all(link.cache["reading"][1] >= opened for link in mux.links.values())
 
 
@@ -795,7 +815,7 @@ def test_an_aggregate_error_answers_the_read_not_the_open(members, fn, error):
     net, mux, _ = build_cluster(members, aggregates=[AggregateSpec("x", fn)])
     client = make_client(net)
     fid = open_fid(client, mux_ref(mux), "aggrData/x")
-    assert mux.answers == {}
+    assert mux.sessions[client.eid].fids[fid].answer is None
     with pytest.raises(ClientError, match=error):
         client.call(mux_ref(mux), tread(fid))
 
@@ -897,7 +917,7 @@ def test_ctl_unknown_aggregation_is_rerror():
     with pytest.raises(ClientError, match="bad ctl command"):
         client.write(mux_ref(mux), "ctl", b"aggregate foo median")
     assert client.ls(mux_ref(mux), "aggrData") == []
-    assert mux.aggregates == {}
+    assert mux.aggr_dir.lookup("foo") is None
 
 
 def test_ctl_duplicate_group_is_rerror():
