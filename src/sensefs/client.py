@@ -8,18 +8,18 @@ and remembers the fid attached per user name.  Conn.issue is the one way
 a T-message leaves a node, and receive() the one way a frame enters one.
 
 The protocol sequences are generator steps: attach, walk, read_all and
-request, and the file steps read_file, write_file (which also asks a
-query: a write answered on the same fid) and stat_file, each one whole
-file operation on a fid of its own (on_fid).  A step says only what to
-send: it yields a build per T-message, build(tag) making the message,
-and gets back its R-message.  A refusal (an Rerror) or a reply that never
-came (a Timeout) is raised at that yield as a ClientError instead, so a
-step fails one way and never tests a reply for failure.  A step may also
-yield a Flight, an outcome another step is still working out (once), and
-gets that outcome when it lands.  spawn is the one continuation driver:
-it runs a step as continuations, so any number of steps keep their
-requests in flight at once.  Its callers fix how long a request waits
-before it gets a Timeout:
+request, and the file steps read_file and write_file (which also asks a
+question: a write answered on the same fid), each one whole file
+operation on a fid (on_fid).  A step says only what to send: it yields a
+build per T-message, build(tag) making the message, and gets back its
+R-message.  A refusal (an Rerror) or a reply that never came (a Timeout)
+is raised at that yield as a ClientError instead, so a step fails one
+way and never tests a reply for failure.  A step may also yield a Flight,
+an outcome another step is still working out (once), and gets that
+outcome when it lands.  spawn is the one continuation driver: it runs a
+step as continuations, so any number of steps keep their requests in
+flight at once.  Its callers fix how long a request waits before it gets
+a Timeout:
 
     muxfs.Multiplexer  every device exchange of a cluster head, under the
                        timeout named where the step is spawned
@@ -32,6 +32,12 @@ server reference:
 
     ("net", endpoint_id)  -- a simulated server reached over the wire
     ("local", Server)     -- an in-process fscore server (namespace views)
+
+Its batches (read_many, write_many), the views' way to a head's ctl,
+keep a fid open per (file, mode), as Plan 9's clients keep /net/cs: every
+offset-0 read generates afresh and a write resets the fid's answer, so a
+kept fid reads what a fresh one would.  read, write, ls and stat reach
+any file, so each walks and clunks its own fid, and the kept stay few.
 """
 
 from __future__ import annotations
@@ -92,6 +98,7 @@ class Conn:
         self.tags = tags or itertools.count(1)   # may be shared between conns
         self.fids = itertools.count()             # attach takes the first
         self.roots = {}                           # uname -> attached fid
+        self.open_fids = {}                       # a file's key -> the fid kept open on it
         self.pending = {}                         # tag -> (callback, timer Event or None)
 
     def new_tag(self):
@@ -247,54 +254,53 @@ def request(build):
     return (yield build)
 
 
-def on_fid(conn, uname, path, use):
-    """Step: the value of the step use(fid) on a new fid walked to path,
-    clunked after it whether use ended or raised (a refused or lost clunk
-    is ignored).  Raises ClientError if refused, or Timeout if a reply
-    never came."""
-    fid = yield from walk(conn, uname, path)
+def on_fid(conn, uname, path, use, mode=None, isdir=False, keep=False):
+    """Step: the value of the step use(fid) on a new fid walked to path
+    and, with mode, opened in mode (with isdir, a directory, else the
+    error 'not a directory'; without, a directory is the error 'is a
+    directory'), clunked after it whether use ended or raised (a refused
+    or lost clunk is ignored).  With keep, the fid is conn's kept one for
+    path and mode (conn.open_fids), walked and opened on first use, and
+    kept if use ends; a step holds it alone (one asking meanwhile walks
+    its own, clunked if the first is back at its end), and a ClientError
+    clunks it, so a late reply is never read as a later request's."""
+    key = (path, mode) if keep else None
+    fid = conn.open_fids.pop(key, None)
+    opening = fid is None
+    if opening:
+        fid = yield from walk(conn, uname, path)
     try:
+        if opening and mode is not None:
+            if isdir != (yield lambda t: Topen(t, fid, mode)).qid.is_dir:
+                raise ClientError("not a directory" if isdir else "is a directory")
         out = yield from use(fid)
     except ClientError as e:
         out = e
-    with suppress(ClientError):
-        yield lambda t: Tclunk(t, fid)
+    if key is None or isinstance(out, ClientError) or key in conn.open_fids:
+        with suppress(ClientError):
+            yield lambda t: Tclunk(t, fid)
+    else:
+        conn.open_fids[key] = fid
     if isinstance(out, ClientError):
         raise out
     return out
 
 
-def read_file(conn, uname, path, isdir=False):
-    """Step: the bytes of the file at path (with isdir, of a directory, else
-    the error 'not a directory'; without, a directory is the error 'is a
-    directory'): walk, open, read to end of file and clunk."""
+def read_file(conn, uname, path, isdir=False, keep=False):
+    """Step: the bytes of the file at path (with isdir, of a directory):
+    walk, open, read to end of file and clunk (on_fid)."""
+    return on_fid(conn, uname, path, read_all, OREAD, isdir, keep)
+
+
+def write_file(conn, uname, path, data, answer=False, keep=False):
+    """Step: write data to the file at path: walk, open, write and clunk
+    (on_fid); the count written.  With answer, the write is a question:
+    the file is opened ORDWR and read to end of file after the write, and
+    the answer read is returned."""
     def use(fid):
-        r = yield lambda t: Topen(t, fid, OREAD)
-        if isdir != r.qid.is_dir:
-            raise ClientError("not a directory" if isdir else "is a directory")
-        return (yield from read_all(fid))
-    return on_fid(conn, uname, path, use)
-
-
-def write_file(conn, uname, path, data, answer=False):
-    """Step: write data to the file at path: walk, open, write and clunk;
-    the count written.  With answer, the write is a question: the file is
-    opened ORDWR and read to end of file after the write, and the answer
-    read is returned."""
-    def use(fid):
-        yield lambda t: Topen(t, fid, ORDWR if answer else OWRITE)
-        r = yield lambda t: Twrite(t, fid, 0, data)
-        if not answer:
-            return r.count
-        return (yield from read_all(fid))
-    return on_fid(conn, uname, path, use)
-
-
-def stat_file(conn, uname, path):
-    """Step: the stat record of the file at path: walk, stat and clunk."""
-    def use(fid):
-        return (yield lambda t: Tstat(t, fid)).stat
-    return on_fid(conn, uname, path, use)
+        count = (yield lambda t: Twrite(t, fid, 0, data)).count
+        return (yield from read_all(fid)) if answer else count
+    return on_fid(conn, uname, path, use, ORDWR if answer else OWRITE, keep=keep)
 
 
 class FileClient:
@@ -403,16 +409,19 @@ class FileClient:
 
     def read_many(self, targets) -> list:
         """For each (ref, relpath) of targets, in order, the bytes of that
-        file or the ClientError that refused it, all read in one run."""
-        return self._run([(ref, read_file(self._conn(ref), self.uname, relpath))
+        file or the ClientError that refused it, all read in one run, each
+        over the fid kept open to read it (on_fid's keep)."""
+        return self._run([(ref, read_file(self._conn(ref), self.uname, relpath, keep=True))
                           for ref, relpath in targets])
 
     def write_many(self, targets, answer=False) -> list:
         """For each (ref, relpath, data) of targets, in order, the count
         written to that file, or with answer the answer read back after
-        the write on the same fid (a query), or the ClientError that
-        refused it, all written in one run."""
-        return self._run([(ref, write_file(self._conn(ref), self.uname, relpath, data, answer))
+        the write on the same fid (a question), or the ClientError that
+        refused it, all written in one run, each over the fid kept open
+        to write it, or with answer to write and read it (on_fid's keep)."""
+        return self._run([(ref, write_file(self._conn(ref), self.uname, relpath, data, answer,
+                                           keep=True))
                           for ref, relpath, data in targets])
 
     def write(self, ref, relpath, data: bytes) -> int:
@@ -423,4 +432,6 @@ class FileClient:
         return wire.decode_stats(self.read(ref, relpath, isdir=True))
 
     def stat(self, ref, relpath) -> wire.Stat:
-        return self._one(ref, stat_file(self._conn(ref), self.uname, relpath))
+        """The stat record of a file: walk, stat and clunk (on_fid)."""
+        return self._one(ref, on_fid(self._conn(ref), self.uname, relpath,
+                                     lambda fid: request(lambda t: Tstat(t, fid)))).stat

@@ -355,6 +355,8 @@ class Server:
                 break
             out.extend(rec)
             idx += 1
+        if idx == ent.dir_index < len(children):     # not even one entry fits: no end of file
+            raise FsError("directory entry too large")
         ent.dir_index = idx
         ent.dir_offset = offset + len(out)
         return bytes(out)

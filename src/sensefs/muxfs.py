@@ -128,7 +128,6 @@ class DeviceLink(Conn):
     def __init__(self, net, eid, device_id):
         super().__init__(net, eid, device_id)
         self.node = None           # mirrored sensors/<id> dir; None until discovered
-        self.open_fids = {}        # path -> the head's kept fid: a mux attach opened OREAD
         self.cache = {}            # path -> (bytes, stamp) of its last offset-0 read
         self.written = -1          # tick its last relayed write ended: older copies are stale
         self.info = None           # the device's info text, once a probe has read it

@@ -9,20 +9,21 @@ from their root, a resource band asks afresh at each listing or lookup,
 and /resource and /resource/energy, being static, ask nothing.  Which
 sensors exist and their kind, position and tags come from each cluster
 head's member index (its ctl), each member's info as read at discovery.
-Energy and readings are no older than the head's ttl, got by asking each
-cluster head once: a `read FILE [ID ...]` query written to its ctl,
-which the head answers with FILE of every named member, or of every
-member if none is named, one `ID VALUE` or `ID !error` line each
-(parse_answer).  A band listing is one such query per head, naming no
-member (ask_heads, as for the member index): it reads no member index,
-since the answer itself names the members in member-index order.  A
-plan and a location data file name their members (read_members).
+Energy and readings are no older than the head's ttl: a `read FILE [ID
+...]` query written to its ctl gets FILE of each named member, or of
+every member, one `ID VALUE` or `ID !error` line each (parse_answer).
+A band listing is one query per head naming no member (ask_heads), whose
+answer lists the members in index order; a plan and a location data
+file name their members (read_members).
 
-Wherever a view reads from or writes to many clusters (every cluster's
-ctl in a scan, one query per cluster for a band listing, a plan or a
-data file, one rate command per cluster for a plan's tasking) it sends
-all of them in one batch, so the user waits about as long as for the
-slowest cluster, not for their sum.  Results keep scan order.
+Wherever a view reads from or writes to many clusters it sends all of
+them in one batch, so the user waits about as long as for the slowest
+cluster, not for their sum; results keep scan order.  A batch asks over
+the fids the client keeps open on each ctl, so after the first of each
+kind, which also walks and opens, an index read is 2 client exchanges
+per head (read, end-of-file read), a query 3 (write, 2 reads) and a rate
+command 1: a band listing costs 3, a location data read 5 (the walk's
+scan, then a query) and a plan 6 (a scan, a query, then rate commands).
 """
 
 from __future__ import annotations

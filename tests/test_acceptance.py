@@ -483,7 +483,7 @@ GOLDEN_LOGS = {
     "example1_monitoring.script":
         "76a3511e2ab3d01a447809844d5b2b8d2165b6537501fcc61617737033cc0c81",
     "example2_datacentric.script":
-        "d3a4e231b00f1a715b8a78b3d096fe0ce4dc989fc9e8684f31f8b29e05e0e72a",
+        "f06cac2e3befddfbf07b5deacaab8ece93109769dd4f8480cc150f1edb1891c0",
     "example3_emergency.script":
         "5ff2440a8e234a4b7baa1c4e808d87c3601b87bcc02d71fd2039d3f5156859d3",
 }
@@ -544,7 +544,7 @@ cat /network/cluster2/sensors/s8/reading"""
 
 # sha256 of LOSSY_SESSION's transcript and of its whole event log
 LOSSY_GOLDEN = ("3edc26e7c5506070dc85d84aa8f54e80986ecd280ae033fbd911395e9e668680",
-                "09f879d659b4252b5398618bcb85824d705596f99f0726fdf1ae8f7261785718")
+                "091f3183d4337dc4ace2cf745b3d5925eae174665bfa50f18b3422bc4af3e233")
 
 
 def test_lossy_session_is_golden():

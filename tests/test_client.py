@@ -4,11 +4,14 @@ way a T-message leaves it, on devices, heads and file clients alike."""
 import pytest
 
 from sensefs.client import ClientError, FileClient, Timeout
+from sensefs.devicefs import parse_infos
 from sensefs.fscore import Defer, Server, make_dir, make_file
 from sensefs.muxfs import MuxConfig
 from sensefs.shell import Shell
 from sensefs.simnet import LinkModel, Network
-from sensefs.wire import Rclunk, Rread, Tread, decode_message, encode_message
+from sensefs.wire import (
+    OREAD, ORDWR, OWRITE, Rclunk, Rread, Tread, decode_message, encode_message,
+)
 
 from conftest import USERS, build_cluster, make_client, open_fid, temp_sensor
 
@@ -106,10 +109,94 @@ def test_batch_on_a_fresh_conn_sends_one_tattach():
     ref = ("net", mux.eid)
     got = client.read_many([(ref, "sensors/s%d/reading" % i) for i in range(1, 6)])
     assert got == [b"%f\n" % i for i in range(1, 6)]
-    assert events(net, "send").count([client.eid, mux.eid]) == 5 * 5 + 1
+    # each file: walk, open, read and end-of-file read, its fid kept open
+    assert events(net, "send").count([client.eid, mux.eid]) == 5 * 4 + 1
     assert sum(1 for line in net.log.lines
                if line.split("\t")[1:4] == ["send", client.eid, mux.eid]
                and line.split("\t")[4].startswith("Tattach")) == 1
+
+
+# -- kept fids: a batch asks a head over a fid it keeps open per file and mode -
+
+ANSWERS = {"reading": b"s1 20.500000\ns2 22.000000\n",           # to `read NAME`
+           "remaining-energy": b"s1 50.000000\ns2 50.000000\n"}
+
+
+def question_cluster():
+    net, mux, _ = build_cluster([temp_sensor(1, 20.5, energy_j=50.0),
+                                 temp_sensor(2, 22.0, energy_j=50.0)], latency=1,
+                                mux_cfg=MuxConfig(reprobe_ticks=10 ** 6))
+    return net, mux, make_client(net), ("net", mux.eid)
+
+
+def ask(client, ref, *names):
+    """The answers to `read NAME` questions written to ref's ctl in one batch."""
+    return client.write_many([(ref, "ctl", b"read " + name.encode()) for name in names],
+                             answer=True)
+
+
+def client_files(mux, client):
+    """The file name of each fid client holds on mux, in the order bound."""
+    return [ent.node.name for ent in mux.sessions[client.eid].fids.values()]
+
+
+def sent_types(net, since, src):
+    """The message type of each frame src sent after log line since."""
+    return [line.split("\t")[4].split()[0] for line in net.log.lines[since:]
+            if line.split("\t")[1:3] == ["send", src]]
+
+
+def test_index_read_after_a_question_is_the_member_index():
+    net, mux, client, ref = question_cluster()
+    index = client.read(ref, "ctl")
+    assert [m["id"] for m in parse_infos(index.decode())] == ["s1", "s2"]
+    assert ask(client, ref, "reading") == [ANSWERS["reading"]]
+    assert client.read_many([(ref, "ctl")]) == [index]
+    assert ask(client, ref, "remaining-energy") == [ANSWERS["remaining-energy"]]
+    assert client.read_many([(ref, "ctl")]) == [index]
+
+
+def test_lost_answer_clunks_the_kept_fid_and_the_next_question_opens_a_new_one():
+    net, mux, client, ref = question_cluster()
+    assert ask(client, ref, "reading") == [ANSWERS["reading"]]
+    conn = client._conns[ref]
+    (key, kept), = conn.open_fids.items()
+    send, lost = net.send, []
+
+    def lose_rread(src, dst, frame):
+        if dst == client.eid and isinstance(decode_message(frame), Rread) and not lost:
+            lost.append(frame)
+            return
+        send(src, dst, frame)
+
+    net.send = lose_rread
+    out, = ask(client, ref, "remaining-energy")
+    assert isinstance(out, Timeout) and len(lost) == 1
+    assert conn.open_fids == {} and kept not in mux.sessions[client.eid].fids
+    since = len(net.log.lines)
+    assert ask(client, ref, "reading") == [ANSWERS["reading"]]
+    assert sent_types(net, since, client.eid) == ["Twalk", "Topen", "Twrite", "Tread", "Tread"]
+    assert conn.open_fids[key] != kept
+
+
+def test_concurrent_questions_to_one_head_each_get_their_own_answer():
+    net, mux, client, ref = question_cluster()
+    for _ in range(2):
+        assert ask(client, ref, "reading", "remaining-energy", "reading") == [
+            ANSWERS[n] for n in ("reading", "remaining-energy", "reading")]
+        # one fid is kept; the others were clunked as their steps ended
+        assert client_files(mux, client) == ["c", "ctl"]
+
+
+def test_a_session_keeps_at_most_one_fid_per_mode():
+    net, mux, client, ref = question_cluster()
+    for _ in range(5):
+        ask(client, ref, "reading", "remaining-energy")
+        client.read_many([(ref, "ctl")] * 3)
+        assert client.write_many([(ref, "ctl", b"rate 0 s1")] * 2) == [9, 9]
+    assert client_files(mux, client) == ["c", "ctl", "ctl", "ctl"]
+    assert sorted(client._conns[ref].open_fids) == [("ctl", OREAD), ("ctl", OWRITE),
+                                                    ("ctl", ORDWR)]
 
 
 def test_batch_keeps_order_and_gives_each_target_its_error():

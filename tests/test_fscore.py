@@ -294,6 +294,22 @@ def test_directory_read_offset_contract():
     conn.err(lambda t: Tread(t, fid, 5, 70), "bad directory offset")
 
 
+def test_directory_read_too_small_for_the_next_entry_is_an_error():
+    # an empty reply would end the listing: a count that no entry fits is
+    # refused, and the fid's offset stays where it was
+    server, _ = build_server()
+    conn = Conn(server)
+    conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
+    fid = walk_open(conn, [])
+    conn.err(lambda t: Tread(t, fid, 0, 10), "directory entry too large")
+    first = conn.ok(lambda t: Tread(t, fid, 0, 70), Rread).data
+    assert [s.name for s in wire.decode_stats(first)] == ["sub"]
+    conn.err(lambda t: Tread(t, fid, len(first), 10), "directory entry too large")
+    rest = conn.ok(lambda t: Tread(t, fid, len(first), 70), Rread).data
+    assert [s.name for s in wire.decode_stats(rest)] == ["open"]
+    assert conn.ok(lambda t: Tread(t, fid, len(first) + len(rest), 10), Rread).data == b""
+
+
 def counted_server(read):
     """A one-file server whose reads go through read; returns (server, calls)."""
     calls = []

@@ -96,6 +96,19 @@ def test_cat_of_a_directory_is_a_directory(path):
     assert shell.run_line("cat /network/cluster1/sensors/s1/reading") == (0, "20.900000")
 
 
+def test_ls_refuses_a_directory_whose_entry_does_not_fit_a_read():
+    # an aggregate whose name alone fills a read: the listing fails, and
+    # does not end at it as if the directory were complete
+    shell = zoo_shell()
+    shell.run_line("mount /dev/network /network")
+    for line in ("aggregate a%s avg" % ("b" * 8140), "aggregate zz avg"):
+        assert shell.run_line("write /network/cluster1/ctl " + line) == (0, "")
+    for form in ("ls", "ls -l"):
+        assert shell.run_line(form + " /network/cluster1/aggrData") == \
+            (1, "error: directory entry too large")
+    assert shell.run_line("cat /network/cluster1/aggrData/zz") == (0, "46.928571\n# n=7/7")
+
+
 @pytest.mark.parametrize("path, status, names", [
     ("/nowhere", 1, "error: not found"),
     ("/network/cluster1/nope", 1, "error: no such file"),

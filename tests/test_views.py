@@ -382,9 +382,10 @@ def test_zoo_band_listing_ticks():
             sequential_band_listing(shell.client, shell.table)
         ticks.append(sim.net.now - t0)
     # two heads, 3-tick links: one energy query per head at once, naming
-    # no member, with no member-index read before it; the query's first
-    # read of remaining-energy attaches, walks, opens and reads
-    assert ticks == [66, 636]
+    # no member, with no member-index read before it: attach, walk, open,
+    # write, read and end-of-file read of ctl, whose fid is kept open; the
+    # query's first read of remaining-energy attaches, walks, opens and reads
+    assert ticks == [60, 630]
 
 
 def test_band_listing_skips_a_device_mounted_under_the_root():
@@ -454,13 +455,15 @@ def test_zoo_location_data_frame_cost():
     since = len(sim.net.log.lines)
     assert shell.run_line("cat /location/region-10/data") == (
         0, "20.900000\n22.300000\n24.100000\n70.000000 30.000000\n21.700000\n19.500000")
-    # the walk's scan reads each head's ctl (12 frames each); one query to
-    # the members' head is 12 client frames, and it reads each of the six
-    # members in 8 device frames (walk, open, read, clunk)
-    assert device_frames(sim.net, since, {shell.client.eid}) == 2 * 12 + 12
+    # the walk's scan reads each head's ctl (10 frames each: attach, walk,
+    # open, read and end-of-file read); one query to the members' head is
+    # 10 client frames (walk, open, write, read and end-of-file read), and
+    # it reads each of the six members in 8 device frames (attach, walk,
+    # open, read)
+    assert device_frames(sim.net, since, {shell.client.eid}) == 2 * 10 + 10
     assert device_frames(sim.net, since, set(sim.states)) == 6 * 8
     assert sum(1 for line in sim.net.log.lines[since:]
-               if line.split("\t")[1] == "send") == 84
+               if line.split("\t")[1] == "send") == 78
 
 
 def quiet_zoo():
@@ -481,14 +484,40 @@ def test_zoo_discovery_leaves_no_fid_on_any_device():
 
 def test_zoo_second_band_listing_reads_each_member_once():
     # the first listing opens remaining-energy on every member and keeps
-    # it open; the second reads it over that fid: Tread and Rread
+    # it open; the second, within the ttl, is answered from the heads'
+    # copies: a Twrite, a Tread and an end-of-file Tread over each head's
+    # kept ctl fid; once the ttl has passed, the next reads each member
+    # over the head's kept fid: Tread and Rread
     sim, shell = quiet_zoo()
     shell.run_line("view build resource")
     assert shell.run_line("ls /resource/energy/low") == (0, "s4\ns5")
     since, t0 = len(sim.net.log.lines), sim.net.now
     assert shell.run_line("ls /resource/energy/low") == (0, "s4\ns5")
-    assert sim.net.now - t0 == 42
+    assert sim.net.now - t0 == 18
+    assert device_frames(sim.net, since, {shell.client.eid}) == 2 * 6
+    assert device_frames(sim.net, since, set(sim.states)) == 0
+    shell.run_line("tick 30")
+    since, t0 = len(sim.net.log.lines), sim.net.now
+    assert shell.run_line("ls /resource/energy/low") == (0, "s4\ns5")
+    assert sim.net.now - t0 == 24
     assert device_frames(sim.net, since, set(sim.states)) == 2 * len(sim.states)
+
+
+def test_zoo_second_listing_and_plan_walk_open_and_clunk_nothing():
+    # each head's ctl fids, kept open per mode by the first band listing and
+    # plan (index read, question, rate command), carry the second ones
+    sim, shell = quiet_zoo()
+    shell.run_line("view build resource")
+    heads = set(sim.cfg.clusters.values())
+    for line in ("ls /resource/energy/low", "plan region-10 4 avg 50"):
+        first = shell.run_line(line)
+        assert first[0] == 0
+        since = len(sim.net.log.lines)
+        assert shell.run_line(line) == first
+        sent = [fields[4].split()[0]
+                for fields in (rec.split("\t") for rec in sim.net.log.lines[since:])
+                if fields[1:3] == ["send", shell.client.eid] and fields[3] in heads]
+        assert sent and not {"Tattach", "Twalk", "Topen", "Tclunk"} & set(sent)
 
 
 def test_zoo_second_location_data_read_reads_each_member_once():
@@ -496,6 +525,14 @@ def test_zoo_second_location_data_read_reads_each_member_once():
     shell.run_line("view build location")
     data = (0, "20.900000\n22.300000\n24.100000\n70.000000 30.000000\n21.700000\n19.500000")
     assert shell.run_line("cat /location/region-10/data") == data
+    # within the ttl the head answers from its copies; over the kept ctl
+    # fids, each head's index is a Tread and an end-of-file Tread, and the
+    # query a Twrite and two Treads
+    since = len(sim.net.log.lines)
+    assert shell.run_line("cat /location/region-10/data") == data
+    assert device_frames(sim.net, since, {shell.client.eid}) == 2 * 4 + 6
+    assert device_frames(sim.net, since, set(sim.states)) == 0
+    shell.run_line("tick 30")
     since = len(sim.net.log.lines)
     assert shell.run_line("cat /location/region-10/data") == data
     assert device_frames(sim.net, since, set(sim.states)) == 6 * 2
@@ -605,9 +642,13 @@ def test_zoo_scan_frame_cost():
     infos = scan_sensors(client, table)
     assert len(infos) == len(sim.states) == 10
     assert device_frames(sim.net, since, set(sim.states)) == 0
-    # per cluster head: attach, walk, open, read, end-of-file read and clunk
-    # of ctl, each a T- and an R-message
-    assert device_frames(sim.net, since, {client.eid}) == 12 * len(sim.cfg.clusters) == 24
+    # per cluster head: attach, walk, open, read and end-of-file read of
+    # ctl, each a T- and an R-message; the fid stays open, so a rescan is
+    # the read and the end-of-file read alone
+    assert device_frames(sim.net, since, {client.eid}) == 10 * len(sim.cfg.clusters) == 20
+    since = len(sim.net.log.lines)
+    assert scan_sensors(client, table) == infos
+    assert device_frames(sim.net, since, {client.eid}) == 4 * len(sim.cfg.clusters)
 
 
 # -- the view builder ------------------------------------------------------------
@@ -923,11 +964,17 @@ def test_plan_over_two_clusters_tasks_both_heads_in_one_run():
     assert all(sim.muxes[c].links[m].poll is not None
                for c, members in plan.clusters.items() for m in members)
     assert sim.muxes["a"].links["s2"].poll is None
+    # on 2-tick links, each head's ctl is walked, opened and written, and
+    # its fid kept open; the same tasking again is one Twrite per head
+    assert tasking == 12
+    t0 = net.now
+    execute_plan(client, table, plan)
+    retasking = net.now - t0
     # the same command to one head alone takes as long as tasking both
     t0 = net.now
     ref, rel = table.resolve("/network/a/ctl")
-    client.write(ref, rel, b"rate 50 s4 s3")
-    assert net.now - t0 == tasking == 16
+    assert client.write_many([(ref, rel, b"rate 50 s4 s3")]) == [13]
+    assert net.now - t0 == retasking == 4
 
 
 def test_plan_refusal_is_the_error_and_other_heads_are_still_tasked():
