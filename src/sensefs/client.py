@@ -38,6 +38,10 @@ keep a fid open per (file, mode), as Plan 9's clients keep /net/cs: every
 offset-0 read generates afresh and a write resets the fid's answer, so a
 kept fid reads what a fresh one would.  read, write, ls and stat reach
 any file, so each walks and clunks its own fid, and the kept stay few.
+ls ends a listing at a reply that leaves MAX_STAT bytes of IOUNIT unused,
+which fscore's rule for directory reads proves complete (walk, open, one
+read, clunk); a file, or a listing within MAX_STAT of IOUNIT, reads on to
+the empty reply.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from functools import partial
 from . import wire
 from .fscore import FsError
 from .wire import (
-    IOUNIT, OREAD, OWRITE, ORDWR,
+    IOUNIT, MAX_STAT, OREAD, OWRITE, ORDWR,
     Tattach, Twalk, Topen, Tread, Twrite, Tclunk, Tstat, Rerror,
 )
 
@@ -237,15 +241,18 @@ def walk(conn, uname, path):
     return fid
 
 
-def read_all(fid):
-    """Step: the bytes of an open fid from offset 0 to end of file.  Raises
-    ClientError if a read is refused, or Timeout if a reply never came."""
+def read_all(fid, isdir=False):
+    """Step: the bytes of an open fid from offset 0 to end of file: an
+    empty reply, or with isdir (a directory) a reply that leaves MAX_STAT
+    bytes of its count unused, which fscore's rule for directory reads
+    proves complete.  Raises ClientError if a read is refused, or Timeout
+    if a reply never came."""
     out = bytearray()
     while True:
         r = yield lambda t, o=len(out): Tread(t, fid, o, IOUNIT)
-        if not r.data:
-            return bytes(out)
         out += r.data
+        if not r.data or isdir and len(r.data) <= IOUNIT - MAX_STAT:
+            return bytes(out)
 
 
 def request(build):
@@ -288,8 +295,8 @@ def on_fid(conn, uname, path, use, mode=None, isdir=False, keep=False):
 
 def read_file(conn, uname, path, isdir=False, keep=False):
     """Step: the bytes of the file at path (with isdir, of a directory):
-    walk, open, read to end of file and clunk (on_fid)."""
-    return on_fid(conn, uname, path, read_all, OREAD, isdir, keep)
+    walk, open, read to end of file (read_all) and clunk (on_fid)."""
+    return on_fid(conn, uname, path, partial(read_all, isdir=isdir), OREAD, isdir, keep)
 
 
 def write_file(conn, uname, path, data, answer=False, keep=False):

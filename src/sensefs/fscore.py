@@ -11,7 +11,11 @@ a fid keeps what it generated (a directory's children, or a file's
 bytes when the reply came short of the count, i.e. was the whole file),
 and later offsets are served from that, so reading to end of file runs
 a handler once.  Every read at offset 0 generates afresh, and a write
-through the fid drops what it kept.
+through the fid drops what it kept.  A directory reply holds as many
+whole stat records as fit its count, and a record larger than
+wire.MAX_STAT is refused (directory entry too large), as is a count that
+not even the next record fits; so a reply that leaves MAX_STAT bytes of
+its count unused proves that no entry is left.
 
 A fid's answer may be asked ahead of its read: by a write that is a
 question (the query-file idiom of Plan 9's /net/cs: a write handler that
@@ -30,7 +34,7 @@ import itertools
 
 from . import wire
 from .wire import (
-    Qid, Stat, QDIR, QFILE, DMDIR, IOUNIT,
+    Qid, Stat, QDIR, QFILE, DMDIR, IOUNIT, MAX_STAT,
     OREAD, OWRITE, ORDWR,
     Rattach, Rwalk, Ropen, Rread, Rwrite, Rclunk, Rstat, Rerror,
     Tattach, Twalk, Topen, Tread, Twrite, Tclunk, Tstat,
@@ -351,6 +355,8 @@ class Server:
         idx = ent.dir_index
         while idx < len(children):
             rec = wire.pack_stat(children[idx].stat())
+            if len(rec) > MAX_STAT:
+                raise FsError("directory entry too large")
             if len(out) + len(rec) > count:
                 break
             out.extend(rec)

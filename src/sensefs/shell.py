@@ -104,6 +104,8 @@ class Shell:
     def cmd_ls(self, args):
         long = "-l" in args
         args = [a for a in args if a != "-l"]
+        if len(args) > 1:
+            raise CommandError("usage: ls [-l] [path]")
         path = self._abspath(args[0]) if args else self.cwd
         entries = dir_entries(self.client, self.table, path)
         if not long:
@@ -114,6 +116,8 @@ class Shell:
             for name, st in entries.items())
 
     def cmd_cd(self, args):
+        if len(args) > 1:
+            raise CommandError("usage: cd [path]")
         path = self._abspath(args[0]) if args else "/"
         if path != "/" and not self.table.mount_children(path):
             try:                # a directory only the server knows: ask it
@@ -130,7 +134,7 @@ class Shell:
         return self.cwd
 
     def cmd_cat(self, args):
-        if not args:
+        if len(args) != 1:
             raise CommandError("usage: cat <path>")
         ref, rel = self.table.resolve(self._abspath(args[0]))
         return self.client.read(ref, rel).decode(errors="replace").rstrip("\n")
@@ -143,7 +147,7 @@ class Shell:
         return ""
 
     def cmd_stat(self, args):
-        if not args:
+        if len(args) != 1:
             raise CommandError("usage: stat <path>")
         ref, rel = self.table.resolve(self._abspath(args[0]))
         st = self.client.stat(ref, rel)

@@ -41,6 +41,7 @@ from operator import attrgetter
 NOTAG = 0xFFFF
 MAX_FRAME = 8192
 MAX_WALK = 16
+MAX_STAT = 1024     # largest stat record a directory listing may hold
 # Largest Rread/Twrite payload: frame minus size[4] type[1] tag[2] count[4]
 # and the Twrite fid[4]+offset[8].
 IOUNIT = MAX_FRAME - 23

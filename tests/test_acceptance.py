@@ -481,11 +481,11 @@ def run_bundled(scenario, script_name, seed):
 # sha256 of each bundled script's event log (the --log file) at seed 42
 GOLDEN_LOGS = {
     "example1_monitoring.script":
-        "76a3511e2ab3d01a447809844d5b2b8d2165b6537501fcc61617737033cc0c81",
+        "eaf34455de1d38df50cabee23bfa36b9671122c41eef6ff7e9075fd7152bb067",
     "example2_datacentric.script":
-        "f06cac2e3befddfbf07b5deacaab8ece93109769dd4f8480cc150f1edb1891c0",
+        "41a610a0b8a0e187c98045ed930a3ac302381ab4bd984e7f39cd3141d131d604",
     "example3_emergency.script":
-        "5ff2440a8e234a4b7baa1c4e808d87c3601b87bcc02d71fd2039d3f5156859d3",
+        "8c9d072a82ec82a7b4be22e239f603b9d4d03d4cccd3b0c7157644257691aced",
 }
 
 

@@ -2,15 +2,18 @@
 way a T-message leaves it, on devices, heads and file clients alike."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensefs.client import ClientError, FileClient, Timeout
 from sensefs.devicefs import parse_infos
 from sensefs.fscore import Defer, Server, make_dir, make_file
 from sensefs.muxfs import MuxConfig
+from sensefs.scenario import ServerEndpoint
 from sensefs.shell import Shell
 from sensefs.simnet import LinkModel, Network
 from sensefs.wire import (
-    OREAD, ORDWR, OWRITE, Rclunk, Rread, Tread, decode_message, encode_message,
+    IOUNIT, MAX_STAT, OREAD, ORDWR, OWRITE, Rclunk, Rread, Tread, decode_message,
+    encode_message, pack_stat,
 )
 
 from conftest import USERS, build_cluster, make_client, open_fid, temp_sensor
@@ -270,3 +273,78 @@ def test_local_server_deferred_reply_is_waited_for():
     with pytest.raises(ClientError, match="timeout"):
         client.read(local, "never")
     assert client._conns[local].pending == {}
+
+
+# -- a directory listing ends at the read that proves it complete ------------
+
+# the longest file name whose stat record a listing may hold
+LONGEST = MAX_STAT - len(pack_stat(make_file("x").stat())) + 1
+
+
+def listing_root(lengths):
+    """A tree whose directory d holds a file per name length, in order;
+    returns (root, d)."""
+    root = make_dir("r")
+    d = root.add(make_dir("d"))
+    for i, n in enumerate(lengths):
+        d.add(make_file(str(i).ljust(n, "x")))
+    return root, d
+
+
+def test_ls_of_a_head_directory_is_walk_open_read_and_clunk():
+    # 2 frames and 2 ticks each at latency 1: the one reply leaves room
+    # for another entry, so no end-of-file read follows it
+    net, mux, _ = build_cluster([temp_sensor(i, 20.0) for i in (1, 2, 3)], latency=1)
+    client = make_client(net)
+    ref = ("net", mux.eid)
+    client.ls(ref, "")                      # attaches
+    t0, sent = net.now, len(events(net, "send"))
+    assert [st.name for st in client.ls(ref, "sensors")] == ["s1", "s2", "s3"]
+    assert net.now - t0 == 8
+    assert [pair for pair in events(net, "send")[sent:] if "client" in pair] == \
+        [["client", mux.eid], [mux.eid, "client"]] * 4
+
+
+@pytest.mark.parametrize("entries, reads", [(7, 1), (8, 2)])
+def test_a_listing_that_leaves_less_than_max_stat_free_reads_on_to_the_empty_reply(
+        entries, reads):
+    # each record is 1/8 of IOUNIT - MAX_STAT/2: seven leave more than
+    # MAX_STAT of the reply free, eight leave less, so a further entry
+    # might not have fit and the client reads on to the empty reply
+    size = (IOUNIT - MAX_STAT // 2) // 8
+    root, d = listing_root([LONGEST - MAX_STAT + size] * entries)
+    server = Server(root, USERS)
+    offsets, t_read = [], server.t_read
+
+    def counted(session, msg):
+        offsets.append(msg.offset)
+        return t_read(session, msg)
+
+    server.t_read = counted
+    listing = make_client(Network(0)).ls(("local", server), "d")
+    assert listing == [child.stat() for child in d.list_children()]
+    assert offsets == [0, entries * size][:reads]
+
+
+NAME_LENGTHS = st.one_of(st.integers(2, 40), st.integers(2, LONGEST),
+                         st.integers(LONGEST - 2, LONGEST))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.lists(NAME_LENGTHS, min_size=n, max_size=n)),
+       st.none() | st.tuples(st.integers(0, 40), st.integers(LONGEST + 1, LONGEST + 2)))
+def test_ls_lists_every_child_in_order_or_refuses_an_entry_too_large(lengths, too_large):
+    # entry counts and name lengths on both sides of the bound, and at
+    # times one entry past it, anywhere in the directory
+    if too_large is not None:
+        lengths.insert(too_large[0], too_large[1])
+    root, d = listing_root(lengths)
+    net = Network(0, default_link=LinkModel(1, 0, 0.0))
+    ServerEndpoint(net, "srv", Server(root, USERS))
+    client = make_client(net)
+    for ref in (("net", "srv"), ("local", Server(root, USERS))):
+        if max(lengths, default=0) > LONGEST:
+            with pytest.raises(ClientError, match="^directory entry too large$"):
+                client.ls(ref, "d")
+        else:
+            assert client.ls(ref, "d") == [child.stat() for child in d.list_children()]

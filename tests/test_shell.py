@@ -269,6 +269,23 @@ def test_plan_and_tick_bad_numbers_get_the_usage(line, error):
     assert shell.sim.net.now == now
 
 
+@pytest.mark.parametrize("line, usage", [
+    ("ls /network/cluster1 /network", "ls [-l] [path]"),
+    ("ls -l /network/cluster1 /network", "ls [-l] [path]"),
+    ("cd /network/cluster1 /network", "cd [path]"),
+    ("cat /network/cluster1/sensors/s1/reading /network/cluster1/sensors/s2/reading",
+     "cat <path>"),
+    ("stat /network/cluster1/sensors/s1/reading /network", "stat <path>"),
+], ids=["ls", "ls-long", "cd", "cat", "stat"])
+def test_a_second_path_gets_the_usage(line, usage):
+    shell = zoo_shell()
+    shell.run_line("mount /dev/network /network")
+    logged = len(shell.sim.net.log.lines)
+    assert shell.run_line(line) == (1, "error: usage: " + usage)
+    assert len(shell.sim.net.log.lines) == logged      # nothing was sent
+    assert shell.cwd == "/"
+
+
 def test_view_build_optional_arguments():
     shell = zoo_shell()
     shell.run_line("mount /dev/network /network")
