@@ -10,16 +10,18 @@ a T-message leaves a node, and receive() the one way a frame enters one.
 The protocol sequences are generator steps: attach, walk, read_all and
 request, and the file steps read_file and write_file (which also asks a
 question: a write answered on the same fid), each one whole file
-operation on a fid (on_fid).  A step says only what to send: it yields a
-build per T-message, build(tag) making the message, and gets back its
-R-message.  A refusal (an Rerror) or a reply that never came (a Timeout)
-is raised at that yield as a ClientError instead, so a step fails one
-way and never tests a reply for failure.  A step may also yield a Flight,
-an outcome another step is still working out (once), and gets that
-outcome when it lands.  spawn is the one continuation driver: it runs a
-step as continuations, so any number of steps keep their requests in
-flight at once.  Its callers fix how long a request waits before it gets
-a Timeout:
+operation on a fid (on_fid), and on_walked.  A step says only what to
+send: it yields a build per T-message, build(tag) making the message,
+and gets back its R-message.  A refusal (an Rerror) or a reply that
+never came (a Timeout) is raised at that yield as a ClientError instead,
+so a step fails one way and never tests a reply for failure.  A step may
+also yield a Future, an outcome another step is still working out
+(once), and gets that outcome when it lands, or a flight, a tuple of
+builds sent at once, and gets a tuple of outcomes in which a refusal or
+a Timeout is a value, since each is a different request's to judge.
+spawn is the one continuation driver: it runs a step as continuations,
+so any number of steps keep their requests in flight at once.  Its
+callers fix how long a request waits before it gets a Timeout:
 
     muxfs.Multiplexer  every device exchange of a cluster head, under the
                        timeout named where the step is spawned
@@ -38,10 +40,14 @@ keep a fid open per (file, mode), as Plan 9's clients keep /net/cs: every
 offset-0 read generates afresh and a write resets the fid's answer, so a
 kept fid reads what a fresh one would.  read, write, ls and stat reach
 any file, so each walks and clunks its own fid, and the kept stay few.
-ls ends a listing at a reply that leaves MAX_STAT bytes of IOUNIT unused,
-which fscore's rule for directory reads proves complete (walk, open, one
-read, clunk); a file, or a listing within MAX_STAT of IOUNIT, reads on to
-the empty reply.
+ls and stat send the walk and their request on its fid in one flight, on
+the order fscore keeps, and clunk without waiting (on_walked); an ls then
+reads once, since a listing ends at a reply that leaves MAX_STAT bytes of
+IOUNIT unused (fscore's rule for directory reads).  So an ls is 2 round
+trips and 8 frames, a stat 1 and 6.  read and write walk, open and clunk
+in turn (on_fid) only because the benchmark pins a cat's ticks; once that
+pin moves, on_fid takes the same flight.  A file, or a listing within
+MAX_STAT of IOUNIT, reads on to the empty reply.
 """
 
 from __future__ import annotations
@@ -139,20 +145,24 @@ class Conn:
 # the continuation driver
 # ----------------------------------------------------------------------
 
-class Flight(list):
+class Future(list):
     """An outcome a step is still working out: other steps yield it to
     wait, and it holds their continuations."""
 
 
 def spawn(step, call, done):
     """Drive a step as continuations.  call(build, cb) issues each
-    T-message it yields, and cb resumes it with the R-message; a Flight it
-    yields resumes it when the flight lands.  An Rerror handed to cb is
+    T-message it yields, and cb resumes it with the R-message; a Future it
+    yields resumes it when the future lands.  An Rerror handed to cb is
     raised inside the step as a ClientError, and so is an FsError that
     call raises, that cb is handed (a Timeout: the reply never came) or
-    that a flight lands with.  done gets the step's return value or the
-    FsError it raised.  An error handed on as a value drops its traceback,
-    whose frames would otherwise hold it in a reference cycle."""
+    that a future lands with.  A tuple of builds it yields is a flight:
+    each is issued at once, and the step resumes with a tuple of their
+    outcomes, in order, when the last lands, a refusal being a ClientError
+    in it and a lost reply a Timeout, not raised.  done gets the step's
+    return value or the FsError it raised.  An error handed on as a value
+    drops its traceback, whose frames would otherwise hold it in a
+    reference cycle."""
     _resume(step, call, done, None)
 
 
@@ -171,8 +181,11 @@ def _resume(step, call, done, value):
         done(e.with_traceback(None))
         return
     resume = partial(_resume, step, call, done)
-    if isinstance(ask, Flight):
+    if isinstance(ask, Future):
         ask.append(resume)
+        return
+    if type(ask) is tuple:
+        _fly(ask, call, resume)
         return
     try:
         call(ask, resume)
@@ -182,28 +195,43 @@ def _resume(step, call, done, value):
     resume(refused)              # outside the handler: no exception context to chain
 
 
+def _fly(builds, call, resume):
+    """Issue every build of a flight at once, each as a step of its own;
+    resume(the tuple of their outcomes) when the last lands."""
+    outcomes, left = [None] * len(builds), [len(builds)]
+
+    def land(i, outcome):
+        outcomes[i] = outcome
+        left[0] -= 1
+        if not left[0]:
+            resume(tuple(outcomes))
+
+    for i, build in enumerate(builds):
+        spawn(request(build), call, partial(land, i))
+
+
 def once(table, key, start, *args):
     """Step: table[key], else the outcome of the step start(*args), worked
     out once for however many steps ask at a time: while it runs,
-    table[key] is a Flight that later askers wait on.  An error is raised
+    table[key] is a Future that later askers wait on.  An error is raised
     to every asker and not kept, and no outcome is kept if table[key] was
     removed meanwhile."""
     have = table.get(key)
-    if isinstance(have, Flight):
+    if isinstance(have, Future):
         return (yield have)
     if have is not None:
         return have
-    flight = table[key] = Flight()
+    future = table[key] = Future()
     try:
         outcome = yield from start(*args)
     except FsError as e:
         outcome = e
-    if table.get(key) is flight:
+    if table.get(key) is future:
         if isinstance(outcome, FsError):
             del table[key]
         else:
             table[key] = outcome
-    for resume in flight:
+    for resume in future:
         resume(outcome)
     if isinstance(outcome, FsError):
         try:
@@ -261,25 +289,23 @@ def request(build):
     return (yield build)
 
 
-def on_fid(conn, uname, path, use, mode=None, isdir=False, keep=False):
-    """Step: the value of the step use(fid) on a new fid walked to path
-    and, with mode, opened in mode (with isdir, a directory, else the
-    error 'not a directory'; without, a directory is the error 'is a
-    directory'), clunked after it whether use ended or raised (a refused
-    or lost clunk is ignored).  With keep, the fid is conn's kept one for
-    path and mode (conn.open_fids), walked and opened on first use, and
-    kept if use ends; a step holds it alone (one asking meanwhile walks
-    its own, clunked if the first is back at its end), and a ClientError
-    clunks it, so a late reply is never read as a later request's."""
+def on_fid(conn, uname, path, use, mode, keep=False):
+    """Step: the value of the step use(fid) on a new fid walked to path and
+    opened in mode (a directory is the error 'is a directory'), clunked
+    after it whether use ended or raised (a refused or lost clunk is
+    ignored).  With keep, the fid is conn's kept one for path and mode
+    (conn.open_fids), walked and opened on first use, and kept if use
+    ends; a step holds it alone (one asking meanwhile walks its own,
+    clunked if the first is back at its end), and a ClientError clunks it,
+    so a late reply is never read as a later request's."""
     key = (path, mode) if keep else None
     fid = conn.open_fids.pop(key, None)
     opening = fid is None
     if opening:
         fid = yield from walk(conn, uname, path)
     try:
-        if opening and mode is not None:
-            if isdir != (yield lambda t: Topen(t, fid, mode)).qid.is_dir:
-                raise ClientError("not a directory" if isdir else "is a directory")
+        if opening and (yield lambda t: Topen(t, fid, mode)).qid.is_dir:
+            raise ClientError("is a directory")
         out = yield from use(fid)
     except ClientError as e:
         out = e
@@ -293,10 +319,10 @@ def on_fid(conn, uname, path, use, mode=None, isdir=False, keep=False):
     return out
 
 
-def read_file(conn, uname, path, isdir=False, keep=False):
-    """Step: the bytes of the file at path (with isdir, of a directory):
-    walk, open, read to end of file (read_all) and clunk (on_fid)."""
-    return on_fid(conn, uname, path, partial(read_all, isdir=isdir), OREAD, isdir, keep)
+def read_file(conn, uname, path, keep=False):
+    """Step: the bytes of the file at path: walk, open, read to end of
+    file (read_all) and clunk (on_fid)."""
+    return on_fid(conn, uname, path, read_all, OREAD, keep)
 
 
 def write_file(conn, uname, path, data, answer=False, keep=False):
@@ -308,6 +334,46 @@ def write_file(conn, uname, path, data, answer=False, keep=False):
         count = (yield lambda t: Twrite(t, fid, 0, data)).count
         return (yield from read_all(fid)) if answer else count
     return on_fid(conn, uname, path, use, ORDWR if answer else OWRITE, keep=keep)
+
+
+def on_walked(conn, uname, path, build, clunk, use=None):
+    """Step: the R-message to build(tag, fid) on a new fid walked to path,
+    or with use the value of the step use(fid, that R-message).  The Twalk
+    and build go out in one flight; build is sent once more if it was
+    refused while the walk succeeded, since it may have overtaken the
+    walk.  clunk(fid) sends the fid's Tclunk and waits for nothing: it
+    runs however the step ends once the walk succeeded, and after a walk
+    whose reply never came, which may have bound the fid."""
+    root = yield from attach(conn, uname)
+    names = tuple(p for p in path.split("/") if p)
+    fid = next(conn.fids)
+    walked, reply = yield (lambda t: Twalk(t, root, fid, names), lambda t: build(t, fid))
+    if isinstance(walked, Timeout):
+        clunk(fid)
+    if isinstance(walked, FsError):
+        raise walked
+    if len(walked.qids) != len(names):
+        raise ClientError("no such file")
+    try:
+        if type(reply) is ClientError:
+            reply = yield lambda t: build(t, fid)
+        if isinstance(reply, FsError):
+            raise reply
+        out = reply if use is None else (yield from use(fid, reply))
+    except FsError:
+        clunk(fid)
+        raise
+    clunk(fid)
+    return out
+
+
+def list_dir(fid, opened):
+    """Step: the listing of fid, opened as opened (its Ropen) says, else
+    the error 'not a directory'; it ends at the one read fscore's rule for
+    directory reads proves complete (read_all's isdir)."""
+    if not opened.qid.is_dir:
+        raise ClientError("not a directory")
+    return (yield from read_all(fid, isdir=True))
 
 
 class FileClient:
@@ -409,10 +475,9 @@ class FileClient:
         """Send one T-message and run the clock until its reply arrives."""
         return self._one(ref, request(build))
 
-    def read(self, ref, relpath, isdir=False) -> bytes:
-        """The bytes of a file, else the error 'is a directory'; with isdir,
-        of a directory, else the error 'not a directory'."""
-        return self._one(ref, read_file(self._conn(ref), self.uname, relpath, isdir))
+    def read(self, ref, relpath) -> bytes:
+        """The bytes of a file, else the error 'is a directory'."""
+        return self._one(ref, read_file(self._conn(ref), self.uname, relpath))
 
     def read_many(self, targets) -> list:
         """For each (ref, relpath) of targets, in order, the bytes of that
@@ -435,10 +500,20 @@ class FileClient:
         return self._one(ref, write_file(self._conn(ref), self.uname, relpath, data))
 
     def ls(self, ref, relpath) -> list:
-        """Stat records of a directory's children, in server order."""
-        return wire.decode_stats(self.read(ref, relpath, isdir=True))
+        """Stat records of a directory's children, in server order: walk
+        and open in one flight, one read and a clunk not waited for
+        (on_walked, list_dir)."""
+        return wire.decode_stats(self._one(ref, on_walked(
+            self._conn(ref), self.uname, relpath, lambda t, fid: Topen(t, fid, OREAD),
+            partial(self._clunk, ref), list_dir)))
 
     def stat(self, ref, relpath) -> wire.Stat:
-        """The stat record of a file: walk, stat and clunk (on_fid)."""
-        return self._one(ref, on_fid(self._conn(ref), self.uname, relpath,
-                                     lambda fid: request(lambda t: Tstat(t, fid)))).stat
+        """The stat record of a file: walk and stat in one flight, and a
+        clunk not waited for (on_walked)."""
+        return self._one(ref, on_walked(self._conn(ref), self.uname, relpath,
+                                        Tstat, partial(self._clunk, ref))).stat
+
+    def _clunk(self, ref, fid):
+        """Send fid's Tclunk and wait for nothing, as the head's
+        _clunk_remote does: on_fid ignores a clunk's outcome too."""
+        self.submit(ref, lambda t: Tclunk(t, fid), lambda r: None)

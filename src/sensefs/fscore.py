@@ -26,6 +26,12 @@ handler, waiting for it if it has not landed, and keeps it whole for
 later offsets; an FsError answers that read and keeps nothing.  The
 answer belongs to that fid alone, so no server needs a table keyed by
 fid, and a clunk drops it with the fid.
+
+A session's T-messages are handled in the order they arrive, and a walk,
+open, stat or clunk is answered at once, never Deferred.  A client may so
+send a request on a fid in one flight with the walk that binds it
+(client.on_walked): a request that overtook its walk on a link that
+reorders frames is refused (unknown fid), and the client sends it again.
 """
 
 from __future__ import annotations

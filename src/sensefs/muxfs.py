@@ -80,7 +80,7 @@ from functools import partial
 
 from . import wire
 from .client import (
-    Conn, ClientError, Flight, Timeout, _attach, once, read_all, receive, spawn, walk,
+    Conn, ClientError, Future, Timeout, _attach, once, read_all, receive, spawn, walk,
 )
 from .devicefs import parse_info
 from .wire import IOUNIT, OREAD, OWRITE, ORDWR, Tattach, Twalk, Topen, Tread, Twrite, Tclunk
@@ -405,7 +405,7 @@ class Multiplexer(Server):
         dfid = self.relayed.pop(ent, None)
         if dfid is not None:
             link = self.remote[ent.node][0]
-            if isinstance(dfid, Flight):    # still opening: clunk what it opens
+            if isinstance(dfid, Future):    # still opening: clunk what it opens
                 dfid.append(lambda d: isinstance(d, int) and self._clunk_remote(link, d))
             else:
                 self._clunk_remote(link, dfid)

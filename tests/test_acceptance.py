@@ -481,11 +481,11 @@ def run_bundled(scenario, script_name, seed):
 # sha256 of each bundled script's event log (the --log file) at seed 42
 GOLDEN_LOGS = {
     "example1_monitoring.script":
-        "eaf34455de1d38df50cabee23bfa36b9671122c41eef6ff7e9075fd7152bb067",
+        "5eeb676560d0153f690a7a4e031555947bfba20643f862744954eeda134ea301",
     "example2_datacentric.script":
         "41a610a0b8a0e187c98045ed930a3ac302381ab4bd984e7f39cd3141d131d604",
     "example3_emergency.script":
-        "8c9d072a82ec82a7b4be22e239f603b9d4d03d4cccd3b0c7157644257691aced",
+        "3a06d12e56b901cf1032e9d28484a519ac0f86a495f4e09e3cb20b7e0cf00ab0",
 }
 
 
@@ -543,8 +543,8 @@ cat /network/cluster2/sensors/s8/reading
 cat /network/cluster2/sensors/s8/reading"""
 
 # sha256 of LOSSY_SESSION's transcript and of its whole event log
-LOSSY_GOLDEN = ("3edc26e7c5506070dc85d84aa8f54e80986ecd280ae033fbd911395e9e668680",
-                "091f3183d4337dc4ace2cf745b3d5925eae174665bfa50f18b3422bc4af3e233")
+LOSSY_GOLDEN = ("2adc4a31e2b233882815d9f0f1966134837bb252cbf640f6e7dac86b01d71a3e",
+                "996b834ab6fed99e8e59d896a3bf7e9d1a4a34bff30474851cf0d252914b7b5d")
 
 
 def test_lossy_session_is_golden():

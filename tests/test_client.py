@@ -149,6 +149,14 @@ def sent_types(net, since, src):
             if line.split("\t")[1:3] == ["send", src]]
 
 
+def client_leg(net, since, t0, client):
+    """(tick after t0, message type) of every frame sent to or by client
+    after log line since."""
+    return [(int(line.split("\t")[0]) - t0, line.split("\t")[4].split()[0])
+            for line in net.log.lines[since:]
+            if line.split("\t")[1] == "send" and client.eid in line.split("\t")[2:4]]
+
+
 def test_index_read_after_a_question_is_the_member_index():
     net, mux, client, ref = question_cluster()
     index = client.read(ref, "ctl")
@@ -292,17 +300,22 @@ def listing_root(lengths):
 
 
 def test_ls_of_a_head_directory_is_walk_open_read_and_clunk():
-    # 2 frames and 2 ticks each at latency 1: the one reply leaves room
-    # for another entry, so no end-of-file read follows it
+    # at latency 1, Twalk and Topen leave in one tick and the Tread after
+    # the Ropen: 4 ticks; the Tclunk is not waited for, and its Rclunk
+    # lands one round trip later, for the same 8 frames as before
     net, mux, _ = build_cluster([temp_sensor(i, 20.0) for i in (1, 2, 3)], latency=1)
     client = make_client(net)
     ref = ("net", mux.eid)
     client.ls(ref, "")                      # attaches
-    t0, sent = net.now, len(events(net, "send"))
+    net.run_until(net.now + 2)
+    t0, since = net.now, len(net.log.lines)
     assert [st.name for st in client.ls(ref, "sensors")] == ["s1", "s2", "s3"]
-    assert net.now - t0 == 8
-    assert [pair for pair in events(net, "send")[sent:] if "client" in pair] == \
-        [["client", mux.eid], [mux.eid, "client"]] * 4
+    assert net.now - t0 == 4
+    net.run_until(net.now + 2)
+    assert client_leg(net, since, t0, client) == [
+        (0, "Twalk"), (0, "Topen"), (1, "Rwalk"), (1, "Ropen"), (2, "Tread"), (3, "Rread"),
+        (4, "Tclunk"), (5, "Rclunk")]
+    assert client_files(mux, client) == ["c"]
 
 
 @pytest.mark.parametrize("entries, reads", [(7, 1), (8, 2)])
@@ -348,3 +361,96 @@ def test_ls_lists_every_child_in_order_or_refuses_an_entry_too_large(lengths, to
                 client.ls(ref, "d")
         else:
             assert client.ls(ref, "d") == [child.stat() for child in d.list_children()]
+
+
+# -- ls and stat send the walk with the request that needs it ----------------
+
+def test_stat_is_walk_and_stat_in_one_flight():
+    # 2 ticks at latency 1 (was 6): the Rclunk lands after the stat has
+    # returned, for the same 6 frames
+    net, mux, _ = build_cluster([temp_sensor(1, 20.0)], latency=1)
+    client = make_client(net)
+    ref = ("net", mux.eid)
+    client.stat(ref, "")                    # attaches
+    net.run_until(net.now + 2)
+    t0, since = net.now, len(net.log.lines)
+    assert client.stat(ref, "sensors/s1/reading").name == "reading"
+    assert net.now - t0 == 2
+    net.run_until(net.now + 2)
+    assert client_leg(net, since, t0, client) == [
+        (0, "Twalk"), (0, "Tstat"), (1, "Rwalk"), (1, "Rstat"), (2, "Tclunk"), (3, "Rclunk")]
+    assert client_files(mux, client) == ["c"]
+
+
+def test_ls_of_a_file_is_refused_with_no_read_and_no_device_frame(zoo_sim):
+    # the Tread goes out only after the Ropen shows a directory
+    shell = Shell(zoo_sim)
+    shell.run_line("mount /dev/network /network")
+    assert shell.run_line("ls /network/cluster1")[0] == 0          # attaches
+    net = zoo_sim.net
+    net.run_until(net.now + 100)
+    since = len(net.log.lines)
+    assert shell.run_line("ls /network/cluster1/sensors/s1/reading") == (
+        1, "error: not a directory")
+    net.run_until(net.now + 100)
+    head, me = "cluster1.head", shell.client.eid
+    assert [line.split("\t")[2:4] + line.split("\t")[4].split()[:1]
+            for line in net.log.lines[since:] if line.split("\t")[1] == "send"] == [
+        [me, head, "Twalk"], [me, head, "Topen"], [head, me, "Rwalk"], [head, me, "Ropen"],
+        [me, head, "Tclunk"], [head, me, "Rclunk"]]
+
+
+@pytest.mark.parametrize("kind", ["Twalk", "Rwalk", "Topen", "Ropen", "Tread", "Rread"])
+def test_a_lost_frame_of_an_ls_leaves_no_fid_on_the_head(zoo_sim, kind):
+    # the walk's fid is clunked however the listing fails, and after a lost
+    # Rwalk too, since the walk may have bound it; the clunk of a fid a
+    # lost Twalk never bound is refused, harmlessly
+    shell = Shell(zoo_sim)
+    shell.run_line("mount /dev/network /network")
+    assert shell.run_line("ls /network/cluster1")[0] == 0          # attaches
+    net, send, lost = zoo_sim.net, zoo_sim.net.send, []
+    net.run_until(net.now + 100)
+    mux = zoo_sim.muxes["cluster1"]
+    conn = shell.client._conns[("net", mux.eid)]
+
+    def lose_one(src, dst, frame):
+        if not lost and shell.client.eid in (src, dst) and \
+                type(decode_message(frame)).__name__ == kind:
+            lost.append(frame)
+            return
+        send(src, dst, frame)
+
+    net.send = lose_one
+    assert shell.run_line("ls /network/cluster1/sensors") == (1, "error: timeout")
+    net.run_until(net.now + 100)
+    assert len(lost) == 1
+    assert list(mux.sessions[shell.client.eid].fids) == list(conn.roots.values())
+    assert conn.pending == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3), st.integers(0, 12))
+def test_ls_and_stat_over_a_jittery_link_take_at_most_one_round_trip_more(
+        seed, jitter, entries):
+    # an open or stat that overtook its walk is refused and sent once
+    # more: an ls takes at most three round trips of up to 2 * (1 + jitter)
+    # ticks each, a stat two
+    root, d = listing_root([8] * entries)
+    net = Network(seed, default_link=LinkModel(1, jitter, 0.0))
+    server = Server(root, USERS)
+    ServerEndpoint(net, "srv", server)
+    client = make_client(net)
+    ref = ("net", "srv")
+    client.ls(ref, "")                      # attaches
+    net.run_until(net.now + 20)
+    conn, session = client._conns[ref], server.sessions[client.eid]
+    baseline = dict(session.fids), dict(conn.roots)
+    t0 = net.now
+    assert client.ls(ref, "d") == [child.stat() for child in d.list_children()]
+    assert net.now - t0 <= 6 * (1 + jitter)
+    t0 = net.now
+    assert client.stat(ref, "d") == d.stat()
+    assert net.now - t0 <= 4 * (1 + jitter)
+    net.run_until(net.now + 20)
+    assert (dict(session.fids), dict(conn.roots)) == baseline
+    assert conn.pending == {} and conn.open_fids == {}

@@ -74,6 +74,7 @@ def test_discovery_excludes_silent_device_then_reprobe_recovers():
     net.run_until(600)        # the next re-probe finds it
     names = [s.name for s in client.ls(mux_ref(mux), "sensors")]
     assert names == ["s1", "s2"]
+    net.run_until(net.now + 4)      # the ls's Rclunk, not waited for, lands
     # every member found: the head sends nothing more and schedules nothing
     since = len(net.log.lines)
     net.run_until(net.now + 1000)
