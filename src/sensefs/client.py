@@ -17,17 +17,17 @@ never came (a Timeout) is raised at that yield as a ClientError instead,
 so a step fails one way and never tests a reply for failure.  A step may
 also yield a Future, an outcome another step is still working out
 (once), and gets that outcome when it lands, or a flight, a tuple of
-builds sent at once, and gets a tuple of outcomes in which a refusal or
-a Timeout is a value, since each is a different request's to judge.
-spawn is the one continuation driver: it runs a step as continuations,
-so any number of steps keep their requests in flight at once.  Its
-callers fix how long a request waits before it gets a Timeout:
+builds sent at once, and gets a list of outcomes in which a refusal or a
+Timeout is a value, since each is a different request's to judge.  spawn
+is the one continuation driver, so any number of steps keep requests in
+flight at once, and gather the one fan-out (a flight, a head's member
+reads, a run).  spawn's callers fix how long a request waits:
 
     muxfs.Multiplexer  every device exchange of a cluster head, under the
                        timeout named where the step is spawned
     FileClient._run    every file operation: one step (call, read, write,
-                       stat) or many (read_many, write_many), the clock
-                       run until all end; a request waits CLIENT_TIMEOUT
+                       stat) or many (read_many, write_many) at once, the
+                       clock run until all end; a request waits CLIENT_TIMEOUT
 
 FileClient gives read/write/ls/stat on paths against two kinds of
 server reference:
@@ -65,8 +65,6 @@ from .wire import (
 )
 
 CLIENT_TIMEOUT = 20000   # ticks a request will wait for its reply
-READ_WIDTH = 16          # steps a run keeps in flight per server, well
-                         # below a server's fid cap (fscore.DEFAULT_MAX_FIDS)
 
 
 class ClientError(FsError):
@@ -157,12 +155,12 @@ def spawn(step, call, done):
     raised inside the step as a ClientError, and so is an FsError that
     call raises, that cb is handed (a Timeout: the reply never came) or
     that a future lands with.  A tuple of builds it yields is a flight:
-    each is issued at once, and the step resumes with a tuple of their
-    outcomes, in order, when the last lands, a refusal being a ClientError
-    in it and a lost reply a Timeout, not raised.  done gets the step's
-    return value or the FsError it raised.  An error handed on as a value
-    drops its traceback, whose frames would otherwise hold it in a
-    reference cycle."""
+    each is issued at once (gather), and the step resumes with the list
+    of their outcomes, in order, when the last lands, a refusal being a
+    ClientError in it and a lost reply a Timeout, not raised.  done gets
+    the step's return value or the FsError it raised.  An error handed on
+    as a value drops its traceback, whose frames would otherwise hold it
+    in a reference cycle."""
     _resume(step, call, done, None)
 
 
@@ -185,7 +183,7 @@ def _resume(step, call, done, value):
         ask.append(resume)
         return
     if type(ask) is tuple:
-        _fly(ask, call, resume)
+        gather([partial(spawn, request(build), call) for build in ask], resume)
         return
     try:
         call(ask, resume)
@@ -195,19 +193,21 @@ def _resume(step, call, done, value):
     resume(refused)              # outside the handler: no exception context to chain
 
 
-def _fly(builds, call, resume):
-    """Issue every build of a flight at once, each as a step of its own;
-    resume(the tuple of their outcomes) when the last lands."""
-    outcomes, left = [None] * len(builds), [len(builds)]
+def gather(starts, done):
+    """Call every start(land) at once, each handing land its outcome then
+    or later; done(the outcomes, in start order) once all have landed."""
+    outcomes, left = [None] * len(starts), [len(starts)]
 
     def land(i, outcome):
         outcomes[i] = outcome
         left[0] -= 1
         if not left[0]:
-            resume(tuple(outcomes))
+            done(outcomes)
 
-    for i, build in enumerate(builds):
-        spawn(request(build), call, partial(land, i))
+    if not starts:
+        done(outcomes)
+    for i, start in enumerate(starts):
+        start(partial(land, i))
 
 
 def once(table, key, start, *args):
@@ -417,37 +417,17 @@ class FileClient:
         return tag
 
     def _run(self, steps) -> list:
-        """Drive each (ref, step) of steps to its end, at most READ_WIDTH at
-        a time per server, running the clock until every one has ended;
-        return, in order, each step's value or the FsError it raised.  A
-        request still unanswered when the next event is due after its
-        deadline (CLIENT_TIMEOUT ticks after it was sent) gets a Timeout,
-        and the clock stays where it is; deadlines come due in send order
-        (_waiting)."""
-        results = [None] * len(steps)
-        queues = {}                   # ref -> deque of (index, step) not started
-        for i, (ref, step) in enumerate(steps):
-            queues.setdefault(ref, deque()).append((i, step))
-        flying = dict.fromkeys(queues, 0)
-        queued = left = len(steps)
-
-        def finish(ref, i, outcome):
-            nonlocal left
-            results[i] = outcome
-            flying[ref] -= 1
-            left -= 1
-
+        """Drive every (ref, step) of steps at once (gather), running the
+        clock until every one has ended; return, in order, each step's
+        value or the FsError it raised.  A request still unanswered when
+        the next event is due after its deadline (CLIENT_TIMEOUT ticks
+        after it was sent) gets a Timeout, and the clock stays where it
+        is; deadlines come due in send order (_waiting)."""
+        ended = []
+        gather([partial(spawn, step, partial(self.submit, ref)) for ref, step in steps],
+               ended.append)
         net, waiting = self.net, self._waiting
-        while True:
-            if queued:
-                for ref, queue in queues.items():
-                    while queue and flying[ref] < READ_WIDTH:
-                        i, step = queue.popleft()
-                        flying[ref] += 1
-                        queued -= 1
-                        spawn(step, partial(self.submit, ref), partial(finish, ref, i))
-            if not left:
-                break
+        while not ended:
             nxt = net.peek_time()
             if waiting and (nxt is None or nxt > waiting[0][0]):
                 _, conn, tag, entry = waiting.popleft()
@@ -460,7 +440,7 @@ class FileClient:
             if conn.pending.get(tag) is entry:
                 break
             waiting.popleft()
-        return results
+        return ended[0]
 
     def _one(self, ref, step):
         """Run one step: its value, or raise the FsError it raised."""
@@ -481,8 +461,9 @@ class FileClient:
 
     def read_many(self, targets) -> list:
         """For each (ref, relpath) of targets, in order, the bytes of that
-        file or the ClientError that refused it, all read in one run, each
-        over the fid kept open to read it (on_fid's keep)."""
+        file or the ClientError that refused it, all read at once in one
+        run, each over the fid kept open to read it (on_fid's keep).  Each
+        holds a fid meanwhile: name fewer files on a server than its fid cap."""
         return self._run([(ref, read_file(self._conn(ref), self.uname, relpath, keep=True))
                           for ref, relpath in targets])
 
@@ -490,8 +471,8 @@ class FileClient:
         """For each (ref, relpath, data) of targets, in order, the count
         written to that file, or with answer the answer read back after
         the write on the same fid (a question), or the ClientError that
-        refused it, all written in one run, each over the fid kept open
-        to write it, or with answer to write and read it (on_fid's keep)."""
+        refused it, all run as read_many's reads are (at once, over kept
+        fids, fewer files on a server than its fid cap)."""
         return self._run([(ref, write_file(self._conn(ref), self.uname, relpath, data, answer,
                                            keep=True))
                           for ref, relpath, data in targets])

@@ -4,7 +4,7 @@ Discovers its member devices over the wire, mirrors their static trees
 under sensors/, serves aggrData/ files by fanning reads out to members,
 sorts sensors into groups/ at enumeration time, and relays client
 requests to devices by fid while keeping any number of them outstanding.
-A value cache keeps each member file's last offset-0 read; a copy is
+A value cache keeps each member file's last whole offset-0 read; a copy is
 fresh for ttl ticks before the tick a question was asked (_cached).  A
 question the head answers itself (an aggregate, a ctl query) serves a
 fresh copy read after the member's last relayed write, with no device
@@ -80,7 +80,7 @@ from functools import partial
 
 from . import wire
 from .client import (
-    Conn, ClientError, Future, Timeout, _attach, once, read_all, receive, spawn, walk,
+    Conn, ClientError, Future, Timeout, _attach, gather, once, read_all, receive, spawn, walk,
 )
 from .devicefs import parse_info
 from .wire import IOUNIT, OREAD, OWRITE, ORDWR, Tattach, Twalk, Topen, Tread, Twrite, Tclunk
@@ -134,6 +134,7 @@ class DeviceLink(Conn):
         self.meta = {}             # kind, tags, position parsed from info
         self.probing = False       # a discovery probe is in flight
         self.poll = None           # the pending report-rate poll Event
+        self.calls = {}            # timeout -> the head's call, shared by its steps in flight
 
 
 class Multiplexer(Server):
@@ -185,29 +186,22 @@ class Multiplexer(Server):
         timeout ticks for its reply; done gets its return value or the
         FsError it raised; with no done, a failure other than a Timeout is
         logged as mux-error."""
-        spawn(step, partial(self._call, link, timeout), done or self._log_failure)
+        if timeout not in link.calls:
+            link.calls[timeout] = partial(self._call, link, timeout)
+        spawn(step, link.calls[timeout], done or self._log_failure)
 
     def _log_failure(self, outcome):
         if isinstance(outcome, FsError) and not isinstance(outcome, Timeout):
             self.net.log.add(self.net.now, "mux-error", self.eid, "", outcome.ename)
 
-    def _fan_out(self, links, step, timeout, got, done):
-        """Run the step step(link) of every link at once, under timeout.  As
-        each ends, got(link, its value or FsError) makes that link's result;
-        done gets the results in link order when the last has ended."""
-        results = [None] * len(links)
-        left = [len(links)]
-
-        def ended(i, link, outcome):
-            results[i] = got(link, outcome)
-            left[0] -= 1
-            if not left[0]:
-                done(results)
-
-        if not links:
-            done(results)
-        for i, link in enumerate(links):
-            self._spawn(link, step(link), timeout, partial(ended, i, link))
+    def _fan_out(self, links, step, timeout, done):
+        """Run the step step(link) of every link at once (gather), under
+        timeout; done gets each one's value or FsError, in link order, when
+        the last has ended.  A step made as it starts, not all beforehand,
+        keeps fewer objects alive at once for the collector."""
+        def start(link, land):
+            self._spawn(link, step(link), timeout, land)
+        gather([partial(start, link) for link in links], done)
 
     # ------------------------------------------------------------------
     # discovery
@@ -362,7 +356,7 @@ class Multiplexer(Server):
             with suppress(Timeout):
                 data = (yield from self._relay(
                     link, ent, path, lambda t, dfid: Tread(t, dfid, msg.offset, count))).data
-                if msg.offset == 0:
+                if msg.offset == 0 and len(data) < count:    # a short reply is the whole file
                     link.cache[path] = (data, self.net.now)
                 self._relay_log(session, msg, "%s/%s" % (dev, path), 0)
                 return data
@@ -440,8 +434,10 @@ class Multiplexer(Server):
 
         asked = self.net.now
 
-        def got(link, data):
-            if not isinstance(data, bytes):     # an FsError, a Timeout among them
+        def read(link):         # its floats; a fresh copy stands in for a failed read
+            try:
+                data = yield from self._recent(link, spec.source_path, asked, "mux-aggregate")
+            except FsError:                     # a Timeout among them
                 data = self._cached(link, spec.source_path, asked, "mux-aggregate")
             return _parse_floats(data) if data is not None else None
 
@@ -458,8 +454,7 @@ class Multiplexer(Server):
             cb(text.encode()[offset:offset + count])
 
         return Defer(lambda cb: self._fan_out(
-            members, lambda link: self._recent(link, spec.source_path, asked, "mux-aggregate"),
-            self.cfg.discover_timeout, got, partial(finish, cb)))
+            members, read, self.cfg.discover_timeout, partial(finish, cb)))
 
     # ------------------------------------------------------------------
     # polling / report rate
@@ -528,24 +523,23 @@ class Multiplexer(Server):
         links = [self.links[dev] for dev in ids] if ids else self._discovered()
         asked = self.net.now
 
-        def got(link, out):
-            if isinstance(out, Timeout):
+        def read(link):         # as mux, once uname may open the mirrored file to read
+            try:
+                node = link.node and link.node.lookup(name)
+                if node is None:
+                    raise FsError("no such file")
+                self.check_open_perm(node, uname, OREAD)
+                out = yield from self._recent(link, name, asked, "mux-query")
+            except Timeout:
                 out = self._cached(link, name, asked, "mux-query")
                 if out is None:
-                    out = FsError("device unreachable")
-            if isinstance(out, FsError):
-                return ("%s !%s\n" % (link.peer, out.ename)).encode()
+                    return ("%s !device unreachable\n" % link.peer).encode()
+            except FsError as e:
+                return ("%s !%s\n" % (link.peer, e.ename)).encode()
             return b"%s %s\n" % (link.peer.encode(), out.split(b"\n", 1)[0])
 
-        def read(link):         # as mux, once uname may open the mirrored file to read
-            node = link.node and link.node.lookup(name)
-            if node is None:
-                raise FsError("no such file")
-            self.check_open_perm(node, uname, OREAD)
-            return (yield from self._recent(link, name, asked, "mux-query"))
-
         return Defer(lambda done: self._fan_out(
-            links, read, self.cfg.fallback_ticks, got, lambda lines: done(b"".join(lines))))
+            links, read, self.cfg.fallback_ticks, lambda lines: done(b"".join(lines))))
 
     def _recent(self, link, path, asked, event):
         """Step: path's bytes for a question the head answers itself, asked

@@ -4,7 +4,7 @@ way a T-message leaves it, on devices, heads and file clients alike."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sensefs.client import ClientError, FileClient, Timeout
+from sensefs.client import ClientError, FileClient, Timeout, gather
 from sensefs.devicefs import parse_infos
 from sensefs.fscore import Defer, Server, make_dir, make_file
 from sensefs.muxfs import MuxConfig
@@ -104,6 +104,25 @@ def test_lost_rclunk_does_not_fail_the_read(zoo_sim):
     assert len(lost) == 1
 
 
+# -- gather: the one fan-out -------------------------------------------------
+
+def test_gather_hands_back_outcomes_in_start_order_when_the_last_lands():
+    lands, got = [], []
+    gather([lands.append, lambda land: land("at once"), lands.append], got.append)
+    assert got == []
+    lands[1]("third")
+    assert got == []
+    lands[0]("first")
+    assert got == [["first", "at once", "third"]]
+
+
+def test_gather_of_starts_that_land_at_once_or_of_none_is_done_at_once():
+    got = []
+    gather([lambda land: land(1), lambda land: land(2)], got.append)
+    gather([], got.append)
+    assert got == [[1, 2], []]
+
+
 # -- batches -------------------------------------------------------------------
 
 def test_batch_on_a_fresh_conn_sends_one_tattach():
@@ -117,6 +136,18 @@ def test_batch_on_a_fresh_conn_sends_one_tattach():
     assert sum(1 for line in net.log.lines
                if line.split("\t")[1:4] == ["send", client.eid, mux.eid]
                and line.split("\t")[4].startswith("Tattach")) == 1
+
+
+def test_batch_sends_every_step_at_once():
+    net, mux, _ = build_cluster([temp_sensor(i, float(i)) for i in range(1, 21)], latency=1)
+    client = make_client(net)
+    ref = ("net", mux.eid)
+    since, t0 = len(net.log.lines), net.now
+    got = client.read_many([(ref, "sensors/s%d/reading" % i) for i in range(1, 21)])
+    assert got == [b"%f\n" % i for i in range(1, 21)]
+    # the Tattach's reply releases all 20 Twalks in one tick
+    assert [tick for tick, kind in client_leg(net, since, t0, client)
+            if kind == "Twalk"] == [2] * 20
 
 
 # -- kept fids: a batch asks a head over a fid it keeps open per file and mode -

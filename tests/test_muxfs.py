@@ -695,6 +695,19 @@ def test_aggregate_after_a_relayed_write_reads_the_device():
     assert member_frames(net, mux, since) == ["Rread", "Tread"]
 
 
+@pytest.mark.parametrize("count", [3, 0])
+def test_a_relayed_read_its_count_cuts_is_not_cached(count):
+    # only a reply shorter than its count is the whole file (fscore's rule
+    # for a short reply): a cut one must not answer an aggregate in the ttl
+    net, mux, _ = build_cluster([temp_sensor(1, 20.9), temp_sensor(2, 30.1)],
+                                aggregates=[AggregateSpec("avgTemp", "avg")])
+    client = make_client(net)
+    fid = open_fid(client, mux_ref(mux), "sensors/s1/reading")
+    assert client.call(mux_ref(mux), tread(fid, count=count)).data == b"20.900000\n"[:count]
+    assert "reading" not in mux.links["s1"].cache
+    assert client.read(mux_ref(mux), "aggrData/avgTemp") == b"25.500000\n# n=2/2\n"
+
+
 def sleeping_aggregate(age):
     """avgTemp over s1 (10.0) and s2 (20.0) once s2, whose reading the head
     cached age ticks before, is asleep: the head waits its 20-tick
