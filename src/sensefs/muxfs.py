@@ -9,15 +9,21 @@ fresh for ttl ticks before the tick a question was asked (_cached).  A
 question the head answers itself (an aggregate, a ctl query) serves a
 fresh copy read after the member's last relayed write, with no device
 frame (_recent).  Relayed reads and writes and polls always go to the
-device, and a fresh copy stands in for a member that does not answer.
-Writes to ctl are commands (rate, aggregate with fn avg, min or max,
-group) or read queries; a plain read of ctl returns the member index,
-each discovered member's info text as read at discovery, so views learn
-every member without a device frame.  info is static on a device, so it
-is read once: the head probes each member not yet discovered, again every
-reprobe_ticks while any is missing, and sends nothing once all are found;
-a probe that read info and then failed keeps it, and the next only lists
-the root.
+device.  Writes to ctl are commands (rate, aggregate with fn avg, min or
+max, group) or read queries; a plain read of ctl returns the member
+index, each discovered member's info text as read at discovery, so views
+learn every member without a device frame.  info is static on a device,
+so it is read once: the head probes each member not yet discovered, again
+every reprobe_ticks while any is missing, and sends nothing once all are
+found; a probe that read info and then failed keeps it, and the next only
+lists the root.
+
+A client's read or write of a mirrored file is relayed by one step
+(_relay): it forwards the request (mux-route) on the device fid behind
+the client fid, walked and opened on first use, and waits fallback_ticks
+for the reply.  A read adds its snapshot at later offsets, its cache fill
+and the fresh copy that stands in for a silent member; a write, its stamp
+of the member's last write.
 
 An aggregate's question is asked at the open, as a Plan 9 server may act
 on Topen (the clone files do): opening an aggrData file starts its
@@ -98,6 +104,10 @@ class MuxConfig:
     fallback_ticks: int = 1000    # wait before falling back to cache/unreachable
     reprobe_ticks: int = 100      # probe period while a member is still undiscovered
     discover_timeout: int = 20    # the head's own requests: probes, opens, member reads
+
+    def __post_init__(self):        # a 0-tick reprobe would reschedule at the same tick
+        if self.ttl < 0 or min(self.fallback_ticks, self.reprobe_ticks, self.discover_timeout) < 1:
+            raise ValueError("ttl must be >= 0 ticks, every timeout and period >= 1 tick")
 
 
 @dataclass
@@ -262,28 +272,20 @@ class Multiplexer(Server):
 
     def _read_path(self, link, path):
         """Step: a member file read as mux over the fid kept open for it in
-        link.open_fids, opened on first use (_open_mux): its bytes, cached.
+        link.open_fids, opened on first use (_open): its bytes, cached.
         A refusal or a Timeout is raised."""
-        fid = yield from once(link.open_fids, path, self._open_mux, link, path)
+        fid = yield from once(link.open_fids, path, self._open, link, path, OREAD, _attach, "mux")
         data = (yield lambda t: Tread(t, fid, 0, IOUNIT)).data
         link.cache[path] = (data, self.net.now)
         return data
 
-    def _open_mux(self, link, path):
-        """Step: a fresh mux attach, walked in place to path, opened OREAD (_open)."""
-        fid = yield from _attach(link, "mux")
-        return (yield from self._open(link, fid, path, OREAD))
-
-    def _open_remote(self, link, uname, path, mode):
-        """Step: a new device fid walked from uname's root (attached once
-        per uname) to path and opened in mode."""
-        fid = yield from walk(link, uname, path)
-        return (yield from self._open(link, fid, "", mode))
-
-    def _open(self, link, fid, path, mode):
-        """Step: fid, walked in place to path (walk(5) lets newfid be fid;
-        "" needs no walk) and opened in mode.  A walk or open that fails,
-        a Timeout included, clunks fid and is raised."""
+    def _open(self, link, path, mode, new, *args):
+        """Step: the device fid of the step new(link, *args) (a fresh attach,
+        or a walk from a root attached once per user), walked in place to
+        path (walk(5) lets newfid be fid; "" needs no walk) and opened in
+        mode.  A walk in place or open that fails, a Timeout included,
+        clunks fid and is raised."""
+        fid = yield from new(link, *args)
         names = tuple(p for p in path.split("/") if p)
         try:
             if names and len((yield lambda t: Twalk(t, fid, fid, names)).qids) != len(names):
@@ -310,17 +312,32 @@ class Multiplexer(Server):
     # client-face relaying
     # ------------------------------------------------------------------
 
-    def _relay(self, link, ent, path, build):
-        """Step: the R-message to build(tag, device fid), sent on the device
-        fid behind a relayed client fid, walked and opened on first use.  A
-        refusal or a Timeout is raised."""
-        dfid = yield from once(self.relayed, ent, self._open_remote,
-                               link, ent.uname, path, ent.open_mode)
-        return (yield lambda t: build(t, dfid))
+    def _relay(self, session, msg, modes, use):
+        """For a request on client fid ent of a mirrored file (path on the
+        member link) open in one of modes, a Defer of the step use(ent,
+        link, path, send) run under fallback_ticks, send(kind, *args) being
+        this request's _send; for any other, None."""
+        ent = session.get(msg.fid)
+        link, path = self.remote.get(ent.node, (None, None))
+        if link is None or ent.open_mode not in modes:
+            return None
+        step = use(ent, link, path, partial(self._send, session, msg, ent, link, path))
+        return Defer(partial(self._spawn, link, step, self.cfg.fallback_ticks))
 
-    def _relay_log(self, session, msg, path, cached):
+    def _send(self, session, msg, ent, link, path, kind, *args):
+        """Step: log mux-route and return the member's R-message to
+        kind(tag, device fid, *args), sent on the device fid behind ent,
+        walked and opened on first use (once).  A refusal or a Timeout is
+        raised."""
+        self.net.log.add(self.net.now, "mux-route", session.conn_key, self.eid,
+                         Hop(ROUTED, msg.tag, msg.fid, "%s/%s" % (link.peer, path)))
+        dfid = yield from once(self.relayed, ent, self._open,
+                               link, "", ent.open_mode, walk, ent.uname, path)
+        return (yield lambda t: kind(t, dfid, *args))
+
+    def _relay_log(self, session, msg, link, path, cached):
         self.net.log.add(self.net.now, "mux-relay", self.eid, session.conn_key,
-                         Hop(RELAYED[cached], msg.tag, msg.fid, path))
+                         Hop(RELAYED[cached], msg.tag, msg.fid, "%s/%s" % (link.peer, path)))
 
     def t_open(self, session, msg):
         qid = super().t_open(session, msg)
@@ -331,34 +348,22 @@ class Multiplexer(Server):
         return qid
 
     def t_read(self, session, msg):
-        ent = session.get(msg.fid)
-        remote = self.remote.get(ent.node)
-        if remote is None or ent.open_mode not in (OREAD, ORDWR):
-            return super().t_read(session, msg)
-        link, path = remote
-        dev = link.peer
-        count = min(msg.count, IOUNIT)
-        # an offset-0 read always asks the device; a later offset on a fid
-        # whose offset-0 answer came from the cache reads that snapshot
-        # (ent.data), so one whole-file read never splices cache and device
-        # and its end-of-file read does not wait out the unreachable timeout
-        if msg.offset == 0:
+        def use(ent, link, path, send):
+            count, asked = min(msg.count, IOUNIT), self.net.now    # it starts as msg arrives
+            # an offset-0 read always asks the device; a later offset on a
+            # fid whose offset-0 answer came from the cache reads that
+            # snapshot (ent.data), so one whole-file read never splices cache
+            # and device and its end-of-file read does not wait out the
+            # unreachable timeout
+            if msg.offset and ent.data is not None:
+                self._relay_log(session, msg, link, path, 1)
+                return ent.data[msg.offset:msg.offset + count]
             ent.data = None
-        elif ent.data is not None:
-            self._relay_log(session, msg, "%s/%s" % (dev, path), 1)
-            return ent.data[msg.offset:msg.offset + count]
-        self.net.log.add(self.net.now, "mux-route", session.conn_key, self.eid,
-                         Hop(ROUTED, msg.tag, msg.fid, "%s/%s" % (dev, path)))
-
-        asked = self.net.now
-
-        def chain():
             with suppress(Timeout):
-                data = (yield from self._relay(
-                    link, ent, path, lambda t, dfid: Tread(t, dfid, msg.offset, count))).data
+                data = (yield from send(Tread, msg.offset, count)).data
                 if msg.offset == 0 and len(data) < count:    # a short reply is the whole file
                     link.cache[path] = (data, self.net.now)
-                self._relay_log(session, msg, "%s/%s" % (dev, path), 0)
+                self._relay_log(session, msg, link, path, 0)
                 return data
             # no answer: serve the cache, its freshness judged when the
             # request arrived, not after the unreachable-device timeout
@@ -366,33 +371,25 @@ class Multiplexer(Server):
             if cached is None:
                 raise FsError("device unreachable")
             ent.data = cached
-            self._relay_log(session, msg, "%s/%s" % (dev, path), 1)
+            self._relay_log(session, msg, link, path, 1)
             return cached[msg.offset:msg.offset + count]
 
-        return Defer(lambda cb: self._spawn(link, chain(), self.cfg.fallback_ticks, cb))
+        return self._relay(session, msg, (OREAD, ORDWR), use) or super().t_read(session, msg)
 
     def t_write(self, session, msg):
-        ent = session.get(msg.fid)
-        remote = self.remote.get(ent.node)
-        if remote is None or ent.open_mode not in (OWRITE, ORDWR):
-            if ent.node is self.ctl and ent.open_mode in (OWRITE, ORDWR):
-                return self.written(ent, self._write_ctl(ent.uname, msg.data), len(msg.data))
-            return super().t_write(session, msg)
-        link, path = remote
-        self.net.log.add(self.net.now, "mux-route", session.conn_key, self.eid,
-                         Hop(ROUTED, msg.tag, msg.fid, "%s/%s" % (link.peer, path)))
-
-        def chain():
+        def use(ent, link, path, send):
+            ent.data = None         # a write ends the fid's snapshot, as fscore's written does
             with suppress(Timeout):
                 try:
-                    r = yield from self._relay(
-                        link, ent, path, lambda t, dfid: Twrite(t, dfid, msg.offset, msg.data))
-                    return r.count
+                    return (yield from send(Twrite, msg.offset, msg.data)).count
                 finally:
                     link.written = self.net.now
             raise FsError("device unreachable")
 
-        return Defer(lambda cb: self._spawn(link, chain(), self.cfg.fallback_ticks, cb))
+        ent = session.get(msg.fid)
+        if ent.node is self.ctl and ent.open_mode in (OWRITE, ORDWR):
+            return self.written(ent, self._write_ctl(ent.uname, msg.data), len(msg.data))
+        return self._relay(session, msg, (OWRITE, ORDWR), use) or super().t_write(session, msg)
 
     def t_clunk(self, session, msg):
         ent = session.fids.get(msg.fid)

@@ -83,15 +83,16 @@ class _SensorDef:
     duty: tuple = None
     tags: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not self.energy >= 0:
+            raise ValueError("energy must be >= 0 J")
+
 
 @dataclass
 class ScenarioConfig:
     seed: int = 0
-    ttl: int = 30
-    fallback: int = 1000
-    reprobe: int = 100
-    discover_timeout: int = 20
     warmup: int = 60
+    mux: MuxConfig = field(default_factory=MuxConfig)      # ttl and timeouts of every head
     geo: GeoMap = field(default_factory=GeoMap)
     energy: EnergyModel = field(default_factory=EnergyModel)
     default_link: LinkModel = field(default_factory=LinkModel)
@@ -106,6 +107,10 @@ class ScenarioConfig:
     view_tag: str = "animal"
     view_low: float = 10.0
     view_high: float = 100.0
+
+    def __post_init__(self):
+        if self.warmup < 0:
+            raise ValueError("warmup must be >= 0 ticks")
 
 
 def _words(conv, *counts):
@@ -181,14 +186,16 @@ def _region(cfg, names):
 class _Section(NamedTuple):
     arity: tuple    # numbers of names the header may take
     open: object    # (cfg, names) -> what the keys set, None for a duplicate
-    keys: dict      # key -> (attribute names, value parser); an attribute that
-                    # is a dict takes the key's NAME, else the header's last name
+    keys: dict      # key -> (attribute names, value parser); names after `OWNER.`
+                    # are the target's OWNER's; an attribute that is a dict
+                    # takes the key's NAME, else the header's last name
 
 
 SECTIONS = {
     "scenario": _Section((0,), lambda cfg, names: cfg, {
-        key: (key, int) for key in
-        ("seed", "ttl", "fallback", "reprobe", "discover_timeout", "warmup")}),
+        "seed": ("seed", int), "warmup": ("warmup", int), "ttl": ("mux.ttl", int),
+        "fallback": ("mux.fallback_ticks", int), "reprobe": ("mux.reprobe_ticks", int),
+        "discover_timeout": ("mux.discover_timeout", int)}),
     "geo": _Section((0,), lambda cfg, names: cfg.geo, {
         "origin_lon": ("origin_lon", float), "origin_lat": ("origin_lat", float),
         "m_per_deg": ("m_per_deg", _positive)}),
@@ -271,7 +278,8 @@ def _set(header, line):
     words, section, target = header
     word, *name = key.split(None, 1) or [""]
     attrs, parse = section.keys.get(word + " NAME" if name else word, ("", None))
-    attrs = attrs.split()
+    owner, _, attrs = attrs.rpartition(".")
+    target, attrs = getattr(target, owner) if owner else target, attrs.split()
     if not attrs or not all([hasattr(target, attr) for attr in attrs]):
         raise ScenarioError("unknown [%s] key %r" % (words[0], key))
     try:
@@ -300,6 +308,8 @@ def _validate(cfg: ScenarioConfig):
     for cluster in list(cfg.aggregates) + list(cfg.groups):
         if cluster not in cfg.clusters:
             raise ScenarioError("unknown cluster %r in aggregate/group" % cluster)
+    if not cfg.view_low < cfg.view_high:         # checked here: either key may come first
+        raise ScenarioError("[views] low %g is not below high %g" % (cfg.view_low, cfg.view_high))
     ids = set(cfg.sensors) | set(cfg.clusters.values()) | set(cfg.responders)
     if len(ids) != len(cfg.sensors) + len(cfg.clusters) + len(cfg.responders):
         raise ScenarioError("endpoint ids are not unique")
@@ -344,14 +354,10 @@ class Simulation:
             ServerEndpoint(self.net, sdef.id, server, state=state)
             self.states[sdef.id] = state
 
-        mux_cfg_args = dict(ttl=cfg.ttl, fallback_ticks=cfg.fallback,
-                            reprobe_ticks=cfg.reprobe,
-                            discover_timeout=cfg.discover_timeout)
         for name, head in cfg.clusters.items():
             members = [s.id for s in cfg.sensors.values() if s.cluster == name]
             self.muxes[name] = Multiplexer(
-                self.net, head, name, members, self.users,
-                MuxConfig(**mux_cfg_args),
+                self.net, head, name, members, self.users, cfg.mux,
                 aggregates=cfg.aggregates.get(name, ()),
                 groups=cfg.groups.get(name, ()))
 

@@ -54,22 +54,6 @@ class Shell:
         self.table = NamespaceTable()
         self.cwd = "/"
 
-    # -- paths ---------------------------------------------------------
-
-    def _abspath(self, path: str) -> str:
-        if not path.startswith("/"):
-            path = self.cwd.rstrip("/") + "/" + path
-        parts = []
-        for p in path.split("/"):
-            if not p or p == ".":
-                continue
-            if p == "..":
-                if parts:
-                    parts.pop()
-            else:
-                parts.append(p)
-        return "/" + "/".join(parts)
-
     # -- command dispatch ------------------------------------------------
 
     def execute(self, line: str) -> str:
@@ -90,7 +74,7 @@ class Shell:
     def cmd_mount(self, args):
         if len(args) != 2:
             raise CommandError("usage: mount <server> <path>")
-        server, path = args[0], self._abspath(args[1])
+        server, path = args[0], views.norm_path(args[1], self.cwd)
         name = server[5:] if server.startswith("/dev/") else server
         if name == "network":
             for cluster, head in self.sim.cfg.clusters.items():
@@ -106,7 +90,7 @@ class Shell:
         args = [a for a in args if a != "-l"]
         if len(args) > 1:
             raise CommandError("usage: ls [-l] [path]")
-        path = self._abspath(args[0]) if args else self.cwd
+        path = views.norm_path(args[0], self.cwd) if args else self.cwd
         entries = dir_entries(self.client, self.table, path)
         if not long:
             return "\n".join(entries)
@@ -118,7 +102,7 @@ class Shell:
     def cmd_cd(self, args):
         if len(args) > 1:
             raise CommandError("usage: cd [path]")
-        path = self._abspath(args[0]) if args else "/"
+        path = views.norm_path(args[0], self.cwd) if args else "/"
         if path != "/" and not self.table.mount_children(path):
             try:                # a directory only the server knows: ask it
                 ref, rel = self.table.resolve(path)
@@ -136,20 +120,20 @@ class Shell:
     def cmd_cat(self, args):
         if len(args) != 1:
             raise CommandError("usage: cat <path>")
-        ref, rel = self.table.resolve(self._abspath(args[0]))
+        ref, rel = self.table.resolve(views.norm_path(args[0], self.cwd))
         return self.client.read(ref, rel).decode(errors="replace").rstrip("\n")
 
     def cmd_write(self, args):
         if len(args) < 2:
             raise CommandError("usage: write <path> <text>")
-        ref, rel = self.table.resolve(self._abspath(args[0]))
+        ref, rel = self.table.resolve(views.norm_path(args[0], self.cwd))
         self.client.write(ref, rel, " ".join(args[1:]).encode())
         return ""
 
     def cmd_stat(self, args):
         if len(args) != 1:
             raise CommandError("usage: stat <path>")
-        ref, rel = self.table.resolve(self._abspath(args[0]))
+        ref, rel = self.table.resolve(views.norm_path(args[0], self.cwd))
         st = self.client.stat(ref, rel)
         return "%s %s %s %d %s" % (st.name, _mode_text(st.mode), st.owner,
                                    st.length, st.group)
@@ -157,7 +141,7 @@ class Shell:
     def cmd_groups(self, args):
         if not args:
             raise CommandError("usage: groups <cluster>")
-        base = self._abspath("%s/%s/groups" % (views.NETWORK, args[0]))
+        base = views.norm_path("%s/%s/groups" % (views.NETWORK, args[0]))
         lines = []
         for group in dir_entries(self.client, self.table, base):
             members = dir_entries(self.client, self.table, base + "/" + group)

@@ -29,7 +29,7 @@ import random
 import struct
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .wire import frame_head, head_summary
 
@@ -55,6 +55,10 @@ class EnergyModel:
     rx_cost_j: float = 0.0    # per frame received
     idle_cost_j_per_tick: float = 0.0
 
+    def __post_init__(self):
+        if not all(cost >= 0 for cost in astuple(self)):     # nan too
+            raise ValueError("energy costs must be >= 0 J")
+
 
 @dataclass
 class DutyCycle:
@@ -63,8 +67,8 @@ class DutyCycle:
     phase: int = 0
 
     def __post_init__(self):
-        if self.on_ticks + self.off_ticks <= 0:
-            raise ValueError("empty duty cycle period")
+        if self.on_ticks < 1 or self.off_ticks < 0:       # never awake, or no period
+            raise ValueError("a duty cycle is on >= 1 and off >= 0 ticks")
 
     def awake_at(self, t: int) -> bool:
         period = self.on_ticks + self.off_ticks

@@ -39,8 +39,15 @@ from .fscore import Node, Server, UserDb, make_dir, make_file
 from .muxfs import AGGREGATIONS
 
 
-def norm_path(path: str) -> str:
-    parts = [p for p in path.split("/") if p and p != "."]
+def norm_path(path: str, cwd="/") -> str:
+    """path as an absolute path with no empty, . or .. names, a relative
+    path taken from cwd; .. of the root is the root."""
+    parts = []
+    for p in (path if path.startswith("/") else cwd + "/" + path).split("/"):
+        if p == "..":
+            parts = parts[:-1]
+        elif p and p != ".":
+            parts.append(p)
     return "/" + "/".join(parts)
 
 

@@ -562,3 +562,36 @@ def test_lossy_session_is_golden():
     digests = (hashlib.sha256(transcript.encode()).hexdigest(),
                hashlib.sha256(sim.net.log.text().encode()).hexdigest())
     assert digests == LOSSY_GOLDEN
+
+
+def lossy_zoo(loss, seed=None):
+    """zoo.scn with every link at loss and a jitter of 2 ticks, started."""
+    with open(ZOO) as fh:
+        text = fh.read().replace("loss = 0.0", "loss = %s" % loss)
+    cfg = parse_scenario(text.replace("jitter = 0", "jitter = 2"))
+    assert cfg.default_link.loss == loss and cfg.default_link.jitter == 2
+    if seed is not None:
+        cfg.seed = seed
+    sim = Simulation(cfg)
+    sim.start()
+    return sim
+
+
+# sha256 of LOSSY_SESSION's transcript and event log at lossy-soak's link
+# settings (loss 0.05, jitter 2): 13 of its 26 cat, write, ls and plan
+# lines get an answer (2 of the others read s9 after it was put to sleep)
+LOSSY_5_GOLDEN = ("2f03aff13bafae786bcf9f86e46044375146c9b6aa4bf91ed8d264f8e94776e8",
+                  "0f334dfb88897c6e7b8258931b9bf318a2ee2b57d387d0259aba973422a1225d")
+
+
+def test_lossy_session_at_5_percent_is_golden():
+    sim = lossy_zoo(0.05)
+    shell = Shell(sim)
+    transcript = ""
+    for line in LOSSY_SESSION.splitlines():
+        status, output = shell.run_line(line)
+        transcript += "> %s\n%d %s\n" % (line, status, output)
+    print(transcript)              # shown when the digests differ
+    digests = (hashlib.sha256(transcript.encode()).hexdigest(),
+               hashlib.sha256(sim.net.log.text().encode()).hexdigest())
+    assert digests == LOSSY_5_GOLDEN

@@ -523,6 +523,22 @@ def test_offset_zero_reread_after_a_cache_fallback_asks_the_device():
     assert "Tread" in member_frames(net, mux, since, ("s1",))
 
 
+def test_a_relayed_write_ends_the_snapshot_a_cache_fallback_left():
+    # as a local write resets its fid's snapshot (fscore's written), a
+    # relayed one does: a later offset on the fid then asks the device
+    net, mux, states = build_cluster(
+        [temp_sensor(1, 1.0)], latency=1,
+        mux_cfg=MuxConfig(ttl=1000, fallback_ticks=5, reprobe_ticks=10 ** 6))
+    client, ref = make_client(net), mux_ref(mux)
+    assert client.read(ref, "sensors/s1/registers").startswith(b"r0 0000\n")
+    fid = open_fid(client, ref, "sensors/s1/registers", ORDWR)
+    states["s1"].set_power(net.now, "asleep")
+    assert client.call(ref, tread(fid)).data.startswith(b"r0 0000\n")     # the cached copy
+    states["s1"].set_power(net.now, "awake")
+    assert client.call(ref, lambda t: Twrite(t, fid, 0, b"r0 00ff")).count == 7
+    assert client.call(ref, tread(fid, 3)).data.startswith(b"00ff\nr1 0000\n")
+
+
 def test_a_read_answered_from_the_cache_ends_from_that_snapshot():
     # the device fid is open, but the offset-0 reply is lost: the rest of
     # the read comes from the same cached copy, never from the device

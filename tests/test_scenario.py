@@ -5,6 +5,7 @@ import re
 import pytest
 
 from sensefs.fscore import Server
+from sensefs.muxfs import MuxConfig
 from sensefs.scenario import (
     ScenarioError, Simulation, load_scenario_file, make_source, parse_scenario,
 )
@@ -101,13 +102,40 @@ def test_header_error_at_its_line(text, error):
     ("[geo]\nm_per_deg = -inf\n", "line 2: bad value for 'm_per_deg'"),
     ("[cluster c]\n[aggregate c a]\nkind = temperature\nfn = median\n",
      "line 4: bad value for 'fn': no such aggregation 'median'"),
+    ("[scenario]\nseed = 1\nreprobe = 0\n",
+     "line 3: bad value for 'reprobe': ttl must be >= 0 ticks, every timeout and period >= 1"),
+    ("[scenario]\nfallback = 0\n", "line 2: bad value for 'fallback'"),
+    ("[scenario]\ndiscover_timeout = -3\n", "line 2: bad value for 'discover_timeout'"),
+    ("[scenario]\nttl = -1\n", "line 2: bad value for 'ttl'"),
+    ("[scenario]\nwarmup = -1\n", "line 2: bad value for 'warmup': warmup must be >= 0 ticks"),
+    ("[sensor s]\nduty = -5 10\n", "line 2: bad value for 'duty'"),
+    ("[sensor s]\nduty = 0 10\n", "line 2: bad value for 'duty'"),
+    ("[sensor s]\nduty = 10 -5\n", "line 2: bad value for 'duty'"),
+    ("[energy]\ntx = -0.5\n", "line 2: bad value for 'tx': energy costs must be >= 0 J"),
+    ("[energy]\nrx = -1\n", "line 2: bad value for 'rx'"),
+    ("[energy]\nidle = nan\n", "line 2: bad value for 'idle'"),
+    ("[sensor s]\nenergy = -1\n", "line 2: bad value for 'energy': energy must be >= 0 J"),
 ], ids=["latency", "loss", "jitter", "pair-latency", "pair-loss", "duty-empty", "duty-words",
         "ramp-args", "source-kind", "table-empty", "cell-zero", "cell-negative", "cell-nan",
         "cell-inf", "m_per_deg-zero", "m_per_deg-negative", "m_per_deg-nan", "m_per_deg-inf",
-        "aggregate-fn"])
+        "aggregate-fn", "reprobe-zero", "fallback-zero", "discover_timeout-negative",
+        "ttl-negative", "warmup-negative", "duty-negative-on", "duty-never-on",
+        "duty-negative-off", "tx-negative", "rx-negative", "idle-nan", "energy-negative"])
 def test_bad_value_at_its_line(text, error):
     with pytest.raises(ScenarioError, match=re.escape(error)):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize("bands", ["low = 50\nhigh = 50\n", "high = 5\n", "low = 200\n"])
+def test_views_low_band_edge_is_below_high(bands):
+    with pytest.raises(ScenarioError, match="low .* is not below high"):
+        parse_scenario("[views]\n" + bands)
+
+
+def test_scenario_timeouts_go_to_every_head():
+    sim = Simulation(parse_scenario(
+        "[scenario]\nttl = 5\nfallback = 7\nreprobe = 9\ndiscover_timeout = 11\n[cluster c]\n"))
+    assert sim.muxes["c"].cfg == MuxConfig(5, 7, 9, 11)
 
 
 def test_region_names_unlike_a_cell_are_kept():

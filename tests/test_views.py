@@ -34,6 +34,14 @@ def test_norm_path():
     assert norm_path("") == "/"
 
 
+def test_norm_path_from_a_working_directory():
+    assert norm_path("c/../d", "/a/b") == "/a/b/d"
+    assert norm_path("..", "/a/b") == "/a"
+    assert norm_path("../../..", "/a") == "/"
+    assert norm_path("/x/./y/..", "/a") == "/x"
+    assert norm_path("", "/a/b/") == "/a/b"
+
+
 def test_resolve_basic():
     table = NamespaceTable()
     table.mount("/network/cluster1", "mux1")
