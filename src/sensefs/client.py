@@ -8,9 +8,9 @@ and remembers the fid attached per user name.  Conn.issue is the one way
 a T-message leaves a node, and receive() the one way a frame enters one.
 
 The protocol sequences are generator steps: attach, walk, read_all and
-request, and the file steps read_file and write_file (which also asks a
-question: a write answered on the same fid), each one whole file
-operation on a fid (on_fid), and on_walked.  A step says only what to
+request; on_fid, one whole file operation on a fid (a read is read_all
+on it), and write_file over it (which also asks a question: a write
+answered on the same fid); and on_walked.  A step says only what to
 send: it yields a build per T-message, build(tag) making the message,
 and gets back its R-message.  A refusal (an Rerror) or a reply that
 never came (a Timeout) is raised at that yield as a ClientError instead,
@@ -319,12 +319,6 @@ def on_fid(conn, uname, path, use, mode, keep=False):
     return out
 
 
-def read_file(conn, uname, path, keep=False):
-    """Step: the bytes of the file at path: walk, open, read to end of
-    file (read_all) and clunk (on_fid)."""
-    return on_fid(conn, uname, path, read_all, OREAD, keep)
-
-
 def write_file(conn, uname, path, data, answer=False, keep=False):
     """Step: write data to the file at path: walk, open, write and clunk
     (on_fid); the count written.  With answer, the write is a question:
@@ -457,14 +451,14 @@ class FileClient:
 
     def read(self, ref, relpath) -> bytes:
         """The bytes of a file, else the error 'is a directory'."""
-        return self._one(ref, read_file(self._conn(ref), self.uname, relpath))
+        return self._one(ref, on_fid(self._conn(ref), self.uname, relpath, read_all, OREAD))
 
     def read_many(self, targets) -> list:
         """For each (ref, relpath) of targets, in order, the bytes of that
         file or the ClientError that refused it, all read at once in one
         run, each over the fid kept open to read it (on_fid's keep).  Each
         holds a fid meanwhile: name fewer files on a server than its fid cap."""
-        return self._run([(ref, read_file(self._conn(ref), self.uname, relpath, keep=True))
+        return self._run([(ref, on_fid(self._conn(ref), self.uname, relpath, read_all, OREAD, True))
                           for ref, relpath in targets])
 
     def write_many(self, targets, answer=False) -> list:

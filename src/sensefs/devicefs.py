@@ -56,11 +56,7 @@ class SensorState:
         self._last_settle = net.now
 
     def is_awake(self, t: int) -> bool:
-        if self.power_override is not None:
-            return self.power_override == "awake"
-        if self.duty is not None:
-            return self.duty.awake_at(t)
-        return True
+        return self._awake_ticks_between(t, t + 1) == 1
 
     def _awake_ticks_between(self, t0, t1):
         if self.power_override is not None:

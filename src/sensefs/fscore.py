@@ -7,15 +7,15 @@ R-message with the same tag.  Handlers that cannot answer synchronously
 return a Defer and complete later; the dispatch loop never blocks.
 
 Synthetic contents are generated once per open: the read at offset 0 of
-a fid keeps what it generated (a directory's children, or a file's
-bytes when the reply came short of the count, i.e. was the whole file),
-and later offsets are served from that, so reading to end of file runs
-a handler once.  Every read at offset 0 generates afresh, and a write
-through the fid drops what it kept.  A directory reply holds as many
-whole stat records as fit its count, and a record larger than
-wire.MAX_STAT is refused (directory entry too large), as is a count that
-not even the next record fits; so a reply that leaves MAX_STAT bytes of
-its count unused proves that no entry is left.
+a fid keeps what it generated (a directory's children, less those each
+reply has listed, or a file's bytes when the reply came short of the
+count, i.e. was the whole file), and later offsets are served from that,
+so reading to end of file runs a handler once.  Every read at offset 0
+generates afresh, and a write through the fid drops what it kept.  A
+directory reply holds as many whole stat records as fit its count, and a
+record larger than wire.MAX_STAT is refused (directory entry too large),
+as is a count that not even the next record fits; so a reply that leaves
+MAX_STAT bytes of its count unused proves that no entry is left.
 
 A fid's answer may be asked ahead of its read: by a write that is a
 question (the query-file idiom of Plan 9's /net/cs: a write handler that
@@ -176,15 +176,14 @@ DEFAULT_USERS = UserDb({"admin": {"admin"}, "guest": {"users"}, "mux": {"mux"}})
 
 
 class _Fid:
-    __slots__ = ("node", "uname", "open_mode", "dir_offset", "dir_index", "data", "answer")
+    __slots__ = ("node", "uname", "open_mode", "dir_offset", "data", "answer")
 
     def __init__(self, node, uname):
         self.node = node
         self.uname = uname
         self.open_mode = None      # None while closed, else OREAD/OWRITE/ORDWR
         self.dir_offset = 0        # next valid directory read offset
-        self.dir_index = 0
-        self.data = None           # what the read at offset 0 generated
+        self.data = None           # what the read at offset 0 generated, less what was listed
         self.answer = None         # the answer asked ahead of the next offset-0 read
 
 
@@ -317,8 +316,6 @@ class Server:
             raise FsError("fid already open")
         self.check_open_perm(ent.node, ent.uname, msg.mode)
         ent.open_mode = msg.mode
-        ent.dir_offset = 0
-        ent.dir_index = 0
         return ent.node.qid
 
     def t_read(self, session, msg: Tread):
@@ -352,13 +349,12 @@ class Server:
     def _read_dir(self, ent, offset, count):
         if offset == 0:
             ent.dir_offset = 0
-            ent.dir_index = 0
             ent.data = ent.node.list_children()
         elif offset != ent.dir_offset:
             raise FsError("bad directory offset")
         children = ent.data
         out = bytearray()
-        idx = ent.dir_index
+        idx = 0
         while idx < len(children):
             rec = wire.pack_stat(children[idx].stat())
             if len(rec) > MAX_STAT:
@@ -367,9 +363,9 @@ class Server:
                 break
             out.extend(rec)
             idx += 1
-        if idx == ent.dir_index < len(children):     # not even one entry fits: no end of file
+        if idx == 0 < len(children):    # not even one entry fits: no end of file
             raise FsError("directory entry too large")
-        ent.dir_index = idx
+        ent.data = children[idx:]
         ent.dir_offset = offset + len(out)
         return bytes(out)
 

@@ -223,52 +223,47 @@ class Multiplexer(Server):
         missing = [link for link in self.links.values() if link.node is None]
         for link in missing:
             if not link.probing:
-                self._spawn(link, self._marked(link, self._discover_device(link)),
-                            self.cfg.discover_timeout)
+                self._spawn(link, self._discover_device(link), self.cfg.discover_timeout)
         if missing:
             self.net.schedule(self.cfg.reprobe_ticks, self.start)
 
-    @staticmethod
-    def _marked(link, step):
-        """Step: step, with link.probing set while it runs, so a re-probe
-        starts no second probe of that member meanwhile."""
+    def _discover_device(self, link):
+        """Step: probe a member and mirror its tree, with link.probing set
+        while it runs, so a re-probe starts no second probe of it meanwhile."""
         link.probing = True
         try:
-            return (yield from step)
+            fid = next(link.fids)
+            try:
+                yield lambda t: Tattach(t, fid, "mux", "")
+            except ClientError as e:
+                if isinstance(e, Timeout):                  # the member may have bound it
+                    self._clunk_remote(link, fid)
+                self.net.log.add(self.net.now, "mux-probe-miss", self.eid, link.peer, "")
+                return
+            stats = None
+            if link.info is None:           # a later probe goes on from the info read before
+                ifid = next(link.fids)
+                with suppress(FsError):     # refused, busy or a reply lost: excluded
+                    if (yield lambda t: Twalk(t, fid, ifid, ("info",))).qids:
+                        yield lambda t: Topen(t, ifid, OREAD)
+                        link.info = (yield lambda t: Tread(t, ifid, 0, IOUNIT)).data.decode(
+                            errors="replace")
+                        link.meta = parse_info(link.info)
+                self._clunk_remote(link, ifid)
+            if link.info is not None:
+                with suppress(FsError, wire.WireError):    # refused, a reply lost, or undecodable
+                    yield lambda t: Topen(t, fid, OREAD)
+                    stats = wire.decode_stats((yield from read_all(fid)))
+            self._clunk_remote(link, fid)
+            if stats is None:
+                self.net.log.add(self.net.now, "mux-excluded", self.eid, link.peer,
+                                 "info unreadable" if link.info is None else "listing unreadable")
+                return
+            link.node = self._mirror_device(link, stats)
+            self.net.log.add(self.net.now, "mux-discovered", self.eid, link.peer,
+                             "kind=%s" % link.meta.get("kind", "?"))
         finally:
             link.probing = False
-
-    def _discover_device(self, link):
-        fid = next(link.fids)
-        try:
-            yield lambda t: Tattach(t, fid, "mux", "")
-        except ClientError as e:
-            if isinstance(e, Timeout):                  # the member may have bound it
-                self._clunk_remote(link, fid)
-            self.net.log.add(self.net.now, "mux-probe-miss", self.eid, link.peer, "")
-            return
-        stats = None
-        if link.info is None:           # a later probe goes on from the info read before
-            ifid = next(link.fids)
-            with suppress(FsError):     # refused, busy or a reply lost: excluded
-                if (yield lambda t: Twalk(t, fid, ifid, ("info",))).qids:
-                    yield lambda t: Topen(t, ifid, OREAD)
-                    link.info = (yield lambda t: Tread(t, ifid, 0, IOUNIT)).data.decode(
-                        errors="replace")
-                    link.meta = parse_info(link.info)
-            self._clunk_remote(link, ifid)
-        if link.info is not None:
-            with suppress(FsError, wire.WireError):    # refused, a reply lost, or undecodable
-                yield lambda t: Topen(t, fid, OREAD)
-                stats = wire.decode_stats((yield from read_all(fid)))
-        self._clunk_remote(link, fid)
-        if stats is None:
-            self.net.log.add(self.net.now, "mux-excluded", self.eid, link.peer,
-                             "info unreadable" if link.info is None else "listing unreadable")
-            return
-        link.node = self._mirror_device(link, stats)
-        self.net.log.add(self.net.now, "mux-discovered", self.eid, link.peer,
-                         "kind=%s" % link.meta.get("kind", "?"))
 
     def _read_path(self, link, path):
         """Step: a member file read as mux over the fid kept open for it in

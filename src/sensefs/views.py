@@ -61,16 +61,14 @@ class NamespaceTable:
         self.mounts.append((norm_path(path), ref))
 
     def resolve(self, path: str):
-        """Return (server ref, server-relative path) for an absolute path."""
-        path = norm_path(path)
+        """Return (server ref, server-relative path) for a clean absolute path."""
         for mount_path, ref in reversed(self.mounts):
             if path == mount_path or path.startswith(mount_path + "/"):
                 return ref, path[len(mount_path):].lstrip("/")
         raise ClientError("not found")
 
     def mount_children(self, path: str) -> list:
-        """Names of mount points sitting directly under path (synthetic dirs)."""
-        path = norm_path(path)
+        """Names of mount points directly under a clean absolute path (synthetic dirs)."""
         prefix = "" if path == "/" else path
         names = []
         for mount_path, _ in self.mounts:
@@ -305,7 +303,7 @@ def read_members(client, table, infos, name) -> list:
     written to the cluster head's ctl, all in one batch.  A query that
     fails, such as one whose head did not answer, raises a ClientError
     with its error (the first in cluster order), as ask_heads does."""
-    ctls = [info.path.rsplit("/sensors/", 1)[0] + "/ctl" for info in infos]
+    ctls = ["%s/%s/ctl" % (NETWORK, info.cluster) for info in infos]
     asked = {}                      # ctl path -> ids its query names
     for ctl, info in zip(ctls, infos):
         asked.setdefault(ctl, []).append(info.id)

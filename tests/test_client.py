@@ -1,10 +1,12 @@
 """Frame receive and issue: the one way a frame enters a node and the one
 way a T-message leaves it, on devices, heads and file clients alike."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sensefs.client import ClientError, FileClient, Timeout, gather
+from sensefs.client import ClientError, Conn, FileClient, Timeout, gather
 from sensefs.devicefs import parse_infos
 from sensefs.fscore import Defer, Server, make_dir, make_file
 from sensefs.muxfs import MuxConfig
@@ -12,7 +14,7 @@ from sensefs.scenario import ServerEndpoint
 from sensefs.shell import Shell
 from sensefs.simnet import LinkModel, Network
 from sensefs.wire import (
-    IOUNIT, MAX_STAT, OREAD, ORDWR, OWRITE, Rclunk, Rread, Tread, decode_message,
+    IOUNIT, MAX_STAT, NOTAG, OREAD, ORDWR, OWRITE, Rclunk, Rread, Tread, decode_message,
     encode_message, pack_stat,
 )
 
@@ -84,6 +86,13 @@ def test_issue_sends_to_the_peer_and_times_out_once():
     assert tag in link.pending
     net.run_until(net.now + 20)
     assert [type(a) for a in answers] == [Timeout] and link.pending == {}
+
+
+def test_new_tag_skips_a_tag_still_pending_when_the_sequence_wraps():
+    conn = Conn(Network(0), "cli", "srv", tags=itertools.count(NOTAG - 1))
+    assert conn.new_tag() == NOTAG - 1
+    conn.pending[0] = (None, None)      # tag 0, where the sequence wraps, awaits its reply
+    assert conn.new_tag() == 1
 
 
 def test_lost_rclunk_does_not_fail_the_read(zoo_sim):

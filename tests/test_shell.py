@@ -212,6 +212,20 @@ def test_guest_permission_error():
     assert status == 0 and out == "20.900000"
 
 
+def test_help_names_every_command(sh):
+    status, out = sh.run_line("help")
+    assert status == 0 and out.startswith("commands: ")
+    assert sorted(out.split()[1:]) == sorted(name[4:] for name in dir(Shell)
+                                             if name.startswith("cmd_"))
+
+
+def test_exit_ends_the_repl_before_the_next_line():
+    shell = zoo_shell()
+    out = io.StringIO()
+    repl(shell, io.StringIO("pwd\nexit\npwd\n"), out)
+    assert out.getvalue() == PROMPT + "/\n" + PROMPT
+
+
 def test_tick_advances_time(sh):
     before = sh.sim.net.now
     sh.run_line("tick 25")

@@ -251,6 +251,20 @@ def test_energy_shortfall_fails_frame_and_pins_zero():
     assert any("\ttxfail\t" in l for l in net.log.lines)
 
 
+def test_energy_shortfall_on_receive_fails_frame_and_pins_zero():
+    net = Network(0, energy=EnergyModel(rx_cost_j=5.0), default_link=LinkModel(latency=1))
+    b = SensorState("b", energy_j=3.0)
+    got = []
+    net.register("a", lambda src, frame: None)
+    net.register("b", lambda src, frame: got.append(frame), state=b)
+    net.send("a", "b", FRAME)
+    drain(net)
+    assert got == []                    # not handed to its handler
+    assert b.energy_j == 0.0
+    assert b.received_frames == 0
+    assert any("\trxfail\t" in l for l in net.log.lines)
+
+
 def test_energy_conservation_randomized():
     # closed-form accounting matches incremental charging exactly when all
     # costs are binary-representable
