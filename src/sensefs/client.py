@@ -65,6 +65,10 @@ from .wire import (
 )
 
 CLIENT_TIMEOUT = 20000   # ticks a request will wait for its reply
+# bytes read_all gathers before it fails (file too large): far above any
+# real file, the longest being a head's member index at about 70 bytes a
+# member, so only a server whose replies never end reaches it
+MAX_FILE = 1 << 20
 
 
 class ClientError(FsError):
@@ -273,14 +277,16 @@ def read_all(fid, isdir=False):
     """Step: the bytes of an open fid from offset 0 to end of file: an
     empty reply, or with isdir (a directory) a reply that leaves MAX_STAT
     bytes of its count unused, which fscore's rule for directory reads
-    proves complete.  Raises ClientError if a read is refused, or Timeout
-    if a reply never came."""
+    proves complete.  Raises ClientError if a read is refused or the
+    bytes pass MAX_FILE, or Timeout if a reply never came."""
     out = bytearray()
     while True:
         r = yield lambda t, o=len(out): Tread(t, fid, o, IOUNIT)
         out += r.data
         if not r.data or isdir and len(r.data) <= IOUNIT - MAX_STAT:
             return bytes(out)
+        if len(out) > MAX_FILE:
+            raise ClientError("file too large")
 
 
 def request(build):

@@ -10,7 +10,8 @@ Every device exposes the same six files:
     info              0444  id, kind, position and tags as "key value" lines
 
 Mutable state lives entirely in the SensorState; no tree nodes are
-allocated after construction.
+allocated after construction.  Each read handler returns its whole file,
+and fscore slices it by offset and count.
 """
 
 from __future__ import annotations
@@ -162,18 +163,12 @@ def handle_control(state: SensorState, now: int, command: str):
             raise FsError("bad control command")
 
 
-def _slice(text: str, offset: int, count: int) -> bytes:
-    return text.encode()[offset:offset + count]
-
-
 def make_device_server(state: SensorState, users=None, clock=None) -> Server:
     """Build the static device tree bound to one SensorState."""
     now = clock or (lambda: state._net.now if state._net else 0)
     root = make_dir(state.id, 0o555)
 
-    root.add(make_file(
-        "reading", 0o444,
-        read=lambda off, cnt: _slice(state.reading_text(now()), off, cnt)))
+    root.add(make_file("reading", 0o444, read=lambda: state.reading_text(now()).encode()))
 
     def write_control(off, data):
         try:
@@ -185,15 +180,14 @@ def make_device_server(state: SensorState, users=None, clock=None) -> Server:
 
     root.add(make_file("control", 0o644, write=write_control))
 
-    def read_energy(off, cnt):
+    def read_energy():
         state.settle(now())
-        return _slice("%.6f\n" % state.energy_j, off, cnt)
+        return b"%.6f\n" % state.energy_j
 
     root.add(make_file("remaining-energy", 0o444, read=read_energy))
 
-    def read_registers(off, cnt):
-        text = "".join("r%d %04x\n" % (i, v) for i, v in enumerate(state.registers))
-        return _slice(text, off, cnt)
+    def read_registers():
+        return b"".join(b"r%d %04x\n" % (i, v) for i, v in enumerate(state.registers))
 
     def write_registers(off, data):
         parts = data.decode(errors="replace").strip().split()
@@ -211,21 +205,14 @@ def make_device_server(state: SensorState, users=None, clock=None) -> Server:
 
     root.add(make_file("registers", 0o644, read=read_registers, write=write_registers))
 
-    def read_mem(off, cnt):
-        # a read running past the end gets the bytes up to it, as for any file
-        return bytes(state.memory[off:off + cnt])
-
     def write_mem(off, data):
         if off + len(data) > MEM_SIZE:
             raise FsError("address out of range")
         state.memory[off:off + len(data)] = data
         return len(data)
 
-    root.add(make_file("mem", 0o644, read=read_mem, write=write_mem,
-                       length=lambda: MEM_SIZE))
-
-    root.add(make_file(
-        "info", 0o444,
-        read=lambda off, cnt: _slice(state.info_text(), off, cnt)))
+    root.add(make_file("mem", 0o644, read=lambda: bytes(state.memory), write=write_mem,
+                       length=MEM_SIZE))
+    root.add(make_file("info", 0o444, read=lambda: state.info_text().encode()))
 
     return Server(root, users, name=state.id, max_sessions=4)

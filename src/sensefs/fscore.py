@@ -6,26 +6,29 @@ sessions (fid tables), and turns each incoming T-message into exactly one
 R-message with the same tag.  Handlers that cannot answer synchronously
 return a Defer and complete later; the dispatch loop never blocks.
 
-Synthetic contents are generated once per open: the read at offset 0 of
-a fid keeps what it generated (a directory's children, less those each
-reply has listed, or a file's bytes when the reply came short of the
-count, i.e. was the whole file), and later offsets are served from that,
-so reading to end of file runs a handler once.  Every read at offset 0
-generates afresh, and a write through the fid drops what it kept.  A
-directory reply holds as many whole stat records as fit its count, and a
-record larger than wire.MAX_STAT is refused (directory entry too large),
-as is a count that not even the next record fits; so a reply that leaves
-MAX_STAT bytes of its count unused proves that no entry is left.
+A read handler takes no offset or count: it returns the whole file, as
+bytes or a Defer landing on bytes or an FsError, and t_read alone slices
+it (as Plan 9's readstr).  Synthetic contents are generated once per
+open: the read at offset 0 of a fid generates afresh and keeps what it
+generated (a file's bytes, or a directory's children, less those each
+reply has listed), later offsets are served from that, so reading to end
+of file runs a handler once, and a failed read keeps nothing.  A write
+through the fid drops what it kept, and a read at an offset on a fid that
+kept nothing generates the file, slices it and keeps nothing, so a file
+such as a device's mem stays random access.  A directory reply holds as
+many whole stat records as fit its count, and a record larger than
+wire.MAX_STAT is refused (directory entry too large), as is a count that
+not even the next record fits; so a reply that leaves MAX_STAT bytes of
+its count unused proves that no entry is left.
 
 A fid's answer may be asked ahead of its read: by a write that is a
 question (the query-file idiom of Plan 9's /net/cs: a write handler that
 returns bytes, or a Defer landing on bytes, answers the write), or by a
 server at the open (a started Defer, which may still be in flight).  The
-fid's next read at offset 0 serves the answer in place of the read
-handler, waiting for it if it has not landed, and keeps it whole for
-later offsets; an FsError answers that read and keeps nothing.  The
-answer belongs to that fid alone, so no server needs a table keyed by
-fid, and a clunk drops it with the fid.
+fid's next read at offset 0 takes the answer in place of generating the
+file, waiting for it if it has not landed.  The answer belongs to that
+fid alone, so no server needs a table keyed by fid, and a clunk drops it
+with the fid.
 
 A session's T-messages are handled in the order they arrive, and a walk,
 open, stat or clunk is answered at once, never Deferred.  A client may so
@@ -87,11 +90,20 @@ def started(defer) -> Defer:
     return Defer(lambda done: done(landed[0]) if landed else waiting.append(done))
 
 
+def then(result, fn):
+    """fn applied to a handler's result, or, for a Defer, a Defer of fn
+    applied to its outcome; an FsError outcome passes through unchanged."""
+    if isinstance(result, Defer):
+        return Defer(lambda done, start=result.start: start(
+            lambda out: done(out if isinstance(out, FsError) else fn(out))))
+    return fn(result)
+
+
 class Node:
     """A named entry in a server tree: directory or file."""
 
     def __init__(self, name, mode, owner="admin", group="admin",
-                 read=None, write=None, length=None, children_fn=None,
+                 read=None, write=None, length=0, children_fn=None,
                  is_dir=False):
         if is_dir or mode & DMDIR:
             is_dir = True
@@ -102,29 +114,24 @@ class Node:
         self.mode = mode
         self.owner = owner
         self.group = group
-        self.mtime = 0
+        self.length = length
         self._version = 0
         self._path = next(_qid_paths)
-        self._is_dir = is_dir
+        self.is_dir = is_dir
         self._children = {} if is_dir else None
         self.children_fn = children_fn
         self.read_handler = read
         self.write_handler = write
-        self.length_fn = length
-
-    @property
-    def is_dir(self) -> bool:
-        return self._is_dir
 
     @property
     def qid(self) -> Qid:
-        return Qid(QDIR if self._is_dir else QFILE, self._version, self._path)
+        return Qid(QDIR if self.is_dir else QFILE, self._version, self._path)
 
     def bump_version(self):
         self._version += 1
 
     def add(self, child: "Node") -> "Node":
-        if not self._is_dir:
+        if not self.is_dir:
             raise ValueError("%s is not a directory" % self.name)
         if child.name in self._children:
             raise ValueError("duplicate child %r" % child.name)
@@ -132,7 +139,7 @@ class Node:
         return child
 
     def list_children(self):
-        if not self._is_dir:
+        if not self.is_dir:
             raise FsError("not a directory")
         if self.children_fn is not None:
             return list(self.children_fn())
@@ -144,14 +151,8 @@ class Node:
                 return child
         return None
 
-    def length(self) -> int:
-        if self.length_fn is not None:
-            return self.length_fn()
-        return 0
-
     def stat(self) -> Stat:
-        return Stat(self.name, self.qid, self.mode, self.length(),
-                    self.owner, self.group, self.mtime)
+        return Stat(self.name, self.qid, self.mode, self.length, self.owner, self.group)
 
 
 def make_dir(name, mode=0o555, **kw) -> Node:
@@ -249,6 +250,11 @@ class Server:
         immediately or later (deferred handlers)."""
         tag = msg.tag
         name, wrap = _HANDLERS.get(type(msg), (None, None))
+
+        def answer(outcome):
+            reply(Rerror(tag, outcome.ename) if isinstance(outcome, FsError)
+                  else wrap(tag, outcome))
+
         try:
             if name == "t_attach":
                 result = self.t_attach(conn_key, msg)
@@ -260,17 +266,11 @@ class Server:
                     raise FsError("unknown message")
                 result = getattr(self, name)(session, msg)
         except FsError as e:
-            reply(Rerror(tag, e.ename))
-            return
+            result = e
         if isinstance(result, Defer):
-            def done(outcome):
-                if isinstance(outcome, FsError):
-                    reply(Rerror(tag, outcome.ename))
-                else:
-                    reply(wrap(tag, outcome))
-            result.start(done)
+            result.start(answer)
         else:
-            reply(wrap(tag, result))
+            answer(result)
 
     # -- per-message handlers (overridable by subclasses) -------------
 
@@ -328,23 +328,18 @@ class Server:
             return self._read_dir(ent, msg.offset, count)
         if node.read_handler is None:
             raise FsError("not readable")
-        if msg.offset:
-            if ent.data is None:
-                return node.read_handler(msg.offset, count)
-            return ent.data[msg.offset:msg.offset + count]
+        offset, end = msg.offset, msg.offset + count
+        if offset:
+            if ent.data is not None:
+                return ent.data[offset:end]
+            return then(node.read_handler(), lambda data: data[offset:end])
         answer, ent.answer, ent.data = ent.answer, None, None
-        result = node.read_handler(0, count) if answer is None else answer
 
         def keep(data):
-            # an answer is the whole file, and so is a reply short of the count
-            if isinstance(data, bytes) and (answer is not None or len(data) < count):
-                ent.data = data
-                return data[:count]
-            return data
+            ent.data = data
+            return data[:end]
 
-        if isinstance(result, Defer):
-            return Defer(lambda done, start=result.start: start(lambda out: done(keep(out))))
-        return keep(result)
+        return then(node.read_handler() if answer is None else answer, keep)
 
     def _read_dir(self, ent, offset, count):
         if offset == 0:
@@ -385,11 +380,16 @@ class Server:
         that answer the write, kept as ent's answer; an answered write
         counts all count bytes."""
         ent.data = ent.answer = None
-        if isinstance(result, Defer):
-            return Defer(lambda done, start=result.start:
-                         start(lambda out: done(_answered(ent, out, count))))
-        ent.node.bump_version()
-        return _answered(ent, result, count)
+        if not isinstance(result, Defer):
+            ent.node.bump_version()
+
+        def answered(out):
+            if isinstance(out, bytes):
+                ent.answer = out
+                return count
+            return out
+
+        return then(result, answered)
 
     def t_clunk(self, session, msg: Tclunk):
         if msg.fid not in session.fids:
@@ -399,15 +399,6 @@ class Server:
 
     def t_stat(self, session, msg: Tstat):
         return session.get(msg.fid).node.stat()
-
-
-def _answered(ent, out, count):
-    """A write handler's outcome as its reply: bytes are kept as ent's
-    answer and count all count bytes written; anything else stands."""
-    if isinstance(out, bytes):
-        ent.answer = out
-        return count
-    return out
 
 
 # T-message type -> (handler method name, R-message builder).  Handlers

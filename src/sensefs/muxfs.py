@@ -299,7 +299,7 @@ class Multiplexer(Server):
         sdir = make_dir(link.peer, 0o555)
         for st in stats:
             child = sdir.add(Node(st.name, st.mode & 0o777, owner=st.owner, group=st.group,
-                                  length=lambda n=st.length: n))
+                                  length=st.length))
             self.remote[child] = (link, st.name)
         return sdir
 
@@ -339,7 +339,7 @@ class Multiplexer(Server):
         ent = session.fids[msg.fid]
         if self.aggr_dir.lookup(ent.node.name) is ent.node:     # an aggregate: asked now
             with suppress(FsError):     # no aggregation or no members: the first read says so
-                ent.answer = started(ent.node.read_handler(0, IOUNIT))
+                ent.answer = started(ent.node.read_handler())
         return qid
 
     def t_read(self, session, msg):
@@ -415,7 +415,7 @@ class Multiplexer(Server):
                 link.node for link in self._discovered()
                 if link.meta.get("tags", {}).get(spec.tag_key) == spec.tag_value])
 
-    def _aggregate_handler(self, spec, offset, count):
+    def _aggregate_handler(self, spec):
         fn = AGGREGATIONS.get(spec.fn_name)
         if fn is None:
             raise FsError("no such aggregation")
@@ -443,7 +443,7 @@ class Multiplexer(Server):
                 out.extend(fn([v[i] for v in used]))
             text = " ".join("%.6f" % v for v in out) + "\n"
             text += "# n=%d/%d\n" % (len(used), len(members))
-            cb(text.encode()[offset:offset + count])
+            cb(text.encode())
 
         return Defer(lambda cb: self._fan_out(
             members, read, self.cfg.discover_timeout, partial(finish, cb)))
@@ -478,10 +478,9 @@ class Multiplexer(Server):
         # ctl opens on its read bit alone: _write_ctl checks each command
         super().check_open_perm(node, uname, OREAD if node is self.ctl else mode)
 
-    def _read_ctl(self, offset, count):
+    def _read_ctl(self):
         """The member index: each discovered member's info text, in member order."""
-        text = "".join(link.info for link in self._discovered())
-        return text.encode()[offset:offset + count]
+        return "".join(link.info for link in self._discovered()).encode()
 
     def _write_ctl(self, uname, data):
         """Run one ctl command written by uname: a read query's Defer of its

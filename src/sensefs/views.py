@@ -215,8 +215,7 @@ _VIEW_USERS = UserDb({"admin": {"admin"}})
 
 
 def _member_entry(sid, path):
-    return make_file(sid, 0o444,
-                     read=lambda off, cnt: (path + "\n").encode()[off:off + cnt])
+    return make_file(sid, 0o444, read=lambda: (path + "\n").encode())
 
 
 def _view(name, scan, data=None) -> Node:
@@ -266,9 +265,9 @@ def build_location_view(client, table, geo: GeoMap, regions=(), cell: float = 1.
             yield from (((region.name,), i) for i in infos if region.contains(i.position))
 
     def data(members):
-        def read(off, cnt):
+        def read():
             readings = read_members(client, table, members, "reading")
-            return b"".join(r + b"\n" for r in readings if r is not None)[off:off + cnt]
+            return b"".join(r + b"\n" for r in readings if r is not None)
         return make_file("data", 0o444, read=read)
 
     return _view_server(_view("location", scan, data))
@@ -464,7 +463,5 @@ def make_responder(name: str) -> tuple:
         return len(data)
 
     root.add(make_file("alert", 0o666, write=write_alert))
-    root.add(make_file(
-        "log", 0o444,
-        read=lambda off, cnt: "".join(m + "\n" for m in received).encode()[off:off + cnt]))
+    root.add(make_file("log", 0o444, read=lambda: "".join(m + "\n" for m in received).encode()))
     return Server(root, _VIEW_USERS, name=name, max_sessions=8), received

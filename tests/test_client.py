@@ -255,7 +255,7 @@ def test_batch_keeps_order_and_gives_each_target_its_error():
     client = make_client(net)
     ref = ("net", mux.eid)
     root = make_dir("r")
-    root.add(make_file("f", read=lambda off, cnt: b"local\n"[off:off + cnt]))
+    root.add(make_file("f", read=lambda: b"local\n"))
     local = ("local", Server(root, USERS))
     got = client.read_many([(ref, "sensors/s2/reading"), (ref, "sensors/s9/reading"),
                             (local, "f"), (ref, "sensors/s1/reading")])
@@ -310,9 +310,9 @@ def test_local_server_deferred_reply_is_waited_for():
     net = Network(0)
     client = make_client(net)
     root = make_dir("r")
-    root.add(make_file("late", read=lambda off, cnt: Defer(
-        lambda done: net.schedule(5, lambda: done(b"late\n"[off:off + cnt])))))
-    root.add(make_file("never", read=lambda off, cnt: Defer(lambda done: None)))
+    root.add(make_file("late", read=lambda: Defer(
+        lambda done: net.schedule(5, lambda: done(b"late\n")))))
+    root.add(make_file("never", read=lambda: Defer(lambda done: None)))
     local = ("local", Server(root, USERS))
     assert client.read(local, "late") == b"late\n"
     assert net.now == 5
@@ -377,6 +377,22 @@ def test_a_listing_that_leaves_less_than_max_stat_free_reads_on_to_the_empty_rep
     listing = make_client(Network(0)).ls(("local", server), "d")
     assert listing == [child.stat() for child in d.list_children()]
     assert offsets == [0, entries * size][:reads]
+
+
+def test_a_listing_that_never_ends_fails_past_max_file():
+    # a server whose directory replies never shrink, listing the children
+    # again at every offset: the client fails rather than grow without
+    # limit, and leaves no request waiting
+    class Endless(Server):
+        def _read_dir(self, ent, offset, count):
+            return super()._read_dir(ent, 0, count)
+
+    root, _ = listing_root([40] * 200)
+    ref = ("local", Endless(root, USERS))
+    client = make_client(Network(0))
+    with pytest.raises(ClientError, match="^file too large$"):
+        client.ls(ref, "d")
+    assert client._conns[ref].pending == {}
 
 
 NAME_LENGTHS = st.one_of(st.integers(2, 40), st.integers(2, LONGEST),

@@ -158,6 +158,18 @@ def test_mem_bounds():
     assert len(read_file(conn, "mem", 0, MEM_SIZE)) == MEM_SIZE
 
 
+def test_mem_stays_random_access():
+    # a read at an offset on a fid that kept nothing reads mem as it is
+    # now: fid 1 never read at offset 0, so fid 2's write shows at its next
+    _, conn, _ = device()
+    for fid, mode in ((1, OREAD), (2, OWRITE)):
+        conn.ok(lambda t: Twalk(t, 0, fid, ("mem",)), Rwalk)
+        conn.ok(lambda t: Topen(t, fid, mode), Ropen)
+    assert conn.ok(lambda t: Tread(t, 1, 10, 4), Rread).data == bytes(4)
+    conn.ok(lambda t: Twrite(t, 2, 10, b"\x01\x02\x03\x04"), Rwrite)
+    assert conn.ok(lambda t: Tread(t, 1, 10, 4), Rread).data == b"\x01\x02\x03\x04"
+
+
 @settings(max_examples=50)
 @given(st.integers(0, MEM_SIZE - 1), st.binary(min_size=1, max_size=64))
 def test_mem_round_trip_property(offset, blob):

@@ -8,7 +8,7 @@ from sensefs.fscore import (
     Defer, FsError, Node, Server, UserDb, make_dir, make_file, started,
 )
 from sensefs.wire import (
-    OREAD, OWRITE, ORDWR, QDIR, DMDIR,
+    IOUNIT, OREAD, OWRITE, ORDWR, QDIR, DMDIR,
     Tattach, Twalk, Topen, Tread, Twrite, Tclunk, Tstat,
     Rattach, Rwalk, Ropen, Rread, Rwrite, Rclunk, Rstat, Rerror,
 )
@@ -21,14 +21,14 @@ def build_server(max_sessions=4, max_fids=64):
     sub = root.add(make_dir("sub"))
     store = {"text": b"hello\n", "writes": []}
     sub.add(make_file("readme", 0o444,
-                      read=lambda off, cnt: store["text"][off:off + cnt]))
+                      read=lambda: store["text"]))
 
     def sink(off, data):
         store["writes"].append((off, data))
         return len(data)
 
     sub.add(make_file("ctl", 0o644, write=sink))
-    root.add(make_file("open", 0o666, read=lambda off, cnt: b"",
+    root.add(make_file("open", 0o666, read=lambda: b"",
                        write=lambda off, data: len(data)))
     return Server(root, USERS, max_sessions=max_sessions, max_fids=max_fids), store
 
@@ -179,7 +179,7 @@ def test_write_requires_write_mode():
 
 def test_write_without_handler_is_not_writable():
     root = make_dir("root")
-    root.add(make_file("ro", 0o666, read=lambda off, cnt: b""))
+    root.add(make_file("ro", 0o666, read=lambda: b""))
     server = Server(root, USERS)
     conn = Conn(server)
     conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
@@ -199,7 +199,7 @@ def test_write_answer_is_read_back_on_its_fid_only():
         return b"answer to " + data + b"\n"
 
     root = make_dir("root")
-    root.add(make_file("q", 0o666, read=lambda off, cnt: b"index\n"[off:off + cnt],
+    root.add(make_file("q", 0o666, read=lambda: b"index\n",
                        write=ask))
     server = Server(root, USERS)
     conn = Conn(server)
@@ -236,8 +236,7 @@ def test_an_answer_started_at_the_open_is_the_first_reads():
 
     root = make_dir("root")
     calls = []
-    root.add(make_file("f", 0o444, read=lambda off, cnt: calls.append(off) or
-                       b"handler\n"[off:off + cnt]))
+    root.add(make_file("f", 0o444, read=lambda: calls.append(1) or b"handler\n"))
     server = Asking(root, USERS)
     conn = Conn(server)
     conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
@@ -247,7 +246,7 @@ def test_an_answer_started_at_the_open_is_the_first_reads():
     assert conn.ok(lambda t: Tread(t, f1, 5, 100), Rread).data == b" answer\n"
     assert calls == []
     assert conn.ok(lambda t: Tread(t, f1, 0, 100), Rread).data == b"handler\n"
-    assert calls == [0]
+    assert len(calls) == 1
     f2 = walk_open(conn, ["f"], fid=2)
     box = []
     server.dispatch(conn.key, Tread(50, f2, 0, 100), box.append)
@@ -260,7 +259,7 @@ def test_an_answer_started_at_the_open_is_the_first_reads():
     conn.err(lambda t: Tread(t, f3, 0, 100), "no members")
     assert server.sessions[conn.key].fids[f3].data is None
     assert conn.ok(lambda t: Tread(t, f3, 0, 100), Rread).data == b"handler\n"
-    assert calls == [0, 0]
+    assert len(calls) == 2
 
 
 def test_directory_read_lists_children_in_order():
@@ -311,12 +310,13 @@ def test_directory_read_too_small_for_the_next_entry_is_an_error():
 
 
 def counted_server(read):
-    """A one-file server whose reads go through read; returns (server, calls)."""
+    """A one-file server whose reads go through read; returns (server,
+    calls), a list of one entry per call of read."""
     calls = []
 
-    def handler(off, cnt):
-        calls.append(off)
-        return read(off, cnt)
+    def handler():
+        calls.append(1)
+        return read()
 
     root = make_dir("root")
     root.add(make_file("f", 0o666, read=handler, write=lambda off, data: len(data)))
@@ -325,38 +325,37 @@ def counted_server(read):
 
 def test_read_to_eof_generates_once_per_open():
     text = iter([b"one\n", b"two!\n", b"three\n"])
-    server, calls = counted_server(lambda off, cnt: next(text)[off:off + cnt])
+    server, calls = counted_server(lambda: next(text))
     conn = Conn(server)
     conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
     fid = walk_open(conn, ["f"])
     assert conn.ok(lambda t: Tread(t, fid, 0, 100), Rread).data == b"one\n"
     assert conn.ok(lambda t: Tread(t, fid, 2, 100), Rread).data == b"e\n"
     assert conn.ok(lambda t: Tread(t, fid, 4, 100), Rread).data == b""
-    assert calls == [0]
+    assert len(calls) == 1
     # offset 0 always generates afresh
     assert conn.ok(lambda t: Tread(t, fid, 0, 100), Rread).data == b"two!\n"
     assert conn.ok(lambda t: Tread(t, fid, 5, 100), Rread).data == b""
-    assert calls == [0, 0]
+    assert len(calls) == 2
 
 
-def test_full_length_read_keeps_nothing():
+def test_file_longer_than_the_count_is_generated_once_per_open():
     blob = bytes(range(16))
-    server, calls = counted_server(lambda off, cnt: blob[off:off + cnt])
+    server, calls = counted_server(lambda: blob)
     conn = Conn(server)
     conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
     fid = walk_open(conn, ["f"])
     assert conn.ok(lambda t: Tread(t, fid, 0, 8), Rread).data == blob[:8]
     assert conn.ok(lambda t: Tread(t, fid, 8, 8), Rread).data == blob[8:]
-    assert calls == [0, 8]
+    assert len(calls) == 1
 
 
 def test_deferred_read_is_kept_unless_it_fails():
     outcomes = [FsError("later"), b"stale\n", b"late\n"]
 
-    def read(off, cnt):
+    def read():
         out = outcomes.pop(0)
-        return Defer(lambda done: done(
-            out if isinstance(out, FsError) else out[off:off + cnt]))
+        return Defer(lambda done: done(out))
 
     server, calls = counted_server(read)
     conn = Conn(server)
@@ -364,10 +363,46 @@ def test_deferred_read_is_kept_unless_it_fails():
     fid = walk_open(conn, ["f"])
     conn.err(lambda t: Tread(t, fid, 0, 100), "later")
     assert conn.ok(lambda t: Tread(t, fid, 5, 100), Rread).data == b"\n"
-    assert calls == [0, 5]              # the failed read kept nothing
+    assert len(calls) == 2              # the failed read kept nothing
     assert conn.ok(lambda t: Tread(t, fid, 0, 100), Rread).data == b"late\n"
     assert conn.ok(lambda t: Tread(t, fid, 1, 100), Rread).data == b"ate\n"
-    assert calls == [0, 5, 0]
+    assert len(calls) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(max_size=3 * IOUNIT),
+       st.lists(st.tuples(st.just(0) | st.integers(0, 3 * IOUNIT + 8), st.integers(0, 2 * IOUNIT),
+                          st.booleans(), st.booleans()), max_size=12))
+def test_each_read_is_a_slice_of_the_file_generated_once_per_open(content, reads):
+    # each reply is content[offset:offset + min(count, IOUNIT)], whether the
+    # handler answers at once or through a Defer; the handler runs at each
+    # offset-0 read, which keeps the file unless it fails, and at each
+    # later offset on a fid that kept nothing
+    mode = {}
+
+    def read():
+        out = FsError("failed") if mode["fail"] else content
+        if mode["defer"]:
+            return Defer(lambda done: done(out))
+        if mode["fail"]:
+            raise out
+        return out
+
+    server, calls = counted_server(read)
+    conn = Conn(server)
+    conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
+    fid = walk_open(conn, ["f"])
+    kept, want = False, 0
+    for offset, count, defer, fail in reads:
+        mode.update(defer=defer, fail=fail and offset == 0)
+        want += offset == 0 or not kept
+        if mode["fail"]:
+            conn.err(lambda t: Tread(t, fid, 0, count), "failed")
+        else:
+            got = conn.ok(lambda t: Tread(t, fid, offset, count), Rread).data
+            assert got == content[offset:offset + min(count, IOUNIT)]
+        kept = not mode["fail"] if offset == 0 else kept
+        assert len(calls) == want
 
 
 def test_write_drops_what_the_fid_kept():
@@ -379,7 +414,7 @@ def test_write_drops_what_the_fid_kept():
 
     root = make_dir("root")
     root.add(make_file("f", 0o666, write=write,
-                       read=lambda off, cnt: store["text"][off:off + cnt]))
+                       read=lambda: store["text"]))
     conn = Conn(Server(root, USERS))
     conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
     fid = walk_open(conn, ["f"], ORDWR)
@@ -429,7 +464,7 @@ def test_double_open():
 def test_permissions_owner_group_other():
     root = make_dir("root")
     root.add(make_file("f", 0o640, owner="admin", group="admin",
-                       read=lambda off, cnt: b"x"))
+                       read=lambda: b"x"))
     server = Server(root, USERS)
     admin, guest = Conn(server, "a"), Conn(server, "g")
     admin.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)

@@ -975,6 +975,19 @@ def test_ctl_reads_back_member_index():
                                     "position": (3.0, -4.0), "tags": {}}
 
 
+def test_a_member_index_longer_than_iounit_is_generated_once():
+    # 150 members' info texts pass IOUNIT: the client reads the index in
+    # two replies and an empty one, and the head builds it once
+    net, mux, states = build_cluster([temp_sensor(i, 20.0, tags={"animal": "lion"})
+                                      for i in range(1, 151)])
+    calls, read_ctl = [], mux.ctl.read_handler
+    mux.ctl.read_handler = lambda: calls.append(1) or read_ctl()
+    text = make_client(net).read(mux_ref(mux), "ctl")
+    assert len(text) > IOUNIT
+    assert text == "".join(state.info_text() for state in states.values()).encode()
+    assert len(calls) == 1
+
+
 def test_undiscovered_member_is_absent_from_index():
     net, mux, _ = build_cluster(
         [temp_sensor(1, 1.0), temp_sensor(2, 2.0), temp_sensor(3, 3.0)], warmup=0)

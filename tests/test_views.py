@@ -663,13 +663,13 @@ def test_zoo_scan_frame_cost():
 
 def _ref_entry(sid, path):
     return fscore.make_file(sid, 0o444,
-                            read=lambda off, cnt: (path + "\n").encode()[off:off + cnt])
+                            read=lambda: (path + "\n").encode())
 
 
 def _ref_data_file(client, table, members):
-    def read(off, cnt):
+    def read():
         readings = read_members(client, table, members, "reading")
-        return b"".join(r + b"\n" for r in readings if r is not None)[off:off + cnt]
+        return b"".join(r + b"\n" for r in readings if r is not None)
 
     return fscore.make_file("data", 0o444, read=read)
 
