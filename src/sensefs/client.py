@@ -15,13 +15,14 @@ send: it yields a build per T-message, build(tag) making the message,
 and gets back its R-message.  A refusal (an Rerror) or a reply that
 never came (a Timeout) is raised at that yield as a ClientError instead,
 so a step fails one way and never tests a reply for failure.  A step may
-also yield a Future, an outcome another step is still working out
-(once), and gets that outcome when it lands, or a flight, a tuple of
-builds sent at once, and gets a list of outcomes in which a refusal or a
-Timeout is a value, since each is a different request's to judge.  spawn
-is the one continuation driver, so any number of steps keep requests in
-flight at once, and gather the one fan-out (a flight, a head's member
-reads, a run).  spawn's callers fix how long a request waits:
+also yield a Future (fscore's, the one type of an outcome in flight)
+that another step is working out (once), and gets that outcome when it
+lands, or a flight, a tuple of builds sent at once, and gets a list of
+outcomes in which a refusal or a Timeout is a value, since each is a
+different request's to judge.  spawn is the one continuation driver, so
+any number of steps keep requests in flight at once, and gather the one
+fan-out (a flight, a head's member reads, a run).  spawn's callers fix
+how long a request waits:
 
     muxfs.Multiplexer  every device exchange of a cluster head, under the
                        timeout named where the step is spawned
@@ -58,7 +59,7 @@ from contextlib import suppress
 from functools import partial
 
 from . import wire
-from .fscore import FsError
+from .fscore import FsError, Future
 from .wire import (
     IOUNIT, MAX_STAT, OREAD, OWRITE, ORDWR,
     Tattach, Twalk, Topen, Tread, Twrite, Tclunk, Tstat, Rerror,
@@ -121,9 +122,13 @@ class Conn:
 
     def issue(self, build, cb, timeout=None):
         """Send build(tag) to the peer; cb(R-message) later, or cb(a Timeout)
-        if timeout ticks pass first.  Returns the tag."""
+        if timeout ticks pass first.  Returns the tag.  A request that
+        cannot be encoded is refused as a ClientError, and nothing is sent."""
         tag = self.new_tag()
-        frame = wire.encode_message(build(tag))
+        try:
+            frame = wire.encode_message(build(tag))
+        except wire.WireError as e:
+            raise ClientError(str(e)) from None
         timer = None
         if timeout is not None:
             timer = self.net.schedule(timeout, lambda: self.answer(tag, Timeout()))
@@ -146,11 +151,6 @@ class Conn:
 # ----------------------------------------------------------------------
 # the continuation driver
 # ----------------------------------------------------------------------
-
-class Future(list):
-    """An outcome a step is still working out: other steps yield it to
-    wait, and it holds their continuations."""
-
 
 def spawn(step, call, done):
     """Drive a step as continuations.  call(build, cb) issues each
@@ -184,7 +184,7 @@ def _resume(step, call, done, value):
         return
     resume = partial(_resume, step, call, done)
     if isinstance(ask, Future):
-        ask.append(resume)
+        ask.wait(resume)
         return
     if type(ask) is tuple:
         gather([partial(spawn, request(build), call) for build in ask], resume)
@@ -235,13 +235,12 @@ def once(table, key, start, *args):
             del table[key]
         else:
             table[key] = outcome
-    for resume in future:
-        resume(outcome)
+    future.land(outcome)
     if isinstance(outcome, FsError):
         try:
             raise outcome
         finally:
-            del outcome         # its traceback holds this frame: no reference cycle
+            del outcome, future     # its traceback holds this frame: no reference cycle
     return outcome
 
 

@@ -3,11 +3,11 @@
 Both the leaf device servers and the cluster-head multiplexers are built
 on this module.  A server owns a tree of Nodes, tracks per-connection
 sessions (fid tables), and turns each incoming T-message into exactly one
-R-message with the same tag.  Handlers that cannot answer synchronously
-return a Defer and complete later; the dispatch loop never blocks.
+R-message with the same tag.  A handler that cannot answer at once
+returns a Future and lands it later; the dispatch loop never blocks.
 
 A read handler takes no offset or count: it returns the whole file, as
-bytes or a Defer landing on bytes or an FsError, and t_read alone slices
+bytes or a Future landing on bytes or an FsError, and t_read alone slices
 it (as Plan 9's readstr).  Synthetic contents are generated once per
 open: the read at offset 0 of a fid generates afresh and keeps what it
 generated (a file's bytes, or a directory's children, less those each
@@ -23,16 +23,16 @@ its count unused proves that no entry is left.
 
 A fid's answer may be asked ahead of its read: by a write that is a
 question (the query-file idiom of Plan 9's /net/cs: a write handler that
-returns bytes, or a Defer landing on bytes, answers the write), or by a
-server at the open (a started Defer, which may still be in flight).  The
-fid's next read at offset 0 takes the answer in place of generating the
-file, waiting for it if it has not landed.  The answer belongs to that
+returns bytes, or a Future landing on bytes, answers the write), or by a
+server at the open (a Future, which may still be in flight).  The fid's
+next read at offset 0 takes the answer in place of generating the file,
+waiting for it if it has not landed.  The answer belongs to that
 fid alone, so no server needs a table keyed by fid, and a clunk drops it
 with the fid.
 
 A session's T-messages are handled in the order they arrive, and a walk,
-open, stat or clunk is answered at once, never Deferred.  A client may so
-send a request on a fid in one flight with the walk that binds it
+open, stat or clunk is answered at once, never by a Future.  A client may
+so send a request on a fid in one flight with the walk that binds it
 (client.on_walked): a request that overtook its walk on a link that
 reorders frames is refused (unknown fid), and the client sends it again.
 """
@@ -64,38 +64,36 @@ class FsError(Exception):
         self.ename = ename
 
 
-class Defer:
-    """A handler result that completes later.
+class Future:
+    """An outcome still in flight: Future(start) calls start(land) at once,
+    land(outcome) lands it exactly once, and wait(cb) calls cb(outcome)
+    when it lands, or at once if it has.  It keeps its outcome."""
 
-    start(done) is called once by the dispatcher; the handler must
-    eventually invoke done(result) exactly once, where result is the
-    handler's normal return value or an FsError.
-    """
+    __slots__ = ("outcome", "waiting")
 
-    def __init__(self, start):
-        self.start = start
+    def __init__(self, start=None):
+        self.waiting = []          # None once landed
+        if start is not None:
+            start(self.land)
 
+    def land(self, outcome):
+        waiting, self.waiting, self.outcome = self.waiting, None, outcome
+        for cb in waiting:
+            cb(outcome)
 
-def started(defer) -> Defer:
-    """defer, started now: a Defer of its outcome that hands it to a
-    reader at once if it has already landed, and otherwise when it lands."""
-    landed, waiting = [], []
-
-    def land(outcome):
-        landed.append(outcome)
-        for done in waiting:
-            done(outcome)
-
-    defer.start(land)
-    return Defer(lambda done: done(landed[0]) if landed else waiting.append(done))
+    def wait(self, cb):
+        if self.waiting is None:
+            cb(self.outcome)
+        else:
+            self.waiting.append(cb)
 
 
 def then(result, fn):
-    """fn applied to a handler's result, or, for a Defer, a Defer of fn
+    """fn applied to a handler's result, or, for a Future, a Future of fn
     applied to its outcome; an FsError outcome passes through unchanged."""
-    if isinstance(result, Defer):
-        return Defer(lambda done, start=result.start: start(
-            lambda out: done(out if isinstance(out, FsError) else fn(out))))
+    if isinstance(result, Future):
+        return Future(lambda land: result.wait(
+            lambda out: land(out if isinstance(out, FsError) else fn(out))))
     return fn(result)
 
 
@@ -267,8 +265,8 @@ class Server:
                 result = getattr(self, name)(session, msg)
         except FsError as e:
             result = e
-        if isinstance(result, Defer):
-            result.start(answer)
+        if isinstance(result, Future):
+            result.wait(answer)
         else:
             answer(result)
 
@@ -376,11 +374,11 @@ class Server:
     @staticmethod
     def written(ent, result, count):
         """The reply to a write of count bytes through ent, from what its
-        handler returned (or a Defer landed on): the count written, or bytes
+        handler returned (or a Future landed on): the count written, or bytes
         that answer the write, kept as ent's answer; an answered write
         counts all count bytes."""
         ent.data = ent.answer = None
-        if not isinstance(result, Defer):
+        if not isinstance(result, Future):
             ent.node.bump_version()
 
         def answered(out):

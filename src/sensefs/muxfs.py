@@ -28,7 +28,7 @@ of the member's last write.
 An aggregate's question is asked at the open, as a Plan 9 server may act
 on Topen (the clone files do): opening an aggrData file starts its
 fan-out, with that tick as the tick asked, so the members' round trip
-overlaps the client's Ropen and Tread.  The outcome is the fid's answer
+overlaps the client's Ropen and Tread.  Its Future is the fid's answer
 (fscore): the fid's first read at offset 0 takes it, waiting for it if it
 has not landed, and later offsets read that snapshot; every later
 offset-0 read asks again.  An error (no members, no such aggregation,
@@ -61,13 +61,14 @@ A step says only what to send; the timeout is named where it is
 spawned: discover_timeout for discovery, aggregates, polls and
 _clunk_remote, and fallback_ticks for relayed reads and writes and ctl
 queries.  A head step returns its outcome or raises FsError, and spawn
-hands either to whoever waits on it, such as a relayed read's reply; a
-Timeout is where the head falls back to a cached copy, for a relayed
-read, an aggregate or a query.  A device fid the head opens (its own, or
-one behind a relayed client fid) is opened once: requests that need it
-while the open is in flight wait for it, and a walk or open of it that
-fails, lost included, clunks it (_open).  A mirrored file opens against
-its mirrored stat, even while its device sleeps.
+hands either to whoever waits on it, through a Future (fscore's) such as
+a relayed read's reply; a Timeout is where the head falls back to a
+cached copy, for a relayed read, an aggregate or a query.  A device fid
+the head opens (its own, or one behind a relayed client fid) is opened
+once: requests that need it while the open is in flight wait on its
+Future, a clunk of the client fid clunks it when it lands, and a walk
+or open of it that fails, lost included, clunks it (_open).  A mirrored
+file opens against its mirrored stat, even while its device sleeps.
 
 The head reads a member file one way (_read_path: aggregates, polls,
 queries), as mux over a fid it keeps open for that file alone: an attach
@@ -86,11 +87,11 @@ from functools import partial
 
 from . import wire
 from .client import (
-    Conn, ClientError, Future, Timeout, _attach, gather, once, read_all, receive, spawn, walk,
+    Conn, ClientError, Timeout, _attach, gather, once, read_all, receive, spawn, walk,
 )
 from .devicefs import parse_info
 from .wire import IOUNIT, OREAD, OWRITE, ORDWR, Tattach, Twalk, Topen, Tread, Twrite, Tclunk
-from .fscore import Defer, FsError, Node, Server, make_dir, make_file, started
+from .fscore import FsError, Future, Node, Server, make_dir, make_file, then
 from .simnet import Hop
 
 MAX_PENDING = 32
@@ -204,14 +205,14 @@ class Multiplexer(Server):
         if isinstance(outcome, FsError) and not isinstance(outcome, Timeout):
             self.net.log.add(self.net.now, "mux-error", self.eid, "", outcome.ename)
 
-    def _fan_out(self, links, step, timeout, done):
-        """Run the step step(link) of every link at once (gather), under
-        timeout; done gets each one's value or FsError, in link order, when
-        the last has ended.  A step made as it starts, not all beforehand,
-        keeps fewer objects alive at once for the collector."""
+    def _fan_out(self, links, step, timeout):
+        """A Future of the values (or FsErrors) of the step step(link) of
+        every link, in link order, all run at once (gather) under timeout.
+        A step made as it starts, not all beforehand, keeps fewer objects
+        alive at once for the collector."""
         def start(link, land):
             self._spawn(link, step(link), timeout, land)
-        gather([partial(start, link) for link in links], done)
+        return Future(partial(gather, [partial(start, link) for link in links]))
 
     # ------------------------------------------------------------------
     # discovery
@@ -309,7 +310,7 @@ class Multiplexer(Server):
 
     def _relay(self, session, msg, modes, use):
         """For a request on client fid ent of a mirrored file (path on the
-        member link) open in one of modes, a Defer of the step use(ent,
+        member link) open in one of modes, a Future of the step use(ent,
         link, path, send) run under fallback_ticks, send(kind, *args) being
         this request's _send; for any other, None."""
         ent = session.get(msg.fid)
@@ -317,7 +318,7 @@ class Multiplexer(Server):
         if link is None or ent.open_mode not in modes:
             return None
         step = use(ent, link, path, partial(self._send, session, msg, ent, link, path))
-        return Defer(partial(self._spawn, link, step, self.cfg.fallback_ticks))
+        return Future(partial(self._spawn, link, step, self.cfg.fallback_ticks))
 
     def _send(self, session, msg, ent, link, path, kind, *args):
         """Step: log mux-route and return the member's R-message to
@@ -339,7 +340,7 @@ class Multiplexer(Server):
         ent = session.fids[msg.fid]
         if self.aggr_dir.lookup(ent.node.name) is ent.node:     # an aggregate: asked now
             with suppress(FsError):     # no aggregation or no members: the first read says so
-                ent.answer = started(ent.node.read_handler())
+                ent.answer = ent.node.read_handler()
         return qid
 
     def t_read(self, session, msg):
@@ -389,12 +390,8 @@ class Multiplexer(Server):
     def t_clunk(self, session, msg):
         ent = session.fids.get(msg.fid)
         dfid = self.relayed.pop(ent, None)
-        if dfid is not None:
-            link = self.remote[ent.node][0]
-            if isinstance(dfid, Future):    # still opening: clunk what it opens
-                dfid.append(lambda d: isinstance(d, int) and self._clunk_remote(link, d))
-            else:
-                self._clunk_remote(link, dfid)
+        if dfid is not None:        # a Future while still opening: clunk what it opens
+            then(dfid, partial(self._clunk_remote, self.remote[ent.node][0]))
         return super().t_clunk(session, msg)
 
     # ------------------------------------------------------------------
@@ -433,20 +430,18 @@ class Multiplexer(Server):
                 data = self._cached(link, spec.source_path, asked, "mux-aggregate")
             return _parse_floats(data) if data is not None else None
 
-        def finish(cb, results):
+        def finish(results):
             used = [v for v in results if v is not None]
             if not used:
-                cb(FsError("no members"))
-                return
+                return FsError("no members")
             out = []
             for i in range(min(len(v) for v in used)):
                 out.extend(fn([v[i] for v in used]))
             text = " ".join("%.6f" % v for v in out) + "\n"
             text += "# n=%d/%d\n" % (len(used), len(members))
-            cb(text.encode())
+            return text.encode()
 
-        return Defer(lambda cb: self._fan_out(
-            members, read, self.cfg.discover_timeout, partial(finish, cb)))
+        return then(self._fan_out(members, read, self.cfg.discover_timeout), finish)
 
     # ------------------------------------------------------------------
     # polling / report rate
@@ -483,8 +478,8 @@ class Multiplexer(Server):
         return "".join(link.info for link in self._discovered()).encode()
 
     def _write_ctl(self, uname, data):
-        """Run one ctl command written by uname: a read query's Defer of its
-        answer, or the count written."""
+        """Run one ctl command written by uname: a read query's Future of
+        its answer, or the count written."""
         try:
             cmd, *args = data.decode().split()
             if cmd == "read" and args:
@@ -506,8 +501,8 @@ class Multiplexer(Server):
         return len(data)
 
     def _query(self, uname, name, ids):
-        """Defer: the answer to `read name ids...`, one line per member named
-        (none named: per discovered member), in that order."""
+        """A Future of the answer to `read name ids...`, one line per member
+        named (none named: per discovered member), in that order."""
         for dev in ids:
             if dev not in self.links:
                 raise FsError("unknown device %s" % dev)
@@ -529,8 +524,7 @@ class Multiplexer(Server):
                 return ("%s !%s\n" % (link.peer, e.ename)).encode()
             return b"%s %s\n" % (link.peer.encode(), out.split(b"\n", 1)[0])
 
-        return Defer(lambda done: self._fan_out(
-            links, read, self.cfg.fallback_ticks, lambda lines: done(b"".join(lines))))
+        return then(self._fan_out(links, read, self.cfg.fallback_ticks), b"".join)
 
     def _recent(self, link, path, asked, event):
         """Step: path's bytes for a question the head answers itself, asked

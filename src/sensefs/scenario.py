@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import astuple, dataclass, field, replace
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .client import FileClient, receive
@@ -96,7 +97,7 @@ class ScenarioConfig:
     geo: GeoMap = field(default_factory=GeoMap)
     energy: EnergyModel = field(default_factory=EnergyModel)
     default_link: LinkModel = field(default_factory=LinkModel)
-    link_overrides: list = field(default_factory=list)   # (src, dst, model, oneway)
+    link_overrides: list = field(default_factory=list)   # [_LinkRow]
     clusters: dict = field(default_factory=dict)         # name -> head eid
     sensors: dict = field(default_factory=dict)          # id -> _SensorDef
     aggregates: dict = field(default_factory=dict)       # cluster -> [AggregateSpec]
@@ -143,24 +144,20 @@ def _source(spec):
     return spec
 
 
-class _Pair(list):
-    """A [link SRC DST] row of link_overrides, [src, dst, model, oneway]:
-    its `oneway` is the row's flag, every other attribute its model's."""
-
-    def __getattr__(self, attr):
-        return self[3] if attr == "oneway" else getattr(self[2], attr)
-
-    def __setattr__(self, attr, value):
-        if attr == "oneway":
-            self[3] = value
-        else:
-            setattr(self[2], attr, value)
+@dataclass
+class _LinkRow:
+    """A [link SRC DST] row of link_overrides; a bare [link] sets the
+    default model alone, and has no oneway."""
+    model: LinkModel
+    src: str
+    dst: str
+    oneway: bool = False
 
 
 def _link(cfg, names):
     if not names:
-        return cfg.default_link
-    cfg.link_overrides.append(_Pair(names + [replace(cfg.default_link), False]))
+        return SimpleNamespace(model=cfg.default_link)
+    cfg.link_overrides.append(_LinkRow(replace(cfg.default_link), *names))
     return cfg.link_overrides[-1]
 
 
@@ -203,7 +200,8 @@ SECTIONS = {
         "tx": ("tx_cost_j", float), "rx": ("rx_cost_j", float),
         "idle": ("idle_cost_j_per_tick", float)}),
     "link": _Section((0, 2), _link, {
-        "latency": ("latency", int), "jitter": ("jitter", int), "loss": ("loss", float),
+        "latency": ("model.latency", int), "jitter": ("model.jitter", int),
+        "loss": ("model.loss", float),
         "oneway": ("oneway", lambda value: value.lower() in ("1", "true", "yes"))}),
     "cluster": _Section(
         (1,), lambda cfg, names: _add(cfg.clusters, names[0], names[0] + ".head") and cfg,
@@ -340,8 +338,8 @@ class Simulation:
         self.responders = {}
         self._clients = 0
 
-        for src, dst, model, oneway in cfg.link_overrides:
-            self.net.set_link(src, dst, model, both_ways=not oneway)
+        for row in cfg.link_overrides:
+            self.net.set_link(row.src, row.dst, row.model, both_ways=not row.oneway)
 
         for sdef in cfg.sensors.values():
             duty = DutyCycle(*sdef.duty) if sdef.duty else None

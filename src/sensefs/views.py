@@ -33,7 +33,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 
-from .client import ClientError, FileClient
+from .client import ClientError, FileClient, Timeout
 from .devicefs import parse_infos
 from .fscore import Node, Server, UserDb, make_dir, make_file
 from .muxfs import AGGREGATIONS
@@ -63,7 +63,7 @@ class NamespaceTable:
     def resolve(self, path: str):
         """Return (server ref, server-relative path) for a clean absolute path."""
         for mount_path, ref in reversed(self.mounts):
-            if path == mount_path or path.startswith(mount_path + "/"):
+            if path == mount_path or path.startswith(mount_path.rstrip("/") + "/"):
                 return ref, path[len(mount_path):].lstrip("/")
         raise ClientError("not found")
 
@@ -72,7 +72,7 @@ class NamespaceTable:
         prefix = "" if path == "/" else path
         names = []
         for mount_path, _ in self.mounts:
-            if mount_path != prefix and mount_path.startswith(prefix + "/"):
+            if mount_path != path and mount_path.startswith(prefix + "/"):
                 name = mount_path[len(prefix) + 1:].split("/")[0]
                 if name not in names:
                     names.append(name)
@@ -100,18 +100,19 @@ def read_paths(client: FileClient, table: NamespaceTable, paths, questions=None)
 
 def dir_entries(client: FileClient, table: NamespaceTable, path: str) -> dict:
     """Children of path, name -> stat: the server listing, then each mount
-    point not in it, mapped to None."""
-    entries = {}
+    point not in it, mapped to None.  A path with mount points under it is
+    a directory even where its server refuses to list it (as /network
+    under a mount at /); a lost reply still fails the listing."""
+    mounted = table.mount_children(path)
     try:
         ref, rel = table.resolve(path)
-    except ClientError:
-        ref = None
-    if ref is not None:
         entries = {st.name: st for st in client.ls(ref, rel)}
-    for name in table.mount_children(path):
+    except ClientError as e:
+        if not mounted or isinstance(e, Timeout):
+            raise
+        entries = {}
+    for name in mounted:
         entries.setdefault(name, None)
-    if not entries and ref is None:
-        raise ClientError("not found")
     return entries
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sensefs.client import ClientError, Conn, FileClient, Timeout, gather
 from sensefs.devicefs import parse_infos
-from sensefs.fscore import Defer, Server, make_dir, make_file
+from sensefs.fscore import Future, Server, make_dir, make_file
 from sensefs.muxfs import MuxConfig
 from sensefs.scenario import ServerEndpoint
 from sensefs.shell import Shell
@@ -310,9 +310,9 @@ def test_local_server_deferred_reply_is_waited_for():
     net = Network(0)
     client = make_client(net)
     root = make_dir("r")
-    root.add(make_file("late", read=lambda: Defer(
+    root.add(make_file("late", read=lambda: Future(
         lambda done: net.schedule(5, lambda: done(b"late\n")))))
-    root.add(make_file("never", read=lambda: Defer(lambda done: None)))
+    root.add(make_file("never", read=lambda: Future(lambda done: None)))
     local = ("local", Server(root, USERS))
     assert client.read(local, "late") == b"late\n"
     assert net.now == 5

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sensefs import wire
 from sensefs.fscore import (
-    Defer, FsError, Node, Server, UserDb, make_dir, make_file, started,
+    FsError, Future, Node, Server, UserDb, make_dir, make_file, then,
 )
 from sensefs.wire import (
     IOUNIT, OREAD, OWRITE, ORDWR, QDIR, DMDIR,
@@ -188,14 +188,14 @@ def test_write_without_handler_is_not_writable():
 
 
 def test_write_answer_is_read_back_on_its_fid_only():
-    # a write handler that returns bytes, at once or through a Defer,
+    # a write handler that returns bytes, at once or through a Future,
     # answers the write; the answer is the next read at offset 0 on that
     # fid, read to end of file, and every other read is the read handler's
     later = []
 
     def ask(off, data):
         if data == b"later":
-            return Defer(lambda done: later.append(lambda: done(b"late answer\n")))
+            return Future(lambda done: later.append(lambda: done(b"late answer\n")))
         return b"answer to " + data + b"\n"
 
     root = make_dir("root")
@@ -222,7 +222,7 @@ def test_write_answer_is_read_back_on_its_fid_only():
 
 
 def test_an_answer_started_at_the_open_is_the_first_reads():
-    # a server may ask a fid's answer at its open (started): the first read
+    # a server may ask a fid's answer at its open: the first read
     # at offset 0 takes it, at once if it has landed and when it lands if
     # not; it is kept whole for later offsets, an FsError answers that read
     # and keeps nothing, and the next read at offset 0 is the handler's
@@ -231,7 +231,7 @@ def test_an_answer_started_at_the_open_is_the_first_reads():
     class Asking(Server):
         def t_open(self, session, msg):
             qid = super().t_open(session, msg)
-            session.fids[msg.fid].answer = started(Defer(asked.append))
+            session.fids[msg.fid].answer = Future(asked.append)
             return qid
 
     root = make_dir("root")
@@ -355,7 +355,7 @@ def test_deferred_read_is_kept_unless_it_fails():
 
     def read():
         out = outcomes.pop(0)
-        return Defer(lambda done: done(out))
+        return Future(lambda done: done(out))
 
     server, calls = counted_server(read)
     conn = Conn(server)
@@ -375,7 +375,7 @@ def test_deferred_read_is_kept_unless_it_fails():
                           st.booleans(), st.booleans()), max_size=12))
 def test_each_read_is_a_slice_of_the_file_generated_once_per_open(content, reads):
     # each reply is content[offset:offset + min(count, IOUNIT)], whether the
-    # handler answers at once or through a Defer; the handler runs at each
+    # handler answers at once or through a Future; the handler runs at each
     # offset-0 read, which keeps the file unless it fails, and at each
     # later offset on a fid that kept nothing
     mode = {}
@@ -383,7 +383,7 @@ def test_each_read_is_a_slice_of_the_file_generated_once_per_open(content, reads
     def read():
         out = FsError("failed") if mode["fail"] else content
         if mode["defer"]:
-            return Defer(lambda done: done(out))
+            return Future(lambda done: done(out))
         if mode["fail"]:
             raise out
         return out
@@ -590,3 +590,48 @@ def test_fid_table_never_exceeds_bound(ops, data):
             conn.rpc(lambda t, f=fid: Tclunk(t, f))
         live = set(session.fids)
         assert len(session.fids) <= 8
+
+
+# -- Future: one outcome in flight -------------------------------------------
+
+def test_future_starts_at_once_and_lands_to_waiters_before_and_after():
+    started = []
+    future = Future(started.append)
+    assert started == [future.land]             # start(land) is called at once
+    got = []
+    future.wait(lambda out: got.append(("first", out)))
+    future.wait(lambda out: got.append(("second", out)))
+    assert got == []
+    future.land(b"x")
+    assert got == [("first", b"x"), ("second", b"x")]      # in the order they waited
+    future.wait(lambda out: got.append(("late", out)))     # landed: called at once
+    assert got[-1] == ("late", b"x")
+
+
+def test_future_may_land_inside_its_start():
+    got = []
+    Future(lambda land: land(7)).wait(got.append)
+    assert got == [7]
+
+
+def test_then_over_a_value_a_landed_and_an_unlanded_future():
+    assert then(b"abc", len) == 3
+    landed, got = Future(lambda land: land(b"abc")), []
+    then(landed, len).wait(got.append)
+    assert got == [3]
+    later = Future()
+    out = then(later, len)
+    out.wait(got.append)
+    assert got == [3]
+    later.land(b"abcd")
+    assert got == [3, 4]
+
+
+def test_then_passes_an_fs_error_through():
+    error, got, calls = FsError("no members"), [], []
+    later = Future()
+    then(later, calls.append).wait(got.append)
+    later.land(error)
+    assert got == [error] and calls == []
+    then(Future(lambda land: land(error)), calls.append).wait(got.append)
+    assert got == [error, error] and calls == []

@@ -828,7 +828,7 @@ def test_clunk_before_the_read_drops_the_answer_and_the_fan_out_still_lands():
     net.set_link(mux.eid, "s1", LinkModel(latency=10), both_ways=True)
     fid = open_fid(client, mux_ref(mux), "aggrData/avgT")
     opened, landed = net.now, []
-    mux.sessions[client.eid].fids[fid].answer.start(landed.append)
+    mux.sessions[client.eid].fids[fid].answer.wait(landed.append)
     assert landed == []                 # the fid's answer is still in flight
     client.call(mux_ref(mux), tclunk(fid))
     assert fid not in mux.sessions[client.eid].fids

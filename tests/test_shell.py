@@ -109,6 +109,51 @@ def test_ls_refuses_a_directory_whose_entry_does_not_fit_a_read():
     assert shell.run_line("cat /network/cluster1/aggrData/zz") == (0, "46.928571\n# n=7/7")
 
 
+DEEP = "/network/cluster1/sensors/s1/" + "/".join(["a"] * 15)     # a walk of 17 names
+
+
+@pytest.mark.parametrize("line, error", [
+    ("cat " + DEEP, "walk of 17 names exceeds 16"),
+    ("ls " + DEEP, "walk of 17 names exceeds 16"),
+    ("stat " + DEEP, "walk of 17 names exceeds 16"),
+    ("write %s x" % DEEP, "walk of 17 names exceeds 16"),
+    ("write /network/cluster1/sensors/s1/mem " + "x" * 9000, "frame of 9023 bytes exceeds 8192"),
+])
+def test_a_request_that_cannot_be_encoded_is_refused(line, error):
+    # the request is refused as it is made and never sent; the REPL goes on
+    shell = zoo_shell()
+    shell.run_line("mount /dev/network /network")
+    assert shell.run_line(line) == (1, "error: " + error)
+    if line.startswith("cat"):                  # the walk is the first request
+        log = shell.sim.net.log
+        since = len(log.lines)
+        assert shell.run_line(line) == (1, "error: " + error)
+        assert [l for l in log.lines[since:] if l.split("\t")[1] == "send"] == []
+    out = io.StringIO()
+    repl(shell, io.StringIO("%s\ncat /network/cluster1/sensors/s1/reading\n" % line), out)
+    assert out.getvalue() == "sensefs> error: %s\nsensefs> 20.900000\nsensefs> " % error
+
+
+def test_a_mount_at_the_root_resolves():
+    shell = zoo_shell()
+    files = "reading\ncontrol\nremaining-energy\nregisters\nmem\ninfo"
+    assert shell.run_line("mount s1 /") == (0, "")
+    assert shell.run_line("cat /reading") == (0, "20.900000")
+    assert shell.run_line("ls /") == (0, files)
+    # a second mount under /: its directory is one the mounts make, and
+    # paths below it are its server's
+    assert shell.run_line("mount /dev/network /network") == (0, "")
+    assert shell.run_line("ls /") == (0, files + "\nnetwork")
+    assert shell.run_line("ls /network") == (0, "cluster1\ncluster2")
+    assert shell.run_line("cat /network/cluster1/sensors/s2/reading") == \
+        (0, "150.000000 50.000000")
+    assert shell.run_line("cat /reading") == (0, "20.900000")
+    assert shell.run_line("cat /nowhere") == (1, "error: no such file")
+    # a listing of / whose reply is lost fails, mount points or not
+    shell.sim.net.set_link(shell.client.eid, "s1", LinkModel(loss=1.0), both_ways=True)
+    assert shell.run_line("ls /") == (1, "error: timeout")
+
+
 @pytest.mark.parametrize("path, status, names", [
     ("/nowhere", 1, "error: not found"),
     ("/network/cluster1/nope", 1, "error: no such file"),
