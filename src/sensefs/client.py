@@ -7,22 +7,16 @@ tags and fids, hands each R-message to the request waiting on its tag,
 and remembers the fid attached per user name.  Conn.issue is the one way
 a T-message leaves a node, and receive() the one way a frame enters one.
 
-The protocol sequences are generator steps: attach, walk, read_all and
-request; on_fid, one whole file operation on a fid (a read is read_all
-on it), and write_file over it (which also asks a question: a write
-answered on the same fid); and on_walked.  A step says only what to
-send: it yields a build per T-message, build(tag) making the message,
-and gets back its R-message.  A refusal (an Rerror) or a reply that
-never came (a Timeout) is raised at that yield as a ClientError instead,
-so a step fails one way and never tests a reply for failure.  A step may
-also yield a Future (fscore's, the one type of an outcome in flight)
-that another step is working out (once), and gets that outcome when it
-lands, or a flight, a tuple of builds sent at once, and gets a list of
-outcomes in which a refusal or a Timeout is a value, since each is a
-different request's to judge.  spawn is the one continuation driver, so
-any number of steps keep requests in flight at once, and gather the one
-fan-out (a flight, a head's member reads, a run).  spawn's callers fix
-how long a request waits:
+The protocol sequences are generator steps (attach, walk, read_all,
+request, on_fid, write_file, on_walked).  A step says only what to send:
+it yields a build per T-message, build(tag) making the message, and gets
+back its R-message, a refusal (an Rerror) or a reply that never came (a
+Timeout) being raised at that yield as a ClientError, so a step never
+tests a reply for failure; or it yields a Future (fscore's) or a flight
+(spawn).  spawn is the one continuation driver, so any number of steps
+keep requests in flight at once, and gather the one fan-out (a flight, a
+head's member reads, a run).  spawn's callers fix how long a request
+waits:
 
     muxfs.Multiplexer  every device exchange of a cluster head, under the
                        timeout named where the step is spawned
@@ -40,15 +34,10 @@ Its batches (read_many, write_many), the views' way to a head's ctl,
 keep a fid open per (file, mode), as Plan 9's clients keep /net/cs: every
 offset-0 read generates afresh and a write resets the fid's answer, so a
 kept fid reads what a fresh one would.  read, write, ls and stat reach
-any file, so each walks and clunks its own fid, and the kept stay few.
-ls and stat send the walk and their request on its fid in one flight, on
-the order fscore keeps, and clunk without waiting (on_walked); an ls then
-reads once, since a listing ends at a reply that leaves MAX_STAT bytes of
-IOUNIT unused (fscore's rule for directory reads).  So an ls is 2 round
-trips and 8 frames, a stat 1 and 6.  read and write walk, open and clunk
-in turn (on_fid) only because the benchmark pins a cat's ticks; once that
-pin moves, on_fid takes the same flight.  A file, or a listing within
-MAX_STAT of IOUNIT, reads on to the empty reply.
+any file, so each walks and clunks its own fid, and the kept stay few:
+ls and stat in one flight with the walk and no wait for the clunk
+(on_walked), an ls in 1 round trip and 8 frames and a stat in 1 and 6;
+read and write in turn (on_fid), since the benchmark pins a cat's ticks.
 """
 
 from __future__ import annotations
@@ -73,8 +62,7 @@ MAX_FILE = 1 << 20
 
 
 class ClientError(FsError):
-    """A request refused by its server (its Rerror's ename), or never
-    answered (Timeout)."""
+    """A request refused by its server (its Rerror's ename) or never answered (Timeout)."""
 
 
 class Timeout(ClientError):
@@ -158,13 +146,12 @@ def spawn(step, call, done):
     yields resumes it when the future lands.  An Rerror handed to cb is
     raised inside the step as a ClientError, and so is an FsError that
     call raises, that cb is handed (a Timeout: the reply never came) or
-    that a future lands with.  A tuple of builds it yields is a flight:
-    each is issued at once (gather), and the step resumes with the list
-    of their outcomes, in order, when the last lands, a refusal being a
-    ClientError in it and a lost reply a Timeout, not raised.  done gets
-    the step's return value or the FsError it raised.  An error handed on
-    as a value drops its traceback, whose frames would otherwise hold it
-    in a reference cycle."""
+    that a future lands with.  A tuple of builds it yields is a flight,
+    issued at once and in order (gather) but for those after one that call
+    refuses, which take its refusal unsent; the step resumes with the list
+    of outcomes when the last lands, a refusal or a Timeout in it not
+    raised.  done gets the step's return value or the FsError it raised;
+    an error handed on as a value drops its traceback (no reference cycle)."""
     _resume(step, call, done, None)
 
 
@@ -187,7 +174,15 @@ def _resume(step, call, done, value):
         ask.wait(resume)
         return
     if type(ask) is tuple:
-        gather([partial(spawn, request(build), call) for build in ask], resume)
+        refused = []
+        def issue(build, cb):
+            if not refused:
+                try:
+                    return call(build, cb)
+                except FsError as e:
+                    refused.append(e)
+            raise refused[0]
+        gather([partial(spawn, request(build), issue) for build in ask], resume)
         return
     try:
         call(ask, resume)
@@ -272,20 +267,21 @@ def walk(conn, uname, path):
     return fid
 
 
-def read_all(fid, isdir=False):
+def read_all(fid, isdir=False, first=None):
     """Step: the bytes of an open fid from offset 0 to end of file: an
     empty reply, or with isdir (a directory) a reply that leaves MAX_STAT
     bytes of its count unused, which fscore's rule for directory reads
-    proves complete.  Raises ClientError if a read is refused or the
-    bytes pass MAX_FILE, or Timeout if a reply never came."""
+    proves complete; first, if given, is the offset-0 read's reply.
+    Raises ClientError if a read is refused or the bytes pass MAX_FILE,
+    or Timeout if a reply never came."""
     out = bytearray()
-    while True:
-        r = yield lambda t, o=len(out): Tread(t, fid, o, IOUNIT)
+    r = first or (yield lambda t: Tread(t, fid, 0, IOUNIT))
+    while r.data and not (isdir and len(r.data) <= IOUNIT - MAX_STAT):
         out += r.data
-        if not r.data or isdir and len(r.data) <= IOUNIT - MAX_STAT:
-            return bytes(out)
         if len(out) > MAX_FILE:
             raise ClientError("file too large")
+        r = yield lambda t, o=len(out): Tread(t, fid, o, IOUNIT)
+    return bytes(out + r.data)
 
 
 def request(build):
@@ -335,18 +331,20 @@ def write_file(conn, uname, path, data, answer=False, keep=False):
     return on_fid(conn, uname, path, use, ORDWR if answer else OWRITE, keep=keep)
 
 
-def on_walked(conn, uname, path, build, clunk, use=None):
-    """Step: the R-message to build(tag, fid) on a new fid walked to path,
-    or with use the value of the step use(fid, that R-message).  The Twalk
-    and build go out in one flight; build is sent once more if it was
-    refused while the walk succeeded, since it may have overtaken the
-    walk.  clunk(fid) sends the fid's Tclunk and waits for nothing: it
-    runs however the step ends once the walk succeeded, and after a walk
-    whose reply never came, which may have bound the fid."""
+def on_walked(conn, uname, path, builds, clunk, use=None):
+    """Step: the R-messages to each build(tag, fid) of builds on a new fid
+    walked to path, or with use the value of the step use(fid, *those).
+    The Twalk and builds go out in one flight; the first failed reply, in
+    flight order, is raised, but a refusal while the walk succeeded may
+    have overtaken the walk or the open, so it and those after it are sent
+    once more, in turn.  clunk(fid) sends the fid's Tclunk and waits for
+    nothing: it runs however the step ends once the walk succeeded, and
+    after a walk whose reply never came, which may have bound the fid."""
     root = yield from attach(conn, uname)
     names = tuple(p for p in path.split("/") if p)
     fid = next(conn.fids)
-    walked, reply = yield (lambda t: Twalk(t, root, fid, names), lambda t: build(t, fid))
+    builds = [partial(build, fid=fid) for build in builds]
+    walked, *replies = yield (lambda t: Twalk(t, root, fid, names), *builds)
     if isinstance(walked, Timeout):
         clunk(fid)
     if isinstance(walked, FsError):
@@ -354,11 +352,13 @@ def on_walked(conn, uname, path, build, clunk, use=None):
     if len(walked.qids) != len(names):
         raise ClientError("no such file")
     try:
-        if type(reply) is ClientError:
-            reply = yield lambda t: build(t, fid)
-        if isinstance(reply, FsError):
-            raise reply
-        out = reply if use is None else (yield from use(fid, reply))
+        again = None
+        for i, build in enumerate(builds):
+            if again or type(replies[i]) is ClientError:
+                again = replies[i] = yield build
+            elif isinstance(replies[i], FsError):
+                raise replies[i]
+        out = replies if use is None else (yield from use(fid, *replies))
     except FsError:
         clunk(fid)
         raise
@@ -366,13 +366,13 @@ def on_walked(conn, uname, path, build, clunk, use=None):
     return out
 
 
-def list_dir(fid, opened):
-    """Step: the listing of fid, opened as opened (its Ropen) says, else
-    the error 'not a directory'; it ends at the one read fscore's rule for
-    directory reads proves complete (read_all's isdir)."""
+def list_dir(fid, opened, first):
+    """Step: the listing of fid from its Ropen (opened) and the reply to
+    its read at offset 0 (first), else the error 'not a directory' (that
+    read's data dropped), read on from first as read_all's isdir does."""
     if not opened.qid.is_dir:
         raise ClientError("not a directory")
-    return (yield from read_all(fid, isdir=True))
+    return (yield from read_all(fid, True, first))
 
 
 class FileClient:
@@ -470,8 +470,7 @@ class FileClient:
         """For each (ref, relpath, data) of targets, in order, the count
         written to that file, or with answer the answer read back after
         the write on the same fid (a question), or the ClientError that
-        refused it, all run as read_many's reads are (at once, over kept
-        fids, fewer files on a server than its fid cap)."""
+        refused it, all run as read_many's reads are."""
         return self._run([(ref, write_file(self._conn(ref), self.uname, relpath, data, answer,
                                            keep=True))
                           for ref, relpath, data in targets])
@@ -480,18 +479,19 @@ class FileClient:
         return self._one(ref, write_file(self._conn(ref), self.uname, relpath, data))
 
     def ls(self, ref, relpath) -> list:
-        """Stat records of a directory's children, in server order: walk
-        and open in one flight, one read and a clunk not waited for
-        (on_walked, list_dir)."""
+        """Stat records of a directory's children, in server order: walk,
+        open and a read at offset 0 in one flight, and a clunk not waited
+        for (on_walked, list_dir)."""
         return wire.decode_stats(self._one(ref, on_walked(
-            self._conn(ref), self.uname, relpath, lambda t, fid: Topen(t, fid, OREAD),
+            self._conn(ref), self.uname, relpath,
+            (lambda t, fid: Topen(t, fid, OREAD), lambda t, fid: Tread(t, fid, 0, IOUNIT)),
             partial(self._clunk, ref), list_dir)))
 
     def stat(self, ref, relpath) -> wire.Stat:
         """The stat record of a file: walk and stat in one flight, and a
         clunk not waited for (on_walked)."""
         return self._one(ref, on_walked(self._conn(ref), self.uname, relpath,
-                                        Tstat, partial(self._clunk, ref))).stat
+                                        (Tstat,), partial(self._clunk, ref)))[0].stat
 
     def _clunk(self, ref, fid):
         """Send fid's Tclunk and wait for nothing, as the head's

@@ -32,9 +32,9 @@ with the fid.
 
 A session's T-messages are handled in the order they arrive, and a walk,
 open, stat or clunk is answered at once, never by a Future.  A client may
-so send a request on a fid in one flight with the walk that binds it
-(client.on_walked): a request that overtook its walk on a link that
-reorders frames is refused (unknown fid), and the client sends it again.
+so send requests on a fid in one flight with the walk that binds it
+(client.on_walked): one that overtook the walk or the open on a link that
+reorders frames is refused (unknown fid, or not open), and is sent again.
 """
 
 from __future__ import annotations

@@ -481,11 +481,11 @@ def run_bundled(scenario, script_name, seed):
 # sha256 of each bundled script's event log (the --log file) at seed 42
 GOLDEN_LOGS = {
     "example1_monitoring.script":
-        "5eeb676560d0153f690a7a4e031555947bfba20643f862744954eeda134ea301",
+        "2873a062a9b1bb76cc41a14535e8707697e1d8bdb83201b309bd4e60c03e6c05",
     "example2_datacentric.script":
         "41a610a0b8a0e187c98045ed930a3ac302381ab4bd984e7f39cd3141d131d604",
     "example3_emergency.script":
-        "3a06d12e56b901cf1032e9d28484a519ac0f86a495f4e09e3cb20b7e0cf00ab0",
+        "76d8cce9102f0ef3c59c9a689966ff6412e0ada54b65810132cc76f34bd71141",
 }
 
 
@@ -543,8 +543,8 @@ cat /network/cluster2/sensors/s8/reading
 cat /network/cluster2/sensors/s8/reading"""
 
 # sha256 of LOSSY_SESSION's transcript and of its whole event log
-LOSSY_GOLDEN = ("2adc4a31e2b233882815d9f0f1966134837bb252cbf640f6e7dac86b01d71a3e",
-                "996b834ab6fed99e8e59d896a3bf7e9d1a4a34bff30474851cf0d252914b7b5d")
+LOSSY_GOLDEN = ("c8eab6ef0cea566cea10f41d8b844abae27d6fdc1046bf6c8ded10eed280afcf",
+                "ab57a589123aaf0ae068a605f70549e5b4edf01784c8319e051a88d52b5a85a2")
 
 
 def test_lossy_session_is_golden():
@@ -580,8 +580,8 @@ def lossy_zoo(loss, seed=None):
 # sha256 of LOSSY_SESSION's transcript and event log at lossy-soak's link
 # settings (loss 0.05, jitter 2): 13 of its 26 cat, write, ls and plan
 # lines get an answer (2 of the others read s9 after it was put to sleep)
-LOSSY_5_GOLDEN = ("2f03aff13bafae786bcf9f86e46044375146c9b6aa4bf91ed8d264f8e94776e8",
-                  "0f334dfb88897c6e7b8258931b9bf318a2ee2b57d387d0259aba973422a1225d")
+LOSSY_5_GOLDEN = ("10d905a57439b9d0a2caf2f6b57aab646056b9c7ae3e57f9887ff98d94fb2f64",
+                  "0ba7c3915ce03fd4734201caed515737dd6231e66fe1313f25c146d9430bdcaa")
 
 
 def test_lossy_session_at_5_percent_is_golden():

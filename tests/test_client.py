@@ -2,11 +2,12 @@
 way a T-message leaves it, on devices, heads and file clients alike."""
 
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sensefs.client import ClientError, Conn, FileClient, Timeout, gather
+from sensefs.client import ClientError, Conn, FileClient, Timeout, gather, on_walked
 from sensefs.devicefs import parse_infos
 from sensefs.fscore import Future, Server, make_dir, make_file
 from sensefs.muxfs import MuxConfig
@@ -14,8 +15,8 @@ from sensefs.scenario import ServerEndpoint
 from sensefs.shell import Shell
 from sensefs.simnet import LinkModel, Network
 from sensefs.wire import (
-    IOUNIT, MAX_STAT, NOTAG, OREAD, ORDWR, OWRITE, Rclunk, Rread, Tread, decode_message,
-    encode_message, pack_stat,
+    IOUNIT, MAX_STAT, NOTAG, OREAD, ORDWR, OWRITE, Rclunk, Rread, Topen, Tread, Tstat,
+    decode_message, encode_message, pack_stat,
 )
 
 from conftest import USERS, build_cluster, make_client, open_fid, temp_sensor
@@ -339,10 +340,22 @@ def listing_root(lengths):
     return root, d
 
 
+def read_offsets(server):
+    """The offset of every Tread server handles from now on, in order."""
+    offsets, t_read = [], server.t_read
+
+    def counted(session, msg):
+        offsets.append(msg.offset)
+        return t_read(session, msg)
+
+    server.t_read = counted
+    return offsets
+
+
 def test_ls_of_a_head_directory_is_walk_open_read_and_clunk():
-    # at latency 1, Twalk and Topen leave in one tick and the Tread after
-    # the Ropen: 4 ticks; the Tclunk is not waited for, and its Rclunk
-    # lands one round trip later, for the same 8 frames as before
+    # at latency 1, Twalk, Topen and Tread leave in one tick: 2 ticks; the
+    # Tclunk is not waited for, and its Rclunk lands one round trip later,
+    # for the same 8 frames as before
     net, mux, _ = build_cluster([temp_sensor(i, 20.0) for i in (1, 2, 3)], latency=1)
     client = make_client(net)
     ref = ("net", mux.eid)
@@ -350,11 +363,11 @@ def test_ls_of_a_head_directory_is_walk_open_read_and_clunk():
     net.run_until(net.now + 2)
     t0, since = net.now, len(net.log.lines)
     assert [st.name for st in client.ls(ref, "sensors")] == ["s1", "s2", "s3"]
-    assert net.now - t0 == 4
+    assert net.now - t0 == 2
     net.run_until(net.now + 2)
     assert client_leg(net, since, t0, client) == [
-        (0, "Twalk"), (0, "Topen"), (1, "Rwalk"), (1, "Ropen"), (2, "Tread"), (3, "Rread"),
-        (4, "Tclunk"), (5, "Rclunk")]
+        (0, "Twalk"), (0, "Topen"), (0, "Tread"), (1, "Rwalk"), (1, "Ropen"), (1, "Rread"),
+        (2, "Tclunk"), (3, "Rclunk")]
     assert client_files(mux, client) == ["c"]
 
 
@@ -367,16 +380,24 @@ def test_a_listing_that_leaves_less_than_max_stat_free_reads_on_to_the_empty_rep
     size = (IOUNIT - MAX_STAT // 2) // 8
     root, d = listing_root([LONGEST - MAX_STAT + size] * entries)
     server = Server(root, USERS)
-    offsets, t_read = [], server.t_read
-
-    def counted(session, msg):
-        offsets.append(msg.offset)
-        return t_read(session, msg)
-
-    server.t_read = counted
+    offsets = read_offsets(server)
     listing = make_client(Network(0)).ls(("local", server), "d")
     assert listing == [child.stat() for child in d.list_children()]
     assert offsets == [0, entries * size][:reads]
+
+
+def test_a_listing_longer_than_one_reply_reads_on_from_the_first_replys_length():
+    # over the wire, the first read goes out in the flight and the client
+    # reads on from the length of its reply to the one that proves the
+    # listing complete: eight records fill a reply, twenty take three
+    size = (IOUNIT - MAX_STAT // 2) // 8
+    root, d = listing_root([LONGEST - MAX_STAT + size] * 20)
+    net = Network(0, default_link=LinkModel(1, 0, 0.0))
+    server = Server(root, USERS)
+    ServerEndpoint(net, "srv", server)
+    offsets = read_offsets(server)
+    assert make_client(net).ls(("net", "srv"), "d") == [child.stat() for child in d.list_children()]
+    assert offsets == [0, 8 * size, 16 * size]
 
 
 def test_a_listing_that_never_ends_fails_past_max_file():
@@ -438,22 +459,33 @@ def test_stat_is_walk_and_stat_in_one_flight():
     assert client_files(mux, client) == ["c"]
 
 
-def test_ls_of_a_file_is_refused_with_no_read_and_no_device_frame(zoo_sim):
-    # the Tread goes out only after the Ropen shows a directory
+def test_ls_of_a_file_is_refused_after_the_read_of_its_flight(zoo_sim):
+    # the Tread leaves with the Topen, before the Ropen shows a file, so
+    # the head relays it to the device: 18 frames and 30 ticks (a Tread
+    # sent only after a directory's Ropen made it 6 frames and 6 ticks);
+    # the answer is still 'not a directory', the read's data dropped
     shell = Shell(zoo_sim)
     shell.run_line("mount /dev/network /network")
     assert shell.run_line("ls /network/cluster1")[0] == 0          # attaches
     net = zoo_sim.net
     net.run_until(net.now + 100)
-    since = len(net.log.lines)
+    t0, since = net.now, len(net.log.lines)
     assert shell.run_line("ls /network/cluster1/sensors/s1/reading") == (
         1, "error: not a directory")
+    assert net.now - t0 == 30
     net.run_until(net.now + 100)
     head, me = "cluster1.head", shell.client.eid
-    assert [line.split("\t")[2:4] + line.split("\t")[4].split()[:1]
+    assert [[int(line.split("\t")[0]) - t0] + line.split("\t")[2:4] +
+            line.split("\t")[4].split()[:1]
             for line in net.log.lines[since:] if line.split("\t")[1] == "send"] == [
-        [me, head, "Twalk"], [me, head, "Topen"], [head, me, "Rwalk"], [head, me, "Ropen"],
-        [me, head, "Tclunk"], [head, me, "Rclunk"]]
+        [0, me, head, "Twalk"], [0, me, head, "Topen"], [0, me, head, "Tread"],
+        [3, head, me, "Rwalk"], [3, head, me, "Ropen"],
+        [3, head, "s1", "Tattach"], [6, "s1", head, "Rattach"],
+        [9, head, "s1", "Twalk"], [12, "s1", head, "Rwalk"],
+        [15, head, "s1", "Topen"], [18, "s1", head, "Ropen"],
+        [21, head, "s1", "Tread"], [24, "s1", head, "Rread"],
+        [27, head, me, "Rread"], [30, me, head, "Tclunk"],
+        [33, head, "s1", "Tclunk"], [33, head, me, "Rclunk"], [36, "s1", head, "Rclunk"]]
 
 
 @pytest.mark.parametrize("kind", ["Twalk", "Rwalk", "Topen", "Ropen", "Tread", "Rread"])
@@ -510,3 +542,74 @@ def test_ls_and_stat_over_a_jittery_link_take_at_most_one_round_trip_more(
     net.run_until(net.now + 20)
     assert (dict(session.fids), dict(conn.roots)) == baseline
     assert conn.pending == {} and conn.open_fids == {}
+
+
+def listing_over_a_link():
+    """A client attached to a server of listing_root([8] * 3) over links
+    of latency 1: (net, client, ref, server, d)."""
+    root, d = listing_root([8] * 3)
+    net = Network(0, default_link=LinkModel(1, 0, 0.0))
+    server = Server(root, USERS)
+    ServerEndpoint(net, "srv", server)
+    client = make_client(net)
+    ref = ("net", "srv")
+    client.ls(ref, "")                      # attaches
+    net.run_until(net.now + 2)
+    return net, client, ref, server, d
+
+
+def overtake(net, client, kind):
+    """Hold back the next kind frame client sends until it has sent one
+    more frame, which so overtakes it."""
+    send, held = net.send, []
+
+    def reorder(src, dst, frame):
+        if src == client.eid and not held and type(decode_message(frame)).__name__ == kind:
+            held.append((src, dst, frame))
+            return
+        send(src, dst, frame)
+        if src == client.eid and held and held[-1] is not None:
+            send(*held[-1])
+            held.append(None)
+
+    net.send = reorder
+
+
+@pytest.mark.parametrize("held, frames", [
+    # a Topen that overtook its Twalk is refused (unknown fid), and so is
+    # the Tread after it (not open): both are sent again, in turn
+    ("Twalk", [(0, "Topen"), (0, "Twalk"), (0, "Tread"), (1, "Rerror"), (1, "Rwalk"),
+               (1, "Rerror"), (2, "Topen"), (3, "Ropen"), (4, "Tread"), (5, "Rread"),
+               (6, "Tclunk"), (7, "Rclunk")]),
+    # a Tread that overtook its Topen is refused alone, and sent again alone
+    ("Topen", [(0, "Twalk"), (0, "Tread"), (0, "Topen"), (1, "Rwalk"), (1, "Rerror"),
+               (1, "Ropen"), (2, "Tread"), (3, "Rread"), (4, "Tclunk"), (5, "Rclunk")])])
+def test_a_request_that_overtook_the_walk_or_the_open_is_sent_once_more(held, frames):
+    net, client, ref, server, d = listing_over_a_link()
+    conn, session = client._conns[ref], server.sessions[client.eid]
+    baseline = dict(session.fids), dict(conn.roots)
+    overtake(net, client, held)
+    t0, since = net.now, len(net.log.lines)
+    assert client.ls(ref, "d") == [child.stat() for child in d.list_children()]
+    net.run_until(net.now + 2)
+    assert client_leg(net, since, t0, client) == frames
+    assert (dict(session.fids), dict(conn.roots)) == baseline
+    assert conn.pending == {}
+
+
+def test_every_request_after_a_refused_one_is_sent_once_more():
+    # a request after the refused one may have been answered before it,
+    # so it is sent again too, in turn: here a Tstat after a Topen that
+    # overtook the walk
+    net, client, ref, server, _ = listing_over_a_link()
+    overtake(net, client, "Twalk")
+    t0, since = net.now, len(net.log.lines)
+    opened, stated = client._one(ref, on_walked(
+        client._conn(ref), client.uname, "d", (lambda t, fid: Topen(t, fid, OREAD), Tstat),
+        partial(client._clunk, ref)))
+    assert opened.qid.is_dir and stated.stat.name == "d"
+    net.run_until(net.now + 2)
+    assert client_leg(net, since, t0, client) == [
+        (0, "Topen"), (0, "Twalk"), (0, "Tstat"), (1, "Rerror"), (1, "Rwalk"), (1, "Rstat"),
+        (2, "Topen"), (3, "Ropen"), (4, "Tstat"), (5, "Rstat"), (6, "Tclunk"), (7, "Rclunk")]
+    assert list(server.sessions[client.eid].fids) == list(client._conns[ref].roots.values())
