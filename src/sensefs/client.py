@@ -59,6 +59,8 @@ CLIENT_TIMEOUT = 20000   # ticks a request will wait for its reply
 # real file, the longest being a head's member index at about 70 bytes a
 # member, so only a server whose replies never end reaches it
 MAX_FILE = 1 << 20
+# refusals of a request that overtook the walk or the open of its fid (fscore)
+OVERTAKEN = ("unknown fid", "fid not open for reading", "fid not open for writing")
 
 
 class ClientError(FsError):
@@ -332,13 +334,13 @@ def write_file(conn, uname, path, data, answer=False, keep=False):
 
 
 def on_walked(conn, uname, path, builds, clunk, use=None):
-    """Step: the R-messages to each build(tag, fid) of builds on a new fid
-    walked to path, or with use the value of the step use(fid, *those).
-    The Twalk and builds go out in one flight; the first failed reply, in
-    flight order, is raised, but a refusal while the walk succeeded may
-    have overtaken the walk or the open, so it and those after it are sent
-    once more, in turn.  clunk(fid) sends the fid's Tclunk and waits for
-    nothing: it runs however the step ends once the walk succeeded, and
+    """Step: the outcomes (R-message or FsError) of each build(tag, fid) of
+    builds on a new fid walked to path, or with use the value of the step
+    use(fid, *those), which judges them in the order they depend on.  The
+    Twalk and builds go out in one flight; a failed walk is raised, and a
+    request refused as OVERTAKEN is sent once more, in flight order, up to
+    the first other failure.  clunk(fid) sends the fid's Tclunk and waits
+    for nothing: it runs however the step ends once the walk succeeded, and
     after a walk whose reply never came, which may have bound the fid."""
     root = yield from attach(conn, uname)
     names = tuple(p for p in path.split("/") if p)
@@ -352,12 +354,11 @@ def on_walked(conn, uname, path, builds, clunk, use=None):
     if len(walked.qids) != len(names):
         raise ClientError("no such file")
     try:
-        again = None
         for i, build in enumerate(builds):
-            if again or type(replies[i]) is ClientError:
-                again = replies[i] = yield build
-            elif isinstance(replies[i], FsError):
-                raise replies[i]
+            if isinstance(replies[i], FsError) and replies[i].ename in OVERTAKEN:
+                replies[i], = yield (build,)
+            if isinstance(replies[i], FsError):
+                break
         out = replies if use is None else (yield from use(fid, *replies))
     except FsError:
         clunk(fid)
@@ -367,11 +368,16 @@ def on_walked(conn, uname, path, builds, clunk, use=None):
 
 
 def list_dir(fid, opened, first):
-    """Step: the listing of fid from its Ropen (opened) and the reply to
-    its read at offset 0 (first), else the error 'not a directory' (that
-    read's data dropped), read on from first as read_all's isdir does."""
+    """Step: the listing of fid from the outcomes of its open (opened) and
+    its read at offset 0 (first), judged in that order: a failure is raised,
+    and a file is 'not a directory' whatever its read answered; read on
+    from first as read_all's isdir does."""
+    if isinstance(opened, FsError):
+        raise opened
     if not opened.qid.is_dir:
         raise ClientError("not a directory")
+    if isinstance(first, FsError):
+        raise first
     return (yield from read_all(fid, True, first))
 
 
@@ -490,8 +496,11 @@ class FileClient:
     def stat(self, ref, relpath) -> wire.Stat:
         """The stat record of a file: walk and stat in one flight, and a
         clunk not waited for (on_walked)."""
-        return self._one(ref, on_walked(self._conn(ref), self.uname, relpath,
-                                        (Tstat,), partial(self._clunk, ref)))[0].stat
+        out = self._one(ref, on_walked(self._conn(ref), self.uname, relpath,
+                                       (Tstat,), partial(self._clunk, ref)))
+        if isinstance(out[0], FsError):
+            raise out.pop()           # not held by this frame: no reference cycle
+        return out[0].stat
 
     def _clunk(self, ref, fid):
         """Send fid's Tclunk and wait for nothing, as the head's

@@ -170,7 +170,7 @@ def make_device_server(state: SensorState, users=None, clock=None) -> Server:
 
     root.add(make_file("reading", 0o444, read=lambda: state.reading_text(now()).encode()))
 
-    def write_control(off, data):
+    def write_control(off, data, uname):
         try:
             text = data.decode()
         except UnicodeDecodeError:
@@ -189,7 +189,7 @@ def make_device_server(state: SensorState, users=None, clock=None) -> Server:
     def read_registers():
         return b"".join(b"r%d %04x\n" % (i, v) for i, v in enumerate(state.registers))
 
-    def write_registers(off, data):
+    def write_registers(off, data, uname):
         parts = data.decode(errors="replace").strip().split()
         if len(parts) != 2 or not parts[0].startswith("r"):
             raise FsError("bad register write")
@@ -205,7 +205,7 @@ def make_device_server(state: SensorState, users=None, clock=None) -> Server:
 
     root.add(make_file("registers", 0o644, read=read_registers, write=write_registers))
 
-    def write_mem(off, data):
+    def write_mem(off, data, uname):
         if off + len(data) > MEM_SIZE:
             raise FsError("address out of range")
         state.memory[off:off + len(data)] = data

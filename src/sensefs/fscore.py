@@ -21,14 +21,15 @@ wire.MAX_STAT is refused (directory entry too large), as is a count that
 not even the next record fits; so a reply that leaves MAX_STAT bytes of
 its count unused proves that no entry is left.
 
-A fid's answer may be asked ahead of its read: by a write that is a
-question (the query-file idiom of Plan 9's /net/cs: a write handler that
-returns bytes, or a Future landing on bytes, answers the write), or by a
-server at the open (a Future, which may still be in flight).  The fid's
-next read at offset 0 takes the answer in place of generating the file,
-waiting for it if it has not landed.  The answer belongs to that
-fid alone, so no server needs a table keyed by fid, and a clunk drops it
-with the fid.
+A write handler is called as write(offset, data, uname), uname being the
+user its fid was attached as (lib9p's r->fid->uid), and returns the count
+written, or bytes, or a Future landing on either.  Bytes answer the write
+(counting all its bytes): a write may be a question, as in the query-file
+idiom of Plan 9's /net/cs.  A server may also ask a fid's answer at the
+open (a Future, which may still be in flight).  The fid's next read at
+offset 0 takes the answer in place of generating the file, waiting for it
+if it has not landed.  The answer belongs to that fid alone, so no server
+needs a table keyed by fid, and a clunk drops it with the fid.
 
 A session's T-messages are handled in the order they arrive, and a walk,
 open, stat or clunk is answered at once, never by a Future.  A client may
@@ -369,22 +370,15 @@ class Server:
         node = ent.node
         if node.is_dir or node.write_handler is None:
             raise FsError("not writable")
-        return self.written(ent, node.write_handler(msg.offset, msg.data), len(msg.data))
-
-    @staticmethod
-    def written(ent, result, count):
-        """The reply to a write of count bytes through ent, from what its
-        handler returned (or a Future landed on): the count written, or bytes
-        that answer the write, kept as ent's answer; an answered write
-        counts all count bytes."""
+        result = node.write_handler(msg.offset, msg.data, ent.uname)
         ent.data = ent.answer = None
         if not isinstance(result, Future):
-            ent.node.bump_version()
+            node.bump_version()
 
         def answered(out):
             if isinstance(out, bytes):
                 ent.answer = out
-                return count
+                return len(msg.data)
             return out
 
         return then(result, answered)

@@ -43,8 +43,9 @@ at once, after checking the querying user against the member's mirrored
 stat; the answer is one line per member, `ID VALUE` (the file's first
 line) or `ID !error`, from a fresh copy where there is one.  So a view
 learns one file of every sensor of a cluster in one client exchange.
-Opening ctl takes only its read bit: a query needs no more, and every
-other command is checked for the write bit.
+Opening ctl takes only its read bit: a query needs no more, and its
+write handler, which fscore hands the writer's user name as any other,
+checks every other command for the write bit.
 
 All the head knows of one member lives in that member's DeviceLink: its
 connection, mirrored directory, open fids, value cache, info and pending
@@ -166,7 +167,7 @@ class Multiplexer(Server):
                           children_fn=lambda: [link.node for link in self._discovered()]))
         self.aggr_dir = root.add(make_dir("aggrData", 0o555))
         root.add(make_dir("groups", 0o555, children_fn=lambda: list(self.groups.values())))
-        self.ctl = root.add(make_file("ctl", 0o644, read=self._read_ctl))
+        self.ctl = root.add(make_file("ctl", 0o644, read=self._read_ctl, write=self._write_ctl))
         super().__init__(root, users, name=eid, max_sessions=16)
 
         for spec in aggregates:
@@ -374,7 +375,7 @@ class Multiplexer(Server):
 
     def t_write(self, session, msg):
         def use(ent, link, path, send):
-            ent.data = None         # a write ends the fid's snapshot, as fscore's written does
+            ent.data = None         # a write ends the fid's snapshot, as fscore's t_write does
             with suppress(Timeout):
                 try:
                     return (yield from send(Twrite, msg.offset, msg.data)).count
@@ -382,9 +383,6 @@ class Multiplexer(Server):
                     link.written = self.net.now
             raise FsError("device unreachable")
 
-        ent = session.get(msg.fid)
-        if ent.node is self.ctl and ent.open_mode in (OWRITE, ORDWR):
-            return self.written(ent, self._write_ctl(ent.uname, msg.data), len(msg.data))
         return self._relay(session, msg, (OWRITE, ORDWR), use) or super().t_write(session, msg)
 
     def t_clunk(self, session, msg):
@@ -477,9 +475,9 @@ class Multiplexer(Server):
         """The member index: each discovered member's info text, in member order."""
         return "".join(link.info for link in self._discovered()).encode()
 
-    def _write_ctl(self, uname, data):
-        """Run one ctl command written by uname: a read query's Future of
-        its answer, or the count written."""
+    def _write_ctl(self, offset, data, uname):
+        """Run one ctl command written by uname (fscore's write handler): a
+        read query's Future of its answer, or the count written."""
         try:
             cmd, *args = data.decode().split()
             if cmd == "read" and args:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .client import FileClient, receive
 from .devicefs import SensorState, make_device_server
-from .fscore import DEFAULT_USERS, Server
+from .fscore import Server
 from .muxfs import AGGREGATIONS, AggregateSpec, GroupSpec, MuxConfig, Multiplexer
 from .simnet import DutyCycle, EnergyModel, LinkModel, Network
 from .views import GeoMap, Region, make_responder
@@ -331,7 +331,6 @@ class Simulation:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.users = DEFAULT_USERS
         self.net = Network(cfg.seed, energy=cfg.energy, default_link=cfg.default_link)
         self.states = {}
         self.muxes = {}
@@ -347,15 +346,13 @@ class Simulation:
             state = SensorState(sdef.id, kind=sdef.kind, raw_source=source,
                                 position=sdef.position, energy_j=sdef.energy,
                                 tags=sdef.tags, duty=duty)
-            server = make_device_server(state, self.users,
-                                        clock=lambda: self.net.now)
-            ServerEndpoint(self.net, sdef.id, server, state=state)
+            ServerEndpoint(self.net, sdef.id, make_device_server(state), state=state)
             self.states[sdef.id] = state
 
         for name, head in cfg.clusters.items():
             members = [s.id for s in cfg.sensors.values() if s.cluster == name]
             self.muxes[name] = Multiplexer(
-                self.net, head, name, members, self.users, cfg.mux,
+                self.net, head, name, members, config=cfg.mux,
                 aggregates=cfg.aggregates.get(name, ()),
                 groups=cfg.groups.get(name, ()))
 

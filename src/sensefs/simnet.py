@@ -16,10 +16,10 @@ survives, while an Event with its closure would be promoted to the
 oldest generation and make full collections, each a scan of every
 tracked object, come about twice as often.
 
-The event log keeps every event as a packed 16-byte record and makes its
-text only when the log is read, so a long run keeps its whole log at a
-small cost; the text read back is the same as if each line had been
-formatted as it happened.
+The event log keeps every event as a packed 16-byte record and is the
+sequence of its text lines, each made only when it is read, so a long
+run keeps its whole log at a small cost; the text read back is the same
+as if each line had been formatted as it happened.
 """
 
 from __future__ import annotations
@@ -121,21 +121,24 @@ class Hop(namedtuple("Hop", "fmt tag fid path")):
         return str(self).endswith(suffix)
 
 
-class EventLog:
-    """Tab-separated trace: tick, event, src, dst, detail.
+class EventLog(Sequence):
+    """Tab-separated trace: tick, event, src, dst, detail; the log is the
+    Sequence of its text lines, each formatted when it is read.  Iteration
+    goes by index (Sequence's), so adds may go on while a loop is open.
 
     add() appends one fixed-width record: the tick, the number of the
     interned (event, src, dst) triple, and a detail field.  A frame passed
     as the detail keeps only its type code and tag; a Hop, the number of
     its own record of tag, fid and interned (fmt, path); any other detail
-    is the number of its interned text.  `lines` formats a record when it
-    is read.
+    is the number of its interned text.
 
     Records are kept in 64 KiB blocks, not one growing buffer: malloc maps
     a buffer of megabytes on its own, and freeing one raises glibc's mmap
     threshold, after which the next log's buffer regrows by copying inside
     the heap, so a process's peak RSS moved by megabytes with its layout.
     """
+
+    lines = property(lambda self: self)     # log.lines, as the bench reads it, is the log
 
     def __init__(self):
         self._records = [bytearray()]   # blocks of records, each full but the last
@@ -144,7 +147,6 @@ class EventLog:
         self._triples = []
         self._text_ids = {}
         self._texts = []        # interned texts, and each Hop's (fmt, path)
-        self.lines = LogLines(self._records, self._triples, self._texts, self._hops)
 
     def add(self, tick, event, src, dst, detail=""):
         triple = (event, src, dst)
@@ -176,23 +178,12 @@ class EventLog:
         return d
 
     def text(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
+        return "\n".join(self) + ("\n" if self else "")
 
     def write(self, path):
         """Write text() to path one line at a time."""
         with open(path, "w") as fh:
-            fh.writelines(line + "\n" for line in self.lines)
-
-
-class LogLines(Sequence):
-    """A read-only view of an EventLog's records as text lines.  Iteration
-    goes by index (Sequence's), so adds may go on while a loop is open."""
-
-    def __init__(self, records, triples, texts, hops):
-        self._records = records
-        self._triples = triples
-        self._texts = texts
-        self._hops = hops
+            fh.writelines(line + "\n" for line in self)
 
     def __len__(self):
         return ((len(self._records) - 1) * _BLOCK + len(self._records[-1])) // _RECORD.size

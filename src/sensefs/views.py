@@ -459,7 +459,7 @@ def make_responder(name: str) -> tuple:
     received = []
     root = make_dir(name, 0o555)
 
-    def write_alert(off, data):
+    def write_alert(off, data, uname):
         received.append(data.decode(errors="replace"))
         return len(data)
 

@@ -543,8 +543,8 @@ cat /network/cluster2/sensors/s8/reading
 cat /network/cluster2/sensors/s8/reading"""
 
 # sha256 of LOSSY_SESSION's transcript and of its whole event log
-LOSSY_GOLDEN = ("c8eab6ef0cea566cea10f41d8b844abae27d6fdc1046bf6c8ded10eed280afcf",
-                "ab57a589123aaf0ae068a605f70549e5b4edf01784c8319e051a88d52b5a85a2")
+LOSSY_GOLDEN = ("4eada7b4fc8d05d5b9ef3a547161a94a5e50c5dcb3ef5e97e640e15448c956e4",
+                "49efe20e1bc518e7c512906b71cabd78848713f8cd6ff03389cdcbb58342a9ed")
 
 
 def test_lossy_session_is_golden():
@@ -580,8 +580,8 @@ def lossy_zoo(loss, seed=None):
 # sha256 of LOSSY_SESSION's transcript and event log at lossy-soak's link
 # settings (loss 0.05, jitter 2): 13 of its 26 cat, write, ls and plan
 # lines get an answer (2 of the others read s9 after it was put to sleep)
-LOSSY_5_GOLDEN = ("10d905a57439b9d0a2caf2f6b57aab646056b9c7ae3e57f9887ff98d94fb2f64",
-                  "0ba7c3915ce03fd4734201caed515737dd6231e66fe1313f25c146d9430bdcaa")
+LOSSY_5_GOLDEN = ("6c50e2e5aa774f23692eb13726b6e101ed848cc1aa7db122e12bfd6b09aaa57c",
+                  "e8becef5f8708802c86ac1f7e56a7f6ebf6aa042423357ab372a40829465549f")
 
 
 def test_lossy_session_at_5_percent_is_golden():

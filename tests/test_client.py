@@ -488,6 +488,31 @@ def test_ls_of_a_file_is_refused_after_the_read_of_its_flight(zoo_sim):
         [33, head, "s1", "Tclunk"], [33, head, me, "Rclunk"], [36, "s1", head, "Rclunk"]]
 
 
+def test_ls_of_a_sleeping_file_is_not_a_directory_after_one_fallback(zoo_sim):
+    # the relayed read of a sleeping member waits out the head's fallback
+    # (1000 ticks) and is refused, device unreachable; the Ropen before it
+    # showed a file, so that is the answer, and the read is sent once:
+    # 1006 ticks and 8 client frames (re-sent, 2012 ticks and 11 frames)
+    shell = Shell(zoo_sim)
+    for line in ("mount /dev/network /network",
+                 "write /network/cluster2/sensors/s9/control sleep", "tick 40"):
+        assert shell.run_line(line) == (0, "")
+    net = zoo_sim.net
+    t0, since = net.now, len(net.log.lines)
+    assert shell.run_line("ls /network/cluster2/sensors/s9/reading") == (
+        1, "error: not a directory")
+    assert net.now - t0 == 1006
+    net.run_until(net.now + 100)
+    head, me = "cluster2.head", shell.client.eid
+    assert [[int(line.split("\t")[0]) - t0] + line.split("\t")[2:4] +
+            line.split("\t")[4].split()[:1]
+            for line in net.log.lines[since:]
+            if line.split("\t")[1] == "send" and me in line.split("\t")[2:4]] == [
+        [0, me, head, "Twalk"], [0, me, head, "Topen"], [0, me, head, "Tread"],
+        [3, head, me, "Rwalk"], [3, head, me, "Ropen"], [1003, head, me, "Rerror"],
+        [1006, me, head, "Tclunk"], [1009, head, me, "Rclunk"]]
+
+
 @pytest.mark.parametrize("kind", ["Twalk", "Rwalk", "Topen", "Ropen", "Tread", "Rread"])
 def test_a_lost_frame_of_an_ls_leaves_no_fid_on_the_head(zoo_sim, kind):
     # the walk's fid is clunked however the listing fails, and after a lost
@@ -597,10 +622,9 @@ def test_a_request_that_overtook_the_walk_or_the_open_is_sent_once_more(held, fr
     assert conn.pending == {}
 
 
-def test_every_request_after_a_refused_one_is_sent_once_more():
-    # a request after the refused one may have been answered before it,
-    # so it is sent again too, in turn: here a Tstat after a Topen that
-    # overtook the walk
+def test_only_the_request_that_overtook_is_sent_once_more():
+    # a Topen that overtook the walk is sent again; the Tstat after it,
+    # answered in its turn, is not
     net, client, ref, server, _ = listing_over_a_link()
     overtake(net, client, "Twalk")
     t0, since = net.now, len(net.log.lines)
@@ -611,5 +635,49 @@ def test_every_request_after_a_refused_one_is_sent_once_more():
     net.run_until(net.now + 2)
     assert client_leg(net, since, t0, client) == [
         (0, "Topen"), (0, "Twalk"), (0, "Tstat"), (1, "Rerror"), (1, "Rwalk"), (1, "Rstat"),
-        (2, "Topen"), (3, "Ropen"), (4, "Tstat"), (5, "Rstat"), (6, "Tclunk"), (7, "Rclunk")]
+        (2, "Topen"), (3, "Ropen"), (4, "Tclunk"), (5, "Rclunk")]
     assert list(server.sessions[client.eid].fids) == list(client._conns[ref].roots.values())
+
+
+def test_an_ls_whose_open_is_refused_sends_it_once():
+    # permission denied is final: the flight's Topen and Tread are not sent
+    # again, and the open's refusal is the answer, not the read's
+    root, _ = listing_root([8] * 3)
+    root.add(make_dir("locked", 0o000))
+    net = Network(0, default_link=LinkModel(1, 0, 0.0))
+    server = Server(root, USERS)
+    ServerEndpoint(net, "srv", server)
+    client = make_client(net)
+    ref = ("net", "srv")
+    client.ls(ref, "")                      # attaches
+    net.run_until(net.now + 2)
+    t0, since = net.now, len(net.log.lines)
+    with pytest.raises(ClientError, match="^permission denied$"):
+        client.ls(ref, "locked")
+    net.run_until(net.now + 2)
+    assert client_leg(net, since, t0, client) == [
+        (0, "Twalk"), (0, "Topen"), (0, "Tread"), (1, "Rwalk"), (1, "Rerror"), (1, "Rerror"),
+        (2, "Tclunk"), (3, "Rclunk")]
+    assert list(server.sessions[client.eid].fids) == list(client._conns[ref].roots.values())
+
+
+def test_an_ls_of_a_file_whose_read_is_unreachable_sends_it_once():
+    # the head opens a sleeping member's file against its mirrored stat and
+    # answers the relayed Tread 'device unreachable' after its fallback; the
+    # Ropen already showed a file, so the answer is 'not a directory', and
+    # the read is not sent again
+    net, mux, states = build_cluster([temp_sensor(1, 20.0)], latency=1,
+                                     mux_cfg=MuxConfig(fallback_ticks=50))
+    states["s1"].set_power(net.now, "asleep")
+    client = make_client(net)
+    ref = ("net", mux.eid)
+    client.ls(ref, "")                      # attaches
+    net.run_until(net.now + 2)
+    t0, since = net.now, len(net.log.lines)
+    with pytest.raises(ClientError, match="^not a directory$"):
+        client.ls(ref, "sensors/s1/reading")
+    net.run_until(net.now + 2)
+    assert client_leg(net, since, t0, client) == [
+        (0, "Twalk"), (0, "Topen"), (0, "Tread"), (1, "Rwalk"), (1, "Ropen"),
+        (51, "Rerror"), (52, "Tclunk"), (53, "Rclunk")]
+    assert client_files(mux, client) == [mux.root.name]

@@ -23,13 +23,13 @@ def build_server(max_sessions=4, max_fids=64):
     sub.add(make_file("readme", 0o444,
                       read=lambda: store["text"]))
 
-    def sink(off, data):
+    def sink(off, data, uname):
         store["writes"].append((off, data))
         return len(data)
 
     sub.add(make_file("ctl", 0o644, write=sink))
     root.add(make_file("open", 0o666, read=lambda: b"",
-                       write=lambda off, data: len(data)))
+                       write=lambda off, data, uname: len(data)))
     return Server(root, USERS, max_sessions=max_sessions, max_fids=max_fids), store
 
 
@@ -187,13 +187,33 @@ def test_write_without_handler_is_not_writable():
     conn.err(lambda t: Twrite(t, fid, 0, b"x"), "not writable")
 
 
+def test_a_write_handler_is_told_the_user_behind_the_fid():
+    # as lib9p's r->fid->uid: the user each session attached its fid as,
+    # so a file such as a head's ctl judges every writer itself
+    writes = []
+
+    def write(off, data, uname):
+        writes.append((uname, off, data))
+        return len(data)
+
+    root = make_dir("root")
+    root.add(make_file("f", 0o666, write=write))
+    server = Server(root, USERS)
+    for key, uname in (("c0", "guest"), ("c1", "admin")):
+        conn = Conn(server, key)
+        conn.ok(lambda t: Tattach(t, 0, uname, ""), Rattach)
+        fid = walk_open(conn, ["f"], OWRITE)
+        assert conn.ok(lambda t: Twrite(t, fid, 3, b"x"), Rwrite).count == 1
+    assert writes == [("guest", 3, b"x"), ("admin", 3, b"x")]
+
+
 def test_write_answer_is_read_back_on_its_fid_only():
     # a write handler that returns bytes, at once or through a Future,
     # answers the write; the answer is the next read at offset 0 on that
     # fid, read to end of file, and every other read is the read handler's
     later = []
 
-    def ask(off, data):
+    def ask(off, data, uname):
         if data == b"later":
             return Future(lambda done: later.append(lambda: done(b"late answer\n")))
         return b"answer to " + data + b"\n"
@@ -319,7 +339,7 @@ def counted_server(read):
         return read()
 
     root = make_dir("root")
-    root.add(make_file("f", 0o666, read=handler, write=lambda off, data: len(data)))
+    root.add(make_file("f", 0o666, read=handler, write=lambda off, data, uname: len(data)))
     return Server(root, USERS), calls
 
 
@@ -408,7 +428,7 @@ def test_each_read_is_a_slice_of_the_file_generated_once_per_open(content, reads
 def test_write_drops_what_the_fid_kept():
     store = {"text": b"hello\n"}
 
-    def write(off, data):
+    def write(off, data, uname):
         store["text"] = data
         return len(data)
 
