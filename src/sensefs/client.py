@@ -405,6 +405,10 @@ class FileClient:
             conn = self._conns[ref] = Conn(self.net, self.eid, ref[1], self._tags)
         return conn
 
+    def keep(self, refs):
+        """Drop the Conn to each local server not in refs: nothing asks it again."""
+        self._conns = {ref: c for ref, c in self._conns.items() if ref[0] == "net" or ref in refs}
+
     def submit(self, ref, build, cb):
         """Issue one T-message without waiting; cb(R-message) when its reply
         arrives, or cb(a Timeout) from a run that finds it unanswered past

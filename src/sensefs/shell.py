@@ -78,12 +78,18 @@ class Shell:
         name = server[5:] if server.startswith("/dev/") else server
         if name == "network":
             for cluster, head in self.sim.cfg.clusters.items():
-                self.table.mount("%s/%s" % (path, cluster), ("net", head))
+                self._mount("%s/%s" % (path, cluster), ("net", head))
             return ""
         if name in self.sim.net.handlers:
-            self.table.mount(path, ("net", name))
+            self._mount(path, ("net", name))
             return ""
         raise CommandError("no such server %r" % server)
+
+    def _mount(self, path, ref):
+        """Mount ref at path.  The client keeps its Conn to a local server while
+        a mount names it, and to a net server for good (a head's kept ctl fids)."""
+        self.table.mount(path, ref)
+        self.client.keep([ref for _, ref in self.table.mounts])
 
     def cmd_ls(self, args):
         long = "-l" in args
@@ -166,16 +172,16 @@ class Shell:
                 raise CommandError(usage)
             server = views.build_location_view(
                 self.client, self.table, cfg.geo, cfg.regions, cell)
-            self.table.mount("/location", ("local", server))
+            self._mount("/location", ("local", server))
         elif kind == "logical":
             tag = extra[0] if extra else cfg.view_tag
             server = views.build_logical_view(self.client, self.table, tag)
-            self.table.mount("/data", ("local", server))
+            self._mount("/data", ("local", server))
         elif kind == "resource":
             low = _number(extra[0], usage) if extra else cfg.view_low
             high = _number(extra[1], usage) if len(extra) > 1 else cfg.view_high
             server = views.build_resource_view(self.client, self.table, low, high)
-            self.table.mount("/resource", ("local", server))
+            self._mount("/resource", ("local", server))
         return ""    # structural: the view is the mount itself
 
     def cmd_plan(self, args):

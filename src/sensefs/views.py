@@ -52,13 +52,18 @@ def norm_path(path: str, cwd="/") -> str:
 
 
 class NamespaceTable:
-    """Ordered mounts; later entries shadow earlier ones."""
+    """Mounts in the order first made, one per path: a mount at a mounted
+    path replaces it (Plan 9's MREPL).  Of the entries covering a path,
+    the later in the table wins."""
 
     def __init__(self):
         self.mounts = []   # (path, ref)
 
     def mount(self, path: str, ref):
-        self.mounts.append((norm_path(path), ref))
+        path = norm_path(path)
+        self.mounts = [(at, ref if at == path else old) for at, old in self.mounts]
+        if (path, ref) not in self.mounts:
+            self.mounts.append((path, ref))
 
     def resolve(self, path: str):
         """Return (server ref, server-relative path) for a clean absolute path."""

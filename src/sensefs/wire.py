@@ -10,15 +10,19 @@ server answers with exactly one R-message carrying the same tag (Rerror
 on failure).
 
 MESSAGES is the only place a message layout is stated: one row per
-message with its name, type code and body fields in wire order.  From it
-this module derives, at import, the message classes (frozen dataclasses,
-`tag` first, each field annotated with its kind), the TATTACH..RERROR
-constants, TYPE_NAMES, T_TYPES, and one encoder and one decoder per
-message.  A stat record is laid out the same way by STAT_FIELDS.  Field
-kinds:
+message with its name, type code and body fields in wire order, and
+STAT_FIELDS lays out a stat record the same way.  From them this module
+derives, at import, the message classes, the TATTACH..RERROR constants,
+TYPE_NAMES, T_TYPES, and each layout's encoder and decoder, compiled: one
+straight-line function each, generated as Python source (as Plan 9's
+convS2M/convM2S spell out each message) and named `<wire NAME>` in
+tracebacks and profiles.  A message (`tag` first), a Qid and a Stat are
+immutable tuple records, equal only to a record of their own class.
+Field kinds:
 
     B H I Q   unsigned int of 1, 2, 4 or 8 bytes; a run of adjacent ones
-              is packed and unpacked by one precompiled struct.Struct
+              is read by one precompiled struct.Struct, and written by one
+              with the qids and data counts beside it
     mode      open mode, one byte in OREAD..ORDWR
     str       len[2] utf8-bytes[len]
     qid       kind[1] version[4] path[8]
@@ -28,15 +32,15 @@ kinds:
     qid*      count[2] then count qids, at most MAX_WALK
 
 Every read is bounds-checked: a malformed frame or stat record raises
-WireError and nothing else.
+WireError and nothing else; so does a message that cannot be encoded.
 """
 
 from __future__ import annotations
 
+import linecache
+import re
 import struct
-from dataclasses import dataclass, make_dataclass
-from itertools import groupby
-from operator import attrgetter
+from collections import namedtuple
 
 NOTAG = 0xFFFF
 MAX_FRAME = 8192
@@ -79,232 +83,219 @@ STAT_FIELDS = (
     ("owner", "str", ""), ("group", "str", ""), ("mtime", "Q", 0),
 )
 
-_FIXED = ("B", "H", "I", "Q")
 _HEADER = struct.Struct("<IBH")
-_H = struct.Struct("<H")
-_I = struct.Struct("<I")
-_QID = struct.Struct("<BIQ")
 
 
 class WireError(Exception):
     """Raised on any encode/decode/framing violation."""
 
 
-@dataclass(frozen=True)
-class Qid:
-    kind: int = QFILE
-    version: int = 0
-    path: int = 0
+class _Record:
+    """The equality of a tuple record: only a record of the same class."""
+    __slots__ = ()
 
-    @property
-    def is_dir(self) -> bool:
-        return bool(self.kind & QDIR)
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
 
+    def __ne__(self, other):
+        return not self.__eq__(other)
 
-def _record(name, fields):
-    """A frozen dataclass whose fields are annotated with their kinds."""
-    return make_dataclass(name, fields, frozen=True, namespace={"__module__": __name__})
+    __hash__ = tuple.__hash__
 
 
+def _record(name, fields, **extra):
+    """An immutable tuple record class of fields, each (name, kind[, default])."""
+    base = namedtuple(name, [f[0] for f in fields],
+                      defaults=[f[2] for f in fields if len(f) > 2])
+    return type(name, (_Record, base), {"__slots__": (), **extra})
+
+
+Qid = _record("Qid", (("kind", "B", QFILE), ("version", "I", 0), ("path", "Q", 0)),
+              is_dir=property(lambda qid: bool(qid[0] & QDIR)))
 Stat = _record("Stat", STAT_FIELDS)
 
 
-# -- bounds-checked pack/take helpers ---------------------------------------
-# pack(value) -> bytes; take(buf, pos, out) appends the value at pos to out
-# and returns the offset after it.
+# -- the compiled layouts ---------------------------------------------------
+# Generated source runs in _NS: the helpers below, the record classes, and
+# P_<codes>/U_<codes>, the pack/unpack_from of the struct of those codes.
 
-def _check(buf, pos, n):
-    """End of n bytes at pos, which must lie within buf."""
-    if pos + n > len(buf):
-        raise WireError("truncated at offset %d" % pos)
-    return pos + n
+_H = struct.Struct("<H")
 
 
-def _take_counted(buf, pos, out, count=_I):
-    """Take the bytes after a count prefix, count[4] unless `count` says otherwise."""
-    start = _check(buf, pos, count.size)
-    end = _check(buf, start, count.unpack_from(buf, pos)[0])
-    out.append(buf[start:end])
-    return end
-
-
-def _pack_str(s):
+def _str(s):
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise WireError("string too long (%d bytes)" % len(raw))
     return _H.pack(len(raw)) + raw
 
 
-def _take_str(buf, pos, out):
-    end = _take_counted(buf, pos, out, _H)
-    try:
-        out[-1] = out[-1].decode("utf-8")
-    except UnicodeDecodeError:
-        raise WireError("bad utf-8 string at offset %d" % (pos + 2)) from None
-    return end
+_NS = {"__name__": __name__, "struct": struct, "WireError": WireError, "Qid": Qid,
+       "Stat": Stat, "_new": tuple.__new__, "_str": _str, "MAX_WALK": MAX_WALK}
+_INTS = ("B", "H", "I", "Q")
+_SHORT = "if n < p + %d: raise WireError('truncated at offset %%d' %% p)"
+
+# kind: the lines that read a field of it at p into {v}, leaving p after it
+_TAKE = {
+    "qid": [_SHORT % 13,
+            "{v} = _new(Qid, U_BIQ(b, p))",
+            "p += 13"],
+    "mode": [_SHORT % 1,
+             "{v} = b[p]",
+             "if {v} > %d: raise WireError('bad open mode %%d' %% {v})" % ORDWR,
+             "p += 1"],
+    "str": [_SHORT % 2,
+            "e = p + 2 + U_H(b, p)[0]",
+            "if e > n: raise WireError('truncated at offset %d' % (p + 2))",
+            "try: {v} = b[p + 2:e].decode()",
+            "except UnicodeDecodeError: "
+            "raise WireError('bad utf-8 string at offset %d' % (p + 2)) from None",
+            "p = e"],
+    "data": [_SHORT % 4,
+             "e = p + 4 + U_I(b, p)[0]",
+             "if e > n: raise WireError('truncated at offset %d' % (p + 4))",
+             "{v} = b[p + 4:e]",
+             "p = e"],
+    "stat": ["{v}, p = take_stat(b, p)"],
+}
+# kind: the lines that pack a field of it in {v} into {x}; an int, qid or
+# data field joins a run of fixed-size values instead
+_PACK = {
+    "mode": ["if not 0 <= {v} <= %d: raise WireError('bad open mode %%r' %% ({v},))" % ORDWR,
+             "{x} = bytes(({v},))"],
+    "str": ["{x} = _str({v})"],
+    "stat": ["{x} = pack_stat({v})"],
+}
+for _kind, _noun, _item in (("str", "names", "_str(x)"), ("qid", "qids", "P_BIQ(*x)")):
+    _walk = "if %s > MAX_WALK: raise WireError('walk of %%d %s exceeds %%d' %% (%s, MAX_WALK))"
+    _TAKE[_kind + "*"] = [_SHORT % 2, "c, = U_H(b, p)", _walk % ("c", _noun, "c"), "p += 2",
+                          "items = []", "for _ in range(c):"] + [
+        "    " + line.format(v="x") for line in _TAKE[_kind] + ["items.append({v})"]] + [
+        "{v} = tuple(items)"]
+    _PACK[_kind + "*"] = [_walk % ("len({v})", _noun, "len({v})"),
+                          "{x} = P_H(len({v})) + b''.join([%s for x in {v}])" % _item]
 
 
-def _pack_qid(q):
-    return _QID.pack(q.kind, q.version, q.path)
+def _take(fields):
+    """Lines that read fields from b at p into the locals f_NAME, each read
+    checked against n = len(b), leaving p after them."""
+    lines, codes, names = [], "", []
+    for name, kind, *_ in fields + (("", ""),):         # the last entry ends a run
+        if kind in _INTS:
+            codes, names = codes + kind, names + ["f_" + name]
+            continue
+        if codes:
+            size = struct.calcsize("<" + codes)
+            lines += [_SHORT % size, "%s, = U_%s(b, p)" % (", ".join(names), codes), "p += %d" % size]
+            codes, names = "", []
+        lines += [line.format(v="f_" + name) for line in _TAKE.get(kind, ())]
+    return lines
 
 
-def _take_qid(buf, pos, out):
-    end = _check(buf, pos, _QID.size)
-    out.append(Qid(*_QID.unpack_from(buf, pos)))
-    return end
+def _pack(fields):
+    """Lines that pack the locals f_NAME of fields in wire order into x0,
+    x1, ...; and the parts of the packed bytes, in order: those xN and each
+    data field's bytes."""
+    lines, parts, codes, args = [], [], "", []
+    for name, kind, *_ in fields + (("", ""),):         # the last entry ends a run
+        v, x = "f_" + name, "x%d" % len(parts)
+        if kind in _INTS or kind in ("qid", "data"):    # a data field's count joins the run
+            codes += {"qid": "BIQ", "data": "I"}.get(kind, kind)
+            args.append({"qid": "*%s", "data": "len(%s)"}.get(kind, "%s") % v)
+            if kind != "data":
+                continue
+        if codes:
+            lines.append("%s = P_%s(%s)" % (x, codes, ", ".join(args)))
+            parts.append(x)
+            codes, args, x = "", [], "x%d" % len(parts)
+        if kind == "data":
+            parts.append(v)
+        elif kind:
+            lines += [line.format(v=v, x=x) for line in _PACK[kind]]
+            parts.append(x)
+    return lines, parts
 
 
-def _pack_mode(mode):
-    if not 0 <= mode <= ORDWR:
-        raise WireError("bad open mode %r" % (mode,))
-    return bytes((mode,))
+def _locals(fields):
+    return "".join("f_%s, " % f[0] for f in fields)
 
 
-def _take_mode(buf, pos, out):
-    end = _check(buf, pos, 1)
-    if buf[pos] > ORDWR:
-        raise WireError("bad open mode %d" % buf[pos])
-    out.append(buf[pos])
-    return end
+def _codec(name, code, fields):
+    """The source of a message's encode(msg) -> frame, and of its
+    decode(frame, tag) -> msg, called once the frame's header is checked."""
+    lines, parts = _pack(fields)
+    t_only = ["    if tag == %d: raise WireError('NOTAG on a T-message')" % NOTAG] * (name[0] == "T")
+    return ["def encode(m):", "    tag, %s= m" % _locals(fields),
+            "    if not 0 <= tag <= 0xFFFF: raise WireError('tag out of range: %r' % (tag,))"] + t_only + [
+        "    try:"] + ["        " + line for line in lines] + [
+        "        body = %s" % (" + ".join(parts) or "b''"),
+        "    except (struct.error, UnicodeEncodeError) as e:",
+        "        raise WireError('%s: %%s' %% e) from None" % name,
+        "    size = %d + len(body)" % _HEADER.size,
+        "    if size > %d: raise WireError('frame of %%d bytes exceeds %d' %% size)" % (MAX_FRAME, MAX_FRAME),
+        "    return P_IBH(size, %d, tag) + body" % code, "",
+        "def decode(b, tag):", "    n, p = len(b), %d" % _HEADER.size] + [
+        "    " + line for line in _take(fields)] + [
+        "    if p != n: raise WireError('size mismatch: %d trailing bytes' % (n - p))"] + t_only + [
+        "    return _new(%s, (tag, %s))" % (name, _locals(fields))]
 
 
-def _list(noun, pack_item, take_item):
-    """pack and take for count[2] items, at most MAX_WALK of them."""
-    def pack(items):
-        if len(items) > MAX_WALK:
-            raise WireError("walk of %d %s exceeds %d" % (len(items), noun, MAX_WALK))
-        return _H.pack(len(items)) + b"".join(map(pack_item, items))
-
-    def take(buf, pos, out):
-        end = _check(buf, pos, 2)
-        n = _H.unpack_from(buf, pos)[0]
-        if n > MAX_WALK:
-            raise WireError("walk of %d %s exceeds %d" % (n, noun, MAX_WALK))
-        items = []
-        for _ in range(n):
-            end = take_item(buf, end, items)
-        out.append(tuple(items))
-        return end
-    return pack, take
+def _compile(name, src):
+    """Run the source lines src in _NS as the file <wire NAME>, which
+    tracebacks show."""
+    filename, text = "<wire %s>" % name, "\n".join(src) + "\n"
+    for how, codes in re.findall(r"\b([PU])_([BHIQ]+)\b", text):
+        _NS.setdefault(how + "_" + codes, getattr(struct.Struct("<" + codes),
+                                                  "pack" if how == "P" else "unpack_from"))
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    exec(compile(text, filename, "exec"), _NS)
 
 
-def pack_stat(st: Stat) -> bytes:
-    body = _pack_stat_body(st)
-    return _H.pack(len(body)) + body
-
-
-def _take_stat(buf, pos, out):
-    start = _check(buf, pos, 2)
-    end = start + _H.unpack_from(buf, pos)[0]
-    if end > len(buf):
-        raise WireError("truncated stat at offset %d" % start)
-    values = []
-    stop = _take_stat_body(buf, start, values)
-    if stop != end:
-        raise WireError("stat length mismatch at offset %d" % stop)
-    out.append(Stat(*values))
-    return end
+_lines, _parts = _pack(STAT_FIELDS)
+_compile("Stat", ["def pack_stat(st):", "    %s= st" % _locals(STAT_FIELDS)] + [
+    "    " + line for line in _lines] + [
+    "    body = " + " + ".join(_parts), "    return P_H(len(body)) + body", "",
+    "def take_stat(b, p):", "    n = len(b)", "    " + _SHORT % 2, "    end = p + 2 + U_H(b, p)[0]",
+    "    if end > n: raise WireError('truncated stat at offset %d' % (p + 2))", "    p += 2"] + [
+    "    " + line for line in _take(STAT_FIELDS)] + [
+    "    if p != end: raise WireError('stat length mismatch at offset %d' % p)",
+    "    return _new(Stat, (%s)), end" % _locals(STAT_FIELDS)])
+pack_stat, _take_stat = _NS["pack_stat"], _NS["take_stat"]
+del _lines, _parts, _kind, _noun, _item, _walk
 
 
 def decode_stats(data: bytes) -> list:
     """Decode a directory-read payload: consecutive stat records."""
-    out, pos = [], 0
-    while pos < len(data):
-        pos = _take_stat(data, pos, out)
+    out, pos, n = [], 0, len(data)
+    while pos < n:
+        st, pos = _take_stat(data, pos)
+        out.append(st)
     return out
 
-
-_KINDS = {
-    "mode": (_pack_mode, _take_mode),
-    "str": (_pack_str, _take_str),
-    "qid": (_pack_qid, _take_qid),
-    "data": (lambda data: _I.pack(len(data)) + data, _take_counted),
-    "stat": (pack_stat, _take_stat),
-    "str*": _list("names", _pack_str, _take_str),
-    "qid*": _list("qids", _pack_qid, _take_qid),
-}
-
-
-def _codec(fields):
-    """pack(obj) -> bytes and take(buf, pos, out) -> end for a field list."""
-    packs, takes = [], []
-    for fixed, run in groupby(fields, key=lambda f: f[1] in _FIXED):
-        if fixed:
-            _add_fixed(packs, takes, list(run))
-            continue
-        for name, kind, *_ in run:
-            pack, take = _KINDS[kind]
-            packs.append(lambda obj, get=attrgetter(name), pack=pack: pack(get(obj)))
-            takes.append(take)
-
-    if len(takes) == 1:
-        return packs[0], takes[0]
-
-    def pack(obj):
-        return b"".join([p(obj) for p in packs])
-
-    def take(buf, pos, out):
-        for step in takes:
-            pos = step(buf, pos, out)
-        return pos
-    return pack, take
-
-
-def _add_fixed(packs, takes, run):
-    """One precompiled Struct for a run of adjacent fixed ints."""
-    st = struct.Struct("<" + "".join(kind for _, kind, *_ in run))
-    get = attrgetter(*[name for name, *_ in run])
-    if len(run) == 1:
-        packs.append(lambda obj: st.pack(get(obj)))
-    else:
-        packs.append(lambda obj: st.pack(*get(obj)))
-
-    def take(buf, pos, out):
-        end = _check(buf, pos, st.size)
-        out.extend(st.unpack_from(buf, pos))
-        return end
-    takes.append(take)
-
-
-_pack_stat_body, _take_stat_body = _codec(STAT_FIELDS)
 
 # -- the messages, derived from MESSAGES -----------------------------------
 
 TYPE_NAMES = {}
-_ENCODERS = {}      # class -> (type code, is T-message, pack body)
-_DECODERS = {}      # type code -> (class, is T-message, take body)
+_ENCODERS = {}      # class -> its encode(msg)
+_DECODERS = {}      # type code -> its decode(frame, tag)
 
 for _name, _code, _fields in MESSAGES:
-    _cls = globals()[_name] = _record(_name, (("tag", "H"),) + _fields)
+    _cls = globals()[_name] = _NS[_name] = _record(_name, (("tag", "H"),) + _fields)
     globals()[_name.upper()] = _code
     TYPE_NAMES[_code] = _name
-    _pack, _take = _codec(_fields)
-    _ENCODERS[_cls] = (_code, _name[0] == "T", _pack)
-    _DECODERS[_code] = (_cls, _name[0] == "T", _take)
-del _name, _code, _fields, _cls, _pack, _take
+    _compile(_name, _codec(_name, _code, _fields))
+    _ENCODERS[_cls], _DECODERS[_code] = _NS.pop("encode"), _NS.pop("decode")
+del _name, _code, _fields, _cls
 
-T_TYPES = tuple(cls for cls, (_, is_t, _) in _ENCODERS.items() if is_t)
+T_TYPES = tuple(cls for cls in _ENCODERS if cls.__name__[0] == "T")
 
 
 def encode_message(msg) -> bytes:
     """Encode one message into a complete frame."""
     try:
-        code, is_t, pack = _ENCODERS[type(msg)]
+        encode = _ENCODERS[type(msg)]
     except KeyError:
         raise WireError("not a protocol message: %r" % (msg,)) from None
-    tag = msg.tag
-    if not 0 <= tag <= 0xFFFF:
-        raise WireError("tag out of range: %r" % (tag,))
-    if is_t and tag == NOTAG:
-        raise WireError("NOTAG on a T-message")
-    try:
-        body = pack(msg)
-    except struct.error as e:     # an int or a length outside its field's range
-        raise WireError("%s: %s" % (type(msg).__name__, e)) from None
-    size = _HEADER.size + len(body)
-    if size > MAX_FRAME:
-        raise WireError("frame of %d bytes exceeds %d" % (size, MAX_FRAME))
-    return _HEADER.pack(size, code, tag) + body
+    return encode(msg)
 
 
 def decode_message(frame: bytes):
@@ -315,16 +306,10 @@ def decode_message(frame: bytes):
     if size != len(frame):
         raise WireError("truncated: size field %d, got %d bytes" % (size, len(frame)))
     try:
-        cls, is_t, take = _DECODERS[code]
+        decode = _DECODERS[code]
     except KeyError:
         raise WireError("unknown type %d at offset 4" % code) from None
-    values = []
-    end = take(frame, _HEADER.size, values)
-    if end != size:
-        raise WireError("size mismatch: %d trailing bytes" % (size - end))
-    if is_t and tag == NOTAG:
-        raise WireError("NOTAG on a T-message")
-    return cls(tag, *values)
+    return decode(frame, tag)
 
 
 # frame_head of a frame shorter than its header: above every type and tag
@@ -347,4 +332,3 @@ def head_summary(head: int) -> str:
         return "short"
     code = head & 0xFF
     return "%s tag=%d" % (TYPE_NAMES.get(code) or "?%d" % code, head >> 8)
-

@@ -134,6 +134,44 @@ def test_a_request_that_cannot_be_encoded_is_refused(line, error):
     assert out.getvalue() == "sensefs> error: %s\nsensefs> 20.900000\nsensefs> " % error
 
 
+@pytest.mark.parametrize("line", [
+    "cat /network/cluster1/\udc80", "ls /network/cluster1/\udc80",
+    "stat /network/cluster1/\udc80", "write /network/cluster1/\udc80 x",
+], ids=["cat", "ls", "stat", "write"])
+def test_a_name_utf8_cannot_encode_is_refused(line):
+    # a lone surrogate, as a REPL under a C locale reads an undecodable
+    # byte: the walk is refused as a wire error, and no frame is sent
+    shell = zoo_shell()
+    shell.run_line("mount /dev/network /network")
+    assert shell.run_line("cat /network/cluster1/sensors/s1/reading") == (0, "20.900000")
+    logged = len(shell.sim.net.log.lines)
+    status, out = shell.run_line(line)
+    assert (status, out.split(":")[:2]) == (1, ["error", " Twalk"])
+    assert out.endswith("surrogates not allowed")
+    assert len(shell.sim.net.log.lines) == logged
+    assert shell.run_line("cat /network/cluster1/sensors/s1/reading") == (0, "20.900000")
+
+
+def test_rebuilt_views_keep_one_mount_per_path_and_one_conn_per_server():
+    # a mount at a mounted path replaces it, and the client drops the Conn
+    # of the local view server it replaced; the heads' Conns stay
+    shell = zoo_shell()
+    shell.run_line("mount /dev/network /network")
+    shell.run_line("view build location")
+    assert shell.run_line("ls /location") == (0, "54W\nregion-10")
+    for _ in range(200):
+        assert shell.run_line("view build resource") == (0, "")
+        assert shell.run_line("ls /resource/energy/high") == (0, "s1\ns2\ns3\ns6\ns7\ns8\ns9\ns10")
+    paths = [path for path, _ in shell.table.mounts]
+    assert paths == ["/network/cluster1", "/network/cluster2", "/location", "/resource"]
+    refs = [ref for _, ref in shell.table.mounts]
+    assert len(shell.client._conns) == len(refs) == 4
+    assert all(ref in shell.client._conns for ref in refs)
+    assert shell.run_line("mount s1 /location") == (0, "")       # a net server replaces a view
+    assert len(shell.client._conns) == 3 and shell.run_line("ls /location")[0] == 0
+    assert len(shell.client._conns) == 4
+
+
 def test_a_mount_at_the_root_resolves():
     shell = zoo_shell()
     files = "reading\ncontrol\nremaining-energy\nregisters\nmem\ninfo"

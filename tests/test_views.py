@@ -64,6 +64,15 @@ def test_later_mounts_shadow_earlier():
     assert table.resolve("/n/x")[0] == "new"
 
 
+def test_a_mount_replaces_the_entry_at_its_path():
+    table = NamespaceTable()
+    table.mount("/n", "old")
+    table.mount("/m", "m")
+    table.mount("/n/", "new")
+    assert table.mounts == [("/n", "new"), ("/m", "m")]     # in the order first mounted
+    assert table.mount_children("/") == ["n", "m"]
+
+
 def test_mount_children_synthesizes_directories():
     table = NamespaceTable()
     table.mount("/federation/a", "ma")

@@ -1,6 +1,7 @@
 """Codec tests: hand-encoded frames, round-trip properties, framing."""
 
 import struct
+import traceback
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,3 +263,65 @@ def test_truncated_stat():
     blob = pack_stat(Stat("f", Qid(), 0o444))[:-2]
     with pytest.raises(WireError):
         decode_stats(blob)
+
+
+@pytest.mark.parametrize("msg,hexframe", GOLDEN_FRAMES,
+                         ids=[type(m).__name__ for m, _ in GOLDEN_FRAMES])
+def test_every_strict_prefix_of_a_golden_frame_is_refused(msg, hexframe):
+    # each layout is self-delimiting: a frame cut anywhere, with its size
+    # field restated to the cut, is refused and never decoded short
+    frame = bytes.fromhex(hexframe)
+    for cut in range(len(frame)):
+        prefix = bytearray(frame[:cut])
+        if cut >= 4:
+            prefix[:4] = struct.pack("<I", cut)
+        with pytest.raises(WireError):
+            decode_message(bytes(prefix))
+
+
+def test_records_equal_only_records_of_their_own_class():
+    assert Tclunk(5, 1) == Tclunk(tag=5, fid=1)
+    assert Tclunk(5, 1) != Tstat(5, 1) and not Tclunk(5, 1) == Tstat(5, 1)
+    assert Tclunk(5, 1) != (5, 1) and (5, 1) != Tclunk(5, 1)
+    assert Qid(1, 2, 3) != (1, 2, 3)
+    assert type(Tclunk(5, 1)) is not tuple     # a flight is a plain tuple of builds
+
+
+def test_records_refuse_assignment():
+    msg, st = Tclunk(5, 1), Stat("a", Qid(), 0o644)
+    with pytest.raises(AttributeError):
+        msg.fid = 2
+    with pytest.raises(AttributeError):
+        msg.other = 2
+    with pytest.raises(AttributeError):
+        st.qid.kind = wire.QDIR
+    assert msg == Tclunk(5, 1) and st.qid == Qid()
+
+
+def test_records_hash():
+    assert hash(Tclunk(5, 1)) == hash(Tclunk(5, 1))
+    assert len({Tclunk(5, 1), Tclunk(5, 1), Tstat(5, 1)}) == 2
+    assert {Stat("a", Qid(wire.QDIR, 0, 1), 0): 1}[Stat("a", Qid(wire.QDIR, 0, 1), 0)] == 1
+
+
+def test_qid_is_dir():
+    assert Qid(wire.QDIR).is_dir and Qid(wire.QDIR | 1, 2, 3).is_dir
+    assert not Qid().is_dir and not Qid(wire.QFILE, 7, 7).is_dir
+
+
+def test_a_string_utf8_cannot_encode_is_wire_error():
+    # a lone surrogate, as a REPL under a C locale reads an undecodable byte
+    with pytest.raises(WireError, match="Twalk: .*surrogates not allowed"):
+        encode_message(Twalk(1, 0, 1, ("\udc80",)))
+    with pytest.raises(WireError, match="Rerror"):
+        encode_message(Rerror(1, "bad \udc80"))
+    with pytest.raises(WireError, match="Rstat"):
+        encode_message(Rstat(1, Stat("\udc80", Qid(), 0)))
+
+
+def test_compiled_layouts_are_named_in_tracebacks():
+    with pytest.raises(WireError) as info:
+        decode_message(TCLUNK_FRAME[:-1].replace(b"\x0B", b"\x0A", 1))
+    frames = traceback.extract_tb(info.value.__traceback__)
+    assert frames[-1].filename == "<wire Tclunk>"
+    assert "truncated at offset" in frames[-1].line
