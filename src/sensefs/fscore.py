@@ -99,7 +99,9 @@ def then(result, fn):
 
 
 class Node:
-    """A named entry in a server tree: directory or file."""
+    """A named entry in a server tree: directory or file.  Its name, mode,
+    owner, group and length are fixed once it is made; bump_version alone
+    changes its stat, and drops `packed`, its stat record as listed."""
 
     def __init__(self, name, mode, owner="admin", group="admin",
                  read=None, write=None, length=0, children_fn=None,
@@ -121,6 +123,7 @@ class Node:
         self.children_fn = children_fn
         self.read_handler = read
         self.write_handler = write
+        self.packed = None
 
     @property
     def qid(self) -> Qid:
@@ -128,6 +131,7 @@ class Node:
 
     def bump_version(self):
         self._version += 1
+        self.packed = None
 
     def add(self, child: "Node") -> "Node":
         if not self.is_dir:
@@ -145,10 +149,9 @@ class Node:
         return list(self._children.values())
 
     def lookup(self, name):
-        for child in self.list_children():
-            if child.name == name:
-                return child
-        return None
+        if self.children_fn is None:
+            return self._children.get(name)
+        return next((child for child in self.children_fn() if child.name == name), None)
 
     def stat(self) -> Stat:
         return Stat(self.name, self.qid, self.mode, self.length, self.owner, self.group)
@@ -249,11 +252,6 @@ class Server:
         immediately or later (deferred handlers)."""
         tag = msg.tag
         name, wrap = _HANDLERS.get(type(msg), (None, None))
-
-        def answer(outcome):
-            reply(Rerror(tag, outcome.ename) if isinstance(outcome, FsError)
-                  else wrap(tag, outcome))
-
         try:
             if name == "t_attach":
                 result = self.t_attach(conn_key, msg)
@@ -267,9 +265,10 @@ class Server:
         except FsError as e:
             result = e
         if isinstance(result, Future):
-            result.wait(answer)
+            result.wait(lambda out: reply(Rerror(tag, out.ename) if isinstance(out, FsError)
+                                          else wrap(tag, out)))
         else:
-            answer(result)
+            reply(Rerror(tag, result.ename) if isinstance(result, FsError) else wrap(tag, result))
 
     # -- per-message handlers (overridable by subclasses) -------------
 
@@ -346,11 +345,9 @@ class Server:
             ent.data = ent.node.list_children()
         elif offset != ent.dir_offset:
             raise FsError("bad directory offset")
-        children = ent.data
-        out = bytearray()
-        idx = 0
-        while idx < len(children):
-            rec = wire.pack_stat(children[idx].stat())
+        children, out, idx = ent.data, bytearray(), 0
+        for child in children:
+            rec = child.packed = child.packed or wire.pack_stat(child.stat())
             if len(rec) > MAX_STAT:
                 raise FsError("directory entry too large")
             if len(out) + len(rec) > count:

@@ -8,8 +8,9 @@ above.
 The event queue is one heap of two kinds of entry, ordered by (tick,
 seq) alone, so both kinds run in the order they were issued.  A
 scheduled callback is (tick, seq, Event); the Event is what a caller may
-cancel.  A frame in flight is (tick, seq, None, src, dst, frame), which
-step delivers.  It carries no object because a fan-out keeps hundreds of
+cancel.  A frame in flight is (tick, seq, None, src, dst, frame, head),
+which step delivers, head being the wire.frame_head its send read for
+the log.  It carries no object because a fan-out keeps hundreds of
 frames in flight: an entry of only ints, strings and bytes stops being
 tracked by the cyclic garbage collector at the first collection it
 survives, while an Event with its closure would be promoted to the
@@ -85,7 +86,7 @@ class DutyCycle:
 class Event:
     """A scheduled callback; the heap holds it as (time, seq, event).  A
     frame in flight has no Event: its entry is (time, seq, None, src,
-    dst, frame), which nothing can cancel."""
+    dst, frame, head), which nothing can cancel."""
     __slots__ = ("fn", "cancelled")
 
     def __init__(self, fn):
@@ -127,10 +128,10 @@ class EventLog(Sequence):
     goes by index (Sequence's), so adds may go on while a loop is open.
 
     add() appends one fixed-width record: the tick, the number of the
-    interned (event, src, dst) triple, and a detail field.  A frame passed
-    as the detail keeps only its type code and tag; a Hop, the number of
-    its own record of tag, fid and interned (fmt, path); any other detail
-    is the number of its interned text.
+    interned (event, src, dst) triple, and a detail field.  An int detail
+    is a frame's wire.frame_head, its type code and tag, kept as it is; a
+    Hop, the number of its own record of tag, fid and interned (fmt,
+    path); any other detail is the number of its interned text.
 
     Records are kept in 64 KiB blocks, not one growing buffer: malloc maps
     a buffer of megabytes on its own, and freeing one raises glibc's mmap
@@ -155,8 +156,8 @@ class EventLog(Sequence):
             n = self._triple_ids[triple] = len(self._triples)
             self._triples.append(triple)
         cls = detail.__class__
-        if cls is bytes:
-            d = _FRAME | frame_head(detail)
+        if cls is int:
+            d = _FRAME | detail
         elif cls is Hop:
             fmt, tag, fid, path = detail
             d = _HOP | len(self._hops) // _HOP_RECORD.size
@@ -263,7 +264,7 @@ class Network:
             ev = entry[2]
             if ev is None:                 # a frame in flight
                 self.now = entry[0]
-                self._deliver(entry[3], entry[4], entry[5])
+                self._deliver(entry[3], entry[4], entry[5], entry[6])
                 return True
             if not ev.cancelled:
                 self.now = entry[0]
@@ -293,29 +294,30 @@ class Network:
         """Schedule delivery of one frame, or drop it silently."""
         if dst not in self.handlers:
             raise ValueError("unknown endpoint %r" % dst)
+        head = frame_head(frame)        # read once, for each log line of this frame
         state = self.states.get(src)
         if state is not None and not state.charge(self.now, self.energy.tx_cost_j, "tx"):
-            self.log.add(self.now, "txfail", src, dst, frame)
+            self.log.add(self.now, "txfail", src, dst, head)
             return
-        self.log.add(self.now, "send", src, dst, frame)
+        self.log.add(self.now, "send", src, dst, head)
         link = self.link_for(src, dst)
         if link.loss > 0.0 and self.rng.random() < link.loss:
-            self.log.add(self.now, "drop", src, dst, frame)
+            self.log.add(self.now, "drop", src, dst, head)
             return
         latency = link.latency
         if link.jitter:
             latency += self.rng.randint(0, link.jitter)
-        heapq.heappush(self._heap, (self.now + latency, self._seq, None, src, dst, frame))
+        heapq.heappush(self._heap, (self.now + latency, self._seq, None, src, dst, frame, head))
         self._seq += 1
 
-    def _deliver(self, src, dst, frame):
+    def _deliver(self, src, dst, frame, head):
         state = self.states.get(dst)
         if state is not None:
             if not state.is_awake(self.now):
-                self.log.add(self.now, "sleepdrop", src, dst, frame)
+                self.log.add(self.now, "sleepdrop", src, dst, head)
                 return
             if not state.charge(self.now, self.energy.rx_cost_j, "rx"):
-                self.log.add(self.now, "rxfail", src, dst, frame)
+                self.log.add(self.now, "rxfail", src, dst, head)
                 return
-        self.log.add(self.now, "deliver", src, dst, frame)
+        self.log.add(self.now, "deliver", src, dst, head)
         self.handlers[dst](src, frame)

@@ -7,11 +7,14 @@ from sensefs import wire
 from sensefs.fscore import (
     FsError, Future, Node, Server, UserDb, make_dir, make_file, then,
 )
+from sensefs.views import NamespaceTable, build_resource_view
 from sensefs.wire import (
     IOUNIT, OREAD, OWRITE, ORDWR, QDIR, DMDIR,
     Tattach, Twalk, Topen, Tread, Twrite, Tclunk, Tstat,
     Rattach, Rwalk, Ropen, Rread, Rwrite, Rclunk, Rstat, Rerror,
 )
+
+from conftest import build_cluster, make_client, temp_sensor
 
 USERS = UserDb({"admin": {"admin"}, "guest": {"users"}})
 
@@ -566,6 +569,91 @@ def test_version_bumps_on_write():
     conn.ok(lambda t: Twrite(t, fid, 0, b"x"), Rwrite)
     after = conn.ok(lambda t: Tstat(t, fid), Rstat).stat.qid.version
     assert after == before + 1
+
+
+# -- packed stats: a listing packs each node's stat once per version ----------
+
+def listing(server, names):
+    """The bytes of one directory read of names from offset 0, by admin on
+    a session of its own."""
+    conn = Conn(server, key="lister")
+    conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
+    fid = walk_open(conn, names)
+    data = conn.ok(lambda t: Tread(t, fid, 0, IOUNIT), Rread).data
+    for each in (fid, 0):
+        conn.ok(lambda t: Tclunk(t, each), Rclunk)
+    return data
+
+
+def packed(children):
+    return b"".join(wire.pack_stat(c.stat()) for c in children)
+
+
+def test_a_static_listing_is_its_childrens_fresh_stats():
+    server, _ = build_server()
+    for names in ([], ["sub"], [], ["sub"]):      # packed at the first, kept for the second
+        node = server.root.lookup(names[0]) if names else server.root
+        assert listing(server, names) == packed(node.list_children())
+
+
+def test_a_heads_sensors_listing_is_its_members_fresh_stats():
+    # the sensors directory is generated (children_fn) from the mirrored members
+    net, mux, _ = build_cluster([temp_sensor(1, 20.0), temp_sensor(2, 22.0)])
+    sensors = mux.root.lookup("sensors")
+    for names in (["sensors"], ["sensors", "s1"], ["sensors"]):
+        node = sensors.lookup(names[1]) if names[1:] else sensors
+        data = listing(mux, names)
+        assert data and data == packed(node.list_children())
+
+
+def test_a_view_bands_listing_is_its_scans_fresh_stats():
+    net, mux, _ = build_cluster([temp_sensor(1, 1.0, energy_j=5.0),
+                                 temp_sensor(2, 2.0, energy_j=500.0),
+                                 temp_sensor(3, 3.0, energy_j=600.0)])
+    table = NamespaceTable()
+    table.mount("/network/c", ("net", mux.eid))
+    view = build_resource_view(make_client(net), table, 10.0, 100.0)
+    band = view.root.lookup("energy").lookup("high")
+    scans, scan = [], band.children_fn      # each listing scans afresh: keep what it listed
+    band.children_fn = lambda: scans.append(scan()) or scans[-1]
+    for n in (1, 2):
+        data = listing(view, ["energy", "high"])
+        assert len(scans) == n
+        assert data == packed(scans[-1])
+    assert [st.name for st in wire.decode_stats(data)] == ["s2", "s3"]
+
+
+def test_a_listing_after_a_write_shows_the_new_version():
+    server, _ = build_server()
+    conn = Conn(server)
+    conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
+
+    def versions():
+        return {st.name: st.qid.version for st in wire.decode_stats(listing(server, ["sub"]))}
+    before = versions()
+    fid = walk_open(conn, ["sub", "ctl"], OWRITE)
+    conn.ok(lambda t: Twrite(t, fid, 0, b"x"), Rwrite)
+    assert versions() == {**before, "ctl": before["ctl"] + 1}
+    assert listing(server, ["sub"]) == packed(server.root.lookup("sub").list_children())
+
+
+def test_lookup_in_a_static_directory_is_a_scan_of_its_children():
+    server, _ = build_server()
+    for node in (server.root, server.root.lookup("sub")):
+        children = node.list_children()
+        for name in [c.name for c in children] + ["absent", ""]:
+            assert node.lookup(name) is next((c for c in children if c.name == name), None)
+    assert server.root.lookup("sub").lookup("readme").name == "readme"
+    assert server.root.lookup("readme") is None
+
+
+def test_lookup_in_a_generated_directory_regenerates():
+    members = [make_file("a", 0o444)]
+    node = make_dir("d", children_fn=lambda: list(members))
+    assert node.lookup("a") is members[0]
+    assert node.lookup("b") is None
+    members.append(make_file("b", 0o444))        # discovered after the first lookup
+    assert node.lookup("b") is members[1]
 
 
 def test_distinct_trees_have_disjoint_qid_paths():

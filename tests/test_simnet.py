@@ -9,11 +9,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sensefs import simnet
 from sensefs.devicefs import SensorState
 from sensefs.simnet import (
     DutyCycle, EnergyModel, Event, EventLog, Hop, LinkModel, Network,
 )
-from sensefs.wire import TYPE_NAMES, Rread, Tread, encode_message
+from sensefs.wire import TYPE_NAMES, Rread, Tread, encode_message, frame_head
 
 
 def net_with_sinks(*eids, seed=0, **kw):
@@ -316,6 +317,53 @@ def test_different_seeds_differ():
     assert run_trace(123) != run_trace(124)
 
 
+# -- the frame path: each event of a frame names it --------------------------
+
+TREAD = encode_message(Tread(7, 1, 0, 100))
+
+
+def frame_path(frame, link=None, energy=None, a=None, b=None):
+    """(event, detail) of each log line of one frame sent from a to b."""
+    net = Network(0, energy=energy, default_link=link or LinkModel(latency=1))
+    net.register("a", lambda src, frame: None, state=a)
+    net.register("b", lambda src, frame: None, state=b)
+    net.send("a", "b", frame)
+    drain(net)
+    return [(line.split("\t")[1], line.split("\t")[4]) for line in net.log.lines]
+
+
+@pytest.mark.parametrize("frame, detail", [(TREAD, "Tread tag=7"), (b"\x03\x00", "short")])
+@pytest.mark.parametrize("events, setup", [
+    (["send", "deliver"], lambda: {}),
+    (["send", "drop"], lambda: {"link": LinkModel(latency=1, loss=1.0)}),
+    # b is awake at tick 0 only of every 6: the delivery at tick 1 finds it asleep
+    (["send", "sleepdrop"], lambda: {"b": SensorState("b", duty=DutyCycle(1, 5))}),
+    (["txfail"], lambda: {"energy": EnergyModel(tx_cost_j=5.0),
+                          "a": SensorState("a", energy_j=3.0)}),
+    (["send", "rxfail"], lambda: {"energy": EnergyModel(rx_cost_j=5.0),
+                                  "b": SensorState("b", energy_j=3.0)}),
+])
+def test_each_event_of_a_frame_logs_its_name_and_tag(frame, detail, events, setup):
+    assert frame_path(frame, **setup()) == [(event, detail) for event in events]
+
+
+def test_a_delivered_frame_reads_its_header_once(monkeypatch):
+    # the send reads the header, and the frame's heap entry carries it to
+    # the delivery's log line
+    reads = []
+
+    def counted(frame):
+        reads.append(frame)
+        return frame_head(frame)
+    monkeypatch.setattr(simnet, "frame_head", counted)
+    net, received = net_with_sinks("a", "b")
+    net.send("a", "b", TREAD)
+    drain(net)
+    assert received["b"] == [(2, "a", TREAD)]
+    assert reads == [TREAD]
+    assert list(net.log.lines) == ["0\tsend\ta\tb\tTread tag=7", "2\tdeliver\ta\tb\tTread tag=7"]
+
+
 # -- the packed event log against the string log it replaced -----------------
 
 def reference_summary(frame):
@@ -324,6 +372,11 @@ def reference_summary(frame):
         return "short"
     _, code, tag = struct.unpack_from("<IBH", frame)
     return "%s tag=%d" % (TYPE_NAMES.get(code) or "?%d" % code, tag)
+
+
+def logged(detail):
+    """A detail as Network hands it to the log: a frame as its frame_head."""
+    return frame_head(detail) if isinstance(detail, bytes) else detail
 
 
 class ReferenceLog:
@@ -368,7 +421,7 @@ def test_packed_log_reads_back_as_the_string_log(recs, data):
             log.add(tick, event, src, dst)
             ref.add(tick, event, src, dst)
         else:
-            log.add(tick, event, src, dst, detail)
+            log.add(tick, event, src, dst, logged(detail))
             ref.add(tick, event, src, dst, detail)
     lines, want = log.lines, ref.lines
     n = len(want)
@@ -396,8 +449,9 @@ def test_log_reads_back_across_its_blocks():
     # slice and the text read back as the string log's
     log, ref = EventLog(), ReferenceLog()
     for i in range(2 * 4096 + 17):
-        for each in (log, ref):
-            each.add(i, "send", "a", "b%d" % (i % 3), FRAME if i % 2 else "x%d" % (i % 5))
+        detail = FRAME if i % 2 else "x%d" % (i % 5)
+        log.add(i, "send", "a", "b%d" % (i % 3), logged(detail))
+        ref.add(i, "send", "a", "b%d" % (i % 3), detail)
     lines, want = log.lines, ref.lines
     assert len(lines) == len(want) == 8209
     for i in (0, 4095, 4096, 8191, 8192, -1):
@@ -409,10 +463,10 @@ def test_log_reads_back_across_its_blocks():
 
 def test_log_iteration_leaves_adds_open():
     log = EventLog()
-    log.add(1, "send", "a", "b", FRAME)
+    log.add(1, "send", "a", "b", frame_head(FRAME))
     it = iter(log.lines)
     assert next(it) == "1\tsend\ta\tb\tTclunk tag=5"
-    log.add(2, "deliver", "a", "b", FRAME)
+    log.add(2, "deliver", "a", "b", frame_head(FRAME))
     assert len(log.lines) == 2
 
 
@@ -421,15 +475,16 @@ def test_log_keeps_a_record_in_a_few_bytes():
             [("c%d.head" % i, "s%d" % j) for i in range(10) for j in range(30)]
     frames = [encode_message(Tread(tag, tag % 100, 0, 8169)) for tag in range(1, 500)] + \
              [encode_message(Rread(tag, b"20.900000\n")) for tag in range(1, 500)]
+    heads = [frame_head(frame) for frame in frames]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         log = EventLog()
         for i in range(50_000):
             src, dst = pairs[i % len(pairs)]
-            frame = frames[i % len(frames)]
-            log.add(i, "send", src, dst, frame)
-            log.add(i + 2, "deliver", src, dst, frame)
+            head = heads[i % len(heads)]
+            log.add(i, "send", src, dst, head)
+            log.add(i + 2, "deliver", src, dst, head)
         used = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
