@@ -30,14 +30,15 @@ server reference:
     ("net", endpoint_id)  -- a simulated server reached over the wire
     ("local", Server)     -- an in-process fscore server (namespace views)
 
-Its batches (read_many, write_many), the views' way to a head's ctl,
-keep a fid open per (file, mode), as Plan 9's clients keep /net/cs: every
-offset-0 read generates afresh and a write resets the fid's answer, so a
-kept fid reads what a fresh one would.  on_walked sends a walk and the
-requests on its fid in one flight, or in turn on a conn that reorders:
-a kept fid's first use, an ls (1 round trip, 8 frames) and a stat (1, 6).
-read and write go in turn (on_fid), since the benchmark pins a cat's
-ticks; these four reach any file, so each clunks its own fid.
+Its batches (read_many, write_many), the views' way to a head's ctl, keep
+a fid and its Ropen per (file, mode), as Plan 9's clients keep /net/cs:
+every offset-0 read generates afresh and a write resets the fid's answer,
+so a kept fid reads what a fresh one would, to a short reply (read_all).
+on_walked sends a walk and the requests on its fid in one flight, or in
+turn on a conn that reorders: a kept fid's first use, an ls (1 round
+trip, 8 frames) and a stat (1, 6).  read and write go in turn (on_fid), a
+read to an empty reply, as the benchmark pins a cat's frames; these four
+reach any file, so each clunks its own fid.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ CLIENT_TIMEOUT = 20000   # ticks a request will wait for its reply
 MAX_FILE = 1 << 20
 # refusals of a request that overtook the walk or the open of its fid (fscore)
 OVERTAKEN = ("unknown fid", "fid not open for reading", "fid not open for writing")
+# on_walked's builds of an open to read and its read at offset 0 (ls, read_many)
+OPEN_READ = (lambda t, fid: Topen(t, fid, OREAD), lambda t, fid: Tread(t, fid, 0, IOUNIT))
 
 
 class ClientError(FsError):
@@ -270,16 +273,17 @@ def walk(conn, uname, path):
     return fid
 
 
-def read_all(fid, isdir=False, first=None):
-    """Step: the bytes of an open fid from offset 0 to end of file: an
-    empty reply, or with isdir (a directory) a reply that leaves MAX_STAT
-    bytes of its count unused, which fscore's rule for directory reads
-    proves complete; first, if given, is the offset-0 read's reply.
-    Raises ClientError if a read is refused or the bytes pass MAX_FILE,
-    or Timeout if a reply never came."""
+def read_all(fid, opened=None, first=None):
+    """Step: the bytes of an open fid from offset 0 to end of file, which
+    fscore's rules prove by its Ropen opened: a directory's ends at a reply
+    leaving MAX_STAT bytes of its count unused, a file's at one shorter than
+    its count, and with no Ropen only an empty reply ends it.  first, if
+    given, is the offset-0 read's reply.  Raises ClientError if a read is
+    refused or the bytes pass MAX_FILE, or Timeout if a reply never came."""
     out = bytearray()
     r = first or (yield lambda t: Tread(t, fid, 0, IOUNIT))
-    while r.data and not (isdir and len(r.data) <= IOUNIT - MAX_STAT):
+    short = 0 if opened is None else IOUNIT - MAX_STAT if opened.qid.is_dir else IOUNIT - 1
+    while len(r.data) > short:
         out += r.data
         if len(out) > MAX_FILE:
             raise ClientError("file too large")
@@ -338,8 +342,7 @@ def on_walked(conn, uname, path, builds, clunk, use=None, keep=None):
         root = yield from attach(conn, uname)
         names = tuple(p for p in path.split("/") if p)
         fid = next(conn.fids)
-    builds = [partial(build, fid=fid) for build in builds]
-    if opened is None:
+        builds = [partial(build, fid=fid) for build in builds]
         walking = lambda t: Twalk(t, root, fid, names)
         walked, *replies = yield (walking,) if conn.reorders else (walking, *builds)
         if isinstance(walked, Timeout):
@@ -356,7 +359,7 @@ def on_walked(conn, uname, path, builds, clunk, use=None, keep=None):
                 break
     try:
         if opened is not None:          # a kept fid: its second build alone
-            replies = [opened, (yield builds[1])]
+            replies = [opened, (yield partial(builds[1], fid=fid))]
         out = [ok(r) for r in replies] if use is None else (yield from use(fid, *replies))
     except FsError:
         yield from clunk(fid)
@@ -374,7 +377,7 @@ def read_opened(fid, opened, first, isdir=False):
     of the other kind whatever its read answered; read on as read_all does."""
     if ok(opened).qid.is_dir != isdir:
         raise ClientError("not a directory" if isdir else "is a directory")
-    return (yield from read_all(fid, isdir, ok(first)))
+    return (yield from read_all(fid, opened, ok(first)))
 
 
 class FileClient:
@@ -469,9 +472,8 @@ class FileClient:
         file or the ClientError that refused it, all read at once in one
         run, each over the fid kept open to read it (on_walked's keep).  Each
         holds a fid meanwhile: name fewer files on a server than its fid cap."""
-        return self._run([(ref, on_walked(self._conn(ref), self.uname, relpath, (
-            lambda t, fid: Topen(t, fid, OREAD), lambda t, fid: Tread(t, fid, 0, IOUNIT)),
-            clunk, read_opened, (relpath, OREAD))) for ref, relpath in targets])
+        return self._run([(ref, on_walked(self._conn(ref), self.uname, relpath, OPEN_READ, clunk,
+                                          read_opened, (relpath, OREAD))) for ref, relpath in targets])
 
     def write_many(self, targets, answer=False) -> list:
         """For each (ref, relpath, data) of targets, in order, the count
@@ -480,7 +482,7 @@ class FileClient:
         refused it, all run as read_many's reads are."""
         def use(fid, opened, wrote):
             ok(opened), ok(wrote)           # judged in that order
-            return (yield from read_all(fid)) if answer else wrote.count
+            return (yield from read_all(fid, opened)) if answer else wrote.count
         mode = ORDWR if answer else OWRITE
         return self._run([(ref, on_walked(self._conn(ref), self.uname, relpath, (
             lambda t, fid: Topen(t, fid, mode), lambda t, fid, data=data: Twrite(t, fid, 0, data)),
@@ -496,8 +498,7 @@ class FileClient:
         open and a read at offset 0 in one flight, and a clunk not waited
         for (on_walked, read_opened)."""
         return wire.decode_stats(self._one(ref, on_walked(
-            self._conn(ref), self.uname, relpath,
-            (lambda t, fid: Topen(t, fid, OREAD), lambda t, fid: Tread(t, fid, 0, IOUNIT)),
+            self._conn(ref), self.uname, relpath, OPEN_READ,
             partial(self._clunk, ref), partial(read_opened, isdir=True))))
 
     def stat(self, ref, relpath) -> wire.Stat:

@@ -8,18 +8,18 @@ returns a Future and lands it later; the dispatch loop never blocks.
 
 A read handler takes no offset or count: it returns the whole file, as
 bytes or a Future landing on bytes or an FsError, and t_read alone slices
-it (as Plan 9's readstr).  Synthetic contents are generated once per
-open: the read at offset 0 of a fid generates afresh and keeps what it
-generated (a file's bytes, or a directory's children, less those each
-reply has listed), later offsets are served from that, so reading to end
-of file runs a handler once, and a failed read keeps nothing.  A write
-through the fid drops what it kept, and a read at an offset on a fid that
-kept nothing generates the file, slices it and keeps nothing, so a file
-such as a device's mem stays random access.  A directory reply holds as
-many whole stat records as fit its count, and a record larger than
-wire.MAX_STAT is refused (directory entry too large), as is a count that
-not even the next record fits; so a reply that leaves MAX_STAT bytes of
-its count unused proves that no entry is left.
+it (as Plan 9's readstr), so a file's reply holds min(count, IOUNIT, bytes
+left).  Synthetic contents are generated once per open: the read at offset
+0 of a fid generates afresh and keeps what it generated (a file's bytes,
+or a directory's children, less those each reply has listed), later
+offsets are served from that, so reading to end of file runs a handler
+once, and a failed read keeps nothing.  A write through the fid drops what
+it kept, and a read at an offset on a fid that kept nothing generates the
+file, slices it and keeps nothing, so a device's mem stays random access.
+A directory reply holds as many whole stat records as fit its count, and a
+record larger than wire.MAX_STAT is refused (directory entry too large),
+as is a count that not even the next record fits; so a reply that leaves
+MAX_STAT bytes of its count unused is the last.
 
 A write handler is called as write(offset, data, uname), uname being the
 user its fid was attached as (lib9p's r->fid->uid), and returns the count

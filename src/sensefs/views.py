@@ -16,15 +16,14 @@ A band listing is one query per head naming no member (ask_heads), whose
 answer lists the members in index order; a plan and a location data
 file name their members (read_members).
 
-Wherever a view reads from or writes to many clusters it sends all of
-them in one batch, so the user waits about as long as for the slowest
-cluster, not for their sum; results keep scan order.  A batch asks over
-the fids the client keeps open on each ctl, the first of each kind sent
-with its walk and open in one flight, so an index read is 2 client round
-trips per head (read, end-of-file read), a query 3 (write, 2 reads) and a
-rate command 1, first or not: a band listing costs 3, a location data
-read 5 (the walk's scan, then a query) and a plan 6 (a scan, a query,
-then rate commands).
+Wherever a view reads from or writes to many clusters it sends all of them
+in one batch, so the user waits about as long as for the slowest cluster,
+not for their sum; results keep scan order.  A batch asks over the fids the
+client keeps open on each ctl, the first of each kind sent with its walk
+and open in one flight, each read ending at a short reply, so an index read
+is 1 client round trip per head, a query 2 and a rate command 1, first or
+not: a band listing costs 2, a location data read 3 (the walk's scan, then
+a query) and a plan 4 (a scan, a query, then rate commands).
 """
 
 from __future__ import annotations

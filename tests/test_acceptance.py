@@ -483,7 +483,7 @@ GOLDEN_LOGS = {
     "example1_monitoring.script":
         "2873a062a9b1bb76cc41a14535e8707697e1d8bdb83201b309bd4e60c03e6c05",
     "example2_datacentric.script":
-        "d56b783d77303c158d2ec31bbab159778cff6a7e375fc82a5bd485660d02b904",
+        "85eec9cc4688bd70fd149a20cf38cac0913766e92bd66539b2757c4a90400738",
     "example3_emergency.script":
         "76d8cce9102f0ef3c59c9a689966ff6412e0ada54b65810132cc76f34bd71141",
 }
@@ -580,8 +580,8 @@ def lossy_zoo(loss, seed=None):
 # sha256 of LOSSY_SESSION's transcript and event log at lossy-soak's link
 # settings (loss 0.05, jitter 2): 12 of its 26 cat, write, ls and plan
 # lines get an answer (2 of the others read s9 after it was put to sleep)
-LOSSY_5_GOLDEN = ("6c5282d36ecab572dcf3201f9ccad199841c29b379598626b67aef7a6f54dfb4",
-                  "949d9e8d4c0f9570a18083319ad2a582ab4efda08bb670b985d7c238e6704cae")
+LOSSY_5_GOLDEN = ("b6a47e25e960c4a72d7eefb90f0b2b615d6dfd7d60daf47b48dd48a09a12cd94",
+                  "7569ef2d4bf325f86a0e5cf2af8d0e9ac7f7b289b883136127b703c476d20043")
 
 
 def test_lossy_session_at_5_percent_is_golden():
@@ -597,19 +597,21 @@ def test_lossy_session_at_5_percent_is_golden():
     assert digests == LOSSY_5_GOLDEN
 
 
-def test_lossy_session_at_5_percent_answers_its_first_plan():
+def test_lossy_session_at_5_percent_answers_12_lines_and_one_plan():
     # on links that reorder frames, a kept fid's first use goes in one
     # flight only until a request of one has been overtaken; from then on
-    # its connection sends one request at a time, as every first use went
-    # before, and the session's first plan is still answered.  12 of its 26
-    # lines are answered, against 13 with every first use in turn: the one
-    # more is `ls /resource/energy/low`, whose kept fid's end-of-file Rread
-    # is lost, since each frame's loss is a draw of one random stream and
-    # each frame sent or not sent earlier moves every later draw
+    # its connection sends one request at a time.  12 of the session's 26
+    # lines are answered, and one of its two plans: the second, not the
+    # first, since a kept fid's read ends at its first short reply, so no
+    # end-of-file Tread is sent, and each frame's loss is a draw of one
+    # random stream, so each frame sent or not sent earlier moves every
+    # later draw; here the Tread of the first plan's index read of one
+    # head's ctl is lost.  Over many seeds, fewer frames sent answer more
+    # lines and more plans
     sim = lossy_zoo(0.05)
     shell = Shell(sim)
     statuses = [(line.split()[0], shell.run_line(line)[0])
                 for line in LOSSY_SESSION.splitlines()]
     answered = [status for cmd, status in statuses if cmd in ("cat", "write", "ls", "plan")]
     assert (answered.count(0), len(answered)) == (12, 26)
-    assert [status for cmd, status in statuses if cmd == "plan"] == [0, 1]
+    assert [status for cmd, status in statuses if cmd == "plan"] == [1, 0]

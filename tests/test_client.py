@@ -141,8 +141,9 @@ def test_batch_on_a_fresh_conn_sends_one_tattach():
     ref = ("net", mux.eid)
     got = client.read_many([(ref, "sensors/s%d/reading" % i) for i in range(1, 6)])
     assert got == [b"%f\n" % i for i in range(1, 6)]
-    # each file: walk, open, read and end-of-file read, its fid kept open
-    assert events(net, "send").count([client.eid, mux.eid]) == 5 * 4 + 1
+    # each file: walk, open and a read, whose reply shorter than its count
+    # ends the file, its fid kept open
+    assert events(net, "send").count([client.eid, mux.eid]) == 5 * 3 + 1
     assert sum(1 for line in net.log.lines
                if line.split("\t")[1:4] == ["send", client.eid, mux.eid]
                and line.split("\t")[4].startswith("Tattach")) == 1
@@ -227,7 +228,7 @@ def test_lost_answer_clunks_the_kept_fid_and_the_next_question_opens_a_new_one()
     assert conn.open_fids == {} and kept not in mux.sessions[client.eid].fids
     since = len(net.log.lines)
     assert ask(client, ref, "reading") == [ANSWERS["reading"]]
-    assert sent_types(net, since, client.eid) == ["Twalk", "Topen", "Twrite", "Tread", "Tread"]
+    assert sent_types(net, since, client.eid) == ["Twalk", "Topen", "Twrite", "Tread"]
     assert conn.open_fids[key] != kept
 
 
@@ -252,15 +253,16 @@ def test_a_session_keeps_at_most_one_fid_per_mode():
 
 
 @pytest.mark.parametrize("batch, ticks, first, later", [
-    ("read", 4, [(0, "Twalk"), (0, "Topen"), (0, "Tread"), (1, "Rwalk"), (1, "Ropen"),
-                 (1, "Rread"), (2, "Tread"), (3, "Rread")],
-     [(0, "Tread"), (1, "Rread"), (2, "Tread"), (3, "Rread")]),
+    ("read", 2, [(0, "Twalk"), (0, "Topen"), (0, "Tread"), (1, "Rwalk"), (1, "Ropen"),
+                 (1, "Rread")],
+     [(0, "Tread"), (1, "Rread")]),
     ("write", 2, [(0, "Twalk"), (0, "Topen"), (0, "Twrite"), (1, "Rwalk"), (1, "Ropen"),
                   (1, "Rwrite")],
      [(0, "Twrite"), (1, "Rwrite")])])
 def test_a_kept_fids_first_use_takes_the_ticks_of_a_later_one(batch, ticks, first, later):
     # at latency 1, walk, open and the first read or write leave in one
-    # flight; a later use of the kept fid sends its read or write alone
+    # flight; a later use of the kept fid sends its read or write alone;
+    # the index's one reply, shorter than its count, ends the file
     net, mux, client, ref = question_cluster()
     client.ls(ref, "")                      # attaches
     net.run_until(net.now + 2)
@@ -305,10 +307,10 @@ def test_a_lost_frame_of_a_kept_fids_first_use_leaves_no_fid(batch, kind):
 
 @pytest.mark.parametrize("batch, frames", [
     # an open that overtook the walk is refused (unknown fid), and so is
-    # the read after it (not open): both are sent again, in turn
+    # the read after it (not open): both are sent again, in turn, and the
+    # read's reply, shorter than its count, ends the file
     ("read", [(0, "Topen"), (0, "Twalk"), (0, "Tread"), (1, "Rerror"), (1, "Rwalk"),
-              (1, "Rerror"), (2, "Topen"), (3, "Ropen"), (4, "Tread"), (5, "Rread"),
-              (6, "Tread"), (7, "Rread")]),
+              (1, "Rerror"), (2, "Topen"), (3, "Ropen"), (4, "Tread"), (5, "Rread")]),
     ("write", [(0, "Topen"), (0, "Twalk"), (0, "Twrite"), (1, "Rerror"), (1, "Rwalk"),
                (1, "Rerror"), (2, "Topen"), (3, "Ropen"), (4, "Twrite"), (5, "Rwrite")])])
 def test_a_kept_fids_open_that_overtook_its_walk_is_sent_once_more(batch, frames):
@@ -319,8 +321,9 @@ def test_a_kept_fids_open_that_overtook_its_walk_is_sent_once_more(batch, frames
     t0, since = net.now, len(net.log.lines)
     out, = (client.read_many([(ref, "ctl")]) if batch == "read"
             else client.write_many([(ref, "ctl", b"rate 0 s1")]))
+    leg = client_leg(net, since, t0, client)
     assert out == (9 if batch == "write" else client.read(ref, "ctl"))
-    assert client_leg(net, since, t0, client)[:len(frames)] == frames
+    assert leg == frames
     assert len(client._conns[ref].open_fids) == 1
 
 
@@ -541,6 +544,37 @@ def test_a_listing_that_never_ends_fails_past_max_file():
     with pytest.raises(ClientError, match="^file too large$"):
         client.ls(ref, "d")
     assert client._conns[ref].pending == {}
+
+
+# -- a file read on an opened fid ends at a reply shorter than its count -------
+
+@pytest.mark.parametrize("size, kept, cat", [
+    (0, [0], [0]),
+    (10, [0], [0, 10]),
+    (IOUNIT, [0, IOUNIT], [0, IOUNIT]),
+    (IOUNIT + 1, [0, IOUNIT], [0, IOUNIT, IOUNIT + 1])])
+def test_a_file_read_on_a_kept_fid_ends_at_its_first_short_reply(size, kept, cat):
+    # a server's reply to a read of a file holds min(count, bytes left), so
+    # a read through read_many, or a question's answer through write_many,
+    # ends at the first reply shorter than IOUNIT, on the fid's first use
+    # and on its later ones: a file of exactly IOUNIT bytes takes a second,
+    # empty read, and one byte more ends at the second read; a cat holds
+    # no Ropen (on_fid) and still reads on to an empty reply
+    body = bytes(i % 251 for i in range(size))
+    root = make_dir("r")
+    root.add(make_file("f", 0o666, read=lambda: body, write=lambda offset, data, uname: body))
+    net = Network(0, default_link=LinkModel(1, 0, 0.0))
+    server = Server(root, USERS)
+    ServerEndpoint(net, "srv", server)
+    client, ref = make_client(net), ("net", "srv")
+    offsets = read_offsets(server)
+    batches = (lambda: client.read_many([(ref, "f")]),
+               lambda: client.write_many([(ref, "f", b"?")], answer=True))
+    for batch in batches * 2:               # each kept fid's first use, then a later one
+        assert batch() == [body] and offsets == kept
+        offsets.clear()
+    assert client.read(ref, "f") == body and offsets == cat
+    assert len(client._conns[ref].open_fids) == 2
 
 
 NAME_LENGTHS = st.one_of(st.integers(2, 40), st.integers(2, LONGEST),

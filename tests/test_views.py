@@ -402,9 +402,9 @@ def test_zoo_band_listing_ticks():
     # no member, with no member-index read before it: the client's attach,
     # then walk, open and write of ctl in one flight, whose answer waits on
     # the head's first read of remaining-energy (attach, walk, open and
-    # read, in turn), then the answer's read and end-of-file read, the ctl
-    # fid kept open: 8 round trips of 6 ticks
-    assert ticks == [48, 618]
+    # read, in turn), then the answer's read, which ends the file by being
+    # shorter than its count, the ctl fid kept open: 7 round trips of 6 ticks
+    assert ticks == [42, 612]
 
 
 @pytest.mark.parametrize("command", ["ls /resource/energy/low", "plan region-10 4 avg 50"])
@@ -426,7 +426,7 @@ def test_zoo_cold_band_listing_and_plan_add_only_the_heads_first_opens(command):
         assert shell.run_line(command)[0] == 0
         ticks.append(sim.net.now - t0)
         shell.run_line("tick 40")
-    assert ticks == {"ls": [42, 24], "plan": [60, 42]}[command.split()[0]]
+    assert ticks == {"ls": [36, 18], "plan": [48, 30]}[command.split()[0]]
 
 
 def test_a_members_entry_keeps_its_qid_across_listings_of_one_view():
@@ -517,15 +517,15 @@ def test_zoo_location_data_frame_cost():
     since = len(sim.net.log.lines)
     assert shell.run_line("cat /location/region-10/data") == (
         0, "20.900000\n22.300000\n24.100000\n70.000000 30.000000\n21.700000\n19.500000")
-    # the walk's scan reads each head's ctl (10 frames each: attach, walk,
-    # open, read and end-of-file read); one query to the members' head is
-    # 10 client frames (walk, open, write, read and end-of-file read), and
+    # the walk's scan reads each head's ctl (8 frames each: attach, walk,
+    # open and a read short of its count, the file's end); one query to the
+    # members' head is 8 client frames (walk, open, write and read), and
     # it reads each of the six members in 8 device frames (attach, walk,
     # open, read)
-    assert device_frames(sim.net, since, {shell.client.eid}) == 2 * 10 + 10
+    assert device_frames(sim.net, since, {shell.client.eid}) == 2 * 8 + 8
     assert device_frames(sim.net, since, set(sim.states)) == 6 * 8
     assert sum(1 for line in sim.net.log.lines[since:]
-               if line.split("\t")[1] == "send") == 78
+               if line.split("\t")[1] == "send") == 72
 
 
 def quiet_zoo():
@@ -547,21 +547,21 @@ def test_zoo_discovery_leaves_no_fid_on_any_device():
 def test_zoo_second_band_listing_reads_each_member_once():
     # the first listing opens remaining-energy on every member and keeps
     # it open; the second, within the ttl, is answered from the heads'
-    # copies: a Twrite, a Tread and an end-of-file Tread over each head's
-    # kept ctl fid; once the ttl has passed, the next reads each member
-    # over the head's kept fid: Tread and Rread
+    # copies: a Twrite and a Tread, whose short reply ends the answer, over
+    # each head's kept ctl fid; once the ttl has passed, the next reads
+    # each member over the head's kept fid: Tread and Rread
     sim, shell = quiet_zoo()
     shell.run_line("view build resource")
     assert shell.run_line("ls /resource/energy/low") == (0, "s4\ns5")
     since, t0 = len(sim.net.log.lines), sim.net.now
     assert shell.run_line("ls /resource/energy/low") == (0, "s4\ns5")
-    assert sim.net.now - t0 == 18
-    assert device_frames(sim.net, since, {shell.client.eid}) == 2 * 6
+    assert sim.net.now - t0 == 12
+    assert device_frames(sim.net, since, {shell.client.eid}) == 2 * 4
     assert device_frames(sim.net, since, set(sim.states)) == 0
     shell.run_line("tick 30")
     since, t0 = len(sim.net.log.lines), sim.net.now
     assert shell.run_line("ls /resource/energy/low") == (0, "s4\ns5")
-    assert sim.net.now - t0 == 24
+    assert sim.net.now - t0 == 18
     assert device_frames(sim.net, since, set(sim.states)) == 2 * len(sim.states)
 
 
@@ -588,11 +588,11 @@ def test_zoo_second_location_data_read_reads_each_member_once():
     data = (0, "20.900000\n22.300000\n24.100000\n70.000000 30.000000\n21.700000\n19.500000")
     assert shell.run_line("cat /location/region-10/data") == data
     # within the ttl the head answers from its copies; over the kept ctl
-    # fids, each head's index is a Tread and an end-of-file Tread, and the
-    # query a Twrite and two Treads
+    # fids, each head's index is one Tread, its short reply the file's end,
+    # and the query a Twrite and a Tread
     since = len(sim.net.log.lines)
     assert shell.run_line("cat /location/region-10/data") == data
-    assert device_frames(sim.net, since, {shell.client.eid}) == 2 * 4 + 6
+    assert device_frames(sim.net, since, {shell.client.eid}) == 2 * 2 + 4
     assert device_frames(sim.net, since, set(sim.states)) == 0
     shell.run_line("tick 30")
     since = len(sim.net.log.lines)
@@ -704,13 +704,13 @@ def test_zoo_scan_frame_cost():
     infos = scan_sensors(client, table)
     assert len(infos) == len(sim.states) == 10
     assert device_frames(sim.net, since, set(sim.states)) == 0
-    # per cluster head: attach, walk, open, read and end-of-file read of
-    # ctl, each a T- and an R-message; the fid stays open, so a rescan is
-    # the read and the end-of-file read alone
-    assert device_frames(sim.net, since, {client.eid}) == 10 * len(sim.cfg.clusters) == 20
+    # per cluster head: attach, walk, open and a read of ctl, each a T- and
+    # an R-message, the read's reply shorter than its count being the end
+    # of file; the fid stays open, so a rescan is the read alone
+    assert device_frames(sim.net, since, {client.eid}) == 8 * len(sim.cfg.clusters) == 16
     since = len(sim.net.log.lines)
     assert scan_sensors(client, table) == infos
-    assert device_frames(sim.net, since, {client.eid}) == 4 * len(sim.cfg.clusters)
+    assert device_frames(sim.net, since, {client.eid}) == 2 * len(sim.cfg.clusters)
 
 
 # -- the view builder ------------------------------------------------------------
