@@ -8,21 +8,15 @@ and remembers the fid attached per user name.  Conn.issue is the one way
 a T-message leaves a node, and receive() the one way a frame enters one.
 
 The protocol sequences are generator steps (attach, walk, read_all,
-request, clunk, on_fid, on_walked).  A step says only what to send:
-it yields a build per T-message, build(tag) making the message, and gets
-back its R-message, a refusal (an Rerror) or a reply that never came (a
-Timeout) being raised at that yield as a ClientError, so a step never
-tests a reply for failure; or it yields a Future (fscore's) or a flight
+request, clunk, flight, on_fid, on_walked).  A step says only what to
+send: it yields a build per T-message, build(tag) making the message,
+and gets back its R-message, a refusal or a lost reply being raised at
+that yield as a ClientError; or it yields a Future (fscore's) or a flight
 (spawn).  spawn is the one continuation driver, so any number of steps
 keep requests in flight at once, and gather the one fan-out (a flight, a
-head's member reads, a run).  spawn's callers fix how long a request
-waits:
-
-    muxfs.Multiplexer  every device exchange of a cluster head, under the
-                       timeout named where the step is spawned
-    FileClient._run    every file operation: one step (call, read, write,
-                       stat) or many (read_many, write_many) at once, the
-                       clock run until all end; a request waits CLIENT_TIMEOUT
+head's member reads, a run).  A request waits as long as spawn's caller
+says: the timeout a head names where it spawns a step (muxfs), or a
+FileClient run's CLIENT_TIMEOUT (_run).
 
 FileClient gives read/write/ls/stat on paths against two kinds of
 server reference:
@@ -34,11 +28,10 @@ Its batches (read_many, write_many), the views' way to a head's ctl, keep
 a fid and its Ropen per (file, mode), as Plan 9's clients keep /net/cs:
 every offset-0 read generates afresh and a write resets the fid's answer,
 so a kept fid reads what a fresh one would, to a short reply (read_all).
-on_walked sends a walk and the requests on its fid in one flight, or in
-turn on a conn that reorders: a kept fid's first use, an ls (1 round
-trip, 8 frames) and a stat (1, 6).  read and write go in turn (on_fid), a
-read to an empty reply, as the benchmark pins a cat's frames; these four
-reach any file, so each clunks its own fid.
+on_walked sends a walk and the requests on its fid as one flight: a kept
+fid's first use, an ls (1 round trip, 8 frames) and a stat (1, 6).  read
+and write go in turn (on_fid), a read to an empty reply, as the benchmark
+pins a cat's frames; these four reach any file, so each clunks its own fid.
 """
 
 from __future__ import annotations
@@ -62,7 +55,7 @@ CLIENT_TIMEOUT = 20000   # ticks a request will wait for its reply
 MAX_FILE = 1 << 20
 # refusals of a request that overtook the walk or the open of its fid (fscore)
 OVERTAKEN = ("unknown fid", "fid not open for reading", "fid not open for writing")
-# on_walked's builds of an open to read and its read at offset 0 (ls, read_many)
+# builds of an open to read and its read at offset 0 on a fid (ls, read_many, a head's first read)
 OPEN_READ = (lambda t, fid: Topen(t, fid, OREAD), lambda t, fid: Tread(t, fid, 0, IOUNIT))
 
 
@@ -326,14 +319,32 @@ def on_fid(conn, uname, path, use, mode):
     return out
 
 
+def flight(conn, builds, bound=lambda reply: True):
+    """Step: the outcomes of builds, a flight whose first binds the fid the
+    rest use (the first alone on a conn that reorders); the first's failure
+    is raised, and 'no such file' if bound(its reply) is false.  A later one
+    not yet sent, or refused as OVERTAKEN (conn then reorders), is sent once
+    more, alone and in order, up to the first other failure; any after that is None."""
+    out = yield builds[:1] if conn.reorders else builds
+    if isinstance(out[0], FsError):
+        raise out.pop(0)            # held by no frame: no reference cycle
+    if not bound(out[0]):
+        raise ClientError("no such file")
+    out += [None] * (len(builds) - len(out))
+    for i, build in enumerate(builds):
+        if out[i] is None or isinstance(out[i], FsError) and out[i].ename in OVERTAKEN:
+            conn.reorders |= out[i] is not None
+            out[i], = yield (build,)
+        if isinstance(out[i], FsError):
+            break
+    return out
+
+
 def on_walked(conn, uname, path, builds, clunk, use=None, keep=None):
     """Step: the R-message to each build(tag, fid) of builds on a new fid
-    walked to path, a failure among them raised, or with use the value of
-    the step use(fid, *their outcomes), which judges them in the order they
-    depend on.  The Twalk and builds go out in one flight, a failed walk
-    raised; a request refused as OVERTAKEN is sent once more, in order, up
-    to the first other failure, and marks conn as reordering, where each
-    request then goes alone.  clunk(fid) runs however the step ends once
+    walked to path in their flight, a failure among them raised, or with
+    use the value of the step use(fid, *their outcomes), which judges them
+    in the order they depend on.  clunk(fid) runs however the step ends once
     the walk succeeded or was lost (it may have bound fid).  With keep, one
     that ends well keeps the fid and its Ropen in conn.open_fids, unless
     another was kept meanwhile, for a later step's second build alone."""
@@ -342,21 +353,12 @@ def on_walked(conn, uname, path, builds, clunk, use=None, keep=None):
         root = yield from attach(conn, uname)
         names = tuple(p for p in path.split("/") if p)
         fid = next(conn.fids)
-        builds = [partial(build, fid=fid) for build in builds]
-        walking = lambda t: Twalk(t, root, fid, names)
-        walked, *replies = yield (walking,) if conn.reorders else (walking, *builds)
-        if isinstance(walked, Timeout):
+        try:
+            _, *replies = yield from flight(conn, (lambda t: Twalk(t, root, fid, names), *(
+                partial(build, fid=fid) for build in builds)), lambda r: len(r.qids) == len(names))
+        except Timeout:
             yield from clunk(fid)
-        if len(ok(walked).qids) != len(names):
-            raise ClientError("no such file")
-        replies += [None] * (len(builds) - len(replies))       # None: not yet sent
-        for i, build in enumerate(builds):
-            if replies[i] is None or isinstance(replies[i], FsError) and \
-                    replies[i].ename in OVERTAKEN:
-                conn.reorders |= replies[i] is not None
-                replies[i], = yield (build,)
-            if isinstance(replies[i], FsError):
-                break
+            raise
     try:
         if opened is not None:          # a kept fid: its second build alone
             replies = [opened, (yield partial(builds[1], fid=fid))]

@@ -31,11 +31,11 @@ offset 0 takes the answer in place of generating the file, waiting for it
 if it has not landed.  The answer belongs to that fid alone, so no server
 needs a table keyed by fid, and a clunk drops it with the fid.
 
-A session's T-messages are handled in the order they arrive, and a walk,
-open, stat or clunk is answered at once, never by a Future.  A client may
-so send requests on a fid in one flight with the walk that binds it
-(client.on_walked): one that overtook the walk or the open on a link that
-reorders frames is refused (unknown fid, or not open), and is sent again.
+A session's T-messages are handled in the order they arrive, and an
+attach, walk, open, stat or clunk is answered at once, never by a Future.
+A client may so send requests in the flight of the attach or walk that
+binds their fid (client.flight): one that overtook it or the open where
+frames reorder is refused (unknown fid, or not open), and is sent again.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ class Server:
                     raise FsError("unknown message")
                 result = getattr(self, name)(session, msg)
         except FsError as e:
-            result = e
+            result = e.with_traceback(None)     # its traceback holds this frame: no cycle
         if isinstance(result, Future):
             result.wait(lambda out: reply(Rerror(tag, out.ename) if isinstance(out, FsError)
                                           else wrap(tag, out)))
@@ -273,8 +273,11 @@ class Server:
     # -- per-message handlers (overridable by subclasses) -------------
 
     def t_attach(self, conn_key, msg: Tattach):
-        if msg.aname not in ("",):
-            raise FsError("no such tree")
+        node = self.root            # aname is a path from it, as diod serves it ("": the root)
+        for name in filter(None, msg.aname.split("/")):
+            node = node.lookup(name) if node.is_dir else None
+            if node is None:
+                raise FsError("no such tree")
         session = self.sessions.get(conn_key)
         if session is None:
             if len(self.sessions) >= self.max_sessions:
@@ -283,8 +286,8 @@ class Server:
             self.sessions[conn_key] = session
         if msg.fid in session.fids:
             raise FsError("fid in use")
-        session.bind(msg.fid, self.root, msg.uname)
-        return self.root.qid
+        session.bind(msg.fid, node, msg.uname)
+        return node.qid
 
     def t_walk(self, session, msg: Twalk):
         ent = session.get(msg.fid)

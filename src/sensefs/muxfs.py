@@ -48,36 +48,27 @@ write handler, which fscore hands the writer's user name as any other,
 checks every other command for the write bit.
 
 All the head knows of one member lives in that member's DeviceLink: its
-connection, mirrored directory, open fids, value cache, info and pending
-poll.  The head's own tables are keyed by what is not a member: client
-fids (relayed) and mirrored nodes (remote, each naming its link).
-
-Towards its devices the head is a client built on the core in client.py:
-one Conn per member (a DeviceLink) and the same attach/walk/read_all
-steps a FileClient runs, driven by the same client.spawn: _call issues
-each T-message a step yields, so device I/O never blocks the dispatch
-loop, and the step resumes with its reply, or has a refusal or a
-client.Timeout raised in it, so the head never tests a reply for failure.
-A step says only what to send; the timeout is named where it is
-spawned: discover_timeout for discovery, aggregates, polls and
-_clunk_remote, and fallback_ticks for relayed reads and writes and ctl
-queries.  A head step returns its outcome or raises FsError, and spawn
-hands either to whoever waits on it, through a Future (fscore's) such as
-a relayed read's reply; a Timeout is where the head falls back to a
-cached copy, for a relayed read, an aggregate or a query.  A device fid
-the head opens (its own, or one behind a relayed client fid) is opened
-once: requests that need it while the open is in flight wait on its
-Future, a clunk of the client fid clunks it when it lands, and a walk
-or open of it that fails, lost included, clunks it (_open).  A mirrored
-file opens against its mirrored stat, even while its device sleeps.
+connection (a Conn on the core in client.py), mirrored directory, open
+fids, value cache, info and pending poll.  The head's own tables are
+keyed by what is not a member: client fids (relayed) and mirrored nodes
+(remote, each naming its link).  Its steps towards a member run on
+client.spawn through _call, so device I/O never blocks the dispatch
+loop.  The timeout is named where a step is spawned: discover_timeout for
+discovery, aggregates, polls and _clunk_remote, and fallback_ticks for
+relayed reads and writes and ctl queries; a Timeout is where a relayed
+read, an aggregate or a query falls back to a cached copy.  A device fid
+the head opens is opened once (client.once): requests that need it
+meanwhile wait on its Future, a clunk of the relayed client fid behind it
+clunks it when it lands, and an open that fails, lost included, clunks
+it.  A mirrored file opens against its mirrored stat, even while its
+device sleeps.
 
 The head reads a member file one way (_read_path: aggregates, polls,
-queries), as mux over a fid it keeps open for that file alone: an attach
-of its own walked in place (walk(5) lets newfid be fid), so the first
-read costs attach, walk, open and read, each later one a read, and no
-root is kept.  Discovery keeps no fid: the probe's attach walks a new
-fid to info, then lists the root itself; both are clunked, however the
-probe ends.
+queries), as mux over a fid it keeps open for that file alone: the first
+read attaches it at the file (attach(5)'s aname, a path to fscore), opens
+and reads it in one flight, each later read is one Tread, and no root is
+kept.  Discovery keeps no fid: the probe's attach walks a new fid to
+info, then lists the root itself; both are clunked, however it ends.
 """
 
 from __future__ import annotations
@@ -88,7 +79,7 @@ from functools import partial
 
 from . import wire
 from .client import (
-    Conn, ClientError, Timeout, _attach, gather, once, read_all, receive, spawn, walk,
+    OPEN_READ, Conn, ClientError, Timeout, flight, gather, once, read_all, receive, spawn, walk,
 )
 from .devicefs import parse_info
 from .wire import IOUNIT, OREAD, OWRITE, ORDWR, Tattach, Twalk, Topen, Tread, Twrite, Tclunk
@@ -268,25 +259,34 @@ class Multiplexer(Server):
             link.probing = False
 
     def _read_path(self, link, path):
-        """Step: a member file read as mux over the fid kept open for it in
-        link.open_fids, opened on first use (_open): its bytes, cached.
-        A refusal or a Timeout is raised."""
-        fid = yield from once(link.open_fids, path, self._open, link, path, OREAD, _attach, "mux")
-        data = (yield lambda t: Tread(t, fid, 0, IOUNIT)).data
+        """Step: a member file's bytes, cached, read as mux over the fid kept
+        open for it in link.open_fids (_attach_at); a failure is raised."""
+        first = []      # the first read's outcome, a landed Future: spawn raises a failure
+        fid = yield from once(link.open_fids, path, self._attach_at, link, path, first)
+        data = (yield first.pop() if first else lambda t: Tread(t, fid, 0, IOUNIT)).data
         link.cache[path] = (data, self.net.now)
         return data
 
-    def _open(self, link, path, mode, new, *args):
-        """Step: the device fid of the step new(link, *args) (a fresh attach,
-        or a walk from a root attached once per user), walked in place to
-        path (walk(5) lets newfid be fid; "" needs no walk) and opened in
-        mode.  A walk in place or open that fails, a Timeout included,
-        clunks fid and is raised."""
-        fid = yield from new(link, *args)
-        names = tuple(p for p in path.split("/") if p)
+    def _attach_at(self, link, path, first):
+        """Step: a fid attached at path and opened, in a flight with a read whose outcome
+        lands in first as a Future; a lost attach or failed open clunks it, a failed read not."""
+        fid = next(link.fids)
         try:
-            if names and len((yield lambda t: Twalk(t, fid, fid, names)).qids) != len(names):
-                raise ClientError("no such file")
+            out = yield from flight(link, (lambda t: Tattach(t, fid, "mux", path), *(
+                partial(build, fid=fid) for build in OPEN_READ)))
+        except Timeout:
+            self._clunk_remote(link, fid)
+            raise
+        first.append(Future(lambda land, read=out.pop(): land(read)))
+        if isinstance(out[1], FsError):
+            self._clunk_remote(link, fid)
+            raise out.pop()         # held by no frame: no reference cycle
+        return fid
+
+    def _open(self, link, uname, path, mode):
+        """Step: a device fid walked from uname's root to path and opened in mode."""
+        fid = yield from walk(link, uname, path)
+        try:
             yield lambda t: Topen(t, fid, mode)
         except ClientError:
             self._clunk_remote(link, fid)
@@ -322,14 +322,12 @@ class Multiplexer(Server):
         return Future(partial(self._spawn, link, step, self.cfg.fallback_ticks))
 
     def _send(self, session, msg, ent, link, path, kind, *args):
-        """Step: log mux-route and return the member's R-message to
-        kind(tag, device fid, *args), sent on the device fid behind ent,
-        walked and opened on first use (once).  A refusal or a Timeout is
-        raised."""
+        """Step: log mux-route and return the member's R-message to kind(tag,
+        device fid, *args), sent on the device fid behind ent, walked and
+        opened on first use (_open, once); a refusal or a Timeout is raised."""
         self.net.log.add(self.net.now, "mux-route", session.conn_key, self.eid,
                          Hop(ROUTED, msg.tag, msg.fid, "%s/%s" % (link.peer, path)))
-        dfid = yield from once(self.relayed, ent, self._open,
-                               link, "", ent.open_mode, walk, ent.uname, path)
+        dfid = yield from once(self.relayed, ent, self._open, link, ent.uname, path, ent.open_mode)
         return (yield lambda t: kind(t, dfid, *args))
 
     def _relay_log(self, session, msg, link, path, cached):

@@ -39,14 +39,17 @@ def script_commands(text):
     return [line[1:].strip() for line in text.splitlines() if line.startswith(">")]
 
 
-def ledger(sim, commands):
-    """The ledger text of commands run in turn on sim (see the module)."""
+def ledger(sim, commands, outputs=None):
+    """The ledger text of commands run in turn on sim (see the module);
+    each command's (status, output) is appended to outputs, if given."""
     shell, net = Shell(sim), sim.net
     rows, starts = [], []
     for command in commands:
         starts.append(len(net.log.lines))
         t0 = net.now
-        status, _ = shell.run_line(command)
+        status, output = shell.run_line(command)
+        if outputs is not None:
+            outputs.append((status, output))
         rows.append([command, status, net.now - t0, 0, 0, 0, 0])
     end = len(net.log.lines)
     net.run_until(net.now + QUIET)

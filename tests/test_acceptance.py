@@ -483,9 +483,9 @@ GOLDEN_LOGS = {
     "example1_monitoring.script":
         "2873a062a9b1bb76cc41a14535e8707697e1d8bdb83201b309bd4e60c03e6c05",
     "example2_datacentric.script":
-        "85eec9cc4688bd70fd149a20cf38cac0913766e92bd66539b2757c4a90400738",
+        "aea307e3f9ff9bb4ef50bab85e6fd456e3bf0419c3d7c53e9c0cf7032b67d5d8",
     "example3_emergency.script":
-        "76d8cce9102f0ef3c59c9a689966ff6412e0ada54b65810132cc76f34bd71141",
+        "9fcea48ffb1ea94a14730e7d085370308638f1abb16e33e240c8a34e0b7d8da4",
 }
 
 
@@ -543,8 +543,8 @@ cat /network/cluster2/sensors/s8/reading
 cat /network/cluster2/sensors/s8/reading"""
 
 # sha256 of LOSSY_SESSION's transcript and of its whole event log
-LOSSY_GOLDEN = ("117b4fdce54221bd482b8bb25b95bdd9f5d979963dbc7c124c6380d6e01deceb",
-                "5b1da2d63c69f556c962aa1e1aa889354a3696766d5b10002d1e530e8c7ac8f8")
+LOSSY_GOLDEN = ("b429af107ecf02db41dc99803ef66fad4d85962bdd73cb8654625c1b4b2cd657",
+                "cf5327f5d255f9ad9f49342e17b8e2e51a6794709d46f6757c669eae25ed6185")
 
 
 def test_lossy_session_is_golden():
@@ -578,10 +578,10 @@ def lossy_zoo(loss, seed=None):
 
 
 # sha256 of LOSSY_SESSION's transcript and event log at lossy-soak's link
-# settings (loss 0.05, jitter 2): 12 of its 26 cat, write, ls and plan
+# settings (loss 0.05, jitter 2): 13 of its 26 cat, write, ls and plan
 # lines get an answer (2 of the others read s9 after it was put to sleep)
-LOSSY_5_GOLDEN = ("b6a47e25e960c4a72d7eefb90f0b2b615d6dfd7d60daf47b48dd48a09a12cd94",
-                  "7569ef2d4bf325f86a0e5cf2af8d0e9ac7f7b289b883136127b703c476d20043")
+LOSSY_5_GOLDEN = ("28a8b43fb41e5abc94d90ab49902bae08b9fef94c8ec8cc05513b893f4e1a064",
+                  "8fdedafcfeec716e332d23b88d4195b9d33f797807e892359825699b596d5ff8")
 
 
 def test_lossy_session_at_5_percent_is_golden():
@@ -597,21 +597,21 @@ def test_lossy_session_at_5_percent_is_golden():
     assert digests == LOSSY_5_GOLDEN
 
 
-def test_lossy_session_at_5_percent_answers_12_lines_and_one_plan():
+def test_lossy_session_at_5_percent_answers_13_lines_and_one_plan():
     # on links that reorder frames, a kept fid's first use goes in one
     # flight only until a request of one has been overtaken; from then on
-    # its connection sends one request at a time.  12 of the session's 26
-    # lines are answered, and one of its two plans: the second, not the
-    # first, since a kept fid's read ends at its first short reply, so no
-    # end-of-file Tread is sent, and each frame's loss is a draw of one
-    # random stream, so each frame sent or not sent earlier moves every
-    # later draw; here the Tread of the first plan's index read of one
-    # head's ctl is lost.  Over many seeds, fewer frames sent answer more
-    # lines and more plans
+    # its connection sends one request at a time.  13 of the session's 26
+    # lines are answered, and one of its two plans, the second.  Each
+    # frame's loss is a draw of one random stream, so each frame sent or
+    # not sent earlier moves every later draw: a head's first read of a
+    # member file is one flight of 6 frames, no longer 8 in turn, and so
+    # the first cat of cluster2's avgTemp, whose client Twalk was lost,
+    # now gets an answer from one of its two members.  Over many seeds
+    # the scorecard (tests/scorecard.py) is the measure
     sim = lossy_zoo(0.05)
     shell = Shell(sim)
     statuses = [(line.split()[0], shell.run_line(line)[0])
                 for line in LOSSY_SESSION.splitlines()]
     answered = [status for cmd, status in statuses if cmd in ("cat", "write", "ls", "plan")]
-    assert (answered.count(0), len(answered)) == (12, 26)
+    assert (answered.count(0), len(answered)) == (13, 26)
     assert [status for cmd, status in statuses if cmd == "plan"] == [1, 0]

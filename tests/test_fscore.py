@@ -84,6 +84,40 @@ def test_attach_unknown_tree():
     conn.err(lambda t: Tattach(t, 0, "admin", "other"), "no such tree")
 
 
+def test_attach_at_a_files_aname_opens_and_reads_that_file():
+    # aname is a path from the root, as diod serves it: the fid is bound
+    # at that file, as the attaching user, with no walk
+    server, _ = build_server()
+    conn = Conn(server)
+    r = conn.ok(lambda t: Tattach(t, 0, "admin", "sub/readme"), Rattach)
+    assert r.qid == server.root.lookup("sub").lookup("readme").qid
+    conn.ok(lambda t: Topen(t, 0, OREAD), Ropen)
+    assert conn.ok(lambda t: Tread(t, 0, 0, IOUNIT), Rread).data == b"hello\n"
+    # the open checks the attaching user, as it does after a walk
+    conn.ok(lambda t: Tattach(t, 1, "guest", "sub/ctl"), Rattach)
+    conn.err(lambda t: Topen(t, 1, OWRITE), "permission denied")
+
+
+def test_attach_at_a_directory_can_be_walked_on():
+    server, _ = build_server()
+    conn = Conn(server)
+    r = conn.ok(lambda t: Tattach(t, 0, "admin", "/sub/"), Rattach)
+    assert r.qid == server.root.lookup("sub").qid and r.qid.kind == QDIR
+    r = conn.ok(lambda t: Twalk(t, 0, 1, ("readme",)), Rwalk)
+    assert len(r.qids) == 1
+    conn.ok(lambda t: Topen(t, 1, OREAD), Ropen)
+    assert conn.ok(lambda t: Tread(t, 1, 0, IOUNIT), Rread).data == b"hello\n"
+
+
+@pytest.mark.parametrize("aname", ["missing", "sub/missing", "sub/readme/deeper", "open/x"])
+def test_attach_at_a_missing_name_is_no_such_tree(aname):
+    # the refused attach binds nothing: the fid is free for the next one
+    server, _ = build_server()
+    conn = Conn(server)
+    conn.err(lambda t: Tattach(t, 0, "admin", aname), "no such tree")
+    conn.ok(lambda t: Tattach(t, 0, "admin", ""), Rattach)
+
+
 def test_walk_multi_element():
     server, _ = build_server()
     conn = Conn(server)

@@ -401,19 +401,21 @@ def test_zoo_band_listing_ticks():
     # two heads, 3-tick links: one energy query per head at once, naming
     # no member, with no member-index read before it: the client's attach,
     # then walk, open and write of ctl in one flight, whose answer waits on
-    # the head's first read of remaining-energy (attach, walk, open and
-    # read, in turn), then the answer's read, which ends the file by being
-    # shorter than its count, the ctl fid kept open: 7 round trips of 6 ticks
-    assert ticks == [42, 612]
+    # the head's first read of remaining-energy (attach at the file, open
+    # and read, in one flight), then the answer's read, which ends the file
+    # by being shorter than its count, the ctl fid kept open: 4 round trips
+    # of 6 ticks
+    assert ticks == [24, 612]
 
 
 @pytest.mark.parametrize("command", ["ls /resource/energy/low", "plan region-10 4 avg 50"])
-def test_zoo_cold_band_listing_and_plan_add_only_the_heads_first_opens(command):
+def test_zoo_cold_band_listing_and_plan_cost_what_warm_ones_cost(command):
     # the shell has attached to both heads; the first band listing or plan
     # then opens each ctl fid it keeps in the flight of its first request,
-    # so it takes what the same command takes past the ttl (the heads read
-    # their members again) plus only the heads' attach, walk and open of
-    # the member file they read first, in turn: 3 round trips of 6 ticks
+    # and each head opens the member file it reads first in the flight of
+    # that read (attach at the file, open and read), so it takes what the
+    # same command takes past the ttl, when the heads read their members
+    # again over the fids they kept
     sim = load_scenario_file(ZOO)
     sim.start()
     shell = Shell(sim)
@@ -426,7 +428,7 @@ def test_zoo_cold_band_listing_and_plan_add_only_the_heads_first_opens(command):
         assert shell.run_line(command)[0] == 0
         ticks.append(sim.net.now - t0)
         shell.run_line("tick 40")
-    assert ticks == {"ls": [36, 18], "plan": [48, 30]}[command.split()[0]]
+    assert ticks == {"ls": [18, 18], "plan": [30, 30]}[command.split()[0]]
 
 
 def test_a_members_entry_keeps_its_qid_across_listings_of_one_view():
@@ -520,12 +522,12 @@ def test_zoo_location_data_frame_cost():
     # the walk's scan reads each head's ctl (8 frames each: attach, walk,
     # open and a read short of its count, the file's end); one query to the
     # members' head is 8 client frames (walk, open, write and read), and
-    # it reads each of the six members in 8 device frames (attach, walk,
-    # open, read)
+    # it reads each of the six members in 6 device frames (attach at the
+    # file, open and read, in one flight)
     assert device_frames(sim.net, since, {shell.client.eid}) == 2 * 8 + 8
-    assert device_frames(sim.net, since, set(sim.states)) == 6 * 8
+    assert device_frames(sim.net, since, set(sim.states)) == 6 * 6
     assert sum(1 for line in sim.net.log.lines[since:]
-               if line.split("\t")[1] == "send") == 72
+               if line.split("\t")[1] == "send") == 60
 
 
 def quiet_zoo():
